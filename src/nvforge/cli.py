@@ -5,10 +5,12 @@ Subcommands: ``odmr``, ``decay``, ``fit``, ``sense``, ``implant``, ``scan``,
 (``--tau-s``, ``--bz-t``, ``--dose-cm2``, ...) and has a one-to-one config
 file counterpart (see :mod:`nvforge.config`); explicit flags override file
 values.  The environment variable ``NVFORGE_SEED`` overrides the master
-seed from either source.
+seed from either source.  :data:`COMMANDS` is the one table that builds the
+parser, the config keys and the dispatch.
 
-Exit codes: 0 success, 2 configuration error, 3 acceptance-check failure
-(engine disagreement beyond tolerance), 4 numerical failure.
+Exit codes: 0 success, 2 configuration or input-file error, 3
+acceptance-check failure (engine disagreement beyond tolerance), 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -19,18 +21,24 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, dataio, fitkit, fixtures, implant, magnetometry, presets
-from .config import ConfigError, parse_config_file, resolve_options
+from .config import ConfigError, boolean, parse_config_file, resolve_options
+from .curves import DecayCurve
 from .engines import decay_time_grid, simulate_analytic, simulate_mc
 from .levmar import NumericalFailure
 from .noise import NoiseModel
 from .scan import (
+    DepthProfile,
     DepthProfileError,
     MissingZplError,
+    ScanGrid,
+    Spectrum,
     charge_ratio,
     detect_spots,
     film_thickness,
@@ -39,158 +47,42 @@ from .scan import (
     van_der_pauw,
 )
 from .sequences import build_sequence
-from .spincore import MagneticFieldVector, SpinParams, odmr_spectrum
+from .spincore import MagneticFieldVector, OdmrSpectrum, SpinParams, odmr_spectrum
 
 DEFAULT_SEED = 12345
 ENGINE_RMS_TOLERANCE = 0.02
+
+# The tables below name library functions or call them from lambdas and
+# never hold them: each call looks them up in the module namespaces, so
+# wrappers swapped into those namespaces (perfbench/tracing.py) see it.
+
+# Payload type -> dataio writer; a dict payload is written as JSON.
+_WRITERS = {
+    DecayCurve: "write_decay_csv",
+    OdmrSpectrum: "write_odmr_csv",
+    ScanGrid: "write_scan_grid_csv",
+    DepthProfile: "write_depth_profile_csv",
+    Spectrum: "write_spectrum_csv",
+}
 
 
 class EngineMismatchError(RuntimeError):
     """Monte-Carlo and analytic engines disagree beyond tolerance."""
 
 
-def _bool(raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    lowered = str(raw).lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {raw!r}")
-
-
-# Option specs: name -> (type, default, help).  Names double as config keys.
-ODMR_OPTIONS = {
-    "bx_t": (float, 0.0, "field x component (T)"),
-    "by_t": (float, 0.0, "field y component (T)"),
-    "bz_t": (float, 1.6e-3, "field z component (T)"),
-    "zfs_d_hz": (float, 2.87e9, "zero-field splitting D (Hz)"),
-    "gamma_hz_per_t": (float, 2.8024e10, "gyromagnetic ratio (Hz/T)"),
-    "linewidth_hz": (float, 6e6, "dip FWHM (Hz)"),
-    "contrast": (float, 0.15, "total ODMR contrast"),
-    "f_min_hz": (float, None, "grid start (default: auto)"),
-    "f_max_hz": (float, None, "grid end (default: auto)"),
-    "n_freq": (int, 2001, "number of grid points"),
-}
-
-DECAY_OPTIONS = {
-    "sequence": (str, "hahn", "ramsey | hahn | cpmg | xy4 | xy8"),
-    "n_pulses": (int, 1, "pi-pulse count for cpmg"),
-    "engine": (str, "analytic", "mc | analytic | both"),
-    "noise_preset": (str, "paper-like", "paper-like | slow-bath | none"),
-    "b_rad_s": (float, None, "OU coupling (rad/s) when preset is none"),
-    "tau_c_s": (float, None, "OU correlation time (s) when preset is none"),
-    "t1_s": (float, None, "longitudinal time (s), omit for none"),
-    "t1_q": (float, 1.0, "longitudinal stretching exponent"),
-    "t_min_s": (float, None, "grid start (default: auto)"),
-    "t_max_s": (float, None, "grid end (default: auto)"),
-    "n_times": (int, 24, "number of time points"),
-    "grid": (str, "log", "log | linear"),
-    "n_traj": (int, 20000, "Monte-Carlo trajectories"),
-}
-
-FIT_OPTIONS = {
-    "input": (str, None, "decay-curve CSV (time_s, signal)"),
-    "model": (str, "stretched_exp", "exp_t2star | stretched_exp | t1_stretched | fid_beats"),
-    "pin_offset": (_bool, False, "fix the baseline c at 0"),
-}
-
-SENSE_OPTIONS = {
-    "preset": (str, "paper-ideal", "paper-ideal | none"),
-    "aleph_ppm": (float, None, "NV concentration (ppm)"),
-    "volume_m3": (float, None, "detection volume (m^3)"),
-    "rate_cps": (float, None, "photon rate per center (counts/s)"),
-    "contrast": (float, None, "readout contrast"),
-    "t2_star_s": (float, None, "T2* (s); preset supplies 3.6e-6"),
-    "t2_dd_s": (float, None, "decoupled T2 (s) for the AC estimate"),
-}
-
-IMPLANT_OPTIONS = {
-    "energy_ev": (float, 5000.0, "ion energy (eV)"),
-    "current_a": (float, 500e-12, "beam current (A)"),
-    "diameter_m": (float, 25e-6, "spot or aperture diameter (m)"),
-    "dose_cm2": (float, 1e12, "target atom dose (cm^-2)"),
-    "chopper_pulse_s": (float, None, "beam-chopper pulse length (s)"),
-    "species": (str, "atomic", "atomic | molecular"),
-    "leak_sccm": (float, 2.4e-4, "chamber leak rate (sccm)"),
-    "flow_sccm": (float, 400.0, "total process-gas flow (sccm)"),
-    "h2_purity": (float, 1.0, "hydrogen purity fraction"),
-    "ch4_purity": (float, 1.0, "methane purity fraction"),
-    "incorporation_rate": (float, 1e-4, "gas-to-solid nitrogen incorporation rate"),
-}
-
-SCAN_OPTIONS = {
-    "mode": (str, None, "spots | depth | spectrum | ratio | vdp | purity"),
-    "input": (str, None, "input CSV (not used by vdp)"),
-    "threshold_sigma": (float, 5.0, "spot detection threshold (sigma)"),
-    "kappa": (float, 1.0, "charge-ratio calibration factor"),
-    "r_a_ohm": (float, None, "Van-der-Pauw resistance A (ohm)"),
-    "r_b_ohm": (float, None, "Van-der-Pauw resistance B (ohm)"),
-}
-
-FIXTURES_OPTIONS = {
-    "target": (str, None, "fig5 | fig6 | fig7 | fig9 | raman | s1s2s3 | table2"),
-}
-
-COMMAND_OPTIONS = {
-    "odmr": ODMR_OPTIONS,
-    "decay": DECAY_OPTIONS,
-    "fit": FIT_OPTIONS,
-    "sense": SENSE_OPTIONS,
-    "implant": IMPLANT_OPTIONS,
-    "scan": SCAN_OPTIONS,
-    "fixtures": FIXTURES_OPTIONS,
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nvforge",
-        description="NV-ensemble simulation and analysis toolkit",
-    )
-    parser.add_argument("--version", action="version", version=f"nvforge {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in COMMAND_OPTIONS.items():
-        p = sub.add_parser(command, help=f"{command} subcommand")
-        if command == "implant":
-            p.add_argument(
-                "action",
-                choices=["plan", "budget"],
-                help="plan: dose/depth/yield plan; budget: CVD nitrogen budget",
-            )
-        p.add_argument("--config", type=str, default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument(
-            "--output-dir", type=str, default=None, help="output directory (default .)"
-        )
-        for name, (typ, default, help_text) in options.items():
-            flag = "--" + name.replace("_", "-")
-            p.add_argument(flag, type=typ, default=None, help=f"{help_text} [default: {default}]")
-    return parser
-
-
-def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, int, Path, Path | None]:
-    spec = {name: (typ, default) for name, (typ, default, _) in COMMAND_OPTIONS[command].items()}
-    spec["seed"] = (int, DEFAULT_SEED)
-    spec["output_dir"] = (str, ".")
-    file_values: dict[str, str] = {}
-    config_path = None
-    if args.config is not None:
-        config_path = Path(args.config)
-        file_values = parse_config_file(config_path)
-    flag_values = {name: getattr(args, name) for name in spec}
-    opts = resolve_options(flag_values, file_values, spec)
-    seed = int(opts.pop("seed"))
-    env_seed = os.environ.get("NVFORGE_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"NVFORGE_SEED must be an integer, got {env_seed!r}") from exc
-    out_dir = Path(opts.pop("output_dir"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return opts, seed, out_dir, config_path
+def _write(out_dir: Path, files: dict) -> list[Path]:
+    """Write each ``{file name: payload}``; returns every path written."""
+    written = []
+    for name, payload in files.items():
+        path = out_dir / name
+        if isinstance(payload, dict):
+            dataio.write_json(path, payload)
+        else:
+            getattr(dataio, _WRITERS[type(payload)])(payload, path)
+        written.append(path)
+        if isinstance(payload, DecayCurve):
+            written.append(path.with_suffix(".json"))
+    return written
 
 
 def _noise_from_options(opts: dict) -> NoiseModel:
@@ -223,86 +115,63 @@ def _cmd_odmr(opts: dict, seed: int, out_dir: Path) -> list[Path]:
         raise ConfigError("f-max-hz must exceed f-min-hz")
     grid = np.linspace(f_min, f_max, int(opts["n_freq"]))
     spectrum = odmr_spectrum(params, field, grid)
-    csv_path = out_dir / "odmr.csv"
-    json_path = out_dir / "odmr_lines.json"
-    dataio.write_odmr_csv(spectrum, csv_path)
-    dataio.write_json(json_path, dataio.odmr_line_table(spectrum))
-    return [csv_path, json_path]
-
-
-def _decay_sequence(opts: dict):
-    kind = opts["sequence"].lower()
-    tau = 1e-6  # canonical spacing; engines rescale to each total time
-    if kind == "cpmg":
-        return build_sequence("cpmg", tau, n=int(opts["n_pulses"]))
-    return build_sequence(kind, tau)
+    return _write(
+        out_dir, {"odmr.csv": spectrum, "odmr_lines.json": dataio.odmr_line_table(spectrum)}
+    )
 
 
 def _cmd_decay(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     engine = opts["engine"].lower()
     if engine not in ("mc", "analytic", "both"):
         raise ConfigError("engine must be mc, analytic, or both")
-    seq = _decay_sequence(opts)
+    # Canonical spacing; the engines rescale the sequence to each total time.
+    seq = build_sequence(opts["sequence"], 1e-6, n=int(opts["n_pulses"]))
     noise = _noise_from_options(opts)
     n_times = int(opts["n_times"])
     if (opts["t_min_s"] is None) != (opts["t_max_s"] is None):
         raise ConfigError("t-min-s and t-max-s must be given together")
-    if opts["t_min_s"] is not None and opts["t_max_s"] is not None:
-        if opts["grid"] == "linear":
-            times = np.linspace(opts["t_min_s"], opts["t_max_s"], n_times)
-        else:
-            times = np.geomspace(opts["t_min_s"], opts["t_max_s"], n_times)
-    else:
+    if opts["t_min_s"] is None:
         times = decay_time_grid(seq, noise, n_points=n_times)
+    else:
+        spacing = np.linspace if opts["grid"] == "linear" else np.geomspace
+        times = spacing(opts["t_min_s"], opts["t_max_s"], n_times)
 
-    outputs: list[Path] = []
     curves = {}
     if engine in ("analytic", "both"):
         curves["analytic"] = simulate_analytic(seq, noise, times)
     if engine in ("mc", "both"):
         curves["mc"] = simulate_mc(seq, noise, times, int(opts["n_traj"]), seed)
-    for name, curve in curves.items():
-        path = out_dir / f"decay_{name}.csv"
-        dataio.write_decay_csv(curve, path)
-        outputs.extend([path, path.with_suffix(".json")])
-    if engine == "both":
-        diff = curves["mc"].signal - curves["analytic"].signal
-        rms = float(np.sqrt(np.mean(diff**2)))
-        report_path = out_dir / "engine_comparison.json"
-        dataio.write_json(
-            report_path,
-            {
-                "rms_difference": rms,
-                "tolerance": ENGINE_RMS_TOLERANCE,
-                "within_tolerance": rms <= ENGINE_RMS_TOLERANCE,
-            },
+    files = {f"decay_{name}.csv": curve for name, curve in curves.items()}
+    if engine != "both":
+        return _write(out_dir, files)
+    diff = curves["mc"].signal - curves["analytic"].signal
+    rms = float(np.sqrt(np.mean(diff**2)))
+    files["engine_comparison.json"] = {
+        "rms_difference": rms,
+        "tolerance": ENGINE_RMS_TOLERANCE,
+        "within_tolerance": rms <= ENGINE_RMS_TOLERANCE,
+    }
+    outputs = _write(out_dir, files)
+    if rms > ENGINE_RMS_TOLERANCE:
+        raise EngineMismatchError(
+            f"engine RMS difference {rms:.4f} exceeds {ENGINE_RMS_TOLERANCE}"
         )
-        outputs.append(report_path)
-        if rms > ENGINE_RMS_TOLERANCE:
-            raise EngineMismatchError(
-                f"engine RMS difference {rms:.4f} exceeds {ENGINE_RMS_TOLERANCE}"
-            )
     return outputs
+
+
+FIT_MODELS = ("exp_t2star", "stretched_exp", "t1_stretched", "fid_beats")
 
 
 def _cmd_fit(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     if not opts["input"]:
         raise ConfigError("fit requires --input")
-    curve = dataio.read_decay_csv(Path(opts["input"]))
     kind = opts["model"]
-    factories = {
-        "exp_t2star": fitkit.FitModel.exp_t2star,
-        "stretched_exp": fitkit.FitModel.stretched_exp,
-        "t1_stretched": fitkit.FitModel.t1_stretched,
-        "fid_beats": fitkit.FitModel.fid_beats,
-    }
-    if kind not in factories:
-        raise ConfigError(f"unknown model {kind!r}; choose from {sorted(factories)}")
+    if kind not in FIT_MODELS:
+        raise ConfigError(f"unknown model {kind!r}; choose from {sorted(FIT_MODELS)}")
+    curve = dataio.read_decay_csv(Path(opts["input"]))
     fix = {"c": 0.0} if opts["pin_offset"] else None
-    result = fitkit.fit(curve, factories[kind](), fix=fix)
-    path = out_dir / "fit_result.json"
-    dataio.write_json(path, result.as_dict())
-    return [path]
+    result = fitkit.fit(curve, getattr(fitkit.FitModel, kind)(), fix=fix)
+    return _write(out_dir, {"fit_result.json": result.as_dict()})
 
 
 def _cmd_sense(opts: dict, seed: int, out_dir: Path) -> list[Path]:
@@ -325,13 +194,11 @@ def _cmd_sense(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     else:
         raise ConfigError("preset must be paper-ideal or none")
     report = magnetometry.sensitivity_report(spot, t2_star, opts["t2_dd_s"])
-    path = out_dir / "sensitivity.json"
-    dataio.write_json(path, report.as_dict())
-    return [path]
+    return _write(out_dir, {"sensitivity.json": report.as_dict()})
 
 
-def _cmd_implant(action: str, opts: dict, seed: int, out_dir: Path) -> list[Path]:
-    if action == "plan":
+def _cmd_implant(opts: dict, seed: int, out_dir: Path) -> list[Path]:
+    if opts["action"] == "plan":
         beam = implant.BeamConfig(
             energy_ev=opts["energy_ev"],
             current_a=opts["current_a"],
@@ -340,9 +207,7 @@ def _cmd_implant(action: str, opts: dict, seed: int, out_dir: Path) -> list[Path
             species=opts["species"],
         )
         plan = implant.build_plan(beam, opts["dose_cm2"])
-        path = out_dir / "implant_plan.json"
-        dataio.write_json(path, plan.as_dict())
-        return [path]
+        return _write(out_dir, {"implant_plan.json": plan.as_dict()})
     budget = implant.GrowthBudget(
         total_flow_sccm=opts["flow_sccm"],
         leak_rate_sccm=opts["leak_sccm"],
@@ -351,96 +216,200 @@ def _cmd_implant(action: str, opts: dict, seed: int, out_dir: Path) -> list[Path
         incorporation_rate=opts["incorporation_rate"],
     )
     report = implant.nitrogen_budget(budget)
-    path = out_dir / "nitrogen_budget.json"
-    dataio.write_json(path, report.as_dict())
-    return [path]
+    return _write(out_dir, {"nitrogen_budget.json": report.as_dict()})
+
+
+def _scan_vdp(_, opts: dict) -> dict:
+    if opts["r_a_ohm"] is None or opts["r_b_ohm"] is None:
+        raise ConfigError("vdp mode requires r-a-ohm and r-b-ohm")
+    rs, g = van_der_pauw(opts["r_a_ohm"], opts["r_b_ohm"])
+    return {"sheet_resistance_ohm_sq": rs, "sheet_conductance_s_sq": g}
+
+
+# mode -> (dataio reader of --input, or None; reducer(data, opts) -> JSON payload; output file)
+SCAN_MODES = {
+    "spots": ("read_scan_grid_csv", lambda grid, opts: {"spots": [
+        s.as_dict() for s in detect_spots(grid, threshold_sigma=opts["threshold_sigma"])]},
+        "scan_spots.json"),
+    "depth": ("read_depth_profile_csv", lambda profile, opts: film_thickness(profile).as_dict(),
+              "scan_depth.json"),
+    "spectrum": ("read_spectrum_csv", lambda spec, opts: {
+        "peaks": [p.as_dict() for p in identify_peaks(spec)]}, "scan_spectrum.json"),
+    "ratio": ("read_spectrum_csv", lambda spec, opts: vars(charge_ratio(spec, kappa=opts["kappa"])),
+              "scan_ratio.json"),
+    "vdp": (None, _scan_vdp, "scan_vdp.json"),
+    "purity": ("read_scan_grid_csv", lambda grid, opts: purity_report(grid).as_dict(),
+               "scan_purity.json"),
+}
 
 
 def _cmd_scan(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     mode = opts["mode"]
-    if mode is None:
-        raise ConfigError("scan requires --mode")
-    if mode == "vdp":
-        if opts["r_a_ohm"] is None or opts["r_b_ohm"] is None:
-            raise ConfigError("vdp mode requires r-a-ohm and r-b-ohm")
-        rs, g = van_der_pauw(opts["r_a_ohm"], opts["r_b_ohm"])
-        payload = {"sheet_resistance_ohm_sq": rs, "sheet_conductance_s_sq": g}
-        path = out_dir / "scan_vdp.json"
-        dataio.write_json(path, payload)
-        return [path]
-    if not opts["input"]:
-        raise ConfigError(f"scan mode {mode!r} requires --input")
-    in_path = Path(opts["input"])
-    if mode == "spots":
-        grid = dataio.read_scan_grid_csv(in_path)
-        spots = detect_spots(grid, threshold_sigma=opts["threshold_sigma"])
-        payload = {"spots": [s.as_dict() for s in spots]}
-        path = out_dir / "scan_spots.json"
-    elif mode == "depth":
-        profile = dataio.read_depth_profile_csv(in_path)
-        payload = film_thickness(profile).as_dict()
-        path = out_dir / "scan_depth.json"
-    elif mode == "spectrum":
-        spec = dataio.read_spectrum_csv(in_path)
-        payload = {"peaks": [p.as_dict() for p in identify_peaks(spec)]}
-        path = out_dir / "scan_spectrum.json"
-    elif mode == "ratio":
-        spec = dataio.read_spectrum_csv(in_path)
-        ratio = charge_ratio(spec, kappa=opts["kappa"])
-        payload = {"ratio_c0_cminus": ratio.ratio_c0_cminus, "kappa": ratio.kappa}
-        path = out_dir / "scan_ratio.json"
-    elif mode == "purity":
-        grid = dataio.read_scan_grid_csv(in_path)
-        payload = purity_report(grid).as_dict()
-        path = out_dir / "scan_purity.json"
-    else:
-        raise ConfigError(f"unknown scan mode {mode!r}")
-    dataio.write_json(path, payload)
-    return [path]
+    if mode not in SCAN_MODES:
+        raise ConfigError(f"scan --mode must be one of {', '.join(SCAN_MODES)}; got {mode!r}")
+    reader, reduce, name = SCAN_MODES[mode]
+    data = None
+    if reader is not None:
+        if not opts["input"]:
+            raise ConfigError(f"scan mode {mode!r} requires --input")
+        data = getattr(dataio, reader)(Path(opts["input"]))
+    return _write(out_dir, {name: reduce(data, opts)})
+
+
+# target -> seed -> {output file: payload}
+FIXTURE_TARGETS = {
+    "fig5": lambda seed: {"fig5_spot_grid.csv": fixtures.spot_grid_fig5(seed)},
+    "fig6": lambda seed: {"fig6_depth_profile.csv": fixtures.depth_profile_fig6(seed)},
+    "fig7": lambda seed: {
+        f"fig7_cpmg{n:02d}.csv": curve for n, curve in fixtures.decay_family_fig7()
+    },
+    "fig9": lambda seed: {
+        f"fig9_{kind}.csv": curve for kind, curve in fixtures.xy_curves_fig9().items()
+    },
+    "raman": lambda seed: {"raman_spectrum.csv": fixtures.raman_spectrum()},
+    "s1s2s3": lambda seed: {
+        f"spectrum_{sample}.csv": fixtures.spectrum_s123(sample) for sample in ("s1", "s2", "s3")
+    },
+    "table2": lambda seed: {"table2_samples.json": fixtures.table2_metadata()},
+}
 
 
 def _cmd_fixtures(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     target = opts["target"]
-    outputs: list[Path] = []
-    if target == "fig5":
-        grid = fixtures.spot_grid_fig5(seed)
-        path = out_dir / "fig5_spot_grid.csv"
-        dataio.write_scan_grid_csv(grid, path)
-        outputs.append(path)
-    elif target == "fig6":
-        profile = fixtures.depth_profile_fig6(seed)
-        path = out_dir / "fig6_depth_profile.csv"
-        dataio.write_depth_profile_csv(profile, path)
-        outputs.append(path)
-    elif target == "fig7":
-        for n, curve in fixtures.decay_family_fig7():
-            path = out_dir / f"fig7_cpmg{n:02d}.csv"
-            dataio.write_decay_csv(curve, path)
-            outputs.extend([path, path.with_suffix(".json")])
-    elif target == "fig9":
-        for kind, curve in fixtures.xy_curves_fig9().items():
-            path = out_dir / f"fig9_{kind}.csv"
-            dataio.write_decay_csv(curve, path)
-            outputs.extend([path, path.with_suffix(".json")])
-    elif target == "raman":
-        path = out_dir / "raman_spectrum.csv"
-        dataio.write_spectrum_csv(fixtures.raman_spectrum(), path)
-        outputs.append(path)
-    elif target == "s1s2s3":
-        for sample in ("s1", "s2", "s3"):
-            path = out_dir / f"spectrum_{sample}.csv"
-            dataio.write_spectrum_csv(fixtures.spectrum_s123(sample), path)
-            outputs.append(path)
-    elif target == "table2":
-        path = out_dir / "table2_samples.json"
-        dataio.write_json(path, fixtures.table2_metadata())
-        outputs.append(path)
-    else:
+    if target not in FIXTURE_TARGETS:
         raise ConfigError(
-            "unknown fixtures target "
-            f"{target!r}; choose from fig5, fig6, fig7, fig9, raman, s1s2s3, table2"
+            f"unknown fixtures target {target!r}; choose from {', '.join(FIXTURE_TARGETS)}"
         )
-    return outputs
+    return _write(out_dir, FIXTURE_TARGETS[target](seed))
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.
+
+    ``handler(opts, seed, out_dir)`` returns the paths it wrote.  ``options``
+    maps name -> (type, default, help with units); the names double as
+    config keys.  ``positional`` is (name, choices, help); its value joins
+    ``opts`` (and so the manifest) but is not a config key.
+    """
+
+    handler: Callable[[dict, int, Path], list[Path]]
+    options: dict
+    positional: tuple | None = None
+
+
+# Options every command takes, besides --config.
+COMMON_OPTIONS = {
+    "seed": (int, DEFAULT_SEED, "master seed"),
+    "output_dir": (str, ".", "output directory"),
+}
+
+COMMANDS = {
+    "odmr": Command(_cmd_odmr, {
+        "bx_t": (float, 0.0, "field x component (T)"),
+        "by_t": (float, 0.0, "field y component (T)"),
+        "bz_t": (float, 1.6e-3, "field z component (T)"),
+        "zfs_d_hz": (float, 2.87e9, "zero-field splitting D (Hz)"),
+        "gamma_hz_per_t": (float, 2.8024e10, "gyromagnetic ratio (Hz/T)"),
+        "linewidth_hz": (float, 6e6, "dip FWHM (Hz)"),
+        "contrast": (float, 0.15, "total ODMR contrast"),
+        "f_min_hz": (float, None, "grid start (default: auto)"),
+        "f_max_hz": (float, None, "grid end (default: auto)"),
+        "n_freq": (int, 2001, "number of grid points"),
+    }),
+    "decay": Command(_cmd_decay, {
+        "sequence": (str, "hahn", "ramsey | hahn | cpmg | xy4 | xy8"),
+        "n_pulses": (int, 1, "pi-pulse count for cpmg"),
+        "engine": (str, "analytic", "mc | analytic | both"),
+        "noise_preset": (str, "paper-like", "paper-like | slow-bath | none"),
+        "b_rad_s": (float, None, "OU coupling (rad/s) when preset is none"),
+        "tau_c_s": (float, None, "OU correlation time (s) when preset is none"),
+        "t1_s": (float, None, "longitudinal time (s), omit for none"),
+        "t1_q": (float, 1.0, "longitudinal stretching exponent"),
+        "t_min_s": (float, None, "grid start (default: auto)"),
+        "t_max_s": (float, None, "grid end (default: auto)"),
+        "n_times": (int, 24, "number of time points"),
+        "grid": (str, "log", "log | linear"),
+        "n_traj": (int, 20000, "Monte-Carlo trajectories"),
+    }),
+    "fit": Command(_cmd_fit, {
+        "input": (str, None, "decay-curve CSV (time_s, signal)"),
+        "model": (str, "stretched_exp", " | ".join(FIT_MODELS)),
+        "pin_offset": (boolean, False, "fix the baseline c at 0"),
+    }),
+    "sense": Command(_cmd_sense, {
+        "preset": (str, "paper-ideal", "paper-ideal | none"),
+        "aleph_ppm": (float, None, "NV concentration (ppm)"),
+        "volume_m3": (float, None, "detection volume (m^3)"),
+        "rate_cps": (float, None, "photon rate per center (counts/s)"),
+        "contrast": (float, None, "readout contrast"),
+        "t2_star_s": (float, None, "T2* (s); preset supplies 3.6e-6"),
+        "t2_dd_s": (float, None, "decoupled T2 (s) for the AC estimate"),
+    }),
+    "implant": Command(_cmd_implant, {
+        "energy_ev": (float, 5000.0, "ion energy (eV)"),
+        "current_a": (float, 500e-12, "beam current (A)"),
+        "diameter_m": (float, 25e-6, "spot or aperture diameter (m)"),
+        "dose_cm2": (float, 1e12, "target atom dose (cm^-2)"),
+        "chopper_pulse_s": (float, None, "beam-chopper pulse length (s)"),
+        "species": (str, "atomic", "atomic | molecular"),
+        "leak_sccm": (float, 2.4e-4, "chamber leak rate (sccm)"),
+        "flow_sccm": (float, 400.0, "total process-gas flow (sccm)"),
+        "h2_purity": (float, 1.0, "hydrogen purity fraction"),
+        "ch4_purity": (float, 1.0, "methane purity fraction"),
+        "incorporation_rate": (float, 1e-4, "gas-to-solid nitrogen incorporation rate"),
+    }, ("action", ("plan", "budget"), "plan: dose/depth/yield plan; budget: CVD nitrogen budget")),
+    "scan": Command(_cmd_scan, {
+        "mode": (str, None, " | ".join(SCAN_MODES)),
+        "input": (str, None, "input CSV (not used by vdp)"),
+        "threshold_sigma": (float, 5.0, "spot detection threshold (sigma)"),
+        "kappa": (float, 1.0, "charge-ratio calibration factor"),
+        "r_a_ohm": (float, None, "Van-der-Pauw resistance A (ohm)"),
+        "r_b_ohm": (float, None, "Van-der-Pauw resistance B (ohm)"),
+    }),
+    "fixtures": Command(_cmd_fixtures, {
+        "target": (str, None, " | ".join(FIXTURE_TARGETS)),
+    }),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nvforge",
+        description="NV-ensemble simulation and analysis toolkit",
+    )
+    parser.add_argument("--version", action="version", version=f"nvforge {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=f"{name} subcommand")
+        if command.positional:
+            arg, choices, help_text = command.positional
+            p.add_argument(arg, choices=choices, help=help_text)
+        p.add_argument("--config", type=str, default=None, help="key=value config file")
+        for option, (typ, default, help_text) in {**COMMON_OPTIONS, **command.options}.items():
+            flag = "--" + option.replace("_", "-")
+            p.add_argument(flag, type=typ, default=None, help=f"{help_text} [default: {default}]")
+    return parser
+
+
+def _resolve(args: argparse.Namespace, command: Command) -> tuple[dict, int, Path, Path | None]:
+    options = {**COMMON_OPTIONS, **command.options}
+    spec = {name: (typ, default) for name, (typ, default, _) in options.items()}
+    config_path = None if args.config is None else Path(args.config)
+    file_values = {} if config_path is None else parse_config_file(config_path)
+    opts = resolve_options({name: getattr(args, name) for name in spec}, file_values, spec)
+    seed = int(opts.pop("seed"))
+    env_seed = os.environ.get("NVFORGE_SEED")
+    if env_seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError as exc:
+            raise ConfigError(f"NVFORGE_SEED must be an integer, got {env_seed!r}") from exc
+    out_dir = Path(opts.pop("output_dir"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if command.positional:
+        opts[command.positional[0]] = getattr(args, command.positional[0])
+    return opts, seed, out_dir, config_path
 
 
 def _sha256(path: Path) -> str:
@@ -478,22 +447,9 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     try:
-        opts, seed, out_dir, config_path = _resolve(args, args.command)
-        if args.command == "odmr":
-            outputs = _cmd_odmr(opts, seed, out_dir)
-        elif args.command == "decay":
-            outputs = _cmd_decay(opts, seed, out_dir)
-        elif args.command == "fit":
-            outputs = _cmd_fit(opts, seed, out_dir)
-        elif args.command == "sense":
-            outputs = _cmd_sense(opts, seed, out_dir)
-        elif args.command == "implant":
-            outputs = _cmd_implant(args.action, opts, seed, out_dir)
-        elif args.command == "scan":
-            outputs = _cmd_scan(opts, seed, out_dir)
-        else:
-            outputs = _cmd_fixtures(opts, seed, out_dir)
-    except (ConfigError, ValueError) as exc:
+        opts, seed, out_dir, config_path = _resolve(args, COMMANDS[args.command])
+        outputs = COMMANDS[args.command].handler(opts, seed, out_dir)
+    except (ValueError, OSError) as exc:  # bad options, bad or unreadable input files
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineMismatchError as exc:
@@ -504,7 +460,7 @@ def main(argv=None) -> int:
         return 4
 
     inputs = [config_path]
-    if "input" in opts and opts.get("input"):
+    if opts.get("input"):
         inputs.append(Path(opts["input"]))
     _write_manifest(
         out_dir, args.command, opts, seed, inputs, outputs, time.monotonic() - started

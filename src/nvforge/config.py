@@ -44,8 +44,10 @@ def resolve_options(
 ) -> dict:
     """Merge defaults, config-file values, and explicit flags.
 
-    ``spec`` maps option name -> (type, default).  Precedence: flag over
-    file over default.  Unknown file keys raise :class:`ConfigError`.
+    ``spec`` maps option name -> (type, default), where the type parses a
+    raw string and raises ``ValueError`` on a bad one.  Precedence: flag
+    over file over default.  Unknown file keys and bad values raise
+    :class:`ConfigError`.
     """
     unknown = set(file_values) - set(spec)
     if unknown:
@@ -59,7 +61,7 @@ def resolve_options(
             resolved[name] = flag_values[name]
         elif name in file_values:
             try:
-                resolved[name] = _convert(typ, file_values[name])
+                resolved[name] = typ(file_values[name])
             except ValueError as exc:
                 raise ConfigError(f"config key {name!r}: {exc}") from exc
         else:
@@ -67,12 +69,11 @@ def resolve_options(
     return resolved
 
 
-def _convert(typ, raw: str):
-    if typ is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"expected boolean, got {raw!r}")
-    return typ(raw)
+def boolean(raw: str) -> bool:
+    """Parse a boolean flag or config value (true/false, 1/0, yes/no, on/off)."""
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected boolean, got {raw!r}")

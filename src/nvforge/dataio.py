@@ -45,12 +45,15 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 
 
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    """Header names and the 2-D float array of the data rows."""
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: CSV needs a header row and at least one data row")
     header = [h.strip() for h in lines[0].split(",")]
-    data = np.array(
-        [[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float
-    )
-    return header, data
+    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: every data row needs one value per header column")
+    return header, np.array(rows, dtype=float)
 
 
 def write_decay_csv(curve: DecayCurve, path: Path, sidecar: bool = True) -> None:
@@ -159,16 +162,12 @@ def read_scan_grid_csv(path: Path) -> ScanGrid:
     Dense format: header ``y_um\\x_um, <x0>, <x1>, ...`` and one row per y
     value; long format: header ``x_um, y_um, counts``.
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    header = [h.strip() for h in lines[0].split(",")]
+    header, data = _read_csv(path)
     if header[0].startswith("y_um"):
         x = np.array([float(v) for v in header[1:]])
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-        data = np.array(rows, dtype=float)
         return ScanGrid(x_um=x, y_um=data[:, 0], counts=data[:, 1:])
     if header[:3] != ["x_um", "y_um", "counts"]:
         raise ValueError(f"unrecognized scan-grid header: {header}")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     x = np.unique(data[:, 0])
     y = np.unique(data[:, 1])
     counts = np.full((y.size, x.size), np.nan)

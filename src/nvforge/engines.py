@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
+from . import fitkit
 from .curves import DecayCurve
 from .levmar import NumericalFailure
 from .noise import NoiseModel, ou_cell_coefficients
@@ -184,11 +185,7 @@ class HyperfineTriplet:
 
     detuning_hz: float
     a_parallel_hz: float
-    multiplicities: tuple[tuple[float, float], ...] = (
-        (-1.0, 1 / 3),
-        (0.0, 1 / 3),
-        (1.0, 1 / 3),
-    )
+    multiplicities: tuple[tuple[float, float], ...] = fitkit.TRIPLET_MULTIPLICITIES
 
     def __post_init__(self) -> None:
         total = sum(w for _, w in self.multiplicities)
@@ -197,7 +194,7 @@ class HyperfineTriplet:
 
     @classmethod
     def doublet(cls, detuning_hz: float, a_parallel_hz: float) -> "HyperfineTriplet":
-        return cls(detuning_hz, a_parallel_hz, ((-0.5, 0.5), (0.5, 0.5)))
+        return cls(detuning_hz, a_parallel_hz, fitkit.DOUBLET_MULTIPLICITIES)
 
     def line_frequencies(self) -> list[tuple[float, float]]:
         return [
@@ -282,8 +279,6 @@ def t2_vs_n(
     analytic engine and fits a stretched exponential (offset pinned to 0).
     Fit failures are re-raised with the offending n attached.
     """
-    from . import fitkit
-
     if not n_list:
         raise ValueError("n_list must be non-empty")
     out = []

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .levmar import NumericalFailure, lm_least_squares
 
@@ -198,6 +197,33 @@ def _gaussian2d(params, xg, yg):
     ) + off
 
 
+def label_regions(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Label the 4-connected regions of a 2-D boolean mask.
+
+    Returns (labels, count); labels are 1..count, numbered in raster order
+    of each region's first pixel, 0 off the mask.  This is the numbering of
+    ``scipy.ndimage.label`` with its default structure.
+    """
+    ny, nx = mask.shape
+    labels = np.zeros((ny, nx), dtype=np.int32)
+    todo = mask.tolist()  # cleared as pixels are labelled
+    count = 0
+    for y0, x0 in np.argwhere(mask).tolist():
+        if not todo[y0][x0]:
+            continue
+        count += 1
+        todo[y0][x0] = False
+        stack = [(y0, x0)]
+        while stack:
+            y, x = stack.pop()
+            labels[y, x] = count
+            for yy, xx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                if 0 <= yy < ny and 0 <= xx < nx and todo[yy][xx]:
+                    todo[yy][xx] = False
+                    stack.append((yy, xx))
+    return labels, count
+
+
 def detect_spots(
     grid: ScanGrid, threshold_sigma: float = 5.0, min_pixels: int = 5
 ) -> list[SpotFit]:
@@ -215,7 +241,7 @@ def detect_spots(
         bg = robust_background(grid.counts)
     threshold = bg + threshold_sigma * math.sqrt(max(bg, 1.0))
     mask = grid.counts > threshold
-    labels, n_regions = ndimage.label(mask)
+    labels, n_regions = label_regions(mask)
 
     spots: list[SpotFit] = []
     xg_full, yg_full = np.meshgrid(grid.x_um, grid.y_um)
@@ -308,7 +334,9 @@ def film_thickness(profile: DepthProfile) -> ThicknessResult:
         start = None
         for i, flag in enumerate(mask):
             if flag and start is None:
-                start = i
+                # A dip shorter than the smoothing width is noise splitting
+                # one step, not the gap between two steps.
+                start = regions.pop()[0] if regions and i - regions[-1][1] < width else i
             elif not flag and start is not None:
                 regions.append((start, i))
                 start = None

@@ -61,6 +61,34 @@ def test_malformed_flag_exits_2(tmp_path):
     assert main(["odmr", "--no-such-flag", "1"]) == 2
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_bad_boolean_exits_2(tmp_path, source):
+    args = ["fit", "--input", str(tmp_path / "unused.csv"), "--output-dir", str(tmp_path)]
+    if source == "flag":
+        args += ["--pin-offset", "maybe"]
+    else:
+        config = tmp_path / "fit.cfg"
+        config.write_text("pin-offset = maybe\n")
+        args += ["--config", str(config)]
+    assert main(args) == 2
+
+
+@pytest.mark.parametrize("command", [["fit"], ["scan", "--mode", "spots"]], ids=["fit", "scan"])
+@pytest.mark.parametrize("case", ["missing", "directory", "empty", "header_only", "short_row"])
+def test_bad_input_file_exits_2(tmp_path, capsys, command, case):
+    path = tmp_path / "input.csv"
+    if case == "directory":
+        path.mkdir()
+    elif case == "empty":
+        path.write_text("")
+    elif case != "missing":
+        header = "x_um,y_um,counts\n" if command[0] == "scan" else "time_s,signal\n"
+        path.write_text(header + ("1.0\n" if case == "short_row" else ""))
+    code = main(command + ["--input", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_decay_analytic_paper_like_hahn_fit(tmp_path):
     assert (
         main(
@@ -279,6 +307,7 @@ def test_sense_custom_requires_all_fields(tmp_path):
 
 def test_implant_plan_reference_numbers(tmp_path):
     assert main(["implant", "plan", "--output-dir", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "manifest.json")["options"]["action"] == "plan"
     plan = _read_json(tmp_path / "implant_plan.json")
     assert plan["duration_s"] == pytest.approx(1.57e-3, rel=0.01)
     assert plan["depth_mean_nm"] == pytest.approx(8.5)
@@ -453,13 +482,13 @@ def test_help_lists_all_config_keys():
     import io
     from contextlib import redirect_stdout
 
-    from nvforge.cli import COMMAND_OPTIONS
+    from nvforge.cli import COMMANDS
 
-    for command, options in COMMAND_OPTIONS.items():
+    for command, spec in COMMANDS.items():
         buffer = io.StringIO()
         with redirect_stdout(buffer):
             code = main([command, "--help"])
         assert code == 0
         text = buffer.getvalue()
-        for name in options:
+        for name in spec.options:
             assert "--" + name.replace("_", "-") in text
