@@ -28,6 +28,8 @@ class DecayCurve:
         self.signal = np.asarray(self.signal, dtype=float)
         if self.times_s.ndim != 1 or self.times_s.shape != self.signal.shape:
             raise ValueError("times and signal must be 1-D arrays of equal length")
+        if not self.times_s.size:
+            raise ValueError("a decay curve needs at least one time point")
         if self.times_s.size > 1 and not np.all(np.diff(self.times_s) > 0):
             raise ValueError("times must be strictly increasing")
         if np.any(np.abs(self.signal) > SIGNAL_BOUND):

@@ -1,19 +1,23 @@
 """Coherence-decay engines for pulse sequences under an OU dephasing bath.
 
-Two independent routes compute the same quantity:
+Two independent routes compute the same quantity; both take the
+sign-constant cells of the free-evolution window from
+:meth:`nvforge.sequences.PulseSequence.cell_lengths`:
 
 - :func:`simulate_analytic` evaluates the Gaussian-noise attenuation
   exponent chi(t) = 1/2 * double-integral of s(t1) s(t2) b^2
-  exp(-|t1-t2|/tau_c) in closed form over the sign-constant cells defined
-  by the pi-pulse times, and returns exp(-chi) exp(-(t/T1)^q).
+  exp(-|t1-t2|/tau_c) in closed form (:func:`attenuation_exponent`, one
+  running sum over the cells for all time points at once), and returns
+  exp(-chi) exp(-(t/T1)^q).
 
-- :func:`simulate_mc` averages cos(phase) over stochastic trajectories,
-  where each trajectory accumulates phase = integral of s(t') dw(t') with
-  the OU frequency noise dw.  Both the cell-exit noise value and the
-  integral of the noise over each cell are drawn from their exact joint
-  Gaussian law (see :func:`nvforge.noise.ou_cell_coefficients`), so the
-  estimator is exact in distribution for any cell size; the only
-  discrepancy against the analytic engine is Monte-Carlo statistics.
+- :func:`simulate_mc` never evaluates chi.  It averages cos(phase) over
+  stochastic trajectories, where each trajectory accumulates phase =
+  integral of s(t') dw(t') with the OU frequency noise dw.  Both the
+  cell-exit noise value and the integral of the noise over each cell are
+  drawn from their exact joint Gaussian law (see
+  :func:`nvforge.noise.ou_cell_coefficients`), so the estimator is exact
+  in distribution for any cell size; the only discrepancy against the
+  analytic engine is Monte-Carlo statistics.
 
 Monte-Carlo runs are bit-reproducible for a fixed seed regardless of
 evaluation order: trajectories are partitioned into fixed-size blocks and
@@ -38,51 +42,35 @@ from .sequences import PulseSequence, build_sequence
 MC_BLOCK_SIZE = 16384
 
 
-def _cells(seq: PulseSequence, total_t: float) -> list[tuple[float, float, int]]:
-    """Sign-constant cells as (start, length, sign) covering [0, t]."""
-    edges = seq.cell_boundaries(total_t)
-    cells = []
-    sign = 1
-    for a, b in zip(edges[:-1], edges[1:]):
-        cells.append((a, b - a, sign))
-        sign = -sign
-    return cells
-
-
-def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, total_t: float) -> float:
+def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
     """Closed-form chi(t) for OU noise under the sequence's pi-pulse pattern.
 
-    Uses the exact rectangle integrals of exp(-|t1-t2|/tau_c): a diagonal
-    term 2*tau*(L - tau*(1-alpha)) per cell and a separable cross term
-    tau^2 (1-alpha_j)(1-alpha_k) exp(-gap/tau) per cell pair.
+    With cell lengths L_k, signs s_k = (-1)^k, x_k = L_k/tau_c and
+    a_k = exp(-x_k), the exact rectangle integrals of exp(-|t1-t2|/tau_c)
+    give chi = b^2 tau_c^2 [sum_k (x_k - (1-a_k)) + sum_k s_k (1-a_k) A_k],
+    where A_0 = 0 and A_{k+1} = a_k A_k + s_k (1-a_k) sums the cross terms
+    of all earlier cells: one O(n_cells) pass, vectorized over ``times_s``
+    (a scalar or an array; the result has its shape).
     """
-    if total_t == 0.0 or noise.b_rad_s == 0.0:
-        return 0.0
-    tau = noise.tau_c_s
-    b2 = noise.b_rad_s**2
-    cells = _cells(seq, total_t)
-    starts = np.array([c[0] for c in cells])
-    lengths = np.array([c[1] for c in cells])
-    signs = np.array([c[2] for c in cells], dtype=float)
-    ends = starts + lengths
-    alphas = np.exp(-lengths / tau)
-
-    chi = float(np.sum(2.0 * tau * (lengths - tau * (1.0 - alphas))))
-    one_m = 1.0 - alphas
-    for j in range(len(cells) - 1):
-        gaps = starts[j + 1 :] - ends[j]
-        cross = tau * tau * one_m[j] * one_m[j + 1 :] * np.exp(-gaps / tau)
-        chi += 2.0 * float(np.sum(signs[j] * signs[j + 1 :] * cross))
-    chi *= 0.5 * b2
-    if not math.isfinite(chi):
+    x = seq.cell_lengths(times_s) / noise.tau_c_s
+    alpha = np.exp(-x)
+    one_m = -np.expm1(-x)
+    acc = np.zeros(x.shape[:-1])
+    total = np.zeros(x.shape[:-1])
+    for k in range(x.shape[-1]):
+        sign = 1.0 if k % 2 == 0 else -1.0
+        total += x[..., k] - one_m[..., k] + sign * one_m[..., k] * acc
+        acc = alpha[..., k] * acc + sign * one_m[..., k]
+    chi = (noise.b_rad_s * noise.tau_c_s) ** 2 * total
+    if not np.all(np.isfinite(chi)):
         raise NumericalFailure("attenuation exponent is not finite")
-    return max(chi, 0.0)
+    return np.maximum(chi, 0.0)[()]
 
 
 def simulate_analytic(seq: PulseSequence, noise: NoiseModel, times_s) -> DecayCurve:
     """Deterministic coherence curve exp(-chi(t)) * exp(-(t/T1)^q)."""
     times = np.asarray(times_s, dtype=float)
-    chi = np.array([attenuation_exponent(seq, noise, t) for t in times])
+    chi = attenuation_exponent(seq, noise, times)
     signal = np.exp(-chi) * noise.longitudinal_factor(times)
     meta = {"sequence": seq.name, "engine": "analytic", "noise": noise.as_dict()}
     return DecayCurve(times_s=times, signal=signal, meta=meta)
@@ -137,15 +125,13 @@ def simulate_mc(
         raise ValueError("n_traj must be >= 1")
     times = np.asarray(times_s, dtype=float)
 
-    cell_coeffs = []
-    for t in times:
-        coeffs = []
-        for start, length, sign in _cells(seq, t):
-            alpha, m_i, l11, l21, l22 = ou_cell_coefficients(
-                noise.b_rad_s, noise.tau_c_s, length
-            )
-            coeffs.append((alpha, m_i, l11, l21, l22, sign))
-        cell_coeffs.append(coeffs)
+    cell_coeffs = [
+        [
+            (*ou_cell_coefficients(noise.b_rad_s, noise.tau_c_s, length), (-1) ** k)
+            for k, length in enumerate(lengths)
+        ]
+        for lengths in seq.cell_lengths(times).tolist()
+    ]
 
     n_blocks = (n_traj + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     sums = np.zeros((n_blocks, times.size))
@@ -235,10 +221,10 @@ def decay_time_grid(
     """Log-spaced total-time grid covering -ln(signal) in [decay_lo, decay_hi].
 
     The total decay exponent chi(t) + (t/T1)^q is monotone in t, so both
-    endpoints are found by bisection.
+    endpoints are found together by one bisection on the pair of targets.
     """
 
-    def total_exponent(t: float) -> float:
+    def total_exponent(t):
         extra = 0.0
         if not math.isinf(noise.t1_s):
             extra = (t / noise.t1_s) ** noise.t1_exponent_q
@@ -252,18 +238,14 @@ def decay_time_grid(
     else:
         raise ValueError("noise model produces no appreciable decay")
 
-    def invert(target: float) -> float:
-        lo, hi = 0.0, probe
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if total_exponent(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    t_lo = invert(decay_lo)
-    t_hi = invert(decay_hi)
+    targets = np.array([decay_lo, decay_hi])
+    lo, hi = np.zeros(2), np.full(2, probe)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = total_exponent(mid) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    t_lo, t_hi = 0.5 * (lo + hi)
     return np.geomspace(max(t_lo, 1e-15), t_hi, n_points)
 
 

@@ -66,9 +66,9 @@ def ou_cell_coefficients(b_rad_s: float, tau_c_s: float, length_s: float):
     """
     tau = tau_c_s
     alpha = math.exp(-length_s / tau)
-    one_m = 1.0 - alpha
+    one_m = -math.expm1(-length_s / tau)
     b2 = b_rad_s * b_rad_s
-    var_x = b2 * (1.0 - alpha * alpha)
+    var_x = b2 * one_m * (1.0 + alpha)
     cov_xi = b2 * tau * one_m * one_m
     var_i = b2 * (2.0 * tau * length_s - 2.0 * tau * tau * one_m - tau * tau * one_m * one_m)
     l11 = math.sqrt(max(var_x, 0.0))

@@ -2,8 +2,8 @@
 
 Builds the standard sequence timelines (Ramsey, Hahn echo, CPMG(n), XY4,
 XY8) as ordered element lists.  Microwave pulses are ideal (zero width);
-what the decay engines consume is the set of refocusing instants inside the
-free-evolution window, exposed by :meth:`PulseSequence.pi_pulse_times`.
+what the decay engines consume is the split of the free-evolution window
+into sign-constant cells, exposed by :meth:`PulseSequence.cell_lengths`.
 
 Total free-evolution time conventions, for a sequence built with spacing
 ``tau``: Ramsey evolves for ``tau``; Hahn for ``2*tau``; CPMG(n) for
@@ -14,7 +14,9 @@ the phase patterns X-Y-X-Y and X-Y-X-Y-Y-X-Y-X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 DEFAULT_INIT_DURATION_S = 5e-6
 DEFAULT_READOUT_DURATION_S = 4e-7
@@ -68,9 +70,14 @@ class PulseSequence:
         """Refocusing instants within a free-evolution window of length t."""
         return [f * total_t_s for f in self.pi_fractions]
 
-    def cell_boundaries(self, total_t_s: float) -> list[float]:
-        """Edges of the sign-constant cells: 0, pi instants, t."""
-        return [0.0, *self.pi_pulse_times(total_t_s), total_t_s]
+    def cell_lengths(self, times_s) -> np.ndarray:
+        """Lengths of the sign-constant cells for each total time t.
+
+        Returns shape ``(*np.shape(times_s), n_pi + 1)``; cell k runs between
+        consecutive refocusing instants (or the window edges) and carries
+        the sign (-1)^k.
+        """
+        return np.multiply.outer(times_s, np.diff([0.0, *self.pi_fractions, 1.0]))
 
 
 def _cpmg_fractions(n: int) -> tuple[float, ...]:
@@ -135,23 +142,10 @@ def build_sequence(
     else:
         raise ValueError(f"unknown sequence kind: {kind!r}")
 
+    seq = PulseSequence(name, (), tau_s, fractions, phases, total)
+    waits = seq.cell_lengths(total).tolist()
     elements: list = [LaserInit(init_duration_s), MwPulse(halfpi, "x")]
-    if fractions:
-        boundaries = [0.0, *(f * total for f in fractions), total]
-        for i, phase in enumerate(phases):
-            elements.append(Wait(boundaries[i + 1] - boundaries[i]))
-            elements.append(MwPulse(2 * halfpi, phase))
-        elements.append(Wait(boundaries[-1] - boundaries[-2]))
-    else:
-        elements.append(Wait(total))
-    elements.append(MwPulse(halfpi, "x"))
-    elements.append(Readout(readout_duration_s))
-
-    return PulseSequence(
-        name=name,
-        elements=tuple(elements),
-        tau_s=tau_s,
-        pi_fractions=fractions,
-        pi_phases=phases,
-        total_free_evolution_s=total,
-    )
+    for wait, phase in zip(waits, phases):
+        elements += [Wait(wait), MwPulse(2 * halfpi, phase)]
+    elements += [Wait(waits[-1]), MwPulse(halfpi, "x"), Readout(readout_duration_s)]
+    return replace(seq, elements=tuple(elements))

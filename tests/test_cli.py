@@ -204,11 +204,19 @@ def test_decay_engine_mismatch_exits_3(tmp_path):
     assert report["within_tolerance"] is False
 
 
-def test_decay_partial_time_grid_exits_2(tmp_path):
-    code = main(
-        ["decay", "--t-min-s", "1e-7", "--output-dir", str(tmp_path)]
-    )
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--t-min-s", "1e-7"],
+        ["--n-times", "0", "--engine", "analytic"],
+        ["--n-times", "0", "--engine", "both"],
+    ],
+    ids=["t_min_only", "no_points-analytic", "no_points-both"],
+)
+def test_decay_partial_time_grid_exits_2(tmp_path, args):
+    code = main(["decay", *args, "--output-dir", str(tmp_path)])
     assert code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_shipped_config_files(tmp_path):

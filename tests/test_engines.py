@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nvforge import engines
 from nvforge.curves import DecayCurve
 from nvforge.engines import (
     HyperfineTriplet,
@@ -37,6 +38,58 @@ def riemann_chi(seq, b, tau_c, total_t, n=10000):
         block = np.exp(-np.abs(mids[i0 : i0 + chunk, None] - mids[None, :]) / tau_c)
         chi += float(np.sum(signs[i0 : i0 + chunk, None] * signs[None, :] * block))
     return 0.5 * b * b * h * h * chi
+
+
+def pairwise_chi(seq, noise, total_t):
+    """O(n^2) reference: diagonal cell integrals plus every cell pair."""
+    tau = noise.tau_c_s
+    edges = [0.0, *seq.pi_pulse_times(total_t), total_t]
+    starts = np.array(edges[:-1])
+    lengths = np.diff(edges)
+    ends = starts + lengths
+    signs = (-1.0) ** np.arange(lengths.size)
+    one_m = 1.0 - np.exp(-lengths / tau)
+    chi = float(np.sum(2.0 * tau * (lengths - tau * one_m)))
+    for j in range(lengths.size - 1):
+        gaps = starts[j + 1 :] - ends[j]
+        cross = tau * tau * one_m[j] * one_m[j + 1 :] * np.exp(-gaps / tau)
+        chi += 2.0 * float(np.sum(signs[j] * signs[j + 1 :] * cross))
+    return 0.5 * noise.b_rad_s**2 * chi
+
+
+@pytest.mark.parametrize(
+    "kind,n", [("hahn", None), ("xy8", None), ("cpmg", 2), ("cpmg", 7), ("cpmg", 64), ("cpmg", 256)]
+)
+@pytest.mark.parametrize("b_tau", [0.1, 1.0, 10.0])
+def test_chi_matches_pairwise_reference(kind, n, b_tau):
+    # Below t/tau_c ~ 1 the reference itself loses digits to cancellation.
+    tau_c = 1e-6
+    noise = NoiseModel(b_tau / tau_c, tau_c)
+    seq = build_sequence(kind, 1e-6, n=n)
+    times = tau_c * np.geomspace(10.0, 1e3, 9)
+    got = attenuation_exponent(seq, noise, times)
+    want = [pairwise_chi(seq, noise, t) for t in times]
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_hahn_chi_matches_short_time_series():
+    # chi = b^2 tau_c^2 (x^3/12 - x^4/32 + 7 x^5/960 + O(x^6)), x = t/tau_c.
+    noise = NoiseModel(1e6, 1e-5)
+    seq = build_sequence("hahn", 1e-6)
+    for x in (1e-3, 3e-3):
+        series = (noise.b_rad_s * noise.tau_c_s) ** 2 * (x**3 / 12 - x**4 / 32 + 7 * x**5 / 960)
+        got = attenuation_exponent(seq, noise, x * noise.tau_c_s)
+        assert got == pytest.approx(series, rel=1e-8, abs=0.0)
+
+
+def test_chi_array_call_equals_scalar_calls():
+    noise = NoiseModel(2e6, 1e-6)
+    for kind, n in (("ramsey", None), ("hahn", None), ("cpmg", 64)):
+        seq = build_sequence(kind, 1e-6, n=n)
+        times = np.geomspace(1e-8, 1e-4, 17)
+        got = attenuation_exponent(seq, noise, times)
+        assert got.shape == times.shape
+        assert np.array_equal(got, [attenuation_exponent(seq, noise, t) for t in times])
 
 
 def test_ramsey_chi_matches_closed_form():
@@ -141,6 +194,29 @@ def test_ou_cell_coefficients_stationary_statistics():
     var_i = (m_i * b) ** 2 + l21**2 + l22**2
     expected = 2 * b**2 * tau * (length - tau * (1 - alpha))
     assert var_i == pytest.approx(expected, rel=1e-10)
+
+
+def test_ou_cell_coefficients_short_cell_limit():
+    # Var(x(L) | x0) = b^2 (1 - alpha^2) -> 2 b^2 L / tau_c without cancellation.
+    b, tau = 2.3e6, 1.7e-6
+    length = 1e-12 * tau
+    _, _, l11, _, _ = ou_cell_coefficients(b, tau, length)
+    assert l11**2 == pytest.approx(2 * b**2 * length / tau, rel=1e-9)
+
+
+def test_mc_never_evaluates_chi(monkeypatch):
+    seq = build_sequence("cpmg", 1e-6, n=4)
+    noise = NoiseModel(1e6, 1e-6)
+    times = np.geomspace(1e-7, 1e-5, 5)
+    expected = simulate_mc(seq, noise, times, 3000, seed=2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the MC engine must not evaluate chi")
+
+    monkeypatch.setattr(engines, "attenuation_exponent", forbidden)
+    got = simulate_mc(seq, noise, times, 3000, seed=2)
+    assert np.array_equal(got.signal, expected.signal)
+    assert got.meta == expected.meta
 
 
 def test_mc_noiseless_is_exactly_one():
@@ -311,3 +387,5 @@ def test_decay_curve_validation():
         DecayCurve([1e-6, 2e-6], [1.0, 1.2])
     with pytest.raises(ValueError):
         DecayCurve([1e-6, 2e-6], [1.0])
+    with pytest.raises(ValueError):
+        DecayCurve([], [])
