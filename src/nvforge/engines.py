@@ -42,6 +42,11 @@ from .sequences import PulseSequence, build_sequence
 MC_BLOCK_SIZE = 16384
 
 
+def seeded_rng(seed: int, stream: int) -> Generator:
+    """Counter-based Philox stream keyed by (seed mod 2^64, stream)."""
+    return Generator(Philox(key=np.array([seed % 2**64, stream], dtype=np.uint64)))
+
+
 def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
     """Closed-form chi(t) for OU noise under the sequence's pi-pulse pattern.
 
@@ -89,8 +94,7 @@ def _mc_block_sums(
     (z1, z2) pair per cell) is fixed, and the stream is keyed by
     (seed, block_index) only, so blocks can be evaluated in any order.
     """
-    key = np.array([seed % 2**64, block_index], dtype=np.uint64)
-    rng = Generator(Philox(key=key))
+    rng = seeded_rng(seed, block_index)
     n_times = len(cell_coeffs)
     sums = np.empty(n_times)
     sums_sq = np.empty(n_times)
@@ -174,19 +178,11 @@ class HyperfineTriplet:
     multiplicities: tuple[tuple[float, float], ...] = fitkit.TRIPLET_MULTIPLICITIES
 
     def __post_init__(self) -> None:
-        total = sum(w for _, w in self.multiplicities)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("multiplicity weights must sum to 1")
+        fitkit.check_multiplicities(self.multiplicities)
 
     @classmethod
     def doublet(cls, detuning_hz: float, a_parallel_hz: float) -> "HyperfineTriplet":
         return cls(detuning_hz, a_parallel_hz, fitkit.DOUBLET_MULTIPLICITIES)
-
-    def line_frequencies(self) -> list[tuple[float, float]]:
-        return [
-            (self.detuning_hz + m * self.a_parallel_hz, w)
-            for m, w in self.multiplicities
-        ]
 
 
 def simulate_fid_beats(triplet: HyperfineTriplet, t2_star_s: float, times_s) -> DecayCurve:
@@ -197,9 +193,9 @@ def simulate_fid_beats(triplet: HyperfineTriplet, t2_star_s: float, times_s) -> 
     if not t2_star_s > 0:
         raise ValueError("t2_star_s must be positive")
     times = np.asarray(times_s, dtype=float)
-    beat = np.zeros_like(times)
-    for f, w in triplet.line_frequencies():
-        beat += w * np.cos(2 * math.pi * f * times)
+    beat = fitkit.beat_sum(
+        triplet.multiplicities, triplet.detuning_hz, triplet.a_parallel_hz, times
+    )
     signal = np.exp(-times / t2_star_s) * beat
     meta = {
         "sequence": "ramsey_fid",
@@ -258,20 +254,18 @@ def t2_vs_n(
     """Coherence time versus number of CPMG pi pulses.
 
     For each n, simulates the CPMG(n) decay on a log-spaced grid with the
-    analytic engine and fits a stretched exponential (offset pinned to 0).
-    Fit failures are re-raised with the offending n attached.
+    analytic engine, then fits them all with :func:`fitkit.extract_t2_table`.
+    The first failed row, in ``n_list`` order, is raised with its n attached.
     """
     if not n_list:
         raise ValueError("n_list must be non-empty")
-    out = []
-    model = fitkit.FitModel.stretched_exp()
+    curves = []
     for n in n_list:
         seq = build_sequence("cpmg", tau_s, n=int(n))
         times = decay_time_grid(seq, noise, n_points=n_points)
-        curve = simulate_analytic(seq, noise, times)
-        try:
-            result = fitkit.fit(curve, model, fix={"c": 0.0})
-        except fitkit.FitError as exc:
-            raise fitkit.FitError(f"T2 fit failed for n={n}: {exc}") from exc
-        out.append((int(n), result.params["t2_s"]))
-    return out
+        curves.append((n, simulate_analytic(seq, noise, times)))
+    rows = fitkit.extract_t2_table(curves)
+    for row in rows:
+        if row.error is not None:
+            raise fitkit.FitError(f"T2 fit failed for n={row.n}: {row.error}")
+    return [(row.n, row.t2_s) for row in rows]

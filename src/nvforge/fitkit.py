@@ -34,6 +34,22 @@ TRIPLET_MULTIPLICITIES = ((-1.0, 1 / 3), (0.0, 1 / 3), (1.0, 1 / 3))
 DOUBLET_MULTIPLICITIES = ((-0.5, 0.5), (0.5, 0.5))
 
 
+def check_multiplicities(multiplicities) -> tuple[tuple[float, float], ...]:
+    """The multiplet as a tuple of (m, w) pairs; the weights must sum to 1."""
+    weights = sum(w for _, w in multiplicities)
+    if abs(weights - 1.0) > 1e-9:
+        raise ValueError("multiplicity weights must sum to 1")
+    return tuple(multiplicities)
+
+
+def beat_sum(multiplicities, delta_hz: float, a_hf_hz: float, t: np.ndarray) -> np.ndarray:
+    """Hyperfine beats sum_m w_m cos(2 pi (delta + m*A) t), lines summed in order."""
+    out = np.zeros_like(t)
+    for m, w in multiplicities:
+        out += w * np.cos(2 * math.pi * (delta_hz + m * a_hf_hz) * t)
+    return out
+
+
 class FitError(RuntimeError):
     pass
 
@@ -71,10 +87,7 @@ class FitModel:
 
     @classmethod
     def fid_beats(cls, multiplicities=TRIPLET_MULTIPLICITIES) -> "FitModel":
-        weights = sum(w for _, w in multiplicities)
-        if abs(weights - 1.0) > 1e-9:
-            raise ValueError("multiplicity weights must sum to 1")
-        return cls("fid_beats", tuple(multiplicities))
+        return cls("fid_beats", check_multiplicities(multiplicities))
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -93,13 +106,7 @@ class FitModel:
             a, tc, p, c = theta
             return a * np.exp(-((t / tc) ** p)) + c
         a, tc, delta, ahf, c = theta
-        return a * np.exp(-t / tc) * self._beat(t, delta, ahf) + c
-
-    def _beat(self, t: np.ndarray, delta: float, ahf: float) -> np.ndarray:
-        out = np.zeros_like(t)
-        for m, w in self.multiplicities:
-            out += w * np.cos(2 * math.pi * (delta + m * ahf) * t)
-        return out
+        return a * np.exp(-t / tc) * beat_sum(self.multiplicities, delta, ahf, t) + c
 
     def jacobian(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
         if self.kind == "exp_t2star":
@@ -121,7 +128,7 @@ class FitModel:
             )
         a, tc, delta, ahf, c = theta
         env = np.exp(-t / tc)
-        beat = self._beat(t, delta, ahf)
+        beat = beat_sum(self.multiplicities, delta, ahf, t)
         d_delta = np.zeros_like(t)
         d_ahf = np.zeros_like(t)
         for m, w in self.multiplicities:

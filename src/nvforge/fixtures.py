@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from . import presets
 from .curves import DecayCurve
-from .engines import decay_time_grid, simulate_analytic
+from .engines import decay_time_grid, seeded_rng, simulate_analytic
 from .implant import POST_ANNEAL, TABLE2_SAMPLES
-from .scan import DepthProfile, ScanGrid, Spectrum
+from .scan import FWHM_PER_SIGMA, DepthProfile, ScanGrid, Spectrum, _lorentzian
 from .sequences import build_sequence
 
 #: Target NV0:NV- area ratios for the three spectra fixtures.
@@ -32,10 +31,6 @@ RAMAN_PEAK_CM1 = 1332.54
 RAMAN_FWHM_CM1 = 1.61
 
 
-def _rng(seed: int, stream: int) -> Generator:
-    return Generator(Philox(key=np.array([seed % 2**64, stream], dtype=np.uint64)))
-
-
 def depth_profile_fig6(seed: int = 0, noise_rms: float = 60.0) -> DepthProfile:
     """Two-step PL depth profile: air -> 265 um film -> substrate."""
     z = np.arange(-60.0, 420.0, 0.5)
@@ -45,7 +40,7 @@ def depth_profile_fig6(seed: int = 0, noise_rms: float = 60.0) -> DepthProfile:
         + (film - base) / (1.0 + np.exp(-(z - FIG6_SURFACE_Z_UM) / 1.5))
         + (substrate - film) / (1.0 + np.exp(-(z - FIG6_INTERFACE_Z_UM) / 2.5))
     )
-    counts += noise_rms * _rng(seed, 6).standard_normal(z.size)
+    counts += noise_rms * seeded_rng(seed, 6).standard_normal(z.size)
     return DepthProfile(z_um=z, counts=np.clip(counts, 0.0, None))
 
 
@@ -55,12 +50,12 @@ def spot_grid_fig5(seed: int = 0, background: float = 5000.0) -> ScanGrid:
     y = np.arange(-60.0, 60.0, 1.0)
     xg, yg = np.meshgrid(x, y)
     fx, fy = FIG5_SPOT_FWHM_UM
-    sx = fx / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    sy = fy / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    sx = fx / FWHM_PER_SIGMA
+    sy = fy / FWHM_PER_SIGMA
     counts = background + 30000.0 * np.exp(
         -(xg**2) / (2 * sx**2) - (yg**2) / (2 * sy**2)
     )
-    counts += math.sqrt(background) * _rng(seed, 5).standard_normal(counts.shape)
+    counts += math.sqrt(background) * seeded_rng(seed, 5).standard_normal(counts.shape)
     return ScanGrid(
         x_um=x, y_um=y, counts=np.clip(counts, 0.0, None), background_rate=background
     )
@@ -75,16 +70,15 @@ def halo_grid_s1(seed: int = 0, background: float = 5000.0) -> ScanGrid:
     x = np.arange(-1000.0, 1000.0, 12.5)
     y = np.arange(-1000.0, 1000.0, 12.5)
     xg, yg = np.meshgrid(x, y)
-    k = 2.0 * math.sqrt(2.0 * math.log(2.0))
-    s_core = 200.0 / k
-    s_halo = 400.0 / k
+    s_core = 200.0 / FWHM_PER_SIGMA
+    s_halo = 400.0 / FWHM_PER_SIGMA
     r2 = xg**2 + yg**2
     counts = (
         background
         + 30000.0 * np.exp(-r2 / (2 * s_core**2))
         + 1200.0 * np.exp(-r2 / (2 * s_halo**2))
     )
-    counts += math.sqrt(background) * _rng(seed, 1).standard_normal(counts.shape)
+    counts += math.sqrt(background) * seeded_rng(seed, 1).standard_normal(counts.shape)
     return ScanGrid(
         x_um=x, y_um=y, counts=np.clip(counts, 0.0, None), background_rate=background
     )
@@ -111,9 +105,8 @@ def purity_grid_s4(seed: int = 0, background: float = 5000.0):
 
 
 def _lorentzian_profile(x: np.ndarray, center: float, fwhm: float, area: float):
-    amp = 2.0 * area / (math.pi * fwhm)
-    half = fwhm / 2.0
-    return amp / (1.0 + ((x - center) / half) ** 2)
+    """:func:`nvforge.scan._lorentzian` with its peak height set by its area."""
+    return _lorentzian((2.0 * area / (math.pi * fwhm), center, fwhm, 0.0), x)
 
 
 def spectrum_s123(sample: str) -> Spectrum:

@@ -30,16 +30,13 @@ class LMResult:
     sse: float
     converged: bool
     n_iter: int
-    grad_inf: float
     objective_trace: list[float] = field(default_factory=list)
     jacobian: np.ndarray | None = None
     message: str = ""
 
 
-def numeric_jacobian(residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray, r0=None):
-    """Forward-difference Jacobian of a residual vector."""
-    if r0 is None:
-        r0 = residual(x)
+def numeric_jacobian(residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray, r0: np.ndarray):
+    """Forward-difference Jacobian of a residual vector; ``r0`` is residual(x)."""
     jac = np.empty((r0.size, x.size))
     for j in range(x.size):
         h = 1e-7 * max(abs(x[j]), 1e-9)
@@ -64,7 +61,9 @@ def lm_least_squares(
     Convergence is declared when an accepted step changes every parameter
     by less than ``xtol`` in relative terms, or when the infinity norm of
     the gradient J^T r drops below ``gtol``.  On hitting ``max_iter`` the
-    best point found so far is returned with ``converged = False``.
+    best point found so far is returned with ``converged = False``.  A
+    non-finite residual at the start or a non-finite Jacobian anywhere
+    raises :class:`NumericalFailure`.
     """
     x = np.asarray(x0, dtype=float).copy()
     k = x.size
@@ -72,23 +71,27 @@ def lm_least_squares(
     hi = np.full(k, np.inf) if upper is None else np.asarray(upper, dtype=float)
     x = np.clip(x, lo, hi)
 
+    def jacobian_at(x, r):
+        with np.errstate(all="ignore"):
+            jac = jacobian(x) if jacobian is not None else numeric_jacobian(residual, x, r)
+        if not np.all(np.isfinite(jac)):
+            raise NumericalFailure("Jacobian is not finite")
+        return jac
+
     r = residual(x)
     if not np.all(np.isfinite(r)):
         raise NumericalFailure("residual is not finite at the starting point")
     sse = float(r @ r)
     trace = [sse]
     lam = LAMBDA_INIT
-    grad_inf = np.inf
-    jac = None
     message = "max_iter reached"
     converged = False
     n_iter = 0
 
     for n_iter in range(1, max_iter + 1):
-        jac = jacobian(x) if jacobian is not None else numeric_jacobian(residual, x, r)
+        jac = jacobian_at(x, r)
         grad = jac.T @ r
-        grad_inf = float(np.max(np.abs(grad)))
-        if grad_inf < gtol:
+        if float(np.max(np.abs(grad))) < gtol:
             converged = True
             message = "gradient norm below gtol"
             break
@@ -125,19 +128,13 @@ def lm_least_squares(
         if converged:
             break
 
-    if jacobian is not None:
-        jac = jacobian(x)
-    else:
-        jac = numeric_jacobian(residual, x, r)
-    grad_inf = float(np.max(np.abs(jac.T @ r)))
     return LMResult(
         x=x,
         sse=sse,
         converged=converged,
         n_iter=n_iter,
-        grad_inf=grad_inf,
         objective_trace=trace,
-        jacobian=jac,
+        jacobian=jacobian_at(x, r),
         message=message,
     )
 

@@ -299,6 +299,21 @@ def test_fit_command_constant_signal_exits_4(tmp_path):
     assert code == 4  # rank-deficient data is a numerical failure
 
 
+def test_fit_non_finite_jacobian_exits_4_without_warnings(tmp_path, capsys):
+    # The beat model on a Hahn echo drives T2* onto its lower bound, where
+    # the Jacobian is no longer finite: a numerical failure, not bad input.
+    assert main(["decay", "--sequence", "hahn", "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    curve = tmp_path / "decay_analytic.csv"
+    code = main(
+        ["fit", "--input", str(curve), "--model", "fid_beats", "--output-dir", str(tmp_path / "fit")]
+    )
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("numerical failure:")
+    assert "Warning" not in err
+
+
 def test_sense_preset_report(tmp_path):
     assert (
         main(["sense", "--t2-dd-s", "173e-6", "--output-dir", str(tmp_path)]) == 0

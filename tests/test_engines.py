@@ -107,7 +107,7 @@ def test_ramsey_short_time_gaussian_limit():
     seq = build_sequence("ramsey", 1e-6)
     t = noise.tau_c_s / 100
     chi = attenuation_exponent(seq, noise, t)
-    assert chi == pytest.approx(noise.b_rad_s**2 * t**2 / 2, rel=5e-3)
+    assert chi == pytest.approx(noise.b_rad_s**2 * t**2 / 2, rel=5e-3, abs=0.0)
 
 
 def test_hahn_chi_matches_riemann_double_sum():
@@ -117,7 +117,7 @@ def test_hahn_chi_matches_riemann_double_sum():
     seq = build_sequence("hahn", t / 2)
     closed = attenuation_exponent(seq, noise, t)
     brute = riemann_chi(seq, noise.b_rad_s, tau_c, t)
-    assert closed == pytest.approx(brute, rel=1e-4)
+    assert closed == pytest.approx(brute, rel=1e-4, abs=0.0)
 
 
 def test_cpmg_chi_matches_riemann_double_sum():
@@ -127,7 +127,7 @@ def test_cpmg_chi_matches_riemann_double_sum():
     t = 6e-6
     closed = attenuation_exponent(seq, noise, t)
     brute = riemann_chi(seq, noise.b_rad_s, tau_c, t)
-    assert closed == pytest.approx(brute, rel=1e-4)
+    assert closed == pytest.approx(brute, rel=1e-4, abs=0.0)
 
 
 def test_chi_zero_at_zero_time_and_zero_coupling():
@@ -187,13 +187,13 @@ def test_ou_cell_coefficients_stationary_statistics():
     # stationary result 2 b^2 tau (L - tau (1 - alpha)).
     b, tau, length = 2.3e6, 1.7e-6, 4.1e-6
     alpha, m_i, l11, l21, l22 = ou_cell_coefficients(b, tau, length)
-    assert alpha == pytest.approx(math.exp(-length / tau), rel=1e-12)
+    assert alpha == pytest.approx(math.exp(-length / tau), rel=1e-12, abs=0.0)
     var_x_cond = l11**2
-    assert var_x_cond + (alpha * b) ** 2 == pytest.approx(b**2, rel=1e-12)
+    assert var_x_cond + (alpha * b) ** 2 == pytest.approx(b**2, rel=1e-12, abs=0.0)
     # Unconditional integral variance: Var(m_i x0 + noise) with x0 ~ N(0, b^2).
     var_i = (m_i * b) ** 2 + l21**2 + l22**2
     expected = 2 * b**2 * tau * (length - tau * (1 - alpha))
-    assert var_i == pytest.approx(expected, rel=1e-10)
+    assert var_i == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_ou_cell_coefficients_short_cell_limit():
@@ -201,7 +201,7 @@ def test_ou_cell_coefficients_short_cell_limit():
     b, tau = 2.3e6, 1.7e-6
     length = 1e-12 * tau
     _, _, l11, _, _ = ou_cell_coefficients(b, tau, length)
-    assert l11**2 == pytest.approx(2 * b**2 * length / tau, rel=1e-9)
+    assert l11**2 == pytest.approx(2 * b**2 * length / tau, rel=1e-9, abs=0.0)
 
 
 def test_mc_never_evaluates_chi(monkeypatch):
@@ -297,12 +297,12 @@ def test_fid_doublet_beat_node_at_one_half_a():
     a_hf = 2.16e6
     doublet = HyperfineTriplet.doublet(50e6, a_hf)
     node = 1.0 / (2 * a_hf)
-    assert node == pytest.approx(231.5e-9, rel=1e-3)
+    assert node == pytest.approx(231.5e-9, rel=1e-3, abs=0.0)
     tt = np.linspace(1e-10, 4e-7, 50000)
     curve = simulate_fid_beats(doublet, 50e6, tt)
     envelope = np.abs(np.cos(math.pi * a_hf * tt))
     first_node = tt[np.argmin(envelope)]
-    assert first_node == pytest.approx(node, rel=1e-3)
+    assert first_node == pytest.approx(node, rel=1e-3, abs=0.0)
     assert abs(curve.signal[np.argmin(np.abs(tt - node))]) < 2e-3
 
 
@@ -334,7 +334,7 @@ def test_t2_vs_n_first_point_equals_hahn():
     times = decay_time_grid(hahn, noise, n_points=40)
     curve = simulate_analytic(hahn, noise, times)
     direct = fitkit.fit(curve, fitkit.FitModel.stretched_exp(), fix={"c": 0.0})
-    assert table[0][1] == pytest.approx(direct.params["t2_s"], rel=1e-9)
+    assert table[0][1] == pytest.approx(direct.params["t2_s"], rel=1e-9, abs=0.0)
 
 
 def test_t2_vs_n_slow_bath_scaling():
@@ -354,6 +354,17 @@ def test_t2_vs_n_paper_like_extension():
     assert table[64] / table[1] >= 10.0
 
 
+def test_t2_vs_n_raises_on_the_first_failed_n(monkeypatch):
+    from nvforge import fitkit
+
+    def failing_fit(curve, model, init=None, fix=None):
+        raise fitkit.FitError("no fit")
+
+    monkeypatch.setattr(fitkit, "fit", failing_fit)
+    with pytest.raises(fitkit.FitError, match=r"^T2 fit failed for n=4: no fit$"):
+        t2_vs_n(NoiseModel(1e6, 1e-6), [4, 2])
+
+
 def test_t2_vs_n_rejects_empty_list():
     with pytest.raises(ValueError):
         t2_vs_n(NoiseModel(1e6, 1e-6), [])
@@ -363,7 +374,7 @@ def test_paper_like_preset_calibration():
     noise = paper_like_noise()
     assert noise.tau_c_s == 1e-5
     seq = build_sequence("hahn", 3.2e-6)
-    assert attenuation_exponent(seq, noise, 6.4e-6) == pytest.approx(1.0, rel=1e-12)
+    assert attenuation_exponent(seq, noise, 6.4e-6) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 def test_decay_time_grid_spans_requested_decay():
@@ -371,8 +382,8 @@ def test_decay_time_grid_spans_requested_decay():
     seq = build_sequence("hahn", 1e-6)
     times = decay_time_grid(seq, noise, n_points=16, decay_lo=0.02, decay_hi=3.0)
     assert times.size == 16
-    assert attenuation_exponent(seq, noise, times[0]) == pytest.approx(0.02, rel=1e-3)
-    assert attenuation_exponent(seq, noise, times[-1]) == pytest.approx(3.0, rel=1e-3)
+    assert attenuation_exponent(seq, noise, times[0]) == pytest.approx(0.02, rel=1e-3, abs=0.0)
+    assert attenuation_exponent(seq, noise, times[-1]) == pytest.approx(3.0, rel=1e-3, abs=0.0)
 
 
 def test_decay_time_grid_rejects_no_decay():

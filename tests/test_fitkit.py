@@ -7,6 +7,7 @@ from nvforge.curves import DecayCurve
 from nvforge.engines import HyperfineTriplet, simulate_fid_beats
 from nvforge.fitkit import (
     DOUBLET_MULTIPLICITIES,
+    TRIPLET_MULTIPLICITIES,
     FitConvergenceError,
     FitModel,
     RankDeficientDataError,
@@ -222,6 +223,23 @@ def test_extract_t2_table_records_row_errors():
     assert math.isnan(rows[1].t2_s)
 
 
-def test_fid_model_rejects_bad_multiplicities():
+@pytest.mark.parametrize(
+    "build",
+    [FitModel.fid_beats, lambda mult: HyperfineTriplet(50e6, 2e6, mult)],
+    ids=["fit_model", "hyperfine_triplet"],
+)
+def test_fid_model_rejects_bad_multiplicities(build):
     with pytest.raises(ValueError):
-        FitModel.fid_beats(((-1.0, 0.6), (1.0, 0.6)))
+        build(((-1.0, 0.6), (1.0, 0.6)))
+
+
+@pytest.mark.parametrize(
+    "mult", [TRIPLET_MULTIPLICITIES, DOUBLET_MULTIPLICITIES], ids=["triplet", "doublet"]
+)
+def test_fid_simulation_equals_fit_model_bit_for_bit(mult):
+    # One multiplet definition: the simulator and the fit model share it.
+    t = np.linspace(1e-9, 2e-6, 2001)
+    delta, a_hf, t2_star = 50e6, 2.16e6, 3.6e-6
+    simulated = simulate_fid_beats(HyperfineTriplet(delta, a_hf, mult), t2_star, t)
+    predicted = FitModel.fid_beats(mult).predict(t, np.array([1.0, t2_star, delta, a_hf, 0.0]))
+    assert np.array_equal(simulated.signal, predicted)

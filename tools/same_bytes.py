@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Check that two revisions of nvforge give the same CLI results, byte for byte.
+
+    python3 tools/same_bytes.py PARENT CANDIDATE     # any two git revisions
+
+Each revision is exported with ``git archive`` into a temporary directory
+and runs one fixed script of ``python -m nvforge.cli`` commands: the README
+examples, every ``fixtures`` target at seeds 0, 5 and 12345, every ``scan``
+mode on those fixtures, and every ``fit`` model on the Hahn and fig7
+curves.  Per command, the exit code, stdout, stderr (with the export
+directory replaced by ``<ROOT>``) and every output file except
+``manifest.json`` are compared.  Prints each difference; exits 1 if there
+is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SEEDS = (0, 5, 12345)
+FIT_MODELS = ("exp_t2star", "stretched_exp", "t1_stretched", "fid_beats")
+FIXTURES = ("fig5", "fig6", "fig7", "fig9", "raman", "s1s2s3", "table2")
+
+
+def script() -> list[tuple[str, list[str]]]:
+    """(step name, argv); step ``x`` writes to ``out/x``, later steps read it."""
+    steps = [
+        ("odmr", ["odmr", "--bz-t", "1.6e-3"]),
+        ("hahn", ["decay", "--sequence", "hahn", "--engine", "both"]),
+        ("hahn_cfg", ["decay", "--config", "configs/decay_hahn_paper_like.cfg"]),
+        ("sense", ["sense", "--config", "configs/sense_paper_ideal.cfg"]),
+        ("plan", ["implant", "plan", "--energy-ev", "5000", "--current-a", "500e-12",
+                  "--diameter-m", "25e-6", "--dose-cm2", "1e12"]),
+        ("budget", ["implant", "budget", "--leak-sccm", "2.4e-4", "--flow-sccm", "400"]),
+        ("vdp", ["scan", "--mode", "vdp", "--r-a-ohm", "100", "--r-b-ohm", "100"]),
+    ]
+    for seed in SEEDS:
+        steps += [(f"{t}_{seed}", ["fixtures", "--target", t, "--seed", str(seed)]) for t in FIXTURES]
+        scans = [
+            ("spots", f"fig5_{seed}/fig5_spot_grid.csv"),
+            ("purity", f"fig5_{seed}/fig5_spot_grid.csv"),
+            ("depth", f"fig6_{seed}/fig6_depth_profile.csv"),
+            ("spectrum", f"raman_{seed}/raman_spectrum.csv"),
+        ]
+        for mode in ("spectrum", "ratio"):
+            scans += [(mode, f"s1s2s3_{seed}/spectrum_{s}.csv") for s in ("s1", "s2", "s3")]
+        steps += [
+            (f"scan_{mode}_{Path(src).stem}_{seed}", ["scan", "--mode", mode, "--input", f"out/{src}"])
+            for mode, src in scans
+        ]
+    curves = ["hahn/decay_analytic.csv"] + [f"fig7_0/fig7_cpmg{n:02d}.csv" for n in (4, 8, 16, 32, 64)]
+    for curve in curves:
+        stem = curve.replace("/", "_").removesuffix(".csv")
+        steps += [(f"fit_{model}_{stem}", ["fit", "--input", f"out/{curve}", "--model", model])
+                  for model in FIT_MODELS]
+    return steps
+
+
+def run_revision(rev: str, root: Path) -> dict[str, tuple]:
+    """Export ``rev`` into ``root``, run the script there, collect the results."""
+    root.mkdir()
+    archive = subprocess.Popen(["git", "-C", str(REPO), "archive", rev], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(root)], stdin=archive.stdout, check=True)
+    if archive.wait() != 0:
+        sys.exit(f"git archive {rev} failed")
+    env = {k: v for k, v in os.environ.items() if k not in ("NVFORGE_SEED", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = str(root / "src")
+    results = {}
+    for name, argv in script():
+        out = root / "out" / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "nvforge.cli", *argv, "--output-dir", f"out/{name}"],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*")) if p.name != "manifest.json"}
+        results[name] = (
+            proc.returncode,
+            proc.stdout.replace(str(root), "<ROOT>"),
+            proc.stderr.replace(str(root), "<ROOT>"),
+            files,
+        )
+    return results
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: same_bytes.py PARENT CANDIDATE", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        parent, candidate = (run_revision(rev, Path(tmp) / f"rev{i}") for i, rev in enumerate(argv))
+    n_diff = 0
+    for name, a in parent.items():
+        b = candidate[name]
+        diffs = [what for what, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+        diffs += [f"file {f}" for f in sorted(a[3] | b[3]) if a[3].get(f) != b[3].get(f)]
+        if diffs:
+            n_diff += 1
+            print(f"DIFF {name}: {', '.join(diffs)}")
+            for side, (code, _, err, _) in (("parent", a), ("candidate", b)):
+                print(f"  {side:<9} exit {code}: {err.strip()[-300:]}")
+    codes = Counter(code for code, *_ in candidate.values())
+    print(f"{len(parent)} commands (candidate exit codes {dict(sorted(codes.items()))}), "
+          f"{n_diff} with differences")
+    return 1 if n_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
