@@ -56,7 +56,7 @@ ENGINE_RMS_TOLERANCE = 0.02
 # never hold them: each call looks them up in the module namespaces, so
 # wrappers swapped into those namespaces (perfbench/tracing.py) see it.
 
-# Payload type -> dataio writer; a dict payload is written as JSON.
+# Payload type -> dataio CSV writer; any other payload is written as JSON.
 _WRITERS = {
     DecayCurve: "write_decay_csv",
     OdmrSpectrum: "write_odmr_csv",
@@ -75,10 +75,11 @@ def _write(out_dir: Path, files: dict) -> list[Path]:
     written = []
     for name, payload in files.items():
         path = out_dir / name
-        if isinstance(payload, dict):
+        writer = _WRITERS.get(type(payload))
+        if writer is None:
             dataio.write_json(path, payload)
         else:
-            getattr(dataio, _WRITERS[type(payload)])(payload, path)
+            getattr(dataio, writer)(payload, path)
         written.append(path)
         if isinstance(payload, DecayCurve):
             written.append(path.with_suffix(".json"))
@@ -194,7 +195,7 @@ def _cmd_sense(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     else:
         raise ConfigError("preset must be paper-ideal or none")
     report = magnetometry.sensitivity_report(spot, t2_star, opts["t2_dd_s"])
-    return _write(out_dir, {"sensitivity.json": report.as_dict()})
+    return _write(out_dir, {"sensitivity.json": report})
 
 
 def _cmd_implant(opts: dict, seed: int, out_dir: Path) -> list[Path]:
@@ -206,8 +207,7 @@ def _cmd_implant(opts: dict, seed: int, out_dir: Path) -> list[Path]:
             chopper_pulse_s=opts["chopper_pulse_s"],
             species=opts["species"],
         )
-        plan = implant.build_plan(beam, opts["dose_cm2"])
-        return _write(out_dir, {"implant_plan.json": plan.as_dict()})
+        return _write(out_dir, {"implant_plan.json": implant.build_plan(beam, opts["dose_cm2"])})
     budget = implant.GrowthBudget(
         total_flow_sccm=opts["flow_sccm"],
         leak_rate_sccm=opts["leak_sccm"],
@@ -215,8 +215,7 @@ def _cmd_implant(opts: dict, seed: int, out_dir: Path) -> list[Path]:
         ch4_purity=opts["ch4_purity"],
         incorporation_rate=opts["incorporation_rate"],
     )
-    report = implant.nitrogen_budget(budget)
-    return _write(out_dir, {"nitrogen_budget.json": report.as_dict()})
+    return _write(out_dir, {"nitrogen_budget.json": implant.nitrogen_budget(budget)})
 
 
 def _scan_vdp(_, opts: dict) -> dict:
@@ -228,18 +227,16 @@ def _scan_vdp(_, opts: dict) -> dict:
 
 # mode -> (dataio reader of --input, or None; reducer(data, opts) -> JSON payload; output file)
 SCAN_MODES = {
-    "spots": ("read_scan_grid_csv", lambda grid, opts: {"spots": [
-        s.as_dict() for s in detect_spots(grid, threshold_sigma=opts["threshold_sigma"])]},
-        "scan_spots.json"),
-    "depth": ("read_depth_profile_csv", lambda profile, opts: film_thickness(profile).as_dict(),
+    "spots": ("read_scan_grid_csv", lambda grid, opts: {
+        "spots": detect_spots(grid, threshold_sigma=opts["threshold_sigma"])}, "scan_spots.json"),
+    "depth": ("read_depth_profile_csv", lambda profile, opts: film_thickness(profile),
               "scan_depth.json"),
-    "spectrum": ("read_spectrum_csv", lambda spec, opts: {
-        "peaks": [p.as_dict() for p in identify_peaks(spec)]}, "scan_spectrum.json"),
-    "ratio": ("read_spectrum_csv", lambda spec, opts: vars(charge_ratio(spec, kappa=opts["kappa"])),
+    "spectrum": ("read_spectrum_csv", lambda spec, opts: {"peaks": identify_peaks(spec)},
+                 "scan_spectrum.json"),
+    "ratio": ("read_spectrum_csv", lambda spec, opts: charge_ratio(spec, kappa=opts["kappa"]),
               "scan_ratio.json"),
     "vdp": (None, _scan_vdp, "scan_vdp.json"),
-    "purity": ("read_scan_grid_csv", lambda grid, opts: purity_report(grid).as_dict(),
-               "scan_purity.json"),
+    "purity": ("read_scan_grid_csv", lambda grid, opts: purity_report(grid), "scan_purity.json"),
 }
 
 

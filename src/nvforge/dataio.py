@@ -7,6 +7,7 @@ are written atomically (temp file + rename).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -29,8 +30,16 @@ def atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _record_fields(obj) -> dict:
+    """JSON hook: a dataclass record is written as its fields."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path: Path, payload) -> None:
-    atomic_write_text(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_record_fields)
+    atomic_write_text(Path(path), text + "\n")
 
 
 def read_json(path: Path):

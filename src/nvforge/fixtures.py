@@ -16,7 +16,7 @@ from . import presets
 from .curves import DecayCurve
 from .engines import decay_time_grid, seeded_rng, simulate_analytic
 from .implant import POST_ANNEAL, TABLE2_SAMPLES
-from .scan import FWHM_PER_SIGMA, DepthProfile, ScanGrid, Spectrum, _lorentzian
+from .scan import FWHM_PER_SIGMA, DepthProfile, ScanGrid, Spectrum, _gaussian2d, _lorentzian
 from .sequences import build_sequence
 
 #: Target NV0:NV- area ratios for the three spectra fixtures.
@@ -52,9 +52,7 @@ def spot_grid_fig5(seed: int = 0, background: float = 5000.0) -> ScanGrid:
     fx, fy = FIG5_SPOT_FWHM_UM
     sx = fx / FWHM_PER_SIGMA
     sy = fy / FWHM_PER_SIGMA
-    counts = background + 30000.0 * np.exp(
-        -(xg**2) / (2 * sx**2) - (yg**2) / (2 * sy**2)
-    )
+    counts = _gaussian2d((30000.0, 0.0, 0.0, sx, sy, background), xg, yg)
     counts += math.sqrt(background) * seeded_rng(seed, 5).standard_normal(counts.shape)
     return ScanGrid(
         x_um=x, y_um=y, counts=np.clip(counts, 0.0, None), background_rate=background
@@ -93,9 +91,7 @@ def purity_grid_s4(seed: int = 0, background: float = 5000.0):
     x = np.arange(0.0, 512.0, 4.0)
     y = np.arange(0.0, 512.0, 4.0)
     xg, yg = np.meshgrid(x, y)
-    bump = 40000.0 * np.exp(
-        -((xg - 280.0) ** 2) / (2 * 40.0**2) - ((yg - 220.0) ** 2) / (2 * 25.0**2)
-    )
+    bump = _gaussian2d((40000.0, 280.0, 220.0, 40.0, 25.0, 0.0), xg, yg)
     sigma = math.sqrt(background)
     expected_clean = float(np.mean(bump <= 2.0 * sigma))
     counts = background + bump

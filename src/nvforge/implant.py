@@ -102,19 +102,6 @@ class ImplantPlan:
     nv_ppm_in_slab: float
     saturation_warning: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "dose_phi_cm2": self.dose_phi_cm2,
-            "duration_s": self.duration_s,
-            "n_pulses": self.n_pulses,
-            "depth_mean_nm": self.depth_mean_nm,
-            "straggle_nm": self.straggle_nm,
-            "yield_fraction": self.yield_fraction,
-            "nv_areal_cm2": self.nv_areal_cm2,
-            "nv_ppm_in_slab": self.nv_ppm_in_slab,
-            "saturation_warning": self.saturation_warning,
-        }
-
 
 def dose_to_time(beam: BeamConfig, target_dose_cm2: float) -> tuple[float, int | None]:
     """Implantation duration (and pulse count if chopped) for a target dose.
@@ -252,13 +239,6 @@ class BudgetReport:
     gas_n2_fraction: float
     incorporated_fraction: float
     incorporated_ppb: float
-
-    def as_dict(self) -> dict:
-        return {
-            "gas_n2_fraction": self.gas_n2_fraction,
-            "incorporated_fraction": self.incorporated_fraction,
-            "incorporated_ppb": self.incorporated_ppb,
-        }
 
 
 def nitrogen_budget(budget: GrowthBudget) -> BudgetReport:

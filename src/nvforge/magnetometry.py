@@ -15,7 +15,7 @@ exactly, not to derive it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .constants import CARBON_NUMBER_DENSITY_M3, GYROMAGNETIC_RATIO_HZ_PER_T
 
@@ -65,14 +65,6 @@ class SensitivityReport:
     eta_ac_t_per_sqrt_hz: float | None
     enhancement_factor: float | None
     assumptions: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "eta_dc_t_per_sqrt_hz": self.eta_dc_t_per_sqrt_hz,
-            "eta_ac_t_per_sqrt_hz": self.eta_ac_t_per_sqrt_hz,
-            "enhancement_factor": self.enhancement_factor,
-            "assumptions": self.assumptions,
-        }
 
 
 def eta_dc(
@@ -124,10 +116,7 @@ def sensitivity_report(
     if t2_dd_s is not None:
         ac, factor = eta_ac(dc, t2_star_s, t2_dd_s)
     assumptions = {
-        "concentration_aleph_ppm": spot.concentration_aleph_ppm,
-        "detection_volume_m3": spot.detection_volume_m3,
-        "photon_rate_per_center_cps": spot.photon_rate_per_center_cps,
-        "contrast": spot.contrast,
+        **asdict(spot),
         "n_centers": spot.n_centers,
         "t2_star_s": t2_star_s,
         "t2_dd_s": t2_dd_s,

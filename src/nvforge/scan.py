@@ -119,15 +119,6 @@ class SpotFit:
     fwhm_y_um: float
     peak_rate: float
 
-    def as_dict(self) -> dict:
-        return {
-            "centroid_x_um": self.centroid_x_um,
-            "centroid_y_um": self.centroid_y_um,
-            "fwhm_x_um": self.fwhm_x_um,
-            "fwhm_y_um": self.fwhm_y_um,
-            "peak_rate": self.peak_rate,
-        }
-
 
 @dataclass
 class PeakFit:
@@ -136,15 +127,6 @@ class PeakFit:
     area: float
     amplitude: float
     label: str
-
-    def as_dict(self) -> dict:
-        return {
-            "center": self.center,
-            "fwhm": self.fwhm,
-            "area": self.area,
-            "amplitude": self.amplitude,
-            "label": self.label,
-        }
 
 
 @dataclass
@@ -163,24 +145,11 @@ class ThicknessResult:
     interface_z_um: float
     thickness_um: float
 
-    def as_dict(self) -> dict:
-        return {
-            "surface_z_um": self.surface_z_um,
-            "interface_z_um": self.interface_z_um,
-            "thickness_um": self.thickness_um,
-        }
-
 
 @dataclass
 class PurityReport:
     background_rate: float
     clean_fraction: float
-
-    def as_dict(self) -> dict:
-        return {
-            "background_rate": self.background_rate,
-            "clean_fraction": self.clean_fraction,
-        }
 
 
 def robust_background(counts: np.ndarray) -> float:

@@ -464,6 +464,59 @@ def test_scan_purity_pipeline(tmp_path):
     )
 
 
+SPOT_KEYS = {"centroid_x_um", "centroid_y_um", "fwhm_x_um", "fwhm_y_um", "peak_rate"}
+PEAK_KEYS = {"center", "fwhm", "area", "amplitude", "label"}
+PLAN_KEYS = {
+    "dose_phi_cm2", "duration_s", "n_pulses", "depth_mean_nm", "straggle_nm",
+    "yield_fraction", "nv_areal_cm2", "nv_ppm_in_slab", "saturation_warning",
+}
+SENSITIVITY_KEYS = {"eta_dc_t_per_sqrt_hz", "eta_ac_t_per_sqrt_hz", "enhancement_factor", "assumptions"}
+ASSUMPTION_KEYS = {
+    "concentration_aleph_ppm", "detection_volume_m3", "photon_rate_per_center_cps",
+    "contrast", "n_centers", "t2_star_s", "t2_dd_s", "gamma_hz_per_t",
+}
+
+
+# (fixture target and file read by --input, or None; argv; output file;
+#  {part: keys}), where part "" is the whole file and any other part names a
+#  record, or a list of records, inside it.
+@pytest.mark.parametrize(
+    "fixture, argv, name, parts",
+    [
+        pytest.param(("fig5", "fig5_spot_grid.csv"), ["scan", "--mode", "spots"], "scan_spots.json",
+                     {"": {"spots"}, "spots": SPOT_KEYS}, id="scan_spots"),
+        pytest.param(("raman", "raman_spectrum.csv"), ["scan", "--mode", "spectrum"],
+                     "scan_spectrum.json", {"": {"peaks"}, "peaks": PEAK_KEYS}, id="scan_spectrum"),
+        pytest.param(("fig6", "fig6_depth_profile.csv"), ["scan", "--mode", "depth"],
+                     "scan_depth.json", {"": {"surface_z_um", "interface_z_um", "thickness_um"}},
+                     id="scan_depth"),
+        pytest.param(("s1s2s3", "spectrum_s2.csv"), ["scan", "--mode", "ratio"], "scan_ratio.json",
+                     {"": {"ratio_c0_cminus", "kappa"}}, id="scan_ratio"),
+        pytest.param(("fig5", "fig5_spot_grid.csv"), ["scan", "--mode", "purity"],
+                     "scan_purity.json", {"": {"background_rate", "clean_fraction"}},
+                     id="scan_purity"),
+        pytest.param(None, ["implant", "plan"], "implant_plan.json", {"": PLAN_KEYS},
+                     id="implant_plan"),
+        pytest.param(None, ["implant", "budget"], "nitrogen_budget.json",
+                     {"": {"gas_n2_fraction", "incorporated_fraction", "incorporated_ppb"}},
+                     id="nitrogen_budget"),
+        pytest.param(None, ["sense", "--t2-dd-s", "173e-6"], "sensitivity.json",
+                     {"": SENSITIVITY_KEYS, "assumptions": ASSUMPTION_KEYS}, id="sensitivity"),
+    ],
+)
+def test_record_file_keys(tmp_path, fixture, argv, name, parts):
+    if fixture is not None:
+        target, csv = fixture
+        assert main(["fixtures", "--target", target, "--output-dir", str(tmp_path / "fx")]) == 0
+        argv = [*argv, "--input", str(tmp_path / "fx" / csv)]
+    assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+    report = _read_json(tmp_path / "out" / name)
+    for part, keys in parts.items():
+        records = report[part] if part else report
+        records = records if isinstance(records, list) else [records]
+        assert records and all(set(r) == keys for r in records), part
+
+
 def test_scan_missing_input_exits_2(tmp_path):
     assert main(["scan", "--mode", "depth", "--output-dir", str(tmp_path)]) == 2
 

@@ -1,9 +1,11 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from nvforge import dataio, fixtures
+from nvforge import dataio, fixtures, implant, magnetometry
 from nvforge.curves import DecayCurve
-from nvforge.scan import ScanGrid, Spectrum
+from nvforge.scan import PeakFit, ScanGrid, Spectrum, SpotFit
 from nvforge.spincore import MagneticFieldVector, SpinParams, odmr_spectrum
 
 
@@ -108,6 +110,30 @@ def test_json_writer_sorted_and_newline_terminated(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+def test_json_writer_writes_records_as_their_fields(tmp_path):
+    spots = [SpotFit(1.5, -2.0, 15.0, 27.0, 3e4), SpotFit(0.0, 0.25, 9.0, 9.5, 1.2e3)]
+    peak = PeakFit(1332.54, 1.61, 900.0, 355.9, "diamond_raman")
+    plan = implant.build_plan(implant.BeamConfig(5000.0, 500e-12, 25e-6), 1e12)
+    report = magnetometry.sensitivity_report(*magnetometry.paper_ideal_spot())
+    cases = [
+        (plan, asdict(plan)),
+        (report, asdict(report)),
+        ({"spots": spots, "peak": peak}, {"spots": [asdict(s) for s in spots], "peak": asdict(peak)}),
+    ]
+    for i, (payload, fields) in enumerate(cases):
+        record, plain = tmp_path / f"record{i}.json", tmp_path / f"plain{i}.json"
+        dataio.write_json(record, payload)
+        dataio.write_json(plain, fields)
+        assert record.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("value", [np.arange(3.0), object()], ids=["ndarray", "object"])
+def test_json_writer_rejects_other_objects_and_writes_nothing(tmp_path, value):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dataio.write_json(tmp_path / "out.json", {"value": value, "spot": SpotFit(0, 0, 1, 1, 1)})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_t2_table_csv(tmp_path):

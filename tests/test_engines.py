@@ -21,7 +21,7 @@ from nvforge.sequences import build_sequence
 
 def ramsey_chi_closed_form(b, tau_c, t):
     x = t / tau_c
-    return b**2 * tau_c**2 * (math.exp(-x) - 1 + x)
+    return b**2 * tau_c**2 * (math.expm1(-x) + x)
 
 
 def riemann_chi(seq, b, tau_c, total_t, n=10000):
@@ -98,7 +98,7 @@ def test_ramsey_chi_matches_closed_form():
     for t in (1e-8, 1e-7, 1e-6, 5e-6, 2e-5):
         got = attenuation_exponent(seq, noise, t)
         want = ramsey_chi_closed_form(noise.b_rad_s, noise.tau_c_s, t)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_ramsey_short_time_gaussian_limit():

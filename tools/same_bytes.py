@@ -6,8 +6,9 @@
 Each revision is exported with ``git archive`` into a temporary directory
 and runs one fixed script of ``python -m nvforge.cli`` commands: the README
 examples, every ``fixtures`` target at seeds 0, 5 and 12345, every ``scan``
-mode on those fixtures, and every ``fit`` model on the Hahn and fig7
-curves.  Per command, the exit code, stdout, stderr (with the export
+mode on those fixtures, every ``fit`` model on the Hahn and fig7 curves, and
+record edge cases (a chopped molecular implant plan, a DC-only sensitivity
+report, a spot scan that finds no spot).  Per command, the exit code, stdout, stderr (with the export
 directory replaced by ``<ROOT>``) and every output file except
 ``manifest.json`` are compared.  Prints each difference; exits 1 if there
 is any, 0 otherwise.
@@ -54,6 +55,13 @@ def script() -> list[tuple[str, list[str]]]:
             (f"scan_{mode}_{Path(src).stem}_{seed}", ["scan", "--mode", mode, "--input", f"out/{src}"])
             for mode, src in scans
         ]
+    steps += [
+        ("plan_chopped", ["implant", "plan", "--chopper-pulse-s", "1e-4", "--species", "molecular"]),
+        ("sense_dc_only", ["sense", "--preset", "none", "--aleph-ppm", "1", "--volume-m3", "1e-18",
+                           "--rate-cps", "1e5", "--contrast", "0.03", "--t2-star-s", "1e-6"]),
+        ("scan_spots_none", ["scan", "--mode", "spots", "--threshold-sigma", "1e6",
+                             "--input", "out/fig5_0/fig5_spot_grid.csv"]),
+    ]
     curves = ["hahn/decay_analytic.csv"] + [f"fig7_0/fig7_cpmg{n:02d}.csv" for n in (4, 8, 16, 32, 64)]
     for curve in curves:
         stem = curve.replace("/", "_").removesuffix(".csv")
