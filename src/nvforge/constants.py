@@ -18,7 +18,7 @@ GYROMAGNETIC_RATIO_HZ_PER_T = 2.8024e10
 CARBON_NUMBER_DENSITY_M3 = 1.76e29
 
 # Elementary charge (coulomb); beam currents are singly-charged ion counts.
-ELEMENTARY_CHARGE_C = 1.602e-19
+ELEMENTARY_CHARGE_C = 1.602176634e-19  # CODATA 2018, exact
 
 # The four <111> body diagonals of the diamond lattice, normalized.
 # Pairwise dot products are exactly +/- 1/3.
