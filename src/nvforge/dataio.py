@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON readers and writers for the toolkit's data types.
 
 All writers produce byte-identical output for identical inputs: floats are
-rendered with shortest round-trip ``repr``, JSON keys are sorted, and files
-are written atomically (temp file + rename).
+rendered with shortest round-trip ``repr``, JSON keys are sorted, a
+dataclass record is written as its fields, and files are written atomically
+(temp file + rename).
 """
 
 from __future__ import annotations
