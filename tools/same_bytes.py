@@ -5,10 +5,14 @@
 
 Each revision is exported with ``git archive`` into a temporary directory
 and runs one fixed script of ``python -m nvforge.cli`` commands: the README
-examples, every ``fixtures`` target at seeds 0, 5 and 12345, every ``scan``
-mode on those fixtures, every ``fit`` model on the Hahn and fig7 curves, and
-record edge cases (a chopped molecular implant plan, a DC-only sensitivity
-report, a spot scan that finds no spot).  Per command, the exit code, stdout, stderr (with the export
+examples, the ODMR config file, decay paths beyond the README's (CPMG(64), a
+slow-bath XY8 engine comparison, a Ramsey curve with T1 inside the grid, a
+linear-grid Monte-Carlo Hahn curve), every ``fixtures`` target at seeds 0, 5
+and 12345, every ``scan`` mode on those fixtures (including the charge ratio
+of the Raman spectrum, which has no NV0 line and exits 4), every ``fit``
+model on the Hahn and fig7 curves, and record edge cases (a chopped
+molecular implant plan, a DC-only sensitivity report, a spot scan that finds
+no spot).  Per command, the exit code, stdout, stderr (with the export
 directory replaced by ``<ROOT>``) and every output file except
 ``manifest.json`` are compared.  Prints each difference; exits 1 if there
 is any, 0 otherwise.
@@ -40,6 +44,14 @@ def script() -> list[tuple[str, list[str]]]:
                   "--diameter-m", "25e-6", "--dose-cm2", "1e12"]),
         ("budget", ["implant", "budget", "--leak-sccm", "2.4e-4", "--flow-sccm", "400"]),
         ("vdp", ["scan", "--mode", "vdp", "--r-a-ohm", "100", "--r-b-ohm", "100"]),
+        ("odmr_cfg", ["odmr", "--config", "configs/odmr_16g_z.cfg"]),
+        ("cpmg64", ["decay", "--sequence", "cpmg", "--n-pulses", "64"]),
+        ("xy8_slow_both", ["decay", "--sequence", "xy8", "--noise-preset", "slow-bath",
+                           "--engine", "both", "--n-traj", "4000"]),
+        ("ramsey_t1", ["decay", "--sequence", "ramsey", "--noise-preset", "none", "--b-rad-s", "1e6",
+                       "--tau-c-s", "1e-6", "--t1-s", "2e-6", "--t1-q", "1.5"]),
+        ("hahn_linear_mc", ["decay", "--sequence", "hahn", "--t-min-s", "1e-7", "--t-max-s", "2e-5",
+                            "--grid", "linear", "--engine", "mc", "--n-traj", "5000"]),
     ]
     for seed in SEEDS:
         steps += [(f"{t}_{seed}", ["fixtures", "--target", t, "--seed", str(seed)]) for t in FIXTURES]
@@ -48,6 +60,7 @@ def script() -> list[tuple[str, list[str]]]:
             ("purity", f"fig5_{seed}/fig5_spot_grid.csv"),
             ("depth", f"fig6_{seed}/fig6_depth_profile.csv"),
             ("spectrum", f"raman_{seed}/raman_spectrum.csv"),
+            ("ratio", f"raman_{seed}/raman_spectrum.csv"),
         ]
         for mode in ("spectrum", "ratio"):
             scans += [(mode, f"s1s2s3_{seed}/spectrum_{s}.csv") for s in ("s1", "s2", "s3")]
