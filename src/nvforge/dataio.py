@@ -66,12 +66,11 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return header, np.array(rows, dtype=float)
 
 
-def write_decay_csv(curve: DecayCurve, path: Path, sidecar: bool = True) -> None:
+def write_decay_csv(curve: DecayCurve, path: Path) -> None:
     """Write (time_s, signal) columns plus a JSON metadata sidecar."""
     path = Path(path)
     _write_csv(path, ["time_s", "signal"], [curve.times_s, curve.signal])
-    if sidecar:
-        write_json(path.with_suffix(".json"), curve.meta)
+    write_json(path.with_suffix(".json"), curve.meta)
 
 
 def read_decay_csv(path: Path) -> DecayCurve:

@@ -41,6 +41,10 @@ from .sequences import PulseSequence, build_sequence
 
 MC_BLOCK_SIZE = 16384
 
+#: Decay window of :func:`decay_time_grid`, in -ln(signal).
+GRID_DECAY_LO = 0.02
+GRID_DECAY_HI = 3.0
+
 
 def seeded_rng(seed: int, stream: int) -> Generator:
     """Counter-based Philox stream keyed by (seed mod 2^64, stream)."""
@@ -207,14 +211,8 @@ def simulate_fid_beats(triplet: HyperfineTriplet, t2_star_s: float, times_s) -> 
     return DecayCurve(times_s=times, signal=signal, meta=meta)
 
 
-def decay_time_grid(
-    seq: PulseSequence,
-    noise: NoiseModel,
-    n_points: int = 24,
-    decay_lo: float = 0.02,
-    decay_hi: float = 3.0,
-) -> np.ndarray:
-    """Log-spaced total-time grid covering -ln(signal) in [decay_lo, decay_hi].
+def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -> np.ndarray:
+    """Log-spaced total-time grid covering -ln(signal) in [GRID_DECAY_LO, GRID_DECAY_HI].
 
     The total decay exponent chi(t) + (t/T1)^q is monotone in t, so both
     endpoints are found together by one bisection on the pair of targets.
@@ -228,13 +226,13 @@ def decay_time_grid(
 
     probe = noise.tau_c_s
     for _ in range(200):
-        if total_exponent(probe) >= decay_hi:
+        if total_exponent(probe) >= GRID_DECAY_HI:
             break
         probe *= 2.0
     else:
         raise ValueError("noise model produces no appreciable decay")
 
-    targets = np.array([decay_lo, decay_hi])
+    targets = np.array([GRID_DECAY_LO, GRID_DECAY_HI])
     lo, hi = np.zeros(2), np.full(2, probe)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -245,12 +243,7 @@ def decay_time_grid(
     return np.geomspace(max(t_lo, 1e-15), t_hi, n_points)
 
 
-def t2_vs_n(
-    noise: NoiseModel,
-    n_list,
-    tau_s: float = 1e-6,
-    n_points: int = 40,
-) -> list[tuple[int, float]]:
+def t2_vs_n(noise: NoiseModel, n_list, n_points: int = 40) -> list[tuple[int, float]]:
     """Coherence time versus number of CPMG pi pulses.
 
     For each n, simulates the CPMG(n) decay on a log-spaced grid with the
@@ -261,7 +254,8 @@ def t2_vs_n(
         raise ValueError("n_list must be non-empty")
     curves = []
     for n in n_list:
-        seq = build_sequence("cpmg", tau_s, n=int(n))
+        # Canonical spacing; the engines rescale the sequence to each total time.
+        seq = build_sequence("cpmg", 1e-6, n=int(n))
         times = decay_time_grid(seq, noise, n_points=n_points)
         curves.append((n, simulate_analytic(seq, noise, times)))
     rows = fitkit.extract_t2_table(curves)

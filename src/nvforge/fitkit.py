@@ -240,21 +240,16 @@ class FitResult:
         }
 
 
-def fit(
-    curve: DecayCurve,
-    model: FitModel,
-    init: dict[str, float] | None = None,
-    fix: dict[str, float] | None = None,
-) -> FitResult:
+def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None) -> FitResult:
     """Fit a decay model to a curve by damped least squares.
+
+    The free parameters start from the model's deterministic self-start.
 
     Parameters
     ----------
     curve:
         Input data; requires strictly positive times and at least three
         data points per free parameter.
-    init:
-        Optional per-parameter overrides of the deterministic self-start.
     fix:
         Parameters to hold at given values (e.g. ``{"c": 0.0}``).
 
@@ -283,11 +278,6 @@ def fit(
         raise RankDeficientDataError("signal is constant; nothing to fit")
 
     theta_full = model.initial_guess(t, y)
-    if init:
-        for name, value in init.items():
-            if name not in names:
-                raise ValueError(f"unknown parameter {name!r}")
-            theta_full[names.index(name)] = value
     for name, value in fix.items():
         theta_full[names.index(name)] = value
 
@@ -334,11 +324,7 @@ def fit(
     return result
 
 
-def fit_envelope(
-    curve: DecayCurve,
-    multiplicities=TRIPLET_MULTIPLICITIES,
-    init: dict[str, float] | None = None,
-) -> FitResult:
+def fit_envelope(curve: DecayCurve, multiplicities=TRIPLET_MULTIPLICITIES) -> FitResult:
     """Extract T2* from an oscillating free-induction curve.
 
     Fits the full beat model rather than a literal envelope trace, which is
@@ -352,7 +338,7 @@ def fit_envelope(
         raise ValueError(
             f"curve spans {f_peak * span:.2f} oscillation periods; need >= 5"
         )
-    return fit(curve, FitModel.fid_beats(multiplicities), init=init)
+    return fit(curve, FitModel.fid_beats(multiplicities))
 
 
 @dataclass

@@ -24,6 +24,14 @@ S123_CHARGE_RATIOS = {"s1": 0.71, "s2": 2.8, "s3": 1.5}
 
 FIG6_SURFACE_Z_UM = 0.0
 FIG6_INTERFACE_Z_UM = 265.0
+FIG6_NOISE_RMS = 60.0
+
+#: Flat background count rate of the area-scan fixtures (fig5, S1 halo, S4).
+SCAN_BACKGROUND_RATE = 5000.0
+
+#: Pulse counts of the fig7 CPMG family; points per fig7 and fig9 curve.
+FIG7_PULSE_COUNTS = (4, 8, 16, 32, 64)
+DECAY_FIXTURE_POINTS = 32
 
 FIG5_SPOT_FWHM_UM = (15.0, 27.0)
 
@@ -31,7 +39,7 @@ RAMAN_PEAK_CM1 = 1332.54
 RAMAN_FWHM_CM1 = 1.61
 
 
-def depth_profile_fig6(seed: int = 0, noise_rms: float = 60.0) -> DepthProfile:
+def depth_profile_fig6(seed: int = 0) -> DepthProfile:
     """Two-step PL depth profile: air -> 265 um film -> substrate."""
     z = np.arange(-60.0, 420.0, 0.5)
     base, film, substrate = 150.0, 5000.0, 21000.0
@@ -40,12 +48,13 @@ def depth_profile_fig6(seed: int = 0, noise_rms: float = 60.0) -> DepthProfile:
         + (film - base) / (1.0 + np.exp(-(z - FIG6_SURFACE_Z_UM) / 1.5))
         + (substrate - film) / (1.0 + np.exp(-(z - FIG6_INTERFACE_Z_UM) / 2.5))
     )
-    counts += noise_rms * seeded_rng(seed, 6).standard_normal(z.size)
+    counts += FIG6_NOISE_RMS * seeded_rng(seed, 6).standard_normal(z.size)
     return DepthProfile(z_um=z, counts=np.clip(counts, 0.0, None))
 
 
-def spot_grid_fig5(seed: int = 0, background: float = 5000.0) -> ScanGrid:
+def spot_grid_fig5(seed: int = 0) -> ScanGrid:
     """Area scan with one implanted spot of FWHM (15, 27) um."""
+    background = SCAN_BACKGROUND_RATE
     x = np.arange(-60.0, 60.0, 1.0)
     y = np.arange(-60.0, 60.0, 1.0)
     xg, yg = np.meshgrid(x, y)
@@ -59,12 +68,13 @@ def spot_grid_fig5(seed: int = 0, background: float = 5000.0) -> ScanGrid:
     )
 
 
-def halo_grid_s1(seed: int = 0, background: float = 5000.0) -> ScanGrid:
+def halo_grid_s1(seed: int = 0) -> ScanGrid:
     """Implanted spot with a wide weak halo (two concentric Gaussians).
 
     Core FWHM 200 um with a 400 um FWHM halo at a few percent of the core
     amplitude, mimicking an aperture-free implantation.
     """
+    background = SCAN_BACKGROUND_RATE
     x = np.arange(-1000.0, 1000.0, 12.5)
     y = np.arange(-1000.0, 1000.0, 12.5)
     xg, yg = np.meshgrid(x, y)
@@ -82,12 +92,13 @@ def halo_grid_s1(seed: int = 0, background: float = 5000.0) -> ScanGrid:
     )
 
 
-def purity_grid_s4(seed: int = 0, background: float = 5000.0):
-    """Mostly-clean area map with one implanted oval.
+def purity_grid_s4():
+    """Noiseless, mostly-clean area map with one implanted oval.
 
     Returns ``(grid, expected_clean_fraction)`` where the expectation
-    counts pixels whose noiseless level stays within 2*sqrt(background).
+    counts pixels whose level stays within 2*sqrt(background).
     """
+    background = SCAN_BACKGROUND_RATE
     x = np.arange(0.0, 512.0, 4.0)
     y = np.arange(0.0, 512.0, 4.0)
     xg, yg = np.meshgrid(x, y)
@@ -134,24 +145,24 @@ def raman_spectrum() -> Spectrum:
     return Spectrum(values=wn, counts=counts, unit="cm-1")
 
 
-def decay_family_fig7(n_list=(4, 8, 16, 32, 64), n_points: int = 32):
+def decay_family_fig7() -> list[tuple[int, DecayCurve]]:
     """CPMG decay-curve family for the paper-like bath (analytic engine)."""
     noise = presets.paper_like_noise()
-    family: list[tuple[int, DecayCurve]] = []
-    for n in n_list:
-        seq = build_sequence("cpmg", tau_s=1e-6, n=int(n))
-        times = decay_time_grid(seq, noise, n_points=n_points)
-        family.append((int(n), simulate_analytic(seq, noise, times)))
+    family = []
+    for n in FIG7_PULSE_COUNTS:
+        seq = build_sequence("cpmg", tau_s=1e-6, n=n)
+        times = decay_time_grid(seq, noise, n_points=DECAY_FIXTURE_POINTS)
+        family.append((n, simulate_analytic(seq, noise, times)))
     return family
 
 
-def xy_curves_fig9(n_points: int = 32) -> dict[str, DecayCurve]:
+def xy_curves_fig9() -> dict[str, DecayCurve]:
     """XY4 and XY8 decay curves for the paper-like bath (analytic engine)."""
     noise = presets.paper_like_noise()
     out: dict[str, DecayCurve] = {}
     for kind in ("xy4", "xy8"):
         seq = build_sequence(kind, tau_s=1e-6)
-        times = decay_time_grid(seq, noise, n_points=n_points)
+        times = decay_time_grid(seq, noise, n_points=DECAY_FIXTURE_POINTS)
         out[kind] = simulate_analytic(seq, noise, times)
     return out
 

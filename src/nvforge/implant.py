@@ -33,6 +33,10 @@ STRAGGLE_RATIO = 0.35
 YIELD_ANCHOR_LOW = (5e3, 0.025)  # (eV, fraction)
 YIELD_ANCHOR_HIGH = (2e6, 0.5)
 
+# CVD process gas: H2 and CH4 shares of the total flow; N2 share of air
+# entering through the leak.
+H2_FRACTION = 0.96
+CH4_FRACTION = 0.04
 AIR_N2_FRACTION = 0.78
 SATURATION_PPM = 1e4
 
@@ -132,16 +136,14 @@ def time_to_dose(beam: BeamConfig, duration_s: float) -> float:
     return duration_s * beam.atom_flux_cm2_s
 
 
-def range_straggle(energy_ev: float, allow_extrapolation: bool = False) -> tuple[float, float]:
-    """Mean implantation depth and straggle (nm) from the calibrated power law."""
+def range_straggle(energy_ev: float) -> tuple[float, float]:
+    """Mean implantation depth and straggle (nm) from the calibrated power law.
+
+    Raises ``ValueError`` outside the calibrated gun range.
+    """
     lo, hi = GUN_ENERGY_RANGE_EV
-    if not allow_extrapolation and not lo <= energy_ev <= hi:
-        raise ValueError(
-            f"energy {energy_ev} eV outside calibrated range [{lo}, {hi}]; "
-            "pass allow_extrapolation=True to force"
-        )
-    if not energy_ev > 0:
-        raise ValueError("energy_ev must be positive")
+    if not lo <= energy_ev <= hi:
+        raise ValueError(f"energy {energy_ev} eV outside calibrated range [{lo}, {hi}]")
     (e_lo, r_lo), (e_hi, r_hi) = RANGE_ANCHOR_LOW, RANGE_ANCHOR_HIGH
     exponent = math.log(r_hi / r_lo) / math.log(e_hi / e_lo)
     depth = r_hi * (energy_ev / e_hi) ** exponent
@@ -165,7 +167,7 @@ def yield_model(energy_ev: float) -> float:
     return y_lo * (energy_ev / e_lo) ** exponent
 
 
-def nv_density(dose_cm2: float, energy_ev: float, allow_extrapolation: bool = False):
+def nv_density(dose_cm2: float, energy_ev: float):
     """Areal NV density and concentration in the straggle slab.
 
     Returns ``(areal_cm2, ppm, warned)``; emits a non-fatal
@@ -175,7 +177,7 @@ def nv_density(dose_cm2: float, energy_ev: float, allow_extrapolation: bool = Fa
     if dose_cm2 < 0:
         raise ValueError("dose_cm2 must be non-negative")
     areal = dose_cm2 * yield_model(energy_ev)
-    _, straggle_nm = range_straggle(energy_ev, allow_extrapolation=allow_extrapolation)
+    _, straggle_nm = range_straggle(energy_ev)
     straggle_cm = straggle_nm * 1e-7
     carbon_cm3 = CARBON_NUMBER_DENSITY_M3 * 1e-6
     ppm = areal / (straggle_cm * carbon_cm3) * 1e6
@@ -216,13 +218,9 @@ class GrowthBudget:
 
     total_flow_sccm: float
     leak_rate_sccm: float
-    h2_fraction: float = 0.96
-    ch4_fraction: float = 0.04
     h2_purity: float = 1.0
     ch4_purity: float = 1.0
     incorporation_rate: float = 1e-4
-    air_n2_fraction: float = AIR_N2_FRACTION
-    impurity_n2_share: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.total_flow_sccm > 0:
@@ -249,14 +247,11 @@ def nitrogen_budget(budget: GrowthBudget) -> BudgetReport:
     a single multiplicative rate.  Linear in the leak rate and in each
     (1 - purity).
     """
-    leak_n2 = budget.leak_rate_sccm * budget.air_n2_fraction
+    leak_n2 = budget.leak_rate_sccm * AIR_N2_FRACTION
     gas_n2 = 0.0
-    for fraction, purity in (
-        (budget.h2_fraction, budget.h2_purity),
-        (budget.ch4_fraction, budget.ch4_purity),
-    ):
+    for fraction, purity in ((H2_FRACTION, budget.h2_purity), (CH4_FRACTION, budget.ch4_purity)):
         flow = budget.total_flow_sccm * fraction
-        gas_n2 += flow * (1.0 - purity) * budget.impurity_n2_share
+        gas_n2 += flow * (1.0 - purity)
     gas_fraction = (leak_n2 + gas_n2) / budget.total_flow_sccm
     incorporated = gas_fraction * budget.incorporation_rate
     return BudgetReport(

@@ -19,6 +19,11 @@ LAMBDA_INIT = 1e-3
 LAMBDA_SHRINK = 0.3
 LAMBDA_GROW = 4.0
 
+# Stopping rules: iteration cap, relative step and gradient infinity norm.
+MAX_ITER = 500
+XTOL = 1e-8
+GTOL = 1e-10
+
 
 class NumericalFailure(RuntimeError):
     """A numerical procedure failed to converge or produced non-finite values."""
@@ -52,18 +57,15 @@ def lm_least_squares(
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
     lower=None,
     upper=None,
-    max_iter: int = 500,
-    xtol: float = 1e-8,
-    gtol: float = 1e-10,
 ) -> LMResult:
     """Minimize sum(residual(x)**2) subject to elementwise box bounds.
 
     Convergence is declared when an accepted step changes every parameter
-    by less than ``xtol`` in relative terms, or when the infinity norm of
-    the gradient J^T r drops below ``gtol``.  On hitting ``max_iter`` the
-    best point found so far is returned with ``converged = False``.  A
-    non-finite residual at the start or a non-finite Jacobian anywhere
-    raises :class:`NumericalFailure`.
+    by less than :data:`XTOL` in relative terms, or when the infinity norm
+    of the gradient J^T r drops below :data:`GTOL`.  After :data:`MAX_ITER`
+    iterations the best point found so far is returned with ``converged =
+    False``.  A non-finite residual at the start or a non-finite Jacobian
+    anywhere raises :class:`NumericalFailure`.
     """
     x = np.asarray(x0, dtype=float).copy()
     k = x.size
@@ -88,10 +90,10 @@ def lm_least_squares(
     converged = False
     n_iter = 0
 
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         jac = jacobian_at(x, r)
         grad = jac.T @ r
-        if float(np.max(np.abs(grad))) < gtol:
+        if float(np.max(np.abs(grad))) < GTOL:
             converged = True
             message = "gradient norm below gtol"
             break
@@ -115,7 +117,7 @@ def lm_least_squares(
                 trace.append(sse)
                 lam = max(lam * LAMBDA_SHRINK, 1e-14)
                 accepted = True
-                if rel_move < xtol:
+                if rel_move < XTOL:
                     converged = True
                     message = "relative step below xtol"
                 break

@@ -67,16 +67,12 @@ class SensitivityReport:
     assumptions: dict
 
 
-def eta_dc(
-    spot: EnsembleSpot,
-    t2_star_s: float,
-    gamma_hz_per_t: float = GYROMAGNETIC_RATIO_HZ_PER_T,
-) -> float:
+def eta_dc(spot: EnsembleSpot, t2_star_s: float) -> float:
     """DC sensitivity 1/(gamma C sqrt(R N T2*)), scaling as 1/sqrt(N)."""
     if not t2_star_s > 0:
         raise ValueError("t2_star_s must be positive")
     shots = spot.photon_rate_per_center_cps * spot.n_centers * t2_star_s
-    return 1.0 / (gamma_hz_per_t * spot.contrast * math.sqrt(shots))
+    return 1.0 / (GYROMAGNETIC_RATIO_HZ_PER_T * spot.contrast * math.sqrt(shots))
 
 
 def eta_ac(eta_dc_value: float, t2_star_s: float, t2_dd_s: float) -> tuple[float, float]:

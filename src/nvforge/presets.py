@@ -39,8 +39,10 @@ def calibrate_b_for_hahn_t2(
     return 1.0 / math.sqrt(chi_unit)
 
 
-def paper_like_noise(include_t1: bool = True) -> NoiseModel:
+def paper_like_noise() -> NoiseModel:
     """OU bath with tau_c = 10 us and b solved so Hahn 1/e time is 6.4 us.
+
+    Carries the longitudinal channel T1 = 3.14 ms with q = 1.32.
 
     Note: an OU bath with tau_c above the echo time decays with an effective
     stretching exponent near 3 at the Hahn point, while strongly rewarding
@@ -48,9 +50,7 @@ def paper_like_noise(include_t1: bool = True) -> NoiseModel:
     near-exponential Hahn shape; see the README's limitations section.
     """
     b = calibrate_b_for_hahn_t2(PAPER_LIKE_HAHN_T2_S, PAPER_LIKE_TAU_C_S)
-    if include_t1:
-        return NoiseModel(b, PAPER_LIKE_TAU_C_S, PAPER_LIKE_T1_S, PAPER_LIKE_T1_Q)
-    return NoiseModel(b, PAPER_LIKE_TAU_C_S)
+    return NoiseModel(b, PAPER_LIKE_TAU_C_S, PAPER_LIKE_T1_S, PAPER_LIKE_T1_Q)
 
 
 def slow_bath_noise() -> NoiseModel:

@@ -36,6 +36,15 @@ LINE_MATCH_TOLERANCE_CM1 = 2.0
 # count range to count as detected.
 STEP_MIN_FRACTION = 0.15
 
+# A bright region needs this many pixels to be fitted as a spot.
+MIN_SPOT_PIXELS = 5
+
+# Spectral peak candidates must exceed the median by this many robust noise
+# sigmas; every peak is fitted this many times, each refit on the data with
+# the other fitted profiles subtracted.
+PEAK_NOISE_SIGMA = 5.0
+DEFLATION_PASSES = 3
+
 
 class ScanError(RuntimeError):
     pass
@@ -193,13 +202,12 @@ def label_regions(mask: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, count
 
 
-def detect_spots(
-    grid: ScanGrid, threshold_sigma: float = 5.0, min_pixels: int = 5
-) -> list[SpotFit]:
+def detect_spots(grid: ScanGrid, threshold_sigma: float = 5.0) -> list[SpotFit]:
     """Locate and shape-fit bright spots on a scan grid.
 
     Pixels above ``background + threshold_sigma * sqrt(background)`` are
-    grouped into connected regions; each region large enough is fitted with
+    grouped into connected regions; each region of at least
+    :data:`MIN_SPOT_PIXELS` pixels is fitted with
     a 2-D Gaussian plus flat offset.  Returns spots sorted by peak rate
     (an empty list when nothing exceeds the threshold).
     """
@@ -216,7 +224,7 @@ def detect_spots(
     xg_full, yg_full = np.meshgrid(grid.x_um, grid.y_um)
     for region in range(1, n_regions + 1):
         sel = labels == region
-        if np.count_nonzero(sel) < min_pixels:
+        if np.count_nonzero(sel) < MIN_SPOT_PIXELS:
             continue
         iy, ix = np.nonzero(sel)
         # Expand the bounding box by half its size so tails constrain the fit.
@@ -414,9 +422,7 @@ def _fit_one_peak(x, y, idx, baseline, neighbor_centers):
     return float(amp), float(center), float(abs(fwhm))
 
 
-def identify_peaks(
-    spec: Spectrum, noise_sigma: float = 5.0, deflation_passes: int = 3
-) -> list[PeakFit]:
+def identify_peaks(spec: Spectrum) -> list[PeakFit]:
     """Find, fit, and label spectral peaks.
 
     Local maxima above the robust noise floor seed per-peak Lorentzian fits
@@ -432,7 +438,7 @@ def identify_peaks(
     baseline = float(np.median(y))
     mad = float(np.median(np.abs(y - baseline)))
     noise = 1.4826 * mad
-    floor = baseline + noise_sigma * noise
+    floor = baseline + PEAK_NOISE_SIGMA * noise
 
     interior = (y[1:-1] > y[:-2]) & (y[1:-1] > y[2:]) & (y[1:-1] > floor)
     candidates = (np.nonzero(interior)[0] + 1).tolist()
@@ -446,7 +452,7 @@ def identify_peaks(
         if fitted is not None:
             fits.append((idx, fitted))
 
-    for _ in range(max(0, deflation_passes - 1)):
+    for _ in range(DEFLATION_PASSES - 1):
         refined = []
         for i, (idx, _) in enumerate(fits):
             cleaned = y.copy()

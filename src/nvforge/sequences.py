@@ -84,13 +84,7 @@ def _cpmg_fractions(n: int) -> tuple[float, ...]:
     return tuple((2 * k - 1) / (2 * n) for k in range(1, n + 1))
 
 
-def build_sequence(
-    kind: str,
-    tau_s: float,
-    n: int | None = None,
-    init_duration_s: float = DEFAULT_INIT_DURATION_S,
-    readout_duration_s: float = DEFAULT_READOUT_DURATION_S,
-) -> PulseSequence:
+def build_sequence(kind: str, tau_s: float, n: int | None = None) -> PulseSequence:
     """Construct a named pulse sequence.
 
     Parameters
@@ -144,8 +138,8 @@ def build_sequence(
 
     seq = PulseSequence(name, (), tau_s, fractions, phases, total)
     waits = seq.cell_lengths(total).tolist()
-    elements: list = [LaserInit(init_duration_s), MwPulse(halfpi, "x")]
+    elements: list = [LaserInit(DEFAULT_INIT_DURATION_S), MwPulse(halfpi, "x")]
     for wait, phase in zip(waits, phases):
         elements += [Wait(wait), MwPulse(2 * halfpi, phase)]
-    elements += [Wait(waits[-1]), MwPulse(halfpi, "x"), Readout(readout_duration_s)]
+    elements += [Wait(waits[-1]), MwPulse(halfpi, "x"), Readout(DEFAULT_READOUT_DURATION_S)]
     return replace(seq, elements=tuple(elements))

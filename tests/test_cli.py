@@ -263,7 +263,7 @@ def test_fit_command_roundtrip(tmp_path):
     from nvforge.curves import DecayCurve
 
     dataio.write_decay_csv(
-        DecayCurve(t, np.exp(-((t / 6.4e-6) ** 0.96))), curve_path, sidecar=False
+        DecayCurve(t, np.exp(-((t / 6.4e-6) ** 0.96))), curve_path
     )
     out = tmp_path / "out"
     assert (
@@ -294,7 +294,7 @@ def test_fit_command_constant_signal_exits_4(tmp_path):
     curve_path = tmp_path / "flat.csv"
     from nvforge.curves import DecayCurve
 
-    dataio.write_decay_csv(DecayCurve(t, np.full(30, 0.5)), curve_path, sidecar=False)
+    dataio.write_decay_csv(DecayCurve(t, np.full(30, 0.5)), curve_path)
     code = main(["fit", "--input", str(curve_path), "--output-dir", str(tmp_path)])
     assert code == 4  # rank-deficient data is a numerical failure
 
@@ -451,7 +451,7 @@ def test_scan_spectrum_pipeline(tmp_path):
 def test_scan_purity_pipeline(tmp_path):
     from nvforge import fixtures as fx_mod
 
-    grid, expected = fx_mod.purity_grid_s4(seed=0)
+    grid, expected = fx_mod.purity_grid_s4()
     grid_path = tmp_path / "grid.csv"
     dataio.write_scan_grid_csv(grid, grid_path)
     out = tmp_path / "out"

@@ -27,9 +27,20 @@ def test_decay_csv_roundtrip(tmp_path):
 def test_decay_csv_write_is_deterministic(tmp_path):
     curve = DecayCurve(np.geomspace(1e-7, 1e-5, 50), np.linspace(1.0, 0.0, 50))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    dataio.write_decay_csv(curve, p1, sidecar=False)
-    dataio.write_decay_csv(curve, p2, sidecar=False)
+    dataio.write_decay_csv(curve, p1)
+    dataio.write_decay_csv(curve, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    assert p1.with_suffix(".json").read_bytes() == p2.with_suffix(".json").read_bytes()
+
+
+def test_decay_csv_without_sidecar_reads_empty_meta(tmp_path):
+    curve = DecayCurve(np.geomspace(1e-7, 1e-5, 20), np.linspace(1.0, 0.1, 20), meta={"seed": 1})
+    path = tmp_path / "bare.csv"
+    dataio.write_decay_csv(curve, path)
+    path.with_suffix(".json").unlink()
+    back = dataio.read_decay_csv(path)
+    assert back.meta == {}
+    assert np.array_equal(back.signal, curve.signal)
 
 
 def test_odmr_csv_columns(tmp_path):

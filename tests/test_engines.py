@@ -149,7 +149,8 @@ def test_analytic_signal_bounds_and_chi_properties():
     noise = NoiseModel(3e6, 2e-6)
     for kind, n in (("ramsey", None), ("hahn", None), ("cpmg", 8), ("xy8", None)):
         seq = build_sequence(kind, 1e-6, n=n)
-        times = decay_time_grid(seq, noise, n_points=30, decay_lo=1e-4, decay_hi=6.0)
+        grid = decay_time_grid(seq, noise)
+        times = np.geomspace(grid[0] / 100, grid[-1] * 2, 30)
         curve = simulate_analytic(seq, noise, times)
         assert np.all(curve.signal > 0)
         assert np.all(curve.signal <= 1.0)
@@ -357,7 +358,7 @@ def test_t2_vs_n_paper_like_extension():
 def test_t2_vs_n_raises_on_the_first_failed_n(monkeypatch):
     from nvforge import fitkit
 
-    def failing_fit(curve, model, init=None, fix=None):
+    def failing_fit(curve, model, fix=None):
         raise fitkit.FitError("no fit")
 
     monkeypatch.setattr(fitkit, "fit", failing_fit)
@@ -380,7 +381,7 @@ def test_paper_like_preset_calibration():
 def test_decay_time_grid_spans_requested_decay():
     noise = NoiseModel(1e6, 1e-6)
     seq = build_sequence("hahn", 1e-6)
-    times = decay_time_grid(seq, noise, n_points=16, decay_lo=0.02, decay_hi=3.0)
+    times = decay_time_grid(seq, noise, n_points=16)
     assert times.size == 16
     assert attenuation_exponent(seq, noise, times[0]) == pytest.approx(0.02, rel=1e-3, abs=0.0)
     assert attenuation_exponent(seq, noise, times[-1]) == pytest.approx(3.0, rel=1e-3, abs=0.0)

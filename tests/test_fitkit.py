@@ -116,14 +116,6 @@ def test_fix_offset_is_respected():
     assert result.params["t2_s"] == pytest.approx(6.4e-6, rel=1e-6)
 
 
-def test_init_overrides_applied():
-    curve = _stretched_curve(6.4e-6, 0.96)
-    result = fit(curve, FitModel.stretched_exp(), init={"t2_s": 5e-6, "p": 1.1})
-    assert result.params["t2_s"] == pytest.approx(6.4e-6, rel=1e-6)
-    with pytest.raises(ValueError):
-        fit(curve, FitModel.stretched_exp(), init={"bogus": 1.0})
-
-
 def test_preconditions():
     t = np.geomspace(1e-7, 1e-5, 6)
     short = DecayCurve(t, np.exp(-t / 3e-6))
@@ -185,7 +177,7 @@ def test_wrong_model_residual_much_larger():
     noisy = DecayCurve(t, np.clip(curve.signal + 0.01 * rng.standard_normal(t.size), -1.04, 1.04))
     good = fit(noisy, FitModel.fid_beats())
     try:
-        bad = fit(noisy, FitModel.stretched_exp(), init={"p": 2.0})
+        bad = fit(noisy, FitModel.stretched_exp())
         bad_rms = bad.residual_rms
     except FitConvergenceError as exc:
         bad_rms = exc.best_result.residual_rms

@@ -293,7 +293,7 @@ def test_purity_report_hot_spot_lowers_fraction():
 
 
 def test_purity_report_s4_fixture_matches_construction():
-    grid, expected = fixtures.purity_grid_s4(seed=0)
+    grid, expected = fixtures.purity_grid_s4()
     report = purity_report(grid)
     assert report.clean_fraction == pytest.approx(expected, abs=0.01)
 

@@ -72,12 +72,6 @@ def test_wait_pattern_matches_cell_structure():
     assert waits == pytest.approx([1e-6, 2e-6, 2e-6, 2e-6, 1e-6])
 
 
-def test_custom_init_and_readout_durations():
-    seq = build_sequence("ramsey", 1e-6, init_duration_s=3e-6, readout_duration_s=5e-7)
-    assert seq.elements[0].duration_s == 3e-6
-    assert seq.elements[-1].duration_s == 5e-7
-
-
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         build_sequence("hahn", 0.0)
