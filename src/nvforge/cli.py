@@ -35,8 +35,6 @@ from .levmar import NumericalFailure
 from .noise import NoiseModel
 from .scan import (
     DepthProfile,
-    DepthProfileError,
-    MissingZplError,
     ScanGrid,
     Spectrum,
     charge_ratio,
@@ -452,7 +450,7 @@ def main(argv=None) -> int:
     except EngineMismatchError as exc:
         print(f"acceptance check failed: {exc}", file=sys.stderr)
         return 3
-    except (NumericalFailure, fitkit.FitError, DepthProfileError, MissingZplError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -50,15 +50,15 @@ def beat_sum(multiplicities, delta_hz: float, a_hf_hz: float, t: np.ndarray) -> 
     return out
 
 
-class FitError(RuntimeError):
-    pass
+class FitError(NumericalFailure):
+    """A fit failed; the CLI reports it as a numerical failure (exit 4)."""
 
 
 class RankDeficientDataError(FitError):
     """The data carry no usable variation (e.g. constant signal)."""
 
 
-class FitConvergenceError(FitError, NumericalFailure):
+class FitConvergenceError(FitError):
     """Fit failed to converge; ``best_result`` holds the best point found."""
 
     def __init__(self, message: str, best_result: "FitResult"):

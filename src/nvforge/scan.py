@@ -46,15 +46,11 @@ PEAK_NOISE_SIGMA = 5.0
 DEFLATION_PASSES = 3
 
 
-class ScanError(RuntimeError):
-    pass
-
-
-class DepthProfileError(ScanError):
+class DepthProfileError(NumericalFailure):
     """The depth profile does not show the expected two rising steps."""
 
 
-class MissingZplError(ScanError):
+class MissingZplError(NumericalFailure):
     """A required zero-phonon line is absent from the spectrum."""
 
 

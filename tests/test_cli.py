@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from nvforge import dataio, fitkit
+from nvforge import dataio, fitkit, scan
 from nvforge.cli import main
+from nvforge.levmar import NumericalFailure
 
 
 def _read_json(path):
@@ -519,6 +520,50 @@ def test_record_file_keys(tmp_path, fixture, argv, name, parts):
 
 def test_scan_missing_input_exits_2(tmp_path):
     assert main(["scan", "--mode", "depth", "--output-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        fitkit.FitError,
+        fitkit.RankDeficientDataError,
+        fitkit.FitConvergenceError,
+        scan.DepthProfileError,
+        scan.MissingZplError,
+    ],
+)
+def test_exit_4_errors_are_numerical_failures(error):
+    # main maps exactly NumericalFailure to exit 4.
+    assert issubclass(error, NumericalFailure)
+
+
+def _constant_depth_profile(directory):
+    path = directory / "flat.csv"
+    z = np.arange(0.0, 20.0, 0.5)
+    dataio.write_depth_profile_csv(scan.DepthProfile(z, np.full(z.size, 300.0)), path)
+    return path
+
+
+def _raman_spectrum(directory):
+    assert main(["fixtures", "--target", "raman", "--output-dir", str(directory)]) == 0
+    return directory / "raman_spectrum.csv"
+
+
+@pytest.mark.parametrize(
+    "mode, make_input, message",
+    [
+        ("depth", _constant_depth_profile, "profile is constant; no steps to detect"),
+        ("ratio", _raman_spectrum, "NV0 ZPL at 575 nm not found in spectrum"),
+    ],
+)
+def test_scan_numerical_failure_exits_4(tmp_path, capsys, mode, make_input, message):
+    path = make_input(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main(["scan", "--mode", mode, "--input", str(path), "--output-dir", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not (out / f"scan_{mode}.json").exists()
 
 
 def test_fixtures_table2_with_discrepancy_flag(tmp_path):
