@@ -243,8 +243,6 @@ class FitResult:
 def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None) -> FitResult:
     """Fit a decay model to a curve by damped least squares.
 
-    The free parameters start from the model's deterministic self-start.
-
     Parameters
     ----------
     curve:

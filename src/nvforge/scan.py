@@ -39,9 +39,8 @@ STEP_MIN_FRACTION = 0.15
 # A bright region needs this many pixels to be fitted as a spot.
 MIN_SPOT_PIXELS = 5
 
-# Spectral peak candidates must exceed the median by this many robust noise
-# sigmas; every peak is fitted this many times, each refit on the data with
-# the other fitted profiles subtracted.
+# Peak candidates must exceed the median by PEAK_NOISE_SIGMA robust noise
+# sigmas; each peak is fitted DEFLATION_PASSES times in all.
 PEAK_NOISE_SIGMA = 5.0
 DEFLATION_PASSES = 3
 
@@ -203,9 +202,9 @@ def detect_spots(grid: ScanGrid, threshold_sigma: float = 5.0) -> list[SpotFit]:
 
     Pixels above ``background + threshold_sigma * sqrt(background)`` are
     grouped into connected regions; each region of at least
-    :data:`MIN_SPOT_PIXELS` pixels is fitted with
-    a 2-D Gaussian plus flat offset.  Returns spots sorted by peak rate
-    (an empty list when nothing exceeds the threshold).
+    :data:`MIN_SPOT_PIXELS` pixels is fitted with a 2-D Gaussian plus flat
+    offset.  Returns spots sorted by peak rate (an empty list when nothing
+    exceeds the threshold).
     """
     if grid.x_um.size < 8 or grid.y_um.size < 8:
         raise ValueError("grid must be at least 8x8")

@@ -149,6 +149,7 @@ def test_analytic_signal_bounds_and_chi_properties():
     noise = NoiseModel(3e6, 2e-6)
     for kind, n in (("ramsey", None), ("hahn", None), ("cpmg", 8), ("xy8", None)):
         seq = build_sequence(kind, 1e-6, n=n)
+        # Reaches far past the grid's chi window [0.02, 3] at both ends.
         grid = decay_time_grid(seq, noise)
         times = np.geomspace(grid[0] / 100, grid[-1] * 2, 30)
         curve = simulate_analytic(seq, noise, times)
