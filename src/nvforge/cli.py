@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, dataio, fitkit, fixtures, implant, magnetometry, presets
-from .config import ConfigError, boolean, parse_config_file, resolve_options
+from .config import ConfigError, boolean, choice, parse_config_file, resolve_options
 from .curves import DecayCurve
 from .engines import decay_time_grid, simulate_analytic, simulate_mc
 from .levmar import NumericalFailure
@@ -44,7 +44,7 @@ from .scan import (
     purity_report,
     van_der_pauw,
 )
-from .sequences import build_sequence
+from .sequences import SEQUENCE_KINDS, build_sequence
 from .spincore import MagneticFieldVector, OdmrSpectrum, SpinParams, odmr_spectrum
 
 DEFAULT_SEED = 12345
@@ -120,9 +120,7 @@ def _cmd_odmr(opts: dict, seed: int, out_dir: Path) -> list[Path]:
 
 
 def _cmd_decay(opts: dict, seed: int, out_dir: Path) -> list[Path]:
-    engine = opts["engine"].lower()
-    if engine not in ("mc", "analytic", "both"):
-        raise ConfigError("engine must be mc, analytic, or both")
+    engine = opts["engine"]
     # Canonical spacing; the engines rescale the sequence to each total time.
     seq = build_sequence(opts["sequence"], 1e-6, n=int(opts["n_pulses"]))
     noise = _noise_from_options(opts)
@@ -158,18 +156,12 @@ def _cmd_decay(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     return outputs
 
 
-FIT_MODELS = ("exp_t2star", "stretched_exp", "t1_stretched", "fid_beats")
-
-
 def _cmd_fit(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     if not opts["input"]:
         raise ConfigError("fit requires --input")
-    kind = opts["model"]
-    if kind not in FIT_MODELS:
-        raise ConfigError(f"unknown model {kind!r}; choose from {sorted(FIT_MODELS)}")
     curve = dataio.read_decay_csv(Path(opts["input"]))
     fix = {"c": 0.0} if opts["pin_offset"] else None
-    result = fitkit.fit(curve, getattr(fitkit.FitModel, kind)(), fix=fix)
+    result = fitkit.fit(curve, getattr(fitkit.FitModel, opts["model"])(), fix=fix)
     return _write(out_dir, {"fit_result.json": result.as_dict()})
 
 
@@ -178,7 +170,7 @@ def _cmd_sense(opts: dict, seed: int, out_dir: Path) -> list[Path]:
         spot, t2_star = magnetometry.paper_ideal_spot()
         if opts["t2_star_s"] is not None:
             t2_star = opts["t2_star_s"]
-    elif opts["preset"] == "none":
+    else:
         required = ("aleph_ppm", "volume_m3", "rate_cps", "contrast", "t2_star_s")
         missing = [k for k in required if opts[k] is None]
         if missing:
@@ -190,8 +182,6 @@ def _cmd_sense(opts: dict, seed: int, out_dir: Path) -> list[Path]:
             contrast=opts["contrast"],
         )
         t2_star = opts["t2_star_s"]
-    else:
-        raise ConfigError("preset must be paper-ideal or none")
     report = magnetometry.sensitivity_report(spot, t2_star, opts["t2_dd_s"])
     return _write(out_dir, {"sensitivity.json": report})
 
@@ -240,8 +230,8 @@ SCAN_MODES = {
 
 def _cmd_scan(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     mode = opts["mode"]
-    if mode not in SCAN_MODES:
-        raise ConfigError(f"scan --mode must be one of {', '.join(SCAN_MODES)}; got {mode!r}")
+    if mode is None:
+        raise ConfigError("scan requires --mode")
     reader, reduce, name = SCAN_MODES[mode]
     data = None
     if reader is not None:
@@ -270,12 +260,9 @@ FIXTURE_TARGETS = {
 
 
 def _cmd_fixtures(opts: dict, seed: int, out_dir: Path) -> list[Path]:
-    target = opts["target"]
-    if target not in FIXTURE_TARGETS:
-        raise ConfigError(
-            f"unknown fixtures target {target!r}; choose from {', '.join(FIXTURE_TARGETS)}"
-        )
-    return _write(out_dir, FIXTURE_TARGETS[target](seed))
+    if opts["target"] is None:
+        raise ConfigError("fixtures requires --target")
+    return _write(out_dir, FIXTURE_TARGETS[opts["target"]](seed))
 
 
 @dataclass(frozen=True)
@@ -284,8 +271,10 @@ class Command:
 
     ``handler(opts, seed, out_dir)`` returns the paths it wrote.  ``options``
     maps name -> (type, default, help with units); the names double as
-    config keys.  ``positional`` is (name, choices, help); its value joins
-    ``opts`` (and so the manifest) but is not a config key.
+    config keys.  The type parses flag and config-file values alike, and a
+    :func:`~nvforge.config.choice` type's values are appended to the help.
+    ``positional`` is (name, choices, help); its value joins ``opts`` (and
+    so the manifest) but is not a config key.
     """
 
     handler: Callable[[dict, int, Path], list[Path]]
@@ -313,10 +302,10 @@ COMMANDS = {
         "n_freq": (int, 2001, "number of grid points"),
     }),
     "decay": Command(_cmd_decay, {
-        "sequence": (str, "hahn", "ramsey | hahn | cpmg | xy4 | xy8"),
+        "sequence": (choice(*SEQUENCE_KINDS), "hahn", "pulse sequence"),
         "n_pulses": (int, 1, "pi-pulse count for cpmg"),
-        "engine": (str, "analytic", "mc | analytic | both"),
-        "noise_preset": (str, "paper-like", "paper-like | slow-bath | none"),
+        "engine": (choice("mc", "analytic", "both"), "analytic", "decay engine (both: compare them)"),
+        "noise_preset": (choice(*presets.NOISE_PRESETS, "none"), "paper-like", "OU bath preset"),
         "b_rad_s": (float, None, "OU coupling (rad/s) when preset is none"),
         "tau_c_s": (float, None, "OU correlation time (s) when preset is none"),
         "t1_s": (float, None, "longitudinal time (s), omit for none"),
@@ -324,16 +313,16 @@ COMMANDS = {
         "t_min_s": (float, None, "grid start (default: auto)"),
         "t_max_s": (float, None, "grid end (default: auto)"),
         "n_times": (int, 24, "number of time points"),
-        "grid": (str, "log", "log | linear"),
+        "grid": (choice("log", "linear"), "log", "spacing of an explicit time grid"),
         "n_traj": (int, 20000, "Monte-Carlo trajectories"),
     }),
     "fit": Command(_cmd_fit, {
         "input": (str, None, "decay-curve CSV (time_s, signal)"),
-        "model": (str, "stretched_exp", " | ".join(FIT_MODELS)),
+        "model": (choice(*fitkit.MODEL_PARAMS), "stretched_exp", "decay model"),
         "pin_offset": (boolean, False, "fix the baseline c at 0"),
     }),
     "sense": Command(_cmd_sense, {
-        "preset": (str, "paper-ideal", "paper-ideal | none"),
+        "preset": (choice("paper-ideal", "none"), "paper-ideal", "ensemble preset"),
         "aleph_ppm": (float, None, "NV concentration (ppm)"),
         "volume_m3": (float, None, "detection volume (m^3)"),
         "rate_cps": (float, None, "photon rate per center (counts/s)"),
@@ -347,7 +336,7 @@ COMMANDS = {
         "diameter_m": (float, 25e-6, "spot or aperture diameter (m)"),
         "dose_cm2": (float, 1e12, "target atom dose (cm^-2)"),
         "chopper_pulse_s": (float, None, "beam-chopper pulse length (s)"),
-        "species": (str, "atomic", "atomic | molecular"),
+        "species": (choice(*implant.ATOMS_PER_CHARGE), "atomic", "ion species (N+ or N2+)"),
         "leak_sccm": (float, 2.4e-4, "chamber leak rate (sccm)"),
         "flow_sccm": (float, 400.0, "total process-gas flow (sccm)"),
         "h2_purity": (float, 1.0, "hydrogen purity fraction"),
@@ -355,7 +344,7 @@ COMMANDS = {
         "incorporation_rate": (float, 1e-4, "gas-to-solid nitrogen incorporation rate"),
     }, ("action", ("plan", "budget"), "plan: dose/depth/yield plan; budget: CVD nitrogen budget")),
     "scan": Command(_cmd_scan, {
-        "mode": (str, None, " | ".join(SCAN_MODES)),
+        "mode": (choice(*SCAN_MODES), None, "reduction"),
         "input": (str, None, "input CSV (not used by vdp)"),
         "threshold_sigma": (float, 5.0, "spot detection threshold (sigma)"),
         "kappa": (float, 1.0, "charge-ratio calibration factor"),
@@ -363,7 +352,7 @@ COMMANDS = {
         "r_b_ohm": (float, None, "Van-der-Pauw resistance B (ohm)"),
     }),
     "fixtures": Command(_cmd_fixtures, {
-        "target": (str, None, " | ".join(FIXTURE_TARGETS)),
+        "target": (choice(*FIXTURE_TARGETS), None, "fixture set"),
     }),
 }
 
@@ -383,6 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="key=value config file")
         for option, (typ, default, help_text) in {**COMMON_OPTIONS, **command.options}.items():
             flag = "--" + option.replace("_", "-")
+            if hasattr(typ, "choices"):
+                help_text += f"; one of {', '.join(typ.choices)}"
             p.add_argument(flag, type=typ, default=None, help=f"{help_text} [default: {default}]")
     return parser
 

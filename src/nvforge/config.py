@@ -8,6 +8,7 @@ duplicate keys are rejected; command-line flags override file values.
 
 from __future__ import annotations
 
+from argparse import ArgumentTypeError
 from pathlib import Path
 
 
@@ -45,7 +46,8 @@ def resolve_options(
     """Merge defaults, config-file values, and explicit flags.
 
     ``spec`` maps option name -> (type, default), where the type parses a
-    raw string and raises ``ValueError`` on a bad one.  Precedence: flag
+    raw string and raises ``ValueError`` (or, for :func:`choice`,
+    ``ArgumentTypeError``) on a bad one.  Precedence: flag
     over file over default.  Unknown file keys and bad values raise
     :class:`ConfigError`.
     """
@@ -62,7 +64,7 @@ def resolve_options(
         elif name in file_values:
             try:
                 resolved[name] = typ(file_values[name])
-            except ValueError as exc:
+            except (ValueError, ArgumentTypeError) as exc:
                 raise ConfigError(f"config key {name!r}: {exc}") from exc
         else:
             resolved[name] = default
@@ -77,3 +79,20 @@ def boolean(raw: str) -> bool:
     if lowered in ("false", "0", "no", "off"):
         return False
     raise ValueError(f"expected boolean, got {raw!r}")
+
+
+def choice(*values: str):
+    """Parser for a fixed-value option: one of ``values``, matched case-insensitively.
+
+    Returns the value as listed; ``.choices`` holds the list.  A bad value
+    raises ``ArgumentTypeError``, whose message argparse prints as is.
+    """
+
+    def parse(raw: str) -> str:
+        lowered = raw.lower()
+        if lowered not in values:
+            raise ArgumentTypeError(f"expected one of {', '.join(values)}; got {raw!r}")
+        return lowered
+
+    parse.choices = values
+    return parse

@@ -33,6 +33,14 @@ TRIPLET_MULTIPLICITIES = ((-1.0, 1 / 3), (0.0, 1 / 3), (1.0, 1 / 3))
 #: Spin-1/2 alternative (two lines split by the full coupling A).
 DOUBLET_MULTIPLICITIES = ((-0.5, 0.5), (0.5, 0.5))
 
+#: Model kind -> parameter names, in the order of the parameter vector.
+MODEL_PARAMS = {
+    "exp_t2star": ("a", "t2_star_s", "c"),
+    "stretched_exp": ("a", "t2_s", "p", "c"),
+    "t1_stretched": ("a", "t1_s", "q", "c"),
+    "fid_beats": ("a", "t2_star_s", "delta_hz", "a_hf_hz", "c"),
+}
+
 
 def check_multiplicities(multiplicities) -> tuple[tuple[float, float], ...]:
     """The multiplet as a tuple of (m, w) pairs; the weights must sum to 1."""
@@ -91,12 +99,7 @@ class FitModel:
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return {
-            "exp_t2star": ("a", "t2_star_s", "c"),
-            "stretched_exp": ("a", "t2_s", "p", "c"),
-            "t1_stretched": ("a", "t1_s", "q", "c"),
-            "fid_beats": ("a", "t2_star_s", "delta_hz", "a_hf_hz", "c"),
-        }[self.kind]
+        return MODEL_PARAMS[self.kind]
 
     def predict(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
         if self.kind == "exp_t2star":

@@ -40,6 +40,9 @@ CH4_FRACTION = 0.04
 AIR_N2_FRACTION = 0.78
 SATURATION_PPM = 1e4
 
+# Ion species -> nitrogen atoms per elementary charge: N+ or N2+.
+ATOMS_PER_CHARGE = {"atomic": 1, "molecular": 2}
+
 
 class InfeasiblePlanError(ValueError):
     """The requested plan cannot be realized with the given beam."""
@@ -57,7 +60,7 @@ class BeamConfig:
     current_a: float
     spot_diameter_m: float
     chopper_pulse_s: float | None = None
-    species: str = "atomic"  # "atomic" (N+) or "molecular" (N2+)
+    species: str = "atomic"  # a key of ATOMS_PER_CHARGE
 
     def __post_init__(self) -> None:
         lo, hi = GUN_ENERGY_RANGE_EV
@@ -73,12 +76,12 @@ class BeamConfig:
                 raise ValueError(
                     f"chopper_pulse_s must lie in [{plo}, {phi}] s when present"
                 )
-        if self.species not in ("atomic", "molecular"):
-            raise ValueError("species must be 'atomic' or 'molecular'")
+        if self.species not in ATOMS_PER_CHARGE:
+            raise ValueError(f"species must be one of {', '.join(ATOMS_PER_CHARGE)}")
 
     @property
     def atoms_per_charge(self) -> int:
-        return 2 if self.species == "molecular" else 1
+        return ATOMS_PER_CHARGE[self.species]
 
     @property
     def spot_area_cm2(self) -> float:

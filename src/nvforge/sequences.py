@@ -1,7 +1,9 @@
 """Pulse-sequence construction for coherence measurements.
 
-Builds the standard sequence timelines (Ramsey, Hahn echo, CPMG(n), XY4,
-XY8) as ordered element lists.  Microwave pulses are ideal (zero width);
+Each sequence kind (Ramsey, Hahn echo, CPMG(n), XY4, XY8) is one row of
+:data:`SEQUENCE_KINDS`: its refocusing instants as fractions of the
+free-evolution window, the phases of its pi pulses and its total time in
+units of the pulse spacing.  Microwave pulses are ideal (zero width);
 what the decay engines consume is the split of the free-evolution window
 into sign-constant cells, exposed by :meth:`PulseSequence.cell_lengths`.
 
@@ -14,49 +16,24 @@ the phase patterns X-Y-X-Y and X-Y-X-Y-Y-X-Y-X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_INIT_DURATION_S = 5e-6
-DEFAULT_READOUT_DURATION_S = 4e-7
 
 XY4_PHASES = ("x", "y", "x", "y")
 XY8_PHASES = ("x", "y", "x", "y", "y", "x", "y", "x")
 
 
 @dataclass(frozen=True)
-class LaserInit:
-    duration_s: float
-
-
-@dataclass(frozen=True)
-class Wait:
-    duration_s: float
-
-
-@dataclass(frozen=True)
-class MwPulse:
-    angle_rad: float
-    phase: str  # "x" or "y"
-
-
-@dataclass(frozen=True)
-class Readout:
-    duration_s: float
-
-
-@dataclass(frozen=True)
 class PulseSequence:
-    """Ordered laser/microwave/wait/readout timeline.
+    """A pi-pulse pattern within one free-evolution window.
 
     ``pi_fractions`` are the refocusing instants as fractions of the total
-    free-evolution window, so the same sequence object can be evaluated at
-    any total evolution time.
+    free-evolution window and ``pi_phases`` their pulse phases, so the same
+    sequence object can be evaluated at any total evolution time.
     """
 
     name: str
-    elements: tuple
     tau_s: float
     pi_fractions: tuple[float, ...]
     pi_phases: tuple[str, ...]
@@ -84,13 +61,24 @@ def _cpmg_fractions(n: int) -> tuple[float, ...]:
     return tuple((2 * k - 1) / (2 * n) for k in range(1, n + 1))
 
 
+# kind -> n -> (name, pi_fractions, pi_phases, total free evolution / tau)
+SEQUENCE_KINDS = {
+    "ramsey": lambda n: ("ramsey", (), (), 1),
+    "hahn": lambda n: ("hahn", (0.5,), ("y",), 2),
+    "cpmg": lambda n: (f"cpmg{n}", _cpmg_fractions(n), ("y",) * n, 2 * n),
+    "xy4": lambda n: ("xy4", _cpmg_fractions(4), XY4_PHASES, 8),
+    "xy8": lambda n: ("xy8", _cpmg_fractions(8), XY8_PHASES, 16),
+}
+
+
 def build_sequence(kind: str, tau_s: float, n: int | None = None) -> PulseSequence:
     """Construct a named pulse sequence.
 
     Parameters
     ----------
     kind:
-        One of ``ramsey``, ``hahn``, ``cpmg``, ``xy4``, ``xy8``.
+        A key of :data:`SEQUENCE_KINDS`: ``ramsey``, ``hahn``, ``cpmg``,
+        ``xy4`` or ``xy8``.
     tau_s:
         Pulse spacing (Ramsey: the full free-evolution time).
     n:
@@ -104,42 +92,9 @@ def build_sequence(kind: str, tau_s: float, n: int | None = None) -> PulseSequen
     if not tau_s > 0:
         raise ValueError("tau_s must be positive")
     kind = kind.lower()
-    halfpi = 1.5707963267948966
-
-    if kind == "ramsey":
-        fractions: tuple[float, ...] = ()
-        phases: tuple[str, ...] = ()
-        total = tau_s
-        name = "ramsey"
-    elif kind == "hahn":
-        fractions = (0.5,)
-        phases = ("y",)
-        total = 2 * tau_s
-        name = "hahn"
-    elif kind == "cpmg":
-        if n is None or n < 1:
-            raise ValueError("cpmg requires n >= 1")
-        fractions = _cpmg_fractions(n)
-        phases = ("y",) * n
-        total = 2 * n * tau_s
-        name = f"cpmg{n}"
-    elif kind == "xy4":
-        fractions = _cpmg_fractions(4)
-        phases = XY4_PHASES
-        total = 8 * tau_s
-        name = "xy4"
-    elif kind == "xy8":
-        fractions = _cpmg_fractions(8)
-        phases = XY8_PHASES
-        total = 16 * tau_s
-        name = "xy8"
-    else:
+    if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown sequence kind: {kind!r}")
-
-    seq = PulseSequence(name, (), tau_s, fractions, phases, total)
-    waits = seq.cell_lengths(total).tolist()
-    elements: list = [LaserInit(DEFAULT_INIT_DURATION_S), MwPulse(halfpi, "x")]
-    for wait, phase in zip(waits, phases):
-        elements += [Wait(wait), MwPulse(2 * halfpi, phase)]
-    elements += [Wait(waits[-1]), MwPulse(halfpi, "x"), Readout(DEFAULT_READOUT_DURATION_S)]
-    return replace(seq, elements=tuple(elements))
+    if kind == "cpmg" and (n is None or n < 1):
+        raise ValueError("cpmg requires n >= 1")
+    name, fractions, phases, spacings = SEQUENCE_KINDS[kind](n)
+    return PulseSequence(name, tau_s, fractions, phases, spacings * tau_s)

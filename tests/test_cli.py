@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nvforge import dataio, fitkit, scan
-from nvforge.cli import main
+from nvforge.cli import COMMANDS, main
 from nvforge.levmar import NumericalFailure
 
 
@@ -72,6 +72,60 @@ def test_bad_boolean_exits_2(tmp_path, source):
         config.write_text("pin-offset = maybe\n")
         args += ["--config", str(config)]
     assert main(args) == 2
+
+
+CHOICE_OPTIONS = [
+    (command, name)
+    for command, spec in COMMANDS.items()
+    for name, (typ, _, _) in spec.options.items()
+    if hasattr(typ, "choices")
+]
+
+
+def test_fixed_value_options_are_choices():
+    assert CHOICE_OPTIONS == [
+        ("decay", "sequence"), ("decay", "engine"), ("decay", "noise_preset"), ("decay", "grid"),
+        ("fit", "model"), ("sense", "preset"), ("implant", "species"), ("scan", "mode"),
+        ("fixtures", "target"),
+    ]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command, option", CHOICE_OPTIONS, ids=[o for _, o in CHOICE_OPTIONS])
+def test_bad_choice_exits_2_listing_the_choices(tmp_path, capsys, command, option, source):
+    spec = COMMANDS[command]
+    argv = [command] + ([spec.positional[1][0]] if spec.positional else [])
+    if option == "grid":  # the grid spacing is read only for an explicit time range
+        argv += ["--t-min-s", "1e-7", "--t-max-s", "1e-5"]
+    if source == "flag":
+        argv += ["--" + option.replace("_", "-"), "linaer"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option} = linaer\n")
+        argv += ["--config", str(config)]
+    out = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out)]) == 2
+    choices = spec.options[option][0].choices
+    assert f"expected one of {', '.join(choices)}; got 'linaer'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_choice_values_match_case_insensitively(tmp_path):
+    outputs = []
+    for engine, sequence in (("mc", "hahn"), ("MC", "HAHN")):
+        out = tmp_path / engine
+        argv = ["decay", "--engine", engine, "--sequence", sequence, "--n-traj", "2000",
+                "--n-times", "8", "--output-dir", str(out)]
+        assert main(argv) == 0
+        outputs.append(_output_bytes(out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, option", [("scan", "mode"), ("fixtures", "target")])
+def test_missing_mode_or_target_exits_2(tmp_path, capsys, command, option):
+    assert main([command, "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {command} requires --{option}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [["fit"], ["scan", "--mode", "spots"]], ids=["fit", "scan"])
@@ -603,13 +657,13 @@ def test_help_lists_all_config_keys():
     import io
     from contextlib import redirect_stdout
 
-    from nvforge.cli import COMMANDS
-
     for command, spec in COMMANDS.items():
         buffer = io.StringIO()
         with redirect_stdout(buffer):
             code = main([command, "--help"])
         assert code == 0
-        text = buffer.getvalue()
-        for name in spec.options:
+        text = "".join(buffer.getvalue().split())  # argparse wraps lines, also at hyphens
+        for name, (typ, _, _) in spec.options.items():
             assert "--" + name.replace("_", "-") in text
+            for value in getattr(typ, "choices", ()):
+                assert value in text, (command, name, value)

@@ -1,12 +1,6 @@
 import pytest
 
-from nvforge.sequences import (
-    LaserInit,
-    MwPulse,
-    Readout,
-    Wait,
-    build_sequence,
-)
+from nvforge.sequences import build_sequence
 
 
 def test_ramsey_has_no_pi_pulses():
@@ -54,22 +48,32 @@ def test_xy8_pattern():
     assert times == pytest.approx([(2 * k - 1) * 1e-6 for k in range(1, 9)])
 
 
-def test_element_timeline_structure():
-    seq = build_sequence("hahn", 1e-6)
-    assert isinstance(seq.elements[0], LaserInit)
-    assert seq.elements[0].duration_s == 5e-6
-    assert isinstance(seq.elements[-1], Readout)
-    assert seq.elements[-1].duration_s == 4e-7
-    pulses = [e for e in seq.elements if isinstance(e, MwPulse)]
-    assert len(pulses) == 3  # pi/2, pi, pi/2
-    waits = [e.duration_s for e in seq.elements if isinstance(e, Wait)]
-    assert sum(waits) == pytest.approx(seq.total_free_evolution_s)
-
-
-def test_wait_pattern_matches_cell_structure():
+def test_cpmg4_cell_lengths():
     seq = build_sequence("cpmg", 1e-6, n=4)
-    waits = [e.duration_s for e in seq.elements if isinstance(e, Wait)]
-    assert waits == pytest.approx([1e-6, 2e-6, 2e-6, 2e-6, 1e-6])
+    assert seq.cell_lengths(8e-6).tolist() == pytest.approx([1e-6, 2e-6, 2e-6, 2e-6, 1e-6])
+
+
+@pytest.mark.parametrize(
+    "kind, n, name, pi_fractions, pi_phases, total_s",
+    [
+        ("ramsey", None, "ramsey", (), (), 1e-6),
+        ("hahn", None, "hahn", (0.5,), ("y",), 2e-6),
+        ("cpmg", 1, "cpmg1", (0.5,), ("y",), 2e-6),
+        ("cpmg", 7, "cpmg7", tuple((2 * k - 1) / 14 for k in range(1, 8)), ("y",) * 7, 1.4e-5),
+        ("cpmg", 64, "cpmg64", tuple((2 * k - 1) / 128 for k in range(1, 65)), ("y",) * 64,
+         1.28e-4),
+        ("xy4", None, "xy4", (0.125, 0.375, 0.625, 0.875), ("x", "y", "x", "y"), 8e-6),
+        ("xy8", None, "xy8", (0.0625, 0.1875, 0.3125, 0.4375, 0.5625, 0.6875, 0.8125, 0.9375),
+         ("x", "y", "x", "y", "y", "x", "y", "x"), 1.6e-5),
+    ],
+    ids=["ramsey", "hahn", "cpmg1", "cpmg7", "cpmg64", "xy4", "xy8"],
+)
+def test_sequence_table_rows(kind, n, name, pi_fractions, pi_phases, total_s):
+    seq = build_sequence(kind, 1e-6, n=n)
+    assert seq.name == name
+    assert seq.pi_fractions == pi_fractions
+    assert seq.pi_phases == pi_phases
+    assert seq.total_free_evolution_s == total_s
 
 
 def test_invalid_inputs_rejected():
