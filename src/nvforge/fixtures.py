@@ -63,9 +63,7 @@ def spot_grid_fig5(seed: int = 0) -> ScanGrid:
     sy = fy / FWHM_PER_SIGMA
     counts = _gaussian2d((30000.0, 0.0, 0.0, sx, sy, background), xg, yg)
     counts += math.sqrt(background) * seeded_rng(seed, 5).standard_normal(counts.shape)
-    return ScanGrid(
-        x_um=x, y_um=y, counts=np.clip(counts, 0.0, None), background_rate=background
-    )
+    return ScanGrid(x_um=x, y_um=y, counts=np.clip(counts, 0.0, None))
 
 
 def halo_grid_s1(seed: int = 0) -> ScanGrid:
@@ -87,9 +85,7 @@ def halo_grid_s1(seed: int = 0) -> ScanGrid:
         + 1200.0 * np.exp(-r2 / (2 * s_halo**2))
     )
     counts += math.sqrt(background) * seeded_rng(seed, 1).standard_normal(counts.shape)
-    return ScanGrid(
-        x_um=x, y_um=y, counts=np.clip(counts, 0.0, None), background_rate=background
-    )
+    return ScanGrid(x_um=x, y_um=y, counts=np.clip(counts, 0.0, None))
 
 
 def purity_grid_s4():
@@ -107,7 +103,7 @@ def purity_grid_s4():
     expected_clean = float(np.mean(bump <= 2.0 * sigma))
     counts = background + bump
     counts[bump <= 2.0 * sigma] = background  # keep the clean region exactly flat
-    grid = ScanGrid(x_um=x, y_um=y, counts=counts, background_rate=None)
+    grid = ScanGrid(x_um=x, y_um=y, counts=counts)
     return grid, expected_clean
 
 

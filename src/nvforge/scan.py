@@ -60,7 +60,6 @@ class ScanGrid:
     x_um: np.ndarray
     y_um: np.ndarray
     counts: np.ndarray  # shape (len(y_um), len(x_um))
-    background_rate: float | None = None
 
     def __post_init__(self) -> None:
         self.x_um = np.asarray(self.x_um, dtype=float)
@@ -200,17 +199,16 @@ def label_regions(mask: np.ndarray) -> tuple[np.ndarray, int]:
 def detect_spots(grid: ScanGrid, threshold_sigma: float = 5.0) -> list[SpotFit]:
     """Locate and shape-fit bright spots on a scan grid.
 
-    Pixels above ``background + threshold_sigma * sqrt(background)`` are
-    grouped into connected regions; each region of at least
+    Pixels above ``bg + threshold_sigma * sqrt(bg)``, where ``bg`` is the
+    :func:`robust_background` of the counts, are grouped into connected
+    regions; each region of at least
     :data:`MIN_SPOT_PIXELS` pixels is fitted with a 2-D Gaussian plus flat
     offset.  Returns spots sorted by peak rate (an empty list when nothing
     exceeds the threshold).
     """
     if grid.x_um.size < 8 or grid.y_um.size < 8:
         raise ValueError("grid must be at least 8x8")
-    bg = grid.background_rate
-    if bg is None:
-        bg = robust_background(grid.counts)
+    bg = robust_background(grid.counts)
     threshold = bg + threshold_sigma * math.sqrt(max(bg, 1.0))
     mask = grid.counts > threshold
     labels, n_regions = label_regions(mask)

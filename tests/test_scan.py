@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nvforge import fixtures
+from nvforge import dataio, fixtures
 from nvforge.levmar import NumericalFailure
 from nvforge.scan import (
     DepthProfile,
@@ -25,7 +25,7 @@ from nvforge.scan import (
 def _flat_grid(level=5000.0, n=32):
     x = np.arange(n, dtype=float)
     y = np.arange(n, dtype=float)
-    return ScanGrid(x_um=x, y_um=y, counts=np.full((n, n), level), background_rate=level)
+    return ScanGrid(x_um=x, y_um=y, counts=np.full((n, n), level))
 
 
 def test_grid_validation():
@@ -85,24 +85,22 @@ def test_detect_spots_recovers_fig5_spot_shape():
 def test_detect_spots_shape_invariances():
     grid = fixtures.spot_grid_fig5(seed=3)
     base = detect_spots(grid)[0]
-    # Scaling all counts and the background leaves the FWHM estimate alone.
-    scaled = ScanGrid(
-        x_um=grid.x_um,
-        y_um=grid.y_um,
-        counts=grid.counts * 3.0,
-        background_rate=grid.background_rate * 3.0,
-    )
+    # Scaling all counts (and so the background) leaves the FWHM estimate alone.
+    scaled = ScanGrid(x_um=grid.x_um, y_um=grid.y_um, counts=grid.counts * 3.0)
     spot = detect_spots(scaled, threshold_sigma=5 * math.sqrt(3.0))[0]
     assert spot.fwhm_x_um == pytest.approx(base.fwhm_x_um, rel=0.01)
     assert spot.fwhm_y_um == pytest.approx(base.fwhm_y_um, rel=0.01)
-    shifted = ScanGrid(
-        x_um=grid.x_um,
-        y_um=grid.y_um,
-        counts=grid.counts + 2000.0,
-        background_rate=grid.background_rate + 2000.0,
-    )
+    shifted = ScanGrid(x_um=grid.x_um, y_um=grid.y_um, counts=grid.counts + 2000.0)
     spot = detect_spots(shifted)[0]
     assert spot.fwhm_x_um == pytest.approx(base.fwhm_x_um, rel=0.01)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 12345])
+def test_detect_spots_same_in_process_and_after_csv_round_trip(tmp_path, seed):
+    grid = fixtures.spot_grid_fig5(seed)
+    path = tmp_path / "grid.csv"
+    dataio.write_scan_grid_csv(grid, path)
+    assert detect_spots(dataio.read_scan_grid_csv(path)) == detect_spots(grid)
 
 
 def test_detect_spots_halo_fixture_primary_width():
