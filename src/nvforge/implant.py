@@ -18,7 +18,6 @@ Pinned calibration constants (documented toolkit conventions):
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .constants import CARBON_NUMBER_DENSITY_M3, ELEMENTARY_CHARGE_C
@@ -46,10 +45,6 @@ ATOMS_PER_CHARGE = {"atomic": 1, "molecular": 2}
 
 class InfeasiblePlanError(ValueError):
     """The requested plan cannot be realized with the given beam."""
-
-
-class SaturationWarning(UserWarning):
-    """Estimated NV concentration exceeds the dilute-defect regime."""
 
 
 @dataclass(frozen=True)
@@ -173,9 +168,9 @@ def yield_model(energy_ev: float) -> float:
 def nv_density(dose_cm2: float, energy_ev: float):
     """Areal NV density and concentration in the straggle slab.
 
-    Returns ``(areal_cm2, ppm, warned)``; emits a non-fatal
-    :class:`SaturationWarning` when the slab concentration exceeds
-    ``SATURATION_PPM``.
+    Returns ``(areal_cm2, ppm, saturated)``; ``saturated`` is true when the
+    slab concentration exceeds ``SATURATION_PPM``, where dose-dependent
+    yield loss (not modeled) sets in.
     """
     if dose_cm2 < 0:
         raise ValueError("dose_cm2 must be non-negative")
@@ -184,24 +179,14 @@ def nv_density(dose_cm2: float, energy_ev: float):
     straggle_cm = straggle_nm * 1e-7
     carbon_cm3 = CARBON_NUMBER_DENSITY_M3 * 1e-6
     ppm = areal / (straggle_cm * carbon_cm3) * 1e6
-    warned = ppm > SATURATION_PPM
-    if warned:
-        warnings.warn(
-            f"slab concentration {ppm:.3g} ppm exceeds {SATURATION_PPM:.0e} ppm; "
-            "dose-dependent yield loss is not modeled",
-            SaturationWarning,
-            stacklevel=2,
-        )
-    return areal, ppm, warned
+    return areal, ppm, ppm > SATURATION_PPM
 
 
 def build_plan(beam: BeamConfig, dose_cm2: float) -> ImplantPlan:
     """Resolve a complete plan: timing, depth, yield, and NV density."""
     duration, n_pulses = dose_to_time(beam, dose_cm2)
     depth, straggle = range_straggle(beam.energy_ev)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SaturationWarning)
-        areal, ppm, warned = nv_density(dose_cm2, beam.energy_ev)
+    areal, ppm, saturated = nv_density(dose_cm2, beam.energy_ev)
     return ImplantPlan(
         dose_phi_cm2=dose_cm2,
         duration_s=duration,
@@ -211,7 +196,7 @@ def build_plan(beam: BeamConfig, dose_cm2: float) -> ImplantPlan:
         yield_fraction=yield_model(beam.energy_ev),
         nv_areal_cm2=areal,
         nv_ppm_in_slab=ppm,
-        saturation_warning=warned,
+        saturation_warning=saturated,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -6,7 +7,6 @@ from nvforge.implant import (
     BeamConfig,
     GrowthBudget,
     InfeasiblePlanError,
-    SaturationWarning,
     TABLE2_SAMPLES,
     build_plan,
     dose_to_time,
@@ -132,9 +132,10 @@ def test_nv_density_products():
 
 
 def test_nv_density_saturation_warning():
-    with pytest.warns(SaturationWarning):
-        _, ppm, warned = nv_density(1e17, 5000.0)
-    assert warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, ppm, saturated = nv_density(1e17, 5000.0)
+    assert saturated is True
     assert ppm > 1e4
 
 
