@@ -10,9 +10,10 @@ slow-bath XY8 engine comparison, a Ramsey curve with T1 inside the grid, a
 linear-grid Monte-Carlo Hahn curve), every ``fixtures`` target at seeds 0, 5
 and 12345, every ``scan`` mode on those fixtures (including the charge ratio
 of the Raman spectrum, which has no NV0 line and exits 4), every ``fit``
-model on the Hahn and fig7 curves, and record edge cases (a chopped
+model on the Hahn and fig7 curves, record edge cases (a chopped
 molecular implant plan, a DC-only sensitivity report, a spot scan that finds
-no spot).  Per command, the exit code, stdout, stderr (with the export
+no spot) and fixed-value options (upper-case ``--engine``/``--sequence``
+values, an unknown fixtures target, a misspelt ``--grid``).  Per command, the exit code, stdout, stderr (with the export
 directory replaced by ``<ROOT>``) and every output file except
 ``manifest.json`` are compared.  Prints each difference; exits 1 if there
 is any, 0 otherwise.
@@ -74,6 +75,9 @@ def script() -> list[tuple[str, list[str]]]:
                            "--rate-cps", "1e5", "--contrast", "0.03", "--t2-star-s", "1e-6"]),
         ("scan_spots_none", ["scan", "--mode", "spots", "--threshold-sigma", "1e6",
                              "--input", "out/fig5_0/fig5_spot_grid.csv"]),
+        ("hahn_mc_upper", ["decay", "--engine", "MC", "--sequence", "HAHN"]),
+        ("fixtures_fig99", ["fixtures", "--target", "fig99"]),
+        ("grid_linaer", ["decay", "--grid", "linaer", "--t-min-s", "1e-7", "--t-max-s", "1e-5"]),
     ]
     curves = ["hahn/decay_analytic.csv"] + [f"fig7_0/fig7_cpmg{n:02d}.csv" for n in (4, 8, 16, 32, 64)]
     for curve in curves:
