@@ -47,9 +47,8 @@ def resolve_options(
 
     ``spec`` maps option name -> (type, default), where the type parses a
     raw string and raises ``ValueError`` (or, for :func:`choice`,
-    ``ArgumentTypeError``) on a bad one.  Precedence: flag
-    over file over default.  Unknown file keys and bad values raise
-    :class:`ConfigError`.
+    ``ArgumentTypeError``) on a bad one.  Precedence: flag over file over
+    default.  Unknown file keys and bad values raise :class:`ConfigError`.
     """
     unknown = set(file_values) - set(spec)
     if unknown:
@@ -84,8 +83,9 @@ def boolean(raw: str) -> bool:
 def choice(*values: str):
     """Parser for a fixed-value option: one of ``values``, matched case-insensitively.
 
-    Returns the value as listed; ``.choices`` holds the list.  A bad value
-    raises ``ArgumentTypeError``, whose message argparse prints as is.
+    ``values`` are lower case; the parser returns the matching one and
+    keeps the list in ``.choices``.  Any other value raises
+    ``ArgumentTypeError``, whose message argparse prints as is.
     """
 
     def parse(raw: str) -> str:

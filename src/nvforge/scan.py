@@ -201,9 +201,8 @@ def detect_spots(grid: ScanGrid, threshold_sigma: float = 5.0) -> list[SpotFit]:
 
     Pixels above ``bg + threshold_sigma * sqrt(bg)``, where ``bg`` is the
     :func:`robust_background` of the counts, are grouped into connected
-    regions; each region of at least
-    :data:`MIN_SPOT_PIXELS` pixels is fitted with a 2-D Gaussian plus flat
-    offset.  Returns spots sorted by peak rate (an empty list when nothing
+    regions; each region of at least :data:`MIN_SPOT_PIXELS` pixels is
+    fitted with a 2-D Gaussian plus flat offset.  Returns spots sorted by peak rate (an empty list when nothing
     exceeds the threshold).
     """
     if grid.x_um.size < 8 or grid.y_um.size < 8:
