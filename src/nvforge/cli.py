@@ -374,7 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
             flag = "--" + option.replace("_", "-")
             if hasattr(typ, "choices"):
                 help_text += f"; one of {', '.join(typ.choices)}"
-            p.add_argument(flag, type=typ, default=None, help=f"{help_text} [default: {default}]")
+            if default is not None:
+                help_text += f" [default: {default}]"
+            p.add_argument(flag, type=typ, default=None, help=help_text)
     return parser
 
 

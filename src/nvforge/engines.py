@@ -44,11 +44,35 @@ MC_BLOCK_SIZE = 16384
 #: Decay window of :func:`decay_time_grid`, in -ln(signal).
 GRID_DECAY_LO = 0.02
 GRID_DECAY_HI = 3.0
+#: Doublings of tau_c searched for an upper bracket, and bisection steps.
+GRID_MAX_DOUBLINGS = 200
+GRID_BISECTION_STEPS = 80
+#: Bisection steps resolved per kernel call, on 2^depth - 1 points per target.
+GRID_TREE_DEPTH = 5
 
 
 def seeded_rng(seed: int, stream: int) -> Generator:
     """Counter-based Philox stream keyed by (seed mod 2^64, stream)."""
     return Generator(Philox(key=np.array([seed % 2**64, stream], dtype=np.uint64)))
+
+
+def _chi(seq: PulseSequence, noise: NoiseModel, times_s) -> np.ndarray:
+    """Unchecked chi(t) as an array: inf or nan where it overflows, with no warning."""
+    try:
+        scale = (noise.b_rad_s * noise.tau_c_s) ** 2
+    except OverflowError:  # b*tau_c beyond ~1.3e154: every chi(t) > 0 is inf
+        scale = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = seq.cell_lengths(times_s) / noise.tau_c_s
+        alpha = np.exp(-x)
+        one_m = -np.expm1(-x)
+        acc = np.zeros(x.shape[:-1])
+        total = np.zeros(x.shape[:-1])
+        for k in range(x.shape[-1]):
+            sign = 1.0 if k % 2 == 0 else -1.0
+            total += x[..., k] - one_m[..., k] + sign * one_m[..., k] * acc
+            acc = alpha[..., k] * acc + sign * one_m[..., k]
+        return scale * total
 
 
 def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
@@ -59,18 +83,10 @@ def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
     give chi = b^2 tau_c^2 [sum_k (x_k - (1-a_k)) + sum_k s_k (1-a_k) A_k],
     where A_0 = 0 and A_{k+1} = a_k A_k + s_k (1-a_k) sums the cross terms
     of all earlier cells: one O(n_cells) pass, vectorized over ``times_s``
-    (a scalar or an array; the result has its shape).
+    (a scalar or an array; the result has its shape).  Raises
+    :class:`NumericalFailure` if any chi overflows.
     """
-    x = seq.cell_lengths(times_s) / noise.tau_c_s
-    alpha = np.exp(-x)
-    one_m = -np.expm1(-x)
-    acc = np.zeros(x.shape[:-1])
-    total = np.zeros(x.shape[:-1])
-    for k in range(x.shape[-1]):
-        sign = 1.0 if k % 2 == 0 else -1.0
-        total += x[..., k] - one_m[..., k] + sign * one_m[..., k] * acc
-        acc = alpha[..., k] * acc + sign * one_m[..., k]
-    chi = (noise.b_rad_s * noise.tau_c_s) ** 2 * total
+    chi = _chi(seq, noise, times_s)
     if not np.all(np.isfinite(chi)):
         raise NumericalFailure("attenuation exponent is not finite")
     return np.maximum(chi, 0.0)[()]
@@ -218,27 +234,55 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     endpoints are found together by one bisection on the pair of targets.
     """
 
-    def total_exponent(t):
-        extra = 0.0
-        if not math.isinf(noise.t1_s):
-            extra = (t / noise.t1_s) ** noise.t1_exponent_q
-        return attenuation_exponent(seq, noise, t) + extra
+    def t1_term(t):
+        if math.isinf(noise.t1_s):
+            return 0.0
+        return (t / noise.t1_s) ** noise.t1_exponent_q
 
-    probe = noise.tau_c_s
-    for _ in range(200):
-        if total_exponent(probe) >= GRID_DECAY_HI:
+    # Upper bracket: the first tau_c * 2^k whose exponent reaches
+    # GRID_DECAY_HI.  chi is evaluated on every candidate in one call; a
+    # non-finite chi past the first crossing is never looked at.
+    with np.errstate(over="ignore"):
+        probes = np.ldexp(noise.tau_c_s, np.arange(GRID_MAX_DOUBLINGS))
+    for probe, chi in zip(probes.tolist(), _chi(seq, noise, probes).tolist()):
+        if not math.isfinite(chi):
+            raise NumericalFailure("attenuation exponent is not finite")
+        if max(chi, 0.0) + t1_term(probe) >= GRID_DECAY_HI:
             break
-        probe *= 2.0
     else:
         raise ValueError("noise model produces no appreciable decay")
 
+    # Binary bisection on both targets, GRID_TREE_DEPTH steps per kernel
+    # call.  Each step compares at the midpoint of the interval the earlier
+    # steps left, so the next GRID_TREE_DEPTH steps can only compare at the
+    # 2^depth - 1 dyadic points of (lo, hi).  They are built level by level
+    # with the same 0.5 * (lo + hi) arithmetic, evaluated together, and the
+    # steps are then replayed on their indices: lo and hi come out bit for
+    # bit as from one kernel call per step.  They stop changing once lo and
+    # hi are adjacent floats, after 54-62 of the 80 steps on typical baths.
     targets = np.array([GRID_DECAY_LO, GRID_DECAY_HI])
     lo, hi = np.zeros(2), np.full(2, probe)
-    for _ in range(80):
+    for _ in range(GRID_BISECTION_STEPS // GRID_TREE_DEPTH):
         mid = 0.5 * (lo + hi)
-        below = total_exponent(mid) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        if np.all((mid == lo) | (mid == hi)):
+            break  # no float lies between lo and hi: later steps change nothing
+        points = np.stack([lo, hi])
+        for _ in range(GRID_TREE_DEPTH):
+            finer = np.empty((2 * len(points) - 1, 2))
+            finer[0::2] = points
+            finer[1::2] = 0.5 * (points[:-1] + points[1:])
+            points = finer
+        inner = points[1:-1]
+        below = attenuation_exponent(seq, noise, inner) + t1_term(inner) < targets
+        i_lo, i_hi = [0, 0], [len(points) - 1] * 2
+        for _ in range(GRID_TREE_DEPTH):
+            for end in range(2):
+                i_mid = (i_lo[end] + i_hi[end]) // 2
+                if below[i_mid - 1, end]:
+                    i_lo[end] = i_mid
+                else:
+                    i_hi[end] = i_mid
+        lo, hi = points[i_lo, [0, 1]], points[i_hi, [0, 1]]
     t_lo, t_hi = 0.5 * (lo + hi)
     return np.geomspace(max(t_lo, 1e-15), t_hi, n_points)
 

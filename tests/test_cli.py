@@ -340,6 +340,17 @@ def test_fit_command_roundtrip(tmp_path):
     assert result["converged"] is True
 
 
+def test_decay_coupling_overflow_exits_4(tmp_path, capsys):
+    # (b * tau_c)^2 overflows a float: a numerical failure, not a crash.
+    argv = ["decay", "--sequence", "hahn", "--noise-preset", "none", "--b-rad-s", "1e200", "--tau-c-s", "1e-6"]
+    code = main([*argv, "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_command_missing_input_exits_2(tmp_path):
     assert main(["fit", "--output-dir", str(tmp_path)]) == 2
 
@@ -667,3 +678,14 @@ def test_help_lists_all_config_keys():
             assert "--" + name.replace("_", "-") in text
             for value in getattr(typ, "choices", ()):
                 assert value in text, (command, name, value)
+
+
+def test_help_shows_no_none_default():
+    import io
+    from contextlib import redirect_stdout
+
+    for command in COMMANDS:
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            assert main([command, "--help"]) == 0
+        assert "[default:None]" not in "".join(buffer.getvalue().split()), command

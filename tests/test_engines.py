@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvforge import engines
 from nvforge.curves import DecayCurve
 from nvforge.engines import (
+    GRID_DECAY_HI,
+    GRID_DECAY_LO,
     HyperfineTriplet,
     attenuation_exponent,
     decay_time_grid,
@@ -14,6 +18,7 @@ from nvforge.engines import (
     simulate_mc,
     t2_vs_n,
 )
+from nvforge.levmar import NumericalFailure
 from nvforge.noise import NoiseModel, ou_cell_coefficients
 from nvforge.presets import paper_like_noise, slow_bath_noise
 from nvforge.sequences import build_sequence
@@ -55,6 +60,34 @@ def pairwise_chi(seq, noise, total_t):
         cross = tau * tau * one_m[j] * one_m[j + 1 :] * np.exp(-gaps / tau)
         chi += 2.0 * float(np.sum(signs[j] * signs[j + 1 :] * cross))
     return 0.5 * noise.b_rad_s**2 * chi
+
+
+def binary_bisection_grid(seq, noise, n_points=24):
+    """Reference grid: one kernel call per probe doubling and per bisection step."""
+
+    def total_exponent(t):
+        extra = 0.0
+        if not math.isinf(noise.t1_s):
+            extra = (t / noise.t1_s) ** noise.t1_exponent_q
+        return attenuation_exponent(seq, noise, t) + extra
+
+    probe = noise.tau_c_s
+    for _ in range(200):
+        if total_exponent(probe) >= GRID_DECAY_HI:
+            break
+        probe *= 2.0
+    else:
+        raise ValueError("noise model produces no appreciable decay")
+
+    targets = np.array([GRID_DECAY_LO, GRID_DECAY_HI])
+    lo, hi = np.zeros(2), np.full(2, probe)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = total_exponent(mid) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    t_lo, t_hi = 0.5 * (lo + hi)
+    return np.geomspace(max(t_lo, 1e-15), t_hi, n_points)
 
 
 @pytest.mark.parametrize(
@@ -391,6 +424,86 @@ def test_decay_time_grid_spans_requested_decay():
 def test_decay_time_grid_rejects_no_decay():
     with pytest.raises(ValueError):
         decay_time_grid(build_sequence("hahn", 1e-6), NoiseModel(0.0, 1e-6))
+
+
+GRID_SEQUENCES = [
+    ("ramsey", None), ("hahn", None), ("xy4", None), ("xy8", None),
+    ("cpmg", 1), ("cpmg", 7), ("cpmg", 64), ("cpmg", 256),
+]
+
+
+@pytest.mark.parametrize("kind,n", GRID_SEQUENCES)
+@pytest.mark.parametrize("b_tau", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("t1", [math.inf, 1e-4])
+def test_decay_time_grid_equals_binary_bisection(kind, n, b_tau, t1):
+    tau_c = 1e-6
+    noise = NoiseModel(b_tau / tau_c, tau_c, t1, 1.32)
+    seq = build_sequence(kind, 1e-6, n=n)
+    assert np.array_equal(decay_time_grid(seq, noise), binary_bisection_grid(seq, noise))
+
+
+@pytest.mark.parametrize("kind,n", GRID_SEQUENCES)
+@pytest.mark.parametrize("preset", [paper_like_noise, slow_bath_noise])
+def test_decay_time_grid_equals_binary_bisection_on_presets(kind, n, preset):
+    seq = build_sequence(kind, 1e-6, n=n)
+    noise = preset()
+    grid = decay_time_grid(seq, noise, n_points=40)
+    assert np.array_equal(grid, binary_bisection_grid(seq, noise, n_points=40))
+
+
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["ramsey", "hahn", "xy4", "xy8", "cpmg"]),
+    n=st.integers(1, 256),
+    b_tau=log_uniform(1e-2, 1e2),
+    tau_c=log_uniform(1e-8, 1e-2),
+    t1_over_tau_c=st.one_of(st.just(math.inf), log_uniform(1e-1, 1e4)),
+    q=st.floats(0.5, 3.0),
+)
+def test_decay_time_grid_equals_binary_bisection_property(kind, n, b_tau, tau_c, t1_over_tau_c, q):
+    noise = NoiseModel(b_tau / tau_c, tau_c, t1_over_tau_c * tau_c, q)
+    seq = build_sequence(kind, 1e-6, n=n)
+    assert np.array_equal(decay_time_grid(seq, noise), binary_bisection_grid(seq, noise))
+
+
+@pytest.mark.parametrize("kind,n", [("hahn", None), ("xy8", None), ("cpmg", 256)])
+def test_decay_time_grid_kernel_calls(monkeypatch, kind, n):
+    calls = []
+    kernel = engines._chi
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(engines, "_chi", counted)
+    for noise in (NoiseModel(1e6, 1e-6), paper_like_noise()):
+        calls.clear()
+        decay_time_grid(build_sequence(kind, 1e-6, n=n), noise)
+        assert len(calls) <= 18
+
+
+def test_decay_time_grid_ignores_overflow_past_the_bracket():
+    # b * tau_c = 1: the bracket is tau_c * 4, and tau_c * 2^k overflows
+    # from k = 11 on, where chi is no longer finite.
+    noise = NoiseModel(1e-305, 1e305)
+    seq = build_sequence("ramsey", 1e-6)
+    assert np.array_equal(decay_time_grid(seq, noise), binary_bisection_grid(seq, noise))
+
+
+@pytest.mark.parametrize(
+    "b,tau_c",
+    [
+        (1e-308, 1e305),  # tau_c * 2^k overflows before chi reaches the bracket
+        (1e200, 1e-6),  # (b * tau_c)^2 overflows
+    ],
+)
+def test_decay_time_grid_non_finite_chi_before_bracket(b, tau_c):
+    with pytest.raises(NumericalFailure):
+        decay_time_grid(build_sequence("ramsey", 1e-6), NoiseModel(b, tau_c))
 
 
 def test_decay_curve_validation():

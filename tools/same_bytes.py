@@ -13,10 +13,12 @@ of the Raman spectrum, which has no NV0 line and exits 4), every ``fit``
 model on the Hahn and fig7 curves, record edge cases (a chopped
 molecular implant plan, a DC-only sensitivity report, a spot scan that finds
 no spot) and fixed-value options (upper-case ``--engine``/``--sequence``
-values, an unknown fixtures target, a misspelt ``--grid``).  Per command, the exit code, stdout, stderr (with the export
-directory replaced by ``<ROOT>``) and every output file except
-``manifest.json`` are compared.  Prints each difference; exits 1 if there
-is any, 0 otherwise.
+values, an unknown fixtures target, a misspelt ``--grid``) and decay-time
+grid cases (CPMG(256) on the paper-like and slow-bath presets, a bath with
+no decay, a coupling whose square overflows).  Per command, the exit code,
+stdout, stderr (with the export directory replaced by ``<ROOT>``) and every
+output file except ``manifest.json`` are compared.  Prints each
+difference; exits 1 if there is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ def script() -> list[tuple[str, list[str]]]:
         ("hahn_mc_upper", ["decay", "--engine", "MC", "--sequence", "HAHN"]),
         ("fixtures_fig99", ["fixtures", "--target", "fig99"]),
         ("grid_linaer", ["decay", "--grid", "linaer", "--t-min-s", "1e-7", "--t-max-s", "1e-5"]),
+        ("cpmg256", ["decay", "--sequence", "cpmg", "--n-pulses", "256"]),
+        ("cpmg256_slow", ["decay", "--sequence", "cpmg", "--n-pulses", "256", "--noise-preset", "slow-bath"]),
+        ("grid_no_decay", ["decay", "--noise-preset", "none", "--b-rad-s", "0", "--tau-c-s", "1e-6"]),
+        ("grid_overflow", ["decay", "--sequence", "hahn", "--noise-preset", "none", "--b-rad-s", "1e200",
+                           "--tau-c-s", "1e-6"]),
     ]
     curves = ["hahn/decay_analytic.csv"] + [f"fig7_0/fig7_cpmg{n:02d}.csv" for n in (4, 8, 16, 32, 64)]
     for curve in curves:
