@@ -259,7 +259,7 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     # with the same 0.5 * (lo + hi) arithmetic, evaluated together, and the
     # steps are then replayed on their indices: lo and hi come out bit for
     # bit as from one kernel call per step.  They stop changing once lo and
-    # hi are adjacent floats, after 54-62 of the 80 steps on typical baths.
+    # hi are adjacent floats, which takes 54-70 steps on typical baths.
     targets = np.array([GRID_DECAY_LO, GRID_DECAY_HI])
     lo, hi = np.zeros(2), np.full(2, probe)
     for _ in range(GRID_BISECTION_STEPS // GRID_TREE_DEPTH):

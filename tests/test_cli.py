@@ -674,18 +674,8 @@ def test_help_lists_all_config_keys():
             code = main([command, "--help"])
         assert code == 0
         text = "".join(buffer.getvalue().split())  # argparse wraps lines, also at hyphens
+        assert "[default:None]" not in text, command
         for name, (typ, _, _) in spec.options.items():
             assert "--" + name.replace("_", "-") in text
             for value in getattr(typ, "choices", ()):
                 assert value in text, (command, name, value)
-
-
-def test_help_shows_no_none_default():
-    import io
-    from contextlib import redirect_stdout
-
-    for command in COMMANDS:
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            assert main([command, "--help"]) == 0
-        assert "[default:None]" not in "".join(buffer.getvalue().split()), command
