@@ -58,11 +58,11 @@ def seeded_rng(seed: int, stream: int) -> Generator:
 
 def _chi(seq: PulseSequence, noise: NoiseModel, times_s) -> np.ndarray:
     """Unchecked chi(t) as an array: inf or nan where it overflows, with no warning."""
-    try:
-        scale = (noise.b_rad_s * noise.tau_c_s) ** 2
-    except OverflowError:  # b*tau_c beyond ~1.3e154: every chi(t) > 0 is inf
-        scale = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            scale = (noise.b_rad_s * noise.tau_c_s) ** 2
+        except OverflowError:  # b*tau_c beyond ~1.3e154 on Python floats: chi(t) > 0 is inf
+            scale = math.inf
         x = seq.cell_lengths(times_s) / noise.tau_c_s
         alpha = np.exp(-x)
         one_m = -np.expm1(-x)
@@ -258,14 +258,11 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     # 2^depth - 1 dyadic points of (lo, hi).  They are built level by level
     # with the same 0.5 * (lo + hi) arithmetic, evaluated together, and the
     # steps are then replayed on their indices: lo and hi come out bit for
-    # bit as from one kernel call per step.  They stop changing once lo and
-    # hi are adjacent floats, which takes 54-70 steps on typical baths.
+    # bit as from one kernel call per step, provided the kernel gives each
+    # point the same value whatever else is in its call.
     targets = np.array([GRID_DECAY_LO, GRID_DECAY_HI])
     lo, hi = np.zeros(2), np.full(2, probe)
     for _ in range(GRID_BISECTION_STEPS // GRID_TREE_DEPTH):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break  # no float lies between lo and hi: later steps change nothing
         points = np.stack([lo, hi])
         for _ in range(GRID_TREE_DEPTH):
             finer = np.empty((2 * len(points) - 1, 2))

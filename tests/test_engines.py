@@ -499,6 +499,7 @@ def test_decay_time_grid_ignores_overflow_past_the_bracket():
     [
         (1e-308, 1e305),  # tau_c * 2^k overflows before chi reaches the bracket
         (1e200, 1e-6),  # (b * tau_c)^2 overflows
+        (np.float64(1e200), 1e-6),  # the same on numpy floats, where it warns instead
     ],
 )
 def test_decay_time_grid_non_finite_chi_before_bracket(b, tau_c):

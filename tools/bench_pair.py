@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Benchmark two revisions of nvforge against each other; write BENCH_<PR>.json.
 
-    python3 tools/bench_pair.py PARENT CANDIDATE --pr 10 [--seeds 1 2 3]
-        [--seconds 25] [--workload decay-sweep ...]
+    python3 tools/bench_pair.py PARENT CANDIDATE --pr 10 [--seeds 1 2 ... 10]
 
 Each revision is exported with ``git archive`` into its own temporary
-directory, so each runs the benchmark harness it was committed with.  For
-every workload (default: all in ``BENCHMARK.json``) and seed,
-``perfbench/run.py --trace 0`` runs once on each export, one pair at a
-time; the parent goes first in even pairs and second in odd ones, so a slow
-drift of the machine hits both sides alike.
+directory, so each runs the benchmark harness it was committed with, at
+that harness's own run length.  For every workload in ``BENCHMARK.json``
+and every seed (default: 1 to 10), ``perfbench/run.py --trace 0`` runs once
+on each export, one pair at a time; the parent goes first in even pairs
+and second in odd ones, so a slow drift of the machine hits both sides
+alike.
 
-``BENCH_<PR>.json`` (in the current directory) holds, per workload and
-side, every run's end-to-end metrics with their median and quartiles,
-``correct`` (every run correct) and the ``failed`` op counts; per metric,
-the candidate/parent ratio of medians and the number of pairs in which the
-candidate was better; and the env block perfbench printed.
+``BENCH_<PR>.json`` (in the current directory) holds each side's commit and
+run length; per workload and side, every run's end-to-end metrics with
+their median and quartiles, ``correct`` (every run correct) and the
+``failed`` op counts; per metric, the candidate/parent ratio of medians and
+the number of pairs in which the candidate was better; and the env block
+perfbench printed.
 """
 
 from __future__ import annotations
@@ -28,26 +29,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from same_bytes import REPO, export
 
 
-def export(rev: str, root: Path) -> str:
-    """Extract ``rev`` into ``root``; return its full commit hash."""
-    root.mkdir()
-    archive = subprocess.Popen(["git", "-C", str(REPO), "archive", rev], stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", str(root)], stdin=archive.stdout, check=True)
-    if archive.wait() != 0:
-        sys.exit(f"git archive {rev} failed")
+def commit_of(rev: str) -> str:
     done = subprocess.run(["git", "-C", str(REPO), "rev-parse", f"{rev}^{{commit}}"],
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run: its result object plus the env block."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=root, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
@@ -105,29 +100,28 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent")
     parser.add_argument("candidate")
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<PR>.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json)")
-    parser.add_argument("--workload", action="append", help="repeatable (default: every workload)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     args = parser.parse_args(argv)
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    report = {"seconds": seconds, "seeds": args.seeds, "env": None, "workloads": {}}
+    report = {"seeds": args.seeds, "env": None, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         roots = {}
         for side, rev in (("parent", args.parent), ("candidate", args.candidate)):
             roots[side] = Path(tmp) / side
-            report[side] = {"rev": rev, "commit": export(rev, roots[side])}
+            export(rev, roots[side])
+            seconds = json.loads((roots[side] / "BENCHMARK.json").read_text())["run_seconds"]
+            report[side] = {"rev": rev, "commit": commit_of(rev), "seconds": seconds}
         for workload in workloads:
             runs = {"parent": [], "candidate": []}
             for i, seed in enumerate(args.seeds):
                 order = ("parent", "candidate") if i % 2 == 0 else ("candidate", "parent")
                 for side in order:
-                    run = run_once(roots[side], workload, seed, seconds)
+                    run = run_once(roots[side], workload, seed)
                     runs[side].append(run)
                     report["env"] = report["env"] or run.get("env")
                     value = run.get("metrics", {}).get("ops_per_s", {}).get("value")

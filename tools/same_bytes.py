@@ -94,13 +94,18 @@ def script() -> list[tuple[str, list[str]]]:
     return steps
 
 
-def run_revision(rev: str, root: Path) -> dict[str, tuple]:
-    """Export ``rev`` into ``root``, run the script there, collect the results."""
+def export(rev: str, root: Path) -> None:
+    """Extract the files of revision ``rev`` into the new directory ``root``."""
     root.mkdir()
     archive = subprocess.Popen(["git", "-C", str(REPO), "archive", rev], stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(root)], stdin=archive.stdout, check=True)
     if archive.wait() != 0:
         sys.exit(f"git archive {rev} failed")
+
+
+def run_revision(rev: str, root: Path) -> dict[str, tuple]:
+    """Export ``rev`` into ``root``, run the script there, collect the results."""
+    export(rev, root)
     env = {k: v for k, v in os.environ.items() if k not in ("NVFORGE_SEED", "PYTHONWARNINGS")}
     env["PYTHONPATH"] = str(root / "src")
     results = {}
