@@ -143,10 +143,17 @@ def _cmd_decay(opts: dict, seed: int, out_dir: Path) -> list[Path]:
         return _write(out_dir, files)
     diff = curves["mc"].signal - curves["analytic"].signal
     rms = float(np.sqrt(np.mean(diff**2)))
+    stderr = np.asarray(curves["mc"].meta["mc_stderr"])
+    z = np.abs(diff[stderr > 0]) / stderr[stderr > 0]
     files["engine_comparison.json"] = {
         "rms_difference": rms,
         "tolerance": ENGINE_RMS_TOLERANCE,
         "within_tolerance": rms <= ENGINE_RMS_TOLERANCE,
+        "max_abs_z": float(z.max(initial=0.0)),
+        "n_abs_z_over_3": int(np.count_nonzero(z > 3.0)),
+        "z_note": "z = (mc - analytic) / mc_stderr per point with mc_stderr > 0; "
+        "the MC points share their normal draws, so their z-scores are correlated, "
+        "not independent",
     }
     outputs = _write(out_dir, files)
     if rms > ENGINE_RMS_TOLERANCE:

@@ -23,10 +23,14 @@ Monte-Carlo runs are bit-reproducible for a fixed seed regardless of
 evaluation order: trajectories are partitioned into fixed-size blocks and
 each block draws from its own counter-based Philox stream keyed by
 (seed, block index).  Block partial sums are combined in index order.
+Every time point has the same number of cells, so each draw drives all
+time points at once: the points are correlated, each stays exact in
+distribution, and a point's value does not depend on the other points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +44,10 @@ from .noise import NoiseModel, ou_cell_coefficients
 from .sequences import PulseSequence, build_sequence
 
 MC_BLOCK_SIZE = 16384
+#: Trajectories per chunk of a block; a chunk's draws drive all time points at once.
+MC_CHUNK_SIZE = 2048
+#: Layout of the MC draws, recorded in the sidecar; it changes with the MC bytes.
+MC_STREAM = 2
 
 #: Decay window of :func:`decay_time_grid`, in -ln(signal).
 GRID_DECAY_LO = 0.02
@@ -101,34 +109,48 @@ def simulate_analytic(seq: PulseSequence, noise: NoiseModel, times_s) -> DecayCu
     return DecayCurve(times_s=times, signal=signal, meta=meta)
 
 
-def _mc_block_sums(
-    seed: int,
-    block_index: int,
-    block_n: int,
-    cell_coeffs: list[list[tuple[float, float, float, float, float, int]]],
-    b_rad_s: float,
+def _mc_chunk_sums(
+    rng: Generator, chunk_n: int, coeffs: np.ndarray, b_rad_s: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and sum-of-squares of cos(phase) for one trajectory block.
+    """Sum and sum-of-squares of cos(phase) at every time point over chunk_n trajectories.
 
-    The draw order (per time point, per cell: one initial value, then one
-    (z1, z2) pair per cell) is fixed, and the stream is keyed by
-    (seed, block_index) only, so blocks can be evaluated in any order.
+    ``coeffs[k]`` holds cell k's (alpha, m_i, l11, l21, l22) as columns of
+    shape (n_times, 1), with the cell's sign folded into m_i, l21 and l22.
+    The chunk draws one initial value per trajectory, then one (z1, z2) pair
+    per cell, and every draw drives all time points at once by
+    broadcasting, so a time point's sums depend only on its own column.
+    """
+    x = np.empty((coeffs.shape[2], chunk_n))
+    x[:] = b_rad_s * rng.standard_normal(chunk_n)
+    phase = np.zeros_like(x)
+    term = np.empty_like(x)
+    for alpha, m_i, l11, l21, l22 in coeffs:
+        z1, z2 = rng.standard_normal((2, chunk_n))
+        # phase += m_i x + l21 z1 + l22 z2 and x = alpha x + l11 z1, in place.
+        phase += np.multiply(m_i, x, out=term)
+        phase += np.multiply(l21, z1, out=term)
+        phase += np.multiply(l22, z2, out=term)
+        x *= alpha
+        x += np.multiply(l11, z1, out=term)
+    cos = np.cos(phase, out=phase)
+    return cos.sum(axis=1), np.square(cos, out=term).sum(axis=1)
+
+
+def _mc_block_sums(
+    seed: int, block_index: int, block_n: int, coeffs: np.ndarray, b_rad_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and sum-of-squares of cos(phase) at every time point for one trajectory block.
+
+    The block is walked in chunks of MC_CHUNK_SIZE trajectories, which
+    bounds the working arrays at (n_times, MC_CHUNK_SIZE).  The draw order
+    is fixed and the stream is keyed by (seed, block_index) only, so blocks
+    can be evaluated in any order.
     """
     rng = seeded_rng(seed, block_index)
-    n_times = len(cell_coeffs)
-    sums = np.empty(n_times)
-    sums_sq = np.empty(n_times)
-    for it in range(n_times):
-        x = b_rad_s * rng.standard_normal(block_n)
-        phase = np.zeros(block_n)
-        for alpha, m_i, l11, l21, l22, sign in cell_coeffs[it]:
-            z = rng.standard_normal((2, block_n))
-            phase += sign * (m_i * x + l21 * z[0] + l22 * z[1])
-            x = alpha * x + l11 * z[0]
-        c = np.cos(phase)
-        sums[it] = c.sum()
-        sums_sq[it] = (c * c).sum()
-    return sums, sums_sq
+    sums = np.zeros((2, coeffs.shape[2]))
+    for start in range(0, block_n, MC_CHUNK_SIZE):
+        sums += _mc_chunk_sums(rng, min(MC_CHUNK_SIZE, block_n - start), coeffs, b_rad_s)
+    return sums[0], sums[1]
 
 
 def simulate_mc(
@@ -141,21 +163,26 @@ def simulate_mc(
 ) -> DecayCurve:
     """Monte-Carlo coherence curve <cos(phase)> * exp(-(t/T1)^q).
 
-    Bit-identical output for identical (seed, n_traj, times).  Per-point
-    standard errors of the Monte-Carlo mean are stored in
+    Bit-identical output for identical (seed, n_traj, times), and each
+    point's value does not depend on the other points in ``times``.  All
+    points share their normal draws, so their errors are correlated.
+    Per-point standard errors of the Monte-Carlo mean are stored in
     ``meta["mc_stderr"]``.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     times = np.asarray(times_s, dtype=float)
 
-    cell_coeffs = [
+    lengths = seq.cell_lengths(times)
+    n_cells = lengths.shape[-1]
+    cells = np.array(
         [
-            (*ou_cell_coefficients(noise.b_rad_s, noise.tau_c_s, length), (-1) ** k)
-            for k, length in enumerate(lengths)
+            ou_cell_coefficients(noise.b_rad_s, noise.tau_c_s, length)
+            for length in lengths.T.ravel().tolist()
         ]
-        for lengths in seq.cell_lengths(times).tolist()
-    ]
+    ).reshape(n_cells, times.size, 5)
+    cells[1::2, :, [1, 3, 4]] *= -1.0  # odd cells carry the sign -1
+    coeffs = np.ascontiguousarray(cells.transpose(0, 2, 1)[..., None])
 
     n_blocks = (n_traj + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     sums = np.zeros((n_blocks, times.size))
@@ -163,12 +190,12 @@ def simulate_mc(
     order = range(n_blocks) if _block_order is None else _block_order
     for ib in order:
         block_n = min(MC_BLOCK_SIZE, n_traj - ib * MC_BLOCK_SIZE)
-        sums[ib], sums_sq[ib] = _mc_block_sums(
-            seed, ib, block_n, cell_coeffs, noise.b_rad_s
-        )
+        sums[ib], sums_sq[ib] = _mc_block_sums(seed, ib, block_n, coeffs, noise.b_rad_s)
 
-    mean = sums.sum(axis=0) / n_traj
-    var = np.clip(sums_sq.sum(axis=0) / n_traj - mean**2, 0.0, None)
+    # Block sums are added in index order, one block at a time, so every
+    # point is summed the same way whatever the size of ``times``.
+    mean = functools.reduce(np.add, sums) / n_traj
+    var = np.clip(functools.reduce(np.add, sums_sq) / n_traj - mean**2, 0.0, None)
     t1_factor = noise.longitudinal_factor(times)
     signal = mean * t1_factor
     stderr = np.sqrt(var / n_traj) * t1_factor
@@ -177,6 +204,7 @@ def simulate_mc(
         "engine": "mc",
         "seed": int(seed),
         "n_traj": int(n_traj),
+        "mc_stream": MC_STREAM,
         "noise": noise.as_dict(),
         "mc_stderr": stderr.tolist(),
     }
@@ -235,9 +263,14 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     """
 
     def t1_term(t):
+        """(t/T1)^q; like chi, it overflows to inf without a warning."""
         if math.isinf(noise.t1_s):
             return 0.0
-        return (t / noise.t1_s) ** noise.t1_exponent_q
+        with np.errstate(over="ignore"):
+            try:
+                return (t / noise.t1_s) ** noise.t1_exponent_q
+            except OverflowError:  # on the probe scan's Python floats
+                return math.inf
 
     # Upper bracket: the first tau_c * 2^k whose exponent reaches
     # GRID_DECAY_HI.  chi is evaluated on every candidate in one call; a

@@ -50,6 +50,41 @@ class NoiseModel:
         }
 
 
+#: Below this L/tau_c, the conditional variance of a cell's noise integral
+#: comes from its Taylor series: the closed form's two terms cancel there.
+SHORT_CELL_SWITCH = 0.5
+#: Coefficients of x^3, x^5, ..., x^21 in 2 (x - 2 tanh(x/2)), from the tanh
+#: series; the first left out changes the sum by < 1e-16 relative below the switch.
+SHORT_CELL_SERIES = (
+    1 / 6,
+    -1 / 60,
+    17 / 10080,
+    -31 / 181440,
+    691 / 39916800,
+    -5461 / 3113510400,
+    929569 / 5230697472000,
+    -3202291 / 177843714048000,
+    221930581 / 121645100408832000,
+    -4722116521 / 25545471085854720000,
+)
+
+
+def conditional_integral_variance(x: float) -> float:
+    """Var(I | x0, x(L)) / (b^2 tau_c^2) for a cell of x = L/tau_c, i.e. 2 (x - 2 tanh(x/2)).
+
+    Below SHORT_CELL_SWITCH the series x^3/6 - x^5/60 + 17 x^7/10080 - ...
+    is summed by Horner's rule, so the result keeps full relative precision
+    down to the shortest cells.
+    """
+    if x >= SHORT_CELL_SWITCH:
+        return 2.0 * (x - 2.0 * math.tanh(0.5 * x))
+    y = x * x
+    acc = 0.0
+    for c in reversed(SHORT_CELL_SERIES):
+        acc = c + y * acc
+    return x * y * acc
+
+
 def ou_cell_coefficients(b_rad_s: float, tau_c_s: float, length_s: float):
     """Exact joint update coefficients for one sign-constant cell.
 
@@ -62,7 +97,8 @@ def ou_cell_coefficients(b_rad_s: float, tau_c_s: float, length_s: float):
 
     with alpha = exp(-L/tau_c), m_i = tau_c * (1 - alpha), z1, z2 iid
     standard normals, and (L11, L21, L22) the Cholesky factors of the
-    conditional covariance.  Returns (alpha, m_i, L11, L21, L22).
+    conditional covariance; L22^2 = Var(I) - L21^2 is taken from
+    :func:`conditional_integral_variance`.  Returns (alpha, m_i, L11, L21, L22).
     """
     tau = tau_c_s
     alpha = math.exp(-length_s / tau)
@@ -70,11 +106,10 @@ def ou_cell_coefficients(b_rad_s: float, tau_c_s: float, length_s: float):
     b2 = b_rad_s * b_rad_s
     var_x = b2 * one_m * (1.0 + alpha)
     cov_xi = b2 * tau * one_m * one_m
-    var_i = b2 * (2.0 * tau * length_s - 2.0 * tau * tau * one_m - tau * tau * one_m * one_m)
     l11 = math.sqrt(max(var_x, 0.0))
     if l11 > 0.0:
         l21 = cov_xi / l11
     else:
         l21 = 0.0
-    l22 = math.sqrt(max(var_i - l21 * l21, 0.0))
+    l22 = b_rad_s * tau * math.sqrt(conditional_integral_variance(length_s / tau))
     return alpha, tau * one_m, l11, l21, l22

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +215,19 @@ def test_decay_mc_seeded_byte_identical(tmp_path):
     assert _output_bytes(out1) == _output_bytes(out2)
 
 
+def _assert_z_verdict_matches_curves(out_dir, report):
+    """max |z| and the count of |z| > 3, recomputed from the written curves."""
+    mc = dataio.read_decay_csv(out_dir / "decay_mc.csv")
+    analytic = dataio.read_decay_csv(out_dir / "decay_analytic.csv")
+    stderr = np.array(mc.meta["mc_stderr"])
+    assert mc.meta["mc_stream"] == 2
+    assert np.all(stderr > 0)
+    z = np.abs(mc.signal - analytic.signal) / stderr
+    assert report["max_abs_z"] == float(np.max(z))
+    assert report["n_abs_z_over_3"] == int(np.sum(z > 3))
+    assert "correlated" in report["z_note"]
+
+
 def test_decay_both_engines_within_tolerance(tmp_path):
     code = main(
         [
@@ -233,6 +248,7 @@ def test_decay_both_engines_within_tolerance(tmp_path):
     report = _read_json(tmp_path / "engine_comparison.json")
     assert report["within_tolerance"] is True
     assert report["rms_difference"] <= 0.02
+    _assert_z_verdict_matches_curves(tmp_path, report)
 
 
 def test_decay_engine_mismatch_exits_3(tmp_path):
@@ -257,6 +273,7 @@ def test_decay_engine_mismatch_exits_3(tmp_path):
     assert code == 3
     report = _read_json(tmp_path / "engine_comparison.json")
     assert report["within_tolerance"] is False
+    _assert_z_verdict_matches_curves(tmp_path, report)
 
 
 @pytest.mark.parametrize(
@@ -349,6 +366,22 @@ def test_decay_coupling_overflow_exits_4(tmp_path, capsys):
     assert err.startswith("numerical failure:")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_decay_grid_t1_overflow_exits_0(tmp_path, capsys):
+    # (t/T1)^q overflows a float in the grid's bracket search: the exponent
+    # is infinite there, as chi's is, not a crash.
+    argv = ["decay", "--sequence", "hahn", "--noise-preset", "none", "--b-rad-s", "0",
+            "--tau-c-s", "1e-6", "--t1-s", "1e-6", "--t1-q", "2000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "Traceback" not in err
+    curve = dataio.read_decay_csv(tmp_path / "decay_analytic.csv")
+    assert curve.signal[0] == pytest.approx(math.exp(-0.02), rel=1e-9)
+    assert curve.signal[-1] == pytest.approx(math.exp(-3.0), rel=1e-9)
 
 
 def test_fit_command_missing_input_exits_2(tmp_path):

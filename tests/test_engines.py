@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,12 @@ from nvforge.engines import (
     t2_vs_n,
 )
 from nvforge.levmar import NumericalFailure
-from nvforge.noise import NoiseModel, ou_cell_coefficients
+from nvforge.noise import (
+    SHORT_CELL_SWITCH,
+    NoiseModel,
+    conditional_integral_variance,
+    ou_cell_coefficients,
+)
 from nvforge.presets import paper_like_noise, slow_bath_noise
 from nvforge.sequences import build_sequence
 
@@ -239,6 +246,53 @@ def test_ou_cell_coefficients_short_cell_limit():
     assert l11**2 == pytest.approx(2 * b**2 * length / tau, rel=1e-9, abs=0.0)
 
 
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+def decimal_conditional_variance(x: float) -> Decimal:
+    """2 (x - 2 tanh(x/2)) = 2 (x - 2 (1 - e^-x) / (1 + e^-x)) in 80-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x = Decimal(x)
+        a = (-x).exp()
+        return 2 * (x - 2 * (1 - a) / (1 + a))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(x=log_uniform(1e-12, 1e3))
+def test_ou_conditional_integral_variance_property(x):
+    # Var(I | x0, x(L)) = var_i - l21^2 over L/tau_c in [1e-12, 1e3]: exact
+    # to ~1e-14 relative on both sides of the switch, where the closed
+    # form's terms cancel below it.
+    want = decimal_conditional_variance(x)
+    got = conditional_integral_variance(x)
+    assert abs(Decimal(got) / want - 1) <= Decimal("2e-14")
+    if x < 1e-3:  # the leading terms of the series, exact in rationals
+        xf = Fraction(x)
+        series = xf**3 / 6 - xf**5 / 60 + 17 * xf**7 / 10080
+        assert abs(Fraction(got) / series - 1) <= Fraction(1, 10**15)
+    b, tau = 2.3e6, 1.7e-6
+    *_, l22 = ou_cell_coefficients(b, tau, x * tau)
+    assert abs(Decimal(l22) / (Decimal(b * tau) * want.sqrt()) - 1) <= Decimal("2e-14")
+
+
+def test_ou_conditional_integral_variance_is_continuous_at_the_switch():
+    below = conditional_integral_variance(math.nextafter(SHORT_CELL_SWITCH, 0.0))
+    at = conditional_integral_variance(SHORT_CELL_SWITCH)
+    assert at == pytest.approx(below, rel=1e-15, abs=0.0)
+    assert at == pytest.approx(float(decimal_conditional_variance(SHORT_CELL_SWITCH)), rel=2e-14, abs=0.0)
+
+
+def test_ou_cell_coefficients_short_cells_are_not_under_dispersed():
+    # L22 / (b sqrt(L^3 / (6 tau_c))) -> 1; the difference of the closed
+    # forms gave 0.99952 at L/tau_c = 1e-6 and 0 at 1e-8.
+    b, tau = 2.3e6, 1.7e-6
+    for x in (1e-12, 1e-8, 1e-6):
+        *_, l22 = ou_cell_coefficients(b, tau, x * tau)
+        assert l22 / (b * tau * math.sqrt(x**3 / 6)) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
 def test_mc_never_evaluates_chi(monkeypatch):
     seq = build_sequence("cpmg", 1e-6, n=4)
     noise = NoiseModel(1e6, 1e-6)
@@ -271,6 +325,29 @@ def test_mc_bit_reproducible_and_block_order_independent():
     assert np.array_equal(a.signal, shuffled.signal)
     other = simulate_mc(seq, noise, times, 50000, seed=8)
     assert not np.array_equal(a.signal, other.signal)
+
+
+def test_mc_point_does_not_depend_on_the_rest_of_its_call():
+    # The MC analogue of test_chi_array_call_equals_scalar_calls: all points
+    # share their draws, yet each point's signal and stderr come out bit for
+    # bit the same alone as inside a larger call.  Nine blocks, so the block
+    # sums must be added one block at a time for every shape, and a partial
+    # last chunk.
+    seq = build_sequence("cpmg", 1e-6, n=2)
+    noise = NoiseModel(1e6, 1e-6, t1_s=3e-5)
+    times = np.geomspace(1e-7, 2e-5, 6)
+    n_traj = 8 * engines.MC_BLOCK_SIZE + 3000
+    full = simulate_mc(seq, noise, times, n_traj, seed=4)
+    for i in range(times.size):
+        alone = simulate_mc(seq, noise, times[i : i + 1], n_traj, seed=4)
+        assert alone.signal[0] == full.signal[i]
+        assert alone.meta["mc_stderr"][0] == full.meta["mc_stderr"][i]
+
+
+def test_mc_sidecar_records_the_stream():
+    seq = build_sequence("hahn", 1e-6)
+    curve = simulate_mc(seq, NoiseModel(1e6, 1e-6), [1e-6], 100, seed=1)
+    assert curve.meta["mc_stream"] == 2
 
 
 def test_mc_motional_narrowing_agrees_with_analytic():
@@ -449,10 +526,6 @@ def test_decay_time_grid_equals_binary_bisection_on_presets(kind, n, preset):
     noise = preset()
     grid = decay_time_grid(seq, noise, n_points=40)
     assert np.array_equal(grid, binary_bisection_grid(seq, noise, n_points=40))
-
-
-def log_uniform(low, high):
-    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

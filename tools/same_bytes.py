@@ -15,9 +15,10 @@ molecular implant plan, a DC-only sensitivity report, a spot scan that finds
 no spot) and fixed-value options (upper-case ``--engine``/``--sequence``
 values, an unknown fixtures target, a misspelt ``--grid``) and decay-time
 grid cases (CPMG(256) on the paper-like and slow-bath presets, a bath with
-no decay, a coupling whose square overflows).  Per command, the exit code,
-stdout, stderr (with the export directory replaced by ``<ROOT>``) and every
-output file except ``manifest.json`` are compared.  Prints each
+no decay, a coupling whose square overflows, a T1 term that overflows in
+the bracket search).  Per command, the exit code, stdout, stderr (with the
+export directory replaced by ``<ROOT>``) and every output file except
+``manifest.json`` are compared.  Prints each
 difference; exits 1 if there is any, 0 otherwise.
 """
 
@@ -85,6 +86,8 @@ def script() -> list[tuple[str, list[str]]]:
         ("grid_no_decay", ["decay", "--noise-preset", "none", "--b-rad-s", "0", "--tau-c-s", "1e-6"]),
         ("grid_overflow", ["decay", "--sequence", "hahn", "--noise-preset", "none", "--b-rad-s", "1e200",
                            "--tau-c-s", "1e-6"]),
+        ("grid_t1_overflow", ["decay", "--sequence", "hahn", "--noise-preset", "none", "--b-rad-s", "0",
+                              "--tau-c-s", "1e-6", "--t1-s", "1e-6", "--t1-q", "2000"]),
     ]
     curves = ["hahn/decay_analytic.csv"] + [f"fig7_0/fig7_cpmg{n:02d}.csv" for n in (4, 8, 16, 32, 64)]
     for curve in curves:
