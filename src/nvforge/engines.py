@@ -172,6 +172,8 @@ def simulate_mc(
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     times = np.asarray(times_s, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("Monte-Carlo times must be >= 0")
 
     lengths = seq.cell_lengths(times)
     n_cells = lengths.shape[-1]

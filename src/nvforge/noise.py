@@ -54,7 +54,7 @@ class NoiseModel:
 #: comes from its Taylor series: the closed form's two terms cancel there.
 SHORT_CELL_SWITCH = 0.5
 #: Coefficients of x^3, x^5, ..., x^21 in 2 (x - 2 tanh(x/2)), from the tanh
-#: series; the first left out changes the sum by < 1e-16 relative below the switch.
+#: series; the first term left out is ~1e-16 of the sum at the switch.
 SHORT_CELL_SERIES = (
     1 / 6,
     -1 / 60,

@@ -282,8 +282,9 @@ def test_decay_engine_mismatch_exits_3(tmp_path):
         ["--t-min-s", "1e-7"],
         ["--n-times", "0", "--engine", "analytic"],
         ["--n-times", "0", "--engine", "both"],
+        ["--t-min-s=-1e-6", "--t-max-s", "1e-5", "--grid", "linear", "--engine", "mc"],
     ],
-    ids=["t_min_only", "no_points-analytic", "no_points-both"],
+    ids=["t_min_only", "no_points-analytic", "no_points-both", "negative_time-mc"],
 )
 def test_decay_partial_time_grid_exits_2(tmp_path, args):
     code = main(["decay", *args, "--output-dir", str(tmp_path)])
