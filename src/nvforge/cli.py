@@ -280,8 +280,9 @@ class Command:
     maps name -> (type, default, help with units); the names double as
     config keys.  The type parses flag and config-file values alike, and a
     :func:`~nvforge.config.choice` type's values are appended to the help.
-    ``positional`` is (name, choices, help); its value joins ``opts`` (and
-    so the manifest) but is not a config key.
+    ``positional`` is (name, choices, help), parsed with
+    :func:`~nvforge.config.choice`; its value joins ``opts`` (and so the
+    manifest) but is not a config key.
     """
 
     handler: Callable[[dict, int, Path], list[Path]]
@@ -375,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} subcommand")
         if command.positional:
             arg, choices, help_text = command.positional
-            p.add_argument(arg, choices=choices, help=help_text)
+            p.add_argument(arg, type=choice(*choices), help=help_text)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
         for option, (typ, default, help_text) in {**COMMON_OPTIONS, **command.options}.items():
             flag = "--" + option.replace("_", "-")

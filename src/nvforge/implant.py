@@ -127,13 +127,6 @@ def dose_to_time(beam: BeamConfig, target_dose_cm2: float) -> tuple[float, int |
     return duration, n_pulses
 
 
-def time_to_dose(beam: BeamConfig, duration_s: float) -> float:
-    """Atom dose delivered by running the beam for a given duration."""
-    if duration_s < 0:
-        raise ValueError("duration_s must be non-negative")
-    return duration_s * beam.atom_flux_cm2_s
-
-
 def range_straggle(energy_ev: float) -> tuple[float, float]:
     """Mean implantation depth and straggle (nm) from the calibrated power law.
 

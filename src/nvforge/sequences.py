@@ -1,22 +1,19 @@
 """Pulse-sequence construction for coherence measurements.
 
-Each sequence kind (Ramsey, Hahn echo, CPMG(n), XY4, XY8) is one row of
-:data:`SEQUENCE_KINDS`: its refocusing instants as fractions of the
-free-evolution window, the phases of its pi pulses and its total time in
-units of the pulse spacing.  Microwave pulses are ideal (zero width);
-what the decay engines consume is the split of the free-evolution window
-into sign-constant cells, exposed by :meth:`PulseSequence.cell_lengths`.
-
-Total free-evolution time conventions, for a sequence built with spacing
-``tau``: Ramsey evolves for ``tau``; Hahn for ``2*tau``; CPMG(n) for
-``2*n*tau`` with pi pulses at odd multiples of ``tau``; XY4 and XY8 share
-CPMG timing with n = 4 and n = 8 (totals ``8*tau`` and ``16*tau``) but use
-the phase patterns X-Y-X-Y and X-Y-X-Y-Y-X-Y-X.
+Every sequence kind has CPMG timing: n equally spaced pi pulses, pulse k
+at the fraction (2k - 1)/(2n) of the free-evolution window; Ramsey is
+n = 0.  Each kind (Ramsey, Hahn echo, CPMG(n), XY4, XY8) is one row of
+:data:`SEQUENCE_KINDS` giving n and the pulse phases; XY4 and XY8 are
+CPMG(4) and CPMG(8) with the phase patterns X-Y-X-Y and X-Y-X-Y-Y-X-Y-X.
+Microwave pulses are ideal (zero width); what the decay engines consume
+is the split of the free-evolution window into sign-constant cells,
+exposed by :meth:`PulseSequence.cell_lengths`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,48 +23,48 @@ XY8_PHASES = ("x", "y", "x", "y", "y", "x", "y", "x")
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """A pi-pulse pattern within one free-evolution window.
+    """n_pi equally spaced pi pulses, with their phases, in one free-evolution window.
 
-    ``pi_fractions`` are the refocusing instants as fractions of the total
-    free-evolution window and ``pi_phases`` their pulse phases, so the same
-    sequence object can be evaluated at any total evolution time.
+    The sequence carries no time scale, so the same object can be
+    evaluated at any total evolution time.
     """
 
     name: str
-    tau_s: float
-    pi_fractions: tuple[float, ...]
+    n_pi: int
     pi_phases: tuple[str, ...]
-    total_free_evolution_s: float
-
-    @property
-    def n_pi(self) -> int:
-        return len(self.pi_fractions)
-
-    def pi_pulse_times(self, total_t_s: float) -> list[float]:
-        """Refocusing instants within a free-evolution window of length t."""
-        return [f * total_t_s for f in self.pi_fractions]
 
     def cell_lengths(self, times_s) -> np.ndarray:
         """Lengths of the sign-constant cells for each total time t.
 
         Returns shape ``(*np.shape(times_s), n_pi + 1)``; cell k runs between
-        consecutive refocusing instants (or the window edges) and carries
-        the sign (-1)^k.
+        consecutive pi pulses (or the window edges) and carries the sign
+        (-1)^k.  Raises ``ValueError`` for a negative time.
         """
-        return np.multiply.outer(times_s, np.diff([0.0, *self.pi_fractions, 1.0]))
+        if np.less(times_s, 0.0).any():
+            raise ValueError("times must be >= 0")
+        return np.multiply.outer(times_s, self._unit_cells)
+
+    @cached_property
+    def _unit_cells(self) -> np.ndarray:
+        """Cell lengths of a unit window, between 0, the fractions (2k - 1)/(2n) and 1.
+
+        Computed once per sequence, since the engines call
+        :meth:`cell_lengths` on every kernel evaluation.
+        """
+        n = self.n_pi
+        edges = np.empty(n + 2)
+        edges[0], edges[-1] = 0.0, 1.0
+        edges[1:-1] = (2 * np.arange(1, n + 1) - 1) / (2 * n)  # empty, no warning, at n = 0
+        return edges[1:] - edges[:-1]
 
 
-def _cpmg_fractions(n: int) -> tuple[float, ...]:
-    return tuple((2 * k - 1) / (2 * n) for k in range(1, n + 1))
-
-
-# kind -> n -> (name, pi_fractions, pi_phases, total free evolution / tau)
+# kind -> n -> (name, n_pi, pi_phases)
 SEQUENCE_KINDS = {
-    "ramsey": lambda n: ("ramsey", (), (), 1),
-    "hahn": lambda n: ("hahn", (0.5,), ("y",), 2),
-    "cpmg": lambda n: (f"cpmg{n}", _cpmg_fractions(n), ("y",) * n, 2 * n),
-    "xy4": lambda n: ("xy4", _cpmg_fractions(4), XY4_PHASES, 8),
-    "xy8": lambda n: ("xy8", _cpmg_fractions(8), XY8_PHASES, 16),
+    "ramsey": lambda n: ("ramsey", 0, ()),
+    "hahn": lambda n: ("hahn", 1, ("y",)),
+    "cpmg": lambda n: (f"cpmg{n}", n, ("y",) * n),
+    "xy4": lambda n: ("xy4", 4, XY4_PHASES),
+    "xy8": lambda n: ("xy8", 8, XY8_PHASES),
 }
 
 
@@ -80,7 +77,8 @@ def build_sequence(kind: str, tau_s: float, n: int | None = None) -> PulseSequen
         A key of :data:`SEQUENCE_KINDS`: ``ramsey``, ``hahn``, ``cpmg``,
         ``xy4`` or ``xy8``.
     tau_s:
-        Pulse spacing (Ramsey: the full free-evolution time).
+        Pulse spacing.  It must be positive but sets no time scale: the
+        engines rescale the sequence to every total time they evaluate.
     n:
         Number of pi pulses, required for ``cpmg``.
 
@@ -96,5 +94,4 @@ def build_sequence(kind: str, tau_s: float, n: int | None = None) -> PulseSequen
         raise ValueError(f"unknown sequence kind: {kind!r}")
     if kind == "cpmg" and (n is None or n < 1):
         raise ValueError("cpmg requires n >= 1")
-    name, fractions, phases, spacings = SEQUENCE_KINDS[kind](n)
-    return PulseSequence(name, tau_s, fractions, phases, spacings * tau_s)
+    return PulseSequence(*SEQUENCE_KINDS[kind](n))

@@ -283,8 +283,13 @@ def test_decay_engine_mismatch_exits_3(tmp_path):
         ["--n-times", "0", "--engine", "analytic"],
         ["--n-times", "0", "--engine", "both"],
         ["--t-min-s=-1e-6", "--t-max-s", "1e-5", "--grid", "linear", "--engine", "mc"],
+        ["--t-min-s=-1e-6", "--t-max-s", "1e-5", "--grid", "linear", "--engine", "analytic"],
+        ["--t-min-s=-1e-6", "--t-max-s", "1e-5", "--grid", "linear", "--engine", "both"],
     ],
-    ids=["t_min_only", "no_points-analytic", "no_points-both", "negative_time-mc"],
+    ids=[
+        "t_min_only", "no_points-analytic", "no_points-both",
+        "negative_time-mc", "negative_time-analytic", "negative_time-both",
+    ],
 )
 def test_decay_partial_time_grid_exits_2(tmp_path, args):
     code = main(["decay", *args, "--output-dir", str(tmp_path)])
@@ -445,6 +450,20 @@ def test_implant_budget_below_one_ppb(tmp_path):
 
 def test_implant_bad_energy_exits_2(tmp_path):
     assert main(["implant", "plan", "--energy-ev", "100", "--output-dir", str(tmp_path)]) == 2
+
+
+def test_implant_action_matches_case_insensitively(tmp_path):
+    outputs = []
+    for action in ("plan", "PLAN"):
+        assert main(["implant", action, "--output-dir", str(tmp_path / action)]) == 0
+        outputs.append(_output_bytes(tmp_path / action))
+    assert outputs[0] == outputs[1]
+
+
+def test_implant_bad_action_exits_2_listing_the_choices(tmp_path, capsys):
+    assert main(["implant", "dose", "--output-dir", str(tmp_path / "out")]) == 2
+    assert "expected one of plan, budget; got 'dose'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scan_vdp_mode(tmp_path):

@@ -36,13 +36,18 @@ def ramsey_chi_closed_form(b, tau_c, t):
     return b**2 * tau_c**2 * (math.expm1(-x) + x)
 
 
+def pulse_times(n, total_t):
+    """CPMG(n) pi-pulse instants in a window of length total_t, independent of cell_lengths."""
+    return [(2 * k - 1) / (2 * n) * total_t for k in range(1, n + 1)]
+
+
 def riemann_chi(seq, b, tau_c, total_t, n=10000):
     """Brute-force midpoint double sum of the attenuation integral."""
     edges = np.linspace(0.0, total_t, n + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     h = total_t / n
     signs = np.ones(n)
-    for i, t_pi in enumerate(seq.pi_pulse_times(total_t)):
+    for i, t_pi in enumerate(pulse_times(seq.n_pi, total_t)):
         signs[mids > t_pi] = (-1) ** (i + 1)
     chi = 0.0
     chunk = 500
@@ -55,7 +60,7 @@ def riemann_chi(seq, b, tau_c, total_t, n=10000):
 def pairwise_chi(seq, noise, total_t):
     """O(n^2) reference: diagonal cell integrals plus every cell pair."""
     tau = noise.tau_c_s
-    edges = [0.0, *seq.pi_pulse_times(total_t), total_t]
+    edges = [0.0, *pulse_times(seq.n_pi, total_t), total_t]
     starts = np.array(edges[:-1])
     lengths = np.diff(edges)
     ends = starts + lengths
@@ -211,17 +216,22 @@ def test_refocusing_limit_many_pulses():
     assert abs(signal - t1_only) < 1e-3
 
 
-def test_cpmg1_identical_to_hahn_both_engines():
+@pytest.mark.parametrize(
+    "kind, n", [("hahn", 1), ("xy4", 4), ("xy8", 8)], ids=["hahn-cpmg1", "xy4-cpmg4", "xy8-cpmg8"]
+)
+def test_cpmg1_identical_to_hahn_both_engines(kind, n):
+    # Hahn, XY4 and XY8 are CPMG(1), CPMG(4) and CPMG(8): phases are not simulated.
     noise = NoiseModel(1e6, 1e-6)
     times = np.geomspace(1e-7, 1e-5, 10)
-    hahn = build_sequence("hahn", 1e-6)
-    cpmg1 = build_sequence("cpmg", 1e-6, n=1)
-    an_h = simulate_analytic(hahn, noise, times)
-    an_c = simulate_analytic(cpmg1, noise, times)
-    assert np.array_equal(an_h.signal, an_c.signal)
-    mc_h = simulate_mc(hahn, noise, times, 20000, seed=3)
-    mc_c = simulate_mc(cpmg1, noise, times, 20000, seed=3)
-    assert np.array_equal(mc_h.signal, mc_c.signal)
+    seq = build_sequence(kind, 1e-6)
+    cpmg = build_sequence("cpmg", 1e-6, n=n)
+    an_s = simulate_analytic(seq, noise, times)
+    an_c = simulate_analytic(cpmg, noise, times)
+    assert an_s.signal.tobytes() == an_c.signal.tobytes()
+    mc_s = simulate_mc(seq, noise, times, 20000, seed=3)
+    mc_c = simulate_mc(cpmg, noise, times, 20000, seed=3)
+    assert mc_s.signal.tobytes() == mc_c.signal.tobytes()
+    assert mc_s.meta["mc_stderr"] == mc_c.meta["mc_stderr"]
 
 
 def test_ou_cell_coefficients_stationary_statistics():

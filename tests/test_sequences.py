@@ -1,51 +1,56 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nvforge.sequences import build_sequence
 
 
+def reference_cell_lengths(n, times):
+    """Reference cells: the pi-pulse fractions divided one by one in Python floats."""
+    fractions = [(2 * k - 1) / (2 * n) for k in range(1, n + 1)]
+    return np.multiply.outer(times, np.diff([0.0, *fractions, 1.0]))
+
+
 def test_ramsey_has_no_pi_pulses():
     seq = build_sequence("ramsey", 2e-6)
-    assert seq.pi_fractions == ()
-    assert seq.total_free_evolution_s == 2e-6
-    assert seq.pi_pulse_times(1e-5) == []
+    assert (seq.n_pi, seq.pi_phases) == (0, ())
+    assert seq.cell_lengths(1e-5).tolist() == [1e-5]
 
 
 def test_hahn_timing():
     seq = build_sequence("hahn", 1e-6)
-    assert seq.total_free_evolution_s == 2e-6
-    assert seq.pi_pulse_times(2e-6) == [1e-6]
+    assert seq.cell_lengths(2e-6).tolist() == [1e-6, 1e-6]
 
 
 def test_cpmg1_timing_identical_to_hahn():
     hahn = build_sequence("hahn", 1e-6)
     cpmg1 = build_sequence("cpmg", 1e-6, n=1)
-    assert cpmg1.pi_fractions == hahn.pi_fractions
-    assert cpmg1.total_free_evolution_s == hahn.total_free_evolution_s
+    assert (cpmg1.n_pi, cpmg1.pi_phases) == (hahn.n_pi, hahn.pi_phases)
+    assert cpmg1.cell_lengths(2e-6).tobytes() == hahn.cell_lengths(2e-6).tobytes()
 
 
 def test_cpmg64_timing():
     seq = build_sequence("cpmg", 1e-6, n=64)
-    assert seq.total_free_evolution_s == pytest.approx(128e-6)
     assert seq.n_pi == 64
-    times = seq.pi_pulse_times(seq.total_free_evolution_s)
-    expected = [(2 * k - 1) * 1e-6 for k in range(1, 65)]
-    assert times == pytest.approx(expected)
+    cells = seq.cell_lengths(128e-6)
+    assert cells.tolist() == pytest.approx([1e-6, *[2e-6] * 63, 1e-6])
+    assert cells.sum() == pytest.approx(128e-6)
 
 
 def test_xy4_pattern():
     seq = build_sequence("xy4", 1e-6)
-    assert seq.total_free_evolution_s == pytest.approx(8e-6)
     assert seq.pi_phases == ("x", "y", "x", "y")
-    assert seq.pi_fractions == tuple((2 * k - 1) / 8 for k in range(1, 5))
+    assert seq.cell_lengths(8e-6).tolist() == pytest.approx([1e-6, 2e-6, 2e-6, 2e-6, 1e-6])
 
 
 def test_xy8_pattern():
     seq = build_sequence("xy8", 1e-6)
-    assert seq.total_free_evolution_s == pytest.approx(16e-6)
     assert seq.n_pi == 8
     assert seq.pi_phases == ("x", "y", "x", "y", "y", "x", "y", "x")
-    times = seq.pi_pulse_times(16e-6)
-    assert times == pytest.approx([(2 * k - 1) * 1e-6 for k in range(1, 9)])
+    xy8, cpmg8 = seq.cell_lengths(16e-6), build_sequence("cpmg", 1e-6, n=8).cell_lengths(16e-6)
+    assert xy8.tobytes() == cpmg8.tobytes()
+    assert xy8.tolist() == pytest.approx([1e-6, *[2e-6] * 7, 1e-6])
 
 
 def test_cpmg4_cell_lengths():
@@ -53,27 +58,41 @@ def test_cpmg4_cell_lengths():
     assert seq.cell_lengths(8e-6).tolist() == pytest.approx([1e-6, 2e-6, 2e-6, 2e-6, 1e-6])
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    n=st.integers(0, 2048),
+    times=st.lists(st.floats(1e-12, 1e3), min_size=1, max_size=8),
+)
+@example(n=0, times=[0.0, 1e-6])
+@example(n=2048, times=[1e-12, 1e3])
+def test_cell_lengths_same_bytes_as_tuple_fractions(n, times):
+    seq = build_sequence("cpmg", 1e-6, n=n) if n else build_sequence("ramsey", 1e-6)
+    times = np.array(times)
+    assert seq.cell_lengths(times).tobytes() == reference_cell_lengths(n, times).tobytes()
+
+
+@pytest.mark.parametrize("times", [-1e-6, [1e-6, -1e-12]], ids=["scalar", "array"])
+def test_cell_lengths_reject_negative_times(times):
+    with pytest.raises(ValueError, match="times must be >= 0"):
+        build_sequence("hahn", 1e-6).cell_lengths(times)
+
+
 @pytest.mark.parametrize(
-    "kind, n, name, pi_fractions, pi_phases, total_s",
+    "kind, n, name, n_pi, pi_phases",
     [
-        ("ramsey", None, "ramsey", (), (), 1e-6),
-        ("hahn", None, "hahn", (0.5,), ("y",), 2e-6),
-        ("cpmg", 1, "cpmg1", (0.5,), ("y",), 2e-6),
-        ("cpmg", 7, "cpmg7", tuple((2 * k - 1) / 14 for k in range(1, 8)), ("y",) * 7, 1.4e-5),
-        ("cpmg", 64, "cpmg64", tuple((2 * k - 1) / 128 for k in range(1, 65)), ("y",) * 64,
-         1.28e-4),
-        ("xy4", None, "xy4", (0.125, 0.375, 0.625, 0.875), ("x", "y", "x", "y"), 8e-6),
-        ("xy8", None, "xy8", (0.0625, 0.1875, 0.3125, 0.4375, 0.5625, 0.6875, 0.8125, 0.9375),
-         ("x", "y", "x", "y", "y", "x", "y", "x"), 1.6e-5),
+        ("ramsey", None, "ramsey", 0, ()),
+        ("hahn", None, "hahn", 1, ("y",)),
+        ("cpmg", 1, "cpmg1", 1, ("y",)),
+        ("cpmg", 7, "cpmg7", 7, ("y",) * 7),
+        ("cpmg", 64, "cpmg64", 64, ("y",) * 64),
+        ("xy4", None, "xy4", 4, ("x", "y", "x", "y")),
+        ("xy8", None, "xy8", 8, ("x", "y", "x", "y", "y", "x", "y", "x")),
     ],
     ids=["ramsey", "hahn", "cpmg1", "cpmg7", "cpmg64", "xy4", "xy8"],
 )
-def test_sequence_table_rows(kind, n, name, pi_fractions, pi_phases, total_s):
+def test_sequence_table_rows(kind, n, name, n_pi, pi_phases):
     seq = build_sequence(kind, 1e-6, n=n)
-    assert seq.name == name
-    assert seq.pi_fractions == pi_fractions
-    assert seq.pi_phases == pi_phases
-    assert seq.total_free_evolution_s == total_s
+    assert (seq.name, seq.n_pi, seq.pi_phases) == (name, n_pi, pi_phases)
 
 
 def test_invalid_inputs_rejected():

@@ -5,18 +5,19 @@
 
 Each revision is exported with ``git archive`` into a temporary directory
 and runs one fixed script of ``python -m nvforge.cli`` commands: the README
-examples, the ODMR config file, decay paths beyond the README's (CPMG(64), a
-slow-bath XY8 engine comparison, a Ramsey curve with T1 inside the grid, a
+examples, the ODMR config file, decay paths beyond the README's (CPMG(64),
+an odd CPMG(7), XY4, a slow-bath XY8 engine comparison, a Ramsey curve with T1 inside the grid, a
 linear-grid Monte-Carlo Hahn curve), every ``fixtures`` target at seeds 0, 5
 and 12345, every ``scan`` mode on those fixtures (including the charge ratio
 of the Raman spectrum, which has no NV0 line and exits 4), every ``fit``
 model on the Hahn and fig7 curves, record edge cases (a chopped
 molecular implant plan, a DC-only sensitivity report, a spot scan that finds
 no spot) and fixed-value options (upper-case ``--engine``/``--sequence``
-values, an unknown fixtures target, a misspelt ``--grid``) and decay-time
-grid cases (CPMG(256) on the paper-like and slow-bath presets, a bath with
-no decay, a coupling whose square overflows, a T1 term that overflows in
-the bracket search).  Per command, the exit code, stdout, stderr (with the
+values, an upper-case ``implant`` action, an unknown fixtures target, a
+misspelt ``--grid``) and decay-time grid cases (CPMG(256) on the paper-like
+and slow-bath presets, a bath with no decay, a coupling whose square
+overflows, a T1 term that overflows in the bracket search, a negative time
+on an explicit grid).  Per command, the exit code, stdout, stderr (with the
 export directory replaced by ``<ROOT>``) and every output file except
 ``manifest.json`` are compared.  Prints each
 difference; exits 1 if there is any, 0 otherwise.
@@ -50,6 +51,8 @@ def script() -> list[tuple[str, list[str]]]:
         ("vdp", ["scan", "--mode", "vdp", "--r-a-ohm", "100", "--r-b-ohm", "100"]),
         ("odmr_cfg", ["odmr", "--config", "configs/odmr_16g_z.cfg"]),
         ("cpmg64", ["decay", "--sequence", "cpmg", "--n-pulses", "64"]),
+        ("cpmg7", ["decay", "--sequence", "cpmg", "--n-pulses", "7"]),
+        ("xy4", ["decay", "--sequence", "xy4"]),
         ("xy8_slow_both", ["decay", "--sequence", "xy8", "--noise-preset", "slow-bath",
                            "--engine", "both", "--n-traj", "4000"]),
         ("ramsey_t1", ["decay", "--sequence", "ramsey", "--noise-preset", "none", "--b-rad-s", "1e6",
@@ -80,6 +83,7 @@ def script() -> list[tuple[str, list[str]]]:
                              "--input", "out/fig5_0/fig5_spot_grid.csv"]),
         ("hahn_mc_upper", ["decay", "--engine", "MC", "--sequence", "HAHN"]),
         ("fixtures_fig99", ["fixtures", "--target", "fig99"]),
+        ("implant_upper", ["implant", "PLAN"]),
         ("grid_linaer", ["decay", "--grid", "linaer", "--t-min-s", "1e-7", "--t-max-s", "1e-5"]),
         ("cpmg256", ["decay", "--sequence", "cpmg", "--n-pulses", "256"]),
         ("cpmg256_slow", ["decay", "--sequence", "cpmg", "--n-pulses", "256", "--noise-preset", "slow-bath"]),
@@ -88,6 +92,8 @@ def script() -> list[tuple[str, list[str]]]:
                            "--tau-c-s", "1e-6"]),
         ("grid_t1_overflow", ["decay", "--sequence", "hahn", "--noise-preset", "none", "--b-rad-s", "0",
                               "--tau-c-s", "1e-6", "--t1-s", "1e-6", "--t1-q", "2000"]),
+        ("negative_time_analytic", ["decay", "--t-min-s=-1e-6", "--t-max-s", "1e-5", "--grid", "linear",
+                                    "--engine", "analytic", "--n-times", "3"]),
     ]
     curves = ["hahn/decay_analytic.csv"] + [f"fig7_0/fig7_cpmg{n:02d}.csv" for n in (4, 8, 16, 32, 64)]
     for curve in curves:
