@@ -129,9 +129,12 @@ def _cmd_decay(opts: dict, seed: int, out_dir: Path) -> list[Path]:
         raise ConfigError("t-min-s and t-max-s must be given together")
     if opts["t_min_s"] is None:
         times = decay_time_grid(seq, noise, n_points=n_times)
+    elif opts["grid"] == "linear":
+        times = np.linspace(opts["t_min_s"], opts["t_max_s"], n_times)
+    elif not min(opts["t_min_s"], opts["t_max_s"]) > 0:
+        raise ConfigError("a log grid needs t-min-s and t-max-s > 0")
     else:
-        spacing = np.linspace if opts["grid"] == "linear" else np.geomspace
-        times = spacing(opts["t_min_s"], opts["t_max_s"], n_times)
+        times = np.geomspace(opts["t_min_s"], opts["t_max_s"], n_times)
 
     curves = {}
     if engine in ("analytic", "both"):

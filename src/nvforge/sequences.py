@@ -5,9 +5,9 @@ at the fraction (2k - 1)/(2n) of the free-evolution window; Ramsey is
 n = 0.  Each kind (Ramsey, Hahn echo, CPMG(n), XY4, XY8) is one row of
 :data:`SEQUENCE_KINDS` giving n and the pulse phases; XY4 and XY8 are
 CPMG(4) and CPMG(8) with the phase patterns X-Y-X-Y and X-Y-X-Y-Y-X-Y-X.
-Microwave pulses are ideal (zero width); what the decay engines consume
-is the split of the free-evolution window into sign-constant cells,
-exposed by :meth:`PulseSequence.cell_lengths`.
+Microwave pulses are ideal (zero width).  The analytic chi needs only n;
+the Monte-Carlo engine walks the split of the free-evolution window into
+sign-constant cells, exposed by :meth:`PulseSequence.cell_lengths`.
 """
 
 from __future__ import annotations
@@ -40,22 +40,27 @@ class PulseSequence:
         consecutive pi pulses (or the window edges) and carries the sign
         (-1)^k.  Raises ``ValueError`` for a negative time.
         """
-        if np.less(times_s, 0.0).any():
-            raise ValueError("times must be >= 0")
+        check_times(times_s)
         return np.multiply.outer(times_s, self._unit_cells)
 
     @cached_property
     def _unit_cells(self) -> np.ndarray:
         """Cell lengths of a unit window, between 0, the fractions (2k - 1)/(2n) and 1.
 
-        Computed once per sequence, since the engines call
-        :meth:`cell_lengths` on every kernel evaluation.
+        Computed once per sequence for the Monte-Carlo engine, which walks
+        the cells; the analytic chi needs only n_pi.
         """
         n = self.n_pi
         edges = np.empty(n + 2)
         edges[0], edges[-1] = 0.0, 1.0
         edges[1:-1] = (2 * np.arange(1, n + 1) - 1) / (2 * n)  # empty, no warning, at n = 0
         return edges[1:] - edges[:-1]
+
+
+def check_times(times_s) -> None:
+    """Raise ``ValueError`` if any total evolution time is negative; both engines call it."""
+    if np.less(times_s, 0.0).any():
+        raise ValueError("times must be >= 0")
 
 
 # kind -> n -> (name, n_pi, pi_phases)

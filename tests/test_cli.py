@@ -285,10 +285,13 @@ def test_decay_engine_mismatch_exits_3(tmp_path):
         ["--t-min-s=-1e-6", "--t-max-s", "1e-5", "--grid", "linear", "--engine", "mc"],
         ["--t-min-s=-1e-6", "--t-max-s", "1e-5", "--grid", "linear", "--engine", "analytic"],
         ["--t-min-s=-1e-6", "--t-max-s", "1e-5", "--grid", "linear", "--engine", "both"],
+        ["--t-min-s=-1e-6", "--t-max-s", "1e-5"],
+        ["--t-min-s", "0", "--t-max-s", "1e-5"],
     ],
     ids=[
         "t_min_only", "no_points-analytic", "no_points-both",
         "negative_time-mc", "negative_time-analytic", "negative_time-both",
+        "negative_time-log", "zero_time-log",
     ],
 )
 def test_decay_partial_time_grid_exits_2(tmp_path, args):

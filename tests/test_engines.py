@@ -74,6 +74,26 @@ def pairwise_chi(seq, noise, total_t):
     return 0.5 * noise.b_rad_s**2 * chi
 
 
+def running_sum_chi(seq, noise, times_s):
+    """O(n) reference: one running sum over the cells of cell_lengths.
+
+    With x_k = L_k/tau_c, a_k = exp(-x_k) and s_k = (-1)^k,
+    chi = b^2 tau_c^2 [sum_k (x_k - (1-a_k)) + sum_k s_k (1-a_k) A_k], where
+    A_0 = 0 and A_{k+1} = a_k A_k + s_k (1-a_k).  Its terms cancel for
+    short cells, so it is a reference only where every L_k/tau_c >= 1e-2.
+    """
+    x = seq.cell_lengths(times_s) / noise.tau_c_s
+    alpha = np.exp(-x)
+    one_m = -np.expm1(-x)
+    acc = np.zeros(x.shape[:-1])
+    total = np.zeros(x.shape[:-1])
+    for k in range(x.shape[-1]):
+        sign = 1.0 if k % 2 == 0 else -1.0
+        total += x[..., k] - one_m[..., k] + sign * one_m[..., k] * acc
+        acc = alpha[..., k] * acc + sign * one_m[..., k]
+    return (noise.b_rad_s * noise.tau_c_s) ** 2 * total
+
+
 def binary_bisection_grid(seq, noise, n_points=24):
     """Reference grid: one kernel call per probe doubling and per bisection step."""
 
@@ -127,11 +147,30 @@ def test_hahn_chi_matches_short_time_series():
         assert got == pytest.approx(series, rel=1e-8, abs=0.0)
 
 
+def switch_time(n, tau_c):
+    """Largest time whose kernel argument (X = t/tau_c, or h = t/(2 n tau_c)) is below its series switch."""
+    if n == 0:
+        return math.nextafter(engines.RAMSEY_SERIES_SWITCH * tau_c, 0.0)
+    t = engines.CHI_SERIES_SWITCH * 2 * n * tau_c
+    while t / (2 * n * tau_c) >= engines.CHI_SERIES_SWITCH:
+        t = math.nextafter(t, 0.0)
+    while math.nextafter(t, math.inf) / (2 * n * tau_c) < engines.CHI_SERIES_SWITCH:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def cpmg_or_ramsey(n):
+    return build_sequence("cpmg", 1e-6, n=n) if n else build_sequence("ramsey", 1e-6)
+
+
 def test_chi_array_call_equals_scalar_calls():
+    # Both parities of (-a)^(n-1), and points on both sides of the series
+    # switch, where an array call mixes the two branches.
     noise = NoiseModel(2e6, 1e-6)
-    for kind, n in (("ramsey", None), ("hahn", None), ("cpmg", 64)):
-        seq = build_sequence(kind, 1e-6, n=n)
-        times = np.geomspace(1e-8, 1e-4, 17)
+    for n in (0, 1, 2, 3, 7, 8, 2048):
+        seq = cpmg_or_ramsey(n)
+        edge = switch_time(n, noise.tau_c_s)
+        times = np.concatenate([np.geomspace(1e-14, 4 * edge, 17), [edge, math.nextafter(edge, 1.0)]])
         got = attenuation_exponent(seq, noise, times)
         assert got.shape == times.shape
         assert np.array_equal(got, [attenuation_exponent(seq, noise, t) for t in times])
@@ -294,6 +333,89 @@ def test_ou_conditional_integral_variance_is_continuous_at_the_switch():
     at = conditional_integral_variance(SHORT_CELL_SWITCH)
     assert at == pytest.approx(below, rel=1e-15, abs=0.0)
     assert at == pytest.approx(float(decimal_conditional_variance(SHORT_CELL_SWITCH)), rel=2e-14, abs=0.0)
+
+
+def taylor_quotient(numer, denom, degree):
+    """Taylor coefficients of numer/denom (coefficient lists, lowest power first) up to ``degree``."""
+    out = []
+    for k in range(degree + 1):
+        out.append((numer[k] - sum(out[j] * denom[k - j] for j in range(k))) / denom[0])
+    return out
+
+
+def chi_taylor_coefficients(degree):
+    """Exact Taylor coefficients of u(2h) = 2 (h - tanh h), of E(h) and of X + expm1(-X)."""
+    exp_m = [Fraction((-1) ** k, math.factorial(k)) for k in range(degree + 1)]  # e^-h
+    exp_m2 = [c * 2**k for k, c in enumerate(exp_m)]  # e^-2h
+    tanh = taylor_quotient([1 - exp_m2[0]] + [-c for c in exp_m2[1:]], [1 + exp_m2[0]] + exp_m2[1:], degree)
+    ident = [Fraction(int(k == 1)) for k in range(degree + 1)]  # h
+    one_m = [1 - exp_m[0]] + [-c for c in exp_m[1:]]  # 1 - e^-h
+    u = [2 * (i - t) for i, t in zip(ident, tanh)]
+    e = [
+        2 * (ident[k] - one_m[k]) - sum(one_m[j] * tanh[k - j] for j in range(k + 1))
+        for k in range(degree + 1)
+    ]
+    ramsey = [ident[k] - one_m[k] for k in range(degree + 1)]
+    return u, e, ramsey
+
+
+def test_chi_series_tables_are_the_exact_taylor_coefficients():
+    u, e, ramsey = chi_taylor_coefficients(40)
+    assert all(c == 0 for c in u[0:40:2]) and u[1] == 0
+    assert engines.CHI_U_SERIES == tuple(float(c) for c in u[3:30:2])
+    assert engines.CHI_E_SERIES == tuple(float(c) for c in e[3:31])
+    assert ramsey[:2] == [0, 0]
+    assert engines.RAMSEY_SERIES == tuple(float(c) for c in ramsey[2:16])
+    # The terms left out are below 1e-17 of the sum at the switch.
+    for coeffs, first, switch in (
+        (u, 31, engines.CHI_SERIES_SWITCH),
+        (e, 31, engines.CHI_SERIES_SWITCH),
+        (ramsey, 16, engines.RAMSEY_SERIES_SWITCH),
+    ):
+        y = Fraction(switch)
+        total = sum(c * y**k for k, c in enumerate(coeffs))
+        left_out = sum(abs(c) * y**k for k, c in enumerate(coeffs) if k >= first)
+        assert left_out < total / 10**17
+
+
+def decimal_chi(n: int, t: float) -> Decimal:
+    """chi at b = tau_c = 1 from the closed form, in 80-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x = Decimal(t)
+        if n == 0:
+            return x - 1 + (-x).exp()
+        h = x / (2 * n)
+        e_h = (-h).exp()
+        a = e_h * e_h
+        tanh = (1 - a) / (1 + a)
+        one_m = 1 - e_h
+        g = (-a) ** (n - 1)
+        closed = (n - 1) * 2 * (h - tanh) + 2 * (h - one_m) - one_m * tanh
+        return closed + e_h * one_m**3 * (1 + e_h - g * e_h * one_m) / (1 + a) ** 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 2048), t=log_uniform(1e-8, 1e3))
+@example(n=2048, t=1e3)  # every cell 0.24 tau_c: the series only
+@example(n=2048, t=40.96)  # every half-cell exactly 1e-2 tau_c
+@example(n=1, t=0.75)  # Hahn at the switch
+@example(n=0, t=0.5)  # Ramsey at its switch
+@example(n=3, t=1e-8)
+def test_chi_closed_form_property(n, t):
+    # b = tau_c = 1, so t is t/tau_c and chi is in units of b^2 tau_c^2.
+    noise = NoiseModel(1.0, 1.0)
+    seq = cpmg_or_ramsey(n)
+    got = attenuation_exponent(seq, noise, t)
+    # Exact to a few ulps on both sides of the series switch.
+    assert abs(Decimal(got) / decimal_chi(n, t) - 1) <= Decimal("5e-15")
+    # The running sum agrees wherever no cell is short enough for it to cancel.
+    if t / (2 * n if n else 1) >= 1e-2:
+        assert got == pytest.approx(running_sum_chi(seq, noise, t), rel=1e-11, abs=0.0)
+    # Continuous across the switch: the series and the closed form meet.
+    edge = switch_time(n, 1.0)
+    below, at = attenuation_exponent(seq, noise, [edge, math.nextafter(edge, math.inf)])
+    assert at == pytest.approx(below, rel=1e-14, abs=0.0)
 
 
 def test_mc_never_evaluates_chi(monkeypatch):

@@ -17,15 +17,20 @@ values, an upper-case ``implant`` action, an unknown fixtures target, a
 misspelt ``--grid``) and decay-time grid cases (CPMG(256) on the paper-like
 and slow-bath presets, a bath with no decay, a coupling whose square
 overflows, a T1 term that overflows in the bracket search, a negative time
-on an explicit grid).  Per command, the exit code, stdout, stderr (with the
-export directory replaced by ``<ROOT>``) and every output file except
-``manifest.json`` are compared.  Prints each
-difference; exits 1 if there is any, 0 otherwise.
+on an explicit linear and on a log grid).  Per command, the exit code,
+stdout, stderr (with the export directory replaced by ``<ROOT>``) and every
+output file except ``manifest.json`` are compared.  Prints each difference,
+and for each output file that differs the largest relative difference
+between the numbers at the same place of the two files, or "structure
+differs" when the text around the numbers is not the same; exits 1 if
+there is any difference, 0 otherwise.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -36,6 +41,8 @@ REPO = Path(__file__).resolve().parent.parent
 SEEDS = (0, 5, 12345)
 FIT_MODELS = ("exp_t2star", "stretched_exp", "t1_stretched", "fid_beats")
 FIXTURES = ("fig5", "fig6", "fig7", "fig9", "raman", "s1s2s3", "table2")
+#: A number as the CSV and JSON writers print it.
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan|Infinity|NaN)")
 
 
 def script() -> list[tuple[str, list[str]]]:
@@ -94,6 +101,7 @@ def script() -> list[tuple[str, list[str]]]:
                               "--tau-c-s", "1e-6", "--t1-s", "1e-6", "--t1-q", "2000"]),
         ("negative_time_analytic", ["decay", "--t-min-s=-1e-6", "--t-max-s", "1e-5", "--grid", "linear",
                                     "--engine", "analytic", "--n-times", "3"]),
+        ("negative_time_log", ["decay", "--t-min-s=-1e-6", "--t-max-s", "1e-5"]),
     ]
     curves = ["hahn/decay_analytic.csv"] + [f"fig7_0/fig7_cpmg{n:02d}.csv" for n in (4, 8, 16, 32, 64)]
     for curve in curves:
@@ -134,6 +142,18 @@ def run_revision(rev: str, root: Path) -> dict[str, tuple]:
     return results
 
 
+def number_difference(a: bytes, b: bytes) -> str:
+    """Largest relative difference between the numbers at the same place of two files."""
+    if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return "structure differs"
+    worst = 0.0
+    for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            rel = abs(x - y) / max(abs(x), abs(y))
+            worst = max(worst, math.inf if math.isnan(rel) else rel)
+    return f"largest relative difference {worst:.3g}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: same_bytes.py PARENT CANDIDATE", file=sys.stderr)
@@ -150,6 +170,9 @@ def main(argv: list[str]) -> int:
             print(f"DIFF {name}: {', '.join(diffs)}")
             for side, (code, _, err, _) in (("parent", a), ("candidate", b)):
                 print(f"  {side:<9} exit {code}: {err.strip()[-300:]}")
+            for f in sorted(a[3].keys() & b[3].keys()):
+                if a[3][f] != b[3][f]:
+                    print(f"  file {f}: {number_difference(a[3][f], b[3][f])}")
     codes = Counter(code for code, *_ in candidate.values())
     print(f"{len(parent)} commands (candidate exit codes {dict(sorted(codes.items()))}), "
           f"{n_diff} with differences")
