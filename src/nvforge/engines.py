@@ -71,7 +71,9 @@ def seeded_rng(seed: int, stream: int) -> Generator:
 #:     (n - 1) u(x) + E(h) + e^-h (1 - e^-h)^3 (1 + e^-h - g e^-h (1 - e^-h)) / (1 + a)^2
 #: with u(x) = x - 2 tanh(x/2) and E(h) = 2 (h - (1 - e^-h)) - (1 - e^-h) tanh(h).
 #: Below CHI_SERIES_SWITCH, (n - 1) u + E cancels and is summed from its
-#: Taylor series in h instead; the last term has no cancellation anywhere.
+#: Taylor series in h instead; every factor of the last term is >= 0, so it
+#: never cancels.  The switch is 3/8 rather than lower because the closed
+#: form loses ~3/h^2 ulps of tanh(h) to cancellation just above it.
 CHI_SERIES_SWITCH = 0.375
 #: Coefficients of h^3, h^5, ..., h^29 in u(2h) = 2 (h - tanh h), from the tanh series.
 CHI_U_SERIES = (
@@ -103,8 +105,8 @@ RAMSEY_SERIES = (
 )
 
 
-@functools.lru_cache(maxsize=None)
-def _series_horner(n: int) -> tuple[float, ...]:
+@functools.lru_cache(maxsize=256)
+def _cpmg_series(n: int) -> tuple[float, ...]:
     """Coefficients of (n - 1) u(2h) + E(h), highest power first, from h^30 down to h^3."""
     coeffs = list(CHI_E_SERIES)
     for i, c in enumerate(CHI_U_SERIES):
@@ -116,11 +118,8 @@ def _series_below(x, switch: float, coeffs, power: int, closed):
     """``closed`` where x >= switch; below it, x^power times the polynomial ``coeffs``.
 
     The polynomial (highest power first) is summed by Horner's rule on
-    min(x, switch), all elementwise, and skipped when no x is below.
+    min(x, switch), elementwise like the rest of the kernel.
     """
-    below = x < switch
-    if not np.any(below):
-        return closed
     y = np.minimum(x, switch)
     acc = np.full(np.shape(y), coeffs[0])
     for c in coeffs[1:]:
@@ -128,7 +127,7 @@ def _series_below(x, switch: float, coeffs, power: int, closed):
         acc += c
     for _ in range(power):
         acc *= y
-    return np.where(below, acc, closed)
+    return np.where(x < switch, acc, closed)
 
 
 def _chi(seq: PulseSequence, noise: NoiseModel, times_s) -> np.ndarray:
@@ -156,7 +155,7 @@ def _chi(seq: PulseSequence, noise: NoiseModel, times_s) -> np.ndarray:
         closed = (2 * n - 2) * (h - tanh) + 2.0 * (h - one_m) - one_m * tanh
         p = e_h * one_m
         tail = p * one_m * one_m * (1.0 + e_h - g * p) / ((1.0 + a) * (1.0 + a))
-        return scale * (_series_below(h, CHI_SERIES_SWITCH, _series_horner(n), 3, closed) + tail)
+        return scale * (_series_below(h, CHI_SERIES_SWITCH, _cpmg_series(n), 3, closed) + tail)
 
 
 def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
@@ -165,10 +164,11 @@ def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
     The cells between the n pulses are two half-cells h = t/(2 n tau_c)
     and n - 1 cells 2h; summing the cross terms of all cell pairs as a
     geometric series gives the closed form of :data:`CHI_SERIES_SWITCH`,
-    evaluated in O(1) per time point for any n and exact to ~2e-15
-    relative for t/tau_c in [1e-8, 1e3].  ``times_s`` is a scalar or an
-    array and the result has its shape.  Raises ``ValueError`` for a
-    negative time and :class:`NumericalFailure` if any chi overflows.
+    evaluated in O(1) per time point for any n; against a 50-digit
+    evaluation it is within 2.6e-15 relative for t/tau_c in [1e-8, 1e3].
+    ``times_s`` is a scalar or an array and the result has its shape.
+    Raises ``ValueError`` for a negative time and :class:`NumericalFailure`
+    if any chi overflows.
     """
     check_times(times_s)
     chi = _chi(seq, noise, times_s)

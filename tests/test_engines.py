@@ -148,13 +148,15 @@ def test_hahn_chi_matches_short_time_series():
 
 
 def switch_time(n, tau_c):
-    """Largest time whose kernel argument (X = t/tau_c, or h = t/(2 n tau_c)) is below its series switch."""
+    """Largest t whose series argument (t/tau_c for Ramsey, else t/(2 n tau_c)) is below its switch."""
     if n == 0:
-        return math.nextafter(engines.RAMSEY_SERIES_SWITCH * tau_c, 0.0)
-    t = engines.CHI_SERIES_SWITCH * 2 * n * tau_c
-    while t / (2 * n * tau_c) >= engines.CHI_SERIES_SWITCH:
+        width, switch = tau_c, engines.RAMSEY_SERIES_SWITCH
+    else:
+        width, switch = 2 * n * tau_c, engines.CHI_SERIES_SWITCH
+    t = switch * width
+    while t / width >= switch:
         t = math.nextafter(t, 0.0)
-    while math.nextafter(t, math.inf) / (2 * n * tau_c) < engines.CHI_SERIES_SWITCH:
+    while math.nextafter(t, math.inf) / width < switch:
         t = math.nextafter(t, math.inf)
     return t
 
@@ -348,18 +350,20 @@ def chi_taylor_coefficients(degree):
     exp_m = [Fraction((-1) ** k, math.factorial(k)) for k in range(degree + 1)]  # e^-h
     exp_m2 = [c * 2**k for k, c in enumerate(exp_m)]  # e^-2h
     tanh = taylor_quotient([1 - exp_m2[0]] + [-c for c in exp_m2[1:]], [1 + exp_m2[0]] + exp_m2[1:], degree)
-    ident = [Fraction(int(k == 1)) for k in range(degree + 1)]  # h
+    h = [Fraction(int(k == 1)) for k in range(degree + 1)]
     one_m = [1 - exp_m[0]] + [-c for c in exp_m[1:]]  # 1 - e^-h
-    u = [2 * (i - t) for i, t in zip(ident, tanh)]
+    u = [2 * (hk - tk) for hk, tk in zip(h, tanh)]
     e = [
-        2 * (ident[k] - one_m[k]) - sum(one_m[j] * tanh[k - j] for j in range(k + 1))
+        2 * (h[k] - one_m[k]) - sum(one_m[j] * tanh[k - j] for j in range(k + 1))
         for k in range(degree + 1)
     ]
-    ramsey = [ident[k] - one_m[k] for k in range(degree + 1)]
+    ramsey = [hk - ok for hk, ok in zip(h, one_m)]
     return u, e, ramsey
 
 
 def test_chi_series_tables_are_the_exact_taylor_coefficients():
+    # float() of a Fraction is correctly rounded, so == checks each table
+    # entry against its defining series with no tolerance.
     u, e, ramsey = chi_taylor_coefficients(40)
     assert all(c == 0 for c in u[0:40:2]) and u[1] == 0
     assert engines.CHI_U_SERIES == tuple(float(c) for c in u[3:30:2])
