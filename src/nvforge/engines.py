@@ -213,23 +213,6 @@ def _mc_chunk_sums(
     return cos.sum(axis=1), np.square(cos, out=term).sum(axis=1)
 
 
-def _mc_block_sums(
-    seed: int, block_index: int, block_n: int, coeffs: np.ndarray, b_rad_s: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and sum-of-squares of cos(phase) at every time point for one trajectory block.
-
-    The block is walked in chunks of MC_CHUNK_SIZE trajectories, which
-    bounds the working arrays at (n_times, MC_CHUNK_SIZE).  The draw order
-    is fixed and the stream is keyed by (seed, block_index) only, so blocks
-    can be evaluated in any order.
-    """
-    rng = seeded_rng(seed, block_index)
-    sums = np.zeros((2, coeffs.shape[2]))
-    for start in range(0, block_n, MC_CHUNK_SIZE):
-        sums += _mc_chunk_sums(rng, min(MC_CHUNK_SIZE, block_n - start), coeffs, b_rad_s)
-    return sums[0], sums[1]
-
-
 def simulate_mc(
     seq: PulseSequence,
     noise: NoiseModel,
@@ -260,18 +243,22 @@ def simulate_mc(
     cells[1::2, :, [1, 3, 4]] *= -1.0  # odd cells carry the sign -1
     coeffs = np.ascontiguousarray(cells.transpose(0, 2, 1)[..., None])
 
+    # Block ib draws from its own stream, keyed by (seed, ib) only, so blocks
+    # can be evaluated in any order.  It is walked in chunks of MC_CHUNK_SIZE
+    # trajectories, which bounds the working arrays at (n_times, MC_CHUNK_SIZE).
     n_blocks = (n_traj + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
-    sums = np.zeros((n_blocks, times.size))
-    sums_sq = np.zeros((n_blocks, times.size))
-    order = range(n_blocks) if _block_order is None else _block_order
-    for ib in order:
+    sums = np.zeros((n_blocks, 2, times.size))  # sum and sum of squares of cos(phase)
+    for ib in range(n_blocks) if _block_order is None else _block_order:
+        rng = seeded_rng(seed, ib)
         block_n = min(MC_BLOCK_SIZE, n_traj - ib * MC_BLOCK_SIZE)
-        sums[ib], sums_sq[ib] = _mc_block_sums(seed, ib, block_n, coeffs, noise.b_rad_s)
+        for start in range(0, block_n, MC_CHUNK_SIZE):
+            chunk_n = min(MC_CHUNK_SIZE, block_n - start)
+            sums[ib] += _mc_chunk_sums(rng, chunk_n, coeffs, noise.b_rad_s)
 
     # Block sums are added in index order, one block at a time, so every
     # point is summed the same way whatever the size of ``times``.
-    mean = functools.reduce(np.add, sums) / n_traj
-    var = np.clip(functools.reduce(np.add, sums_sq) / n_traj - mean**2, 0.0, None)
+    mean, mean_sq = functools.reduce(np.add, sums) / n_traj
+    var = np.clip(mean_sq - mean**2, 0.0, None)
     t1_factor = noise.longitudinal_factor(times)
     signal = mean * t1_factor
     stderr = np.sqrt(var / n_traj) * t1_factor
@@ -317,10 +304,8 @@ def simulate_fid_beats(triplet: HyperfineTriplet, t2_star_s: float, times_s) -> 
     if not t2_star_s > 0:
         raise ValueError("t2_star_s must be positive")
     times = np.asarray(times_s, dtype=float)
-    beat = fitkit.beat_sum(
-        triplet.multiplicities, triplet.detuning_hz, triplet.a_parallel_hz, times
-    )
-    signal = np.exp(-times / t2_star_s) * beat
+    theta = [1.0, t2_star_s, triplet.detuning_hz, triplet.a_parallel_hz, 0.0]
+    signal = fitkit.FitModel.fid_beats(triplet.multiplicities).predict(times, theta)
     meta = {
         "sequence": "ramsey_fid",
         "engine": "fid_beats",
@@ -337,29 +322,21 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     The total decay exponent chi(t) + (t/T1)^q is monotone in t, so both
     endpoints are found together by one bisection on the pair of targets.
     """
-
-    def t1_term(t):
-        """(t/T1)^q; like chi, it overflows to inf without a warning."""
-        if math.isinf(noise.t1_s):
-            return 0.0
-        with np.errstate(over="ignore"):
-            try:
-                return (t / noise.t1_s) ** noise.t1_exponent_q
-            except OverflowError:  # on the probe scan's Python floats
-                return math.inf
-
     # Upper bracket: the first tau_c * 2^k whose exponent reaches
-    # GRID_DECAY_HI.  chi is evaluated on every candidate in one call; a
-    # non-finite chi past the first crossing is never looked at.
+    # GRID_DECAY_HI.  chi is evaluated on every candidate in one call; the
+    # scan stops at the first crossing or non-finite chi, whichever comes
+    # first, so a non-finite chi past the first crossing is never looked at.
     with np.errstate(over="ignore"):
         probes = np.ldexp(noise.tau_c_s, np.arange(GRID_MAX_DOUBLINGS))
-    for probe, chi in zip(probes.tolist(), _chi(seq, noise, probes).tolist()):
-        if not math.isfinite(chi):
-            raise NumericalFailure("attenuation exponent is not finite")
-        if max(chi, 0.0) + t1_term(probe) >= GRID_DECAY_HI:
-            break
-    else:
+    chi = _chi(seq, noise, probes)
+    total = np.maximum(chi, 0.0) + noise.longitudinal_exponent(probes)
+    stop = ~np.isfinite(chi) | (total >= GRID_DECAY_HI)
+    if not stop.any():
         raise ValueError("noise model produces no appreciable decay")
+    k = np.argmax(stop)
+    if not np.isfinite(chi[k]):
+        raise NumericalFailure("attenuation exponent is not finite")
+    probe = probes[k]
 
     # Binary bisection on both targets, GRID_TREE_DEPTH steps per kernel
     # call.  Each step compares at the midpoint of the interval the earlier
@@ -379,7 +356,8 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
             finer[1::2] = 0.5 * (points[:-1] + points[1:])
             points = finer
         inner = points[1:-1]
-        below = attenuation_exponent(seq, noise, inner) + t1_term(inner) < targets
+        total = attenuation_exponent(seq, noise, inner) + noise.longitudinal_exponent(inner)
+        below = total < targets
         i_lo, i_hi = [0, 0], [len(points) - 1] * 2
         for _ in range(GRID_TREE_DEPTH):
             for end in range(2):

@@ -34,12 +34,17 @@ class NoiseModel:
         if not self.t1_exponent_q > 0:
             raise ValueError("t1_exponent_q must be positive")
 
-    def longitudinal_factor(self, times_s) -> np.ndarray:
-        """exp(-(t/T1)^q) evaluated elementwise; 1 everywhere for T1 = inf."""
+    def longitudinal_exponent(self, times_s) -> np.ndarray:
+        """(t/T1)^q evaluated elementwise; 0 for T1 = inf, inf without a warning on overflow."""
         t = np.asarray(times_s, dtype=float)
         if math.isinf(self.t1_s):
-            return np.ones_like(t)
-        return np.exp(-((t / self.t1_s) ** self.t1_exponent_q))
+            return np.zeros_like(t)
+        with np.errstate(over="ignore"):
+            return (t / self.t1_s) ** self.t1_exponent_q
+
+    def longitudinal_factor(self, times_s) -> np.ndarray:
+        """exp(-(t/T1)^q) evaluated elementwise; 1 everywhere for T1 = inf."""
+        return np.exp(-self.longitudinal_exponent(times_s))
 
     def as_dict(self) -> dict:
         return {

@@ -300,6 +300,17 @@ def test_decay_partial_time_grid_exits_2(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("engine", ["analytic", "mc"])
+def test_decay_t1_overflow_is_quiet(tmp_path, capsys, engine):
+    # (t/T1)^q overflows at every point: the T1 factor is 0, with no RuntimeWarning.
+    argv = ["decay", "--noise-preset", "none", "--b-rad-s", "1e5", "--tau-c-s", "1e-6",
+            "--t1-s", "1e-300", "--t1-q", "2", "--t-min-s", "1e-6", "--t-max-s", "1e-5",
+            "--grid", "linear", "--n-times", "3", "--engine", engine]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert dataio.read_decay_csv(tmp_path / f"decay_{engine}.csv").signal.tolist() == [0.0] * 3
+
+
 def test_shipped_config_files(tmp_path):
     from pathlib import Path
 

@@ -231,6 +231,20 @@ def test_analytic_noiseless_reduces_to_t1_channel():
     assert np.allclose(curve.signal, expected, rtol=1e-12)
 
 
+def test_longitudinal_exponent_owns_the_t1_law():
+    times = np.array([0.0, 1e-6, 1e-3])
+    assert np.array_equal(NoiseModel(1e6, 1e-6).longitudinal_exponent(times), np.zeros(3))
+    assert np.array_equal(NoiseModel(1e6, 1e-6).longitudinal_factor(times), np.ones(3))
+    # (1e-3 / 1e-300)^2 overflows: inf, with no RuntimeWarning under the suite's filter.
+    tiny_t1 = NoiseModel(1e6, 1e-6, t1_s=1e-300, t1_exponent_q=2.0)
+    assert tiny_t1.longitudinal_exponent(times).tolist() == [0.0, math.inf, math.inf]
+    assert tiny_t1.longitudinal_factor(times).tolist() == [1.0, 0.0, 0.0]
+    noise = NoiseModel(1e6, 1e-6, t1_s=3.14e-3, t1_exponent_q=1.32)
+    times = np.geomspace(1e-7, 1.0, 50)
+    factor = noise.longitudinal_factor(times)
+    assert factor.tobytes() == np.exp(-noise.longitudinal_exponent(times)).tobytes()
+
+
 def test_analytic_signal_bounds_and_chi_properties():
     noise = NoiseModel(3e6, 2e-6)
     for kind, n in (("ramsey", None), ("hahn", None), ("cpmg", 8), ("xy8", None)):
