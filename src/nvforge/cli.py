@@ -197,6 +197,8 @@ def _cmd_sense(opts: dict, seed: int, out_dir: Path) -> list[Path]:
 
 
 def _cmd_implant(opts: dict, seed: int, out_dir: Path) -> list[Path]:
+    if opts["action"] is None:
+        raise ConfigError("implant requires an action (plan or budget)")
     if opts["action"] == "plan":
         beam = implant.BeamConfig(
             energy_ev=opts["energy_ev"],
@@ -283,14 +285,13 @@ class Command:
     maps name -> (type, default, help with units); the names double as
     config keys.  The type parses flag and config-file values alike, and a
     :func:`~nvforge.config.choice` type's values are appended to the help.
-    ``positional`` is (name, choices, help), parsed with
-    :func:`~nvforge.config.choice`; its value joins ``opts`` (and so the
-    manifest) but is not a config key.
+    ``positional`` names the option, if any, that is given on the command
+    line as an optional positional argument instead of a flag.
     """
 
     handler: Callable[[dict, int, Path], list[Path]]
     options: dict
-    positional: tuple | None = None
+    positional: str | None = None
 
 
 # Options every command takes, besides --config.
@@ -342,6 +343,8 @@ COMMANDS = {
         "t2_dd_s": (float, None, "decoupled T2 (s) for the AC estimate"),
     }),
     "implant": Command(_cmd_implant, {
+        "action": (choice("plan", "budget"), None,
+                   "plan: dose/depth/yield plan; budget: CVD nitrogen budget"),
         "energy_ev": (float, 5000.0, "ion energy (eV)"),
         "current_a": (float, 500e-12, "beam current (A)"),
         "diameter_m": (float, 25e-6, "spot or aperture diameter (m)"),
@@ -353,7 +356,7 @@ COMMANDS = {
         "h2_purity": (float, 1.0, "hydrogen purity fraction"),
         "ch4_purity": (float, 1.0, "methane purity fraction"),
         "incorporation_rate": (float, 1e-4, "gas-to-solid nitrogen incorporation rate"),
-    }, ("action", ("plan", "budget"), "plan: dose/depth/yield plan; budget: CVD nitrogen budget")),
+    }, positional="action"),
     "scan": Command(_cmd_scan, {
         "mode": (choice(*SCAN_MODES), None, "reduction"),
         "input": (str, None, "input CSV (not used by vdp)"),
@@ -377,17 +380,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=f"{name} subcommand")
-        if command.positional:
-            arg, choices, help_text = command.positional
-            p.add_argument(arg, type=choice(*choices), help=help_text)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
         for option, (typ, default, help_text) in {**COMMON_OPTIONS, **command.options}.items():
-            flag = "--" + option.replace("_", "-")
             if hasattr(typ, "choices"):
                 help_text += f"; one of {', '.join(typ.choices)}"
             if default is not None:
                 help_text += f" [default: {default}]"
-            p.add_argument(flag, type=typ, default=None, help=help_text)
+            if option == command.positional:
+                p.add_argument(option, nargs="?", type=typ, default=None, help=help_text)
+            else:
+                flag = "--" + option.replace("_", "-")
+                p.add_argument(flag, type=typ, default=None, help=help_text)
     return parser
 
 
@@ -406,8 +409,6 @@ def _resolve(args: argparse.Namespace, command: Command) -> tuple[dict, int, Pat
             raise ConfigError(f"NVFORGE_SEED must be an integer, got {env_seed!r}") from exc
     out_dir = Path(opts.pop("output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    if command.positional:
-        opts[command.positional[0]] = getattr(args, command.positional[0])
     return opts, seed, out_dir, config_path
 
 

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import CARBON_NUMBER_DENSITY_M3, ELEMENTARY_CHARGE_C
+from .levmar import NumericalFailure
 
 GUN_ENERGY_RANGE_EV = (400.0, 5000.0)
 CHOPPER_PULSE_RANGE_S = (15e-6, 1.5e-3)
@@ -81,7 +82,10 @@ class BeamConfig:
     @property
     def spot_area_cm2(self) -> float:
         radius_cm = self.spot_diameter_m * 100.0 / 2.0
-        return math.pi * radius_cm**2
+        try:
+            return math.pi * radius_cm**2
+        except OverflowError as exc:
+            raise NumericalFailure("spot area overflows") from exc
 
     @property
     def atom_flux_cm2_s(self) -> float:
@@ -112,10 +116,15 @@ def dose_to_time(beam: BeamConfig, target_dose_cm2: float) -> tuple[float, int |
     ------
     InfeasiblePlanError
         If the duration is shorter than one chopper pulse.
+    NumericalFailure
+        If the spot area or the atom flux is 0 in floating point.
     """
     if target_dose_cm2 < 0:
         raise ValueError("target_dose_cm2 must be non-negative")
-    duration = target_dose_cm2 / beam.atom_flux_cm2_s
+    try:
+        duration = target_dose_cm2 / beam.atom_flux_cm2_s
+    except ZeroDivisionError as exc:
+        raise NumericalFailure("spot area or atom flux is zero in floating point") from exc
     n_pulses = None
     if beam.chopper_pulse_s is not None and target_dose_cm2 > 0:
         if duration < beam.chopper_pulse_s:

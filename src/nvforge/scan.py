@@ -527,10 +527,13 @@ def van_der_pauw(r_a_ohm: float, r_b_ohm: float) -> tuple[float, float]:
     rs = 0.5 * (lo + hi)
     for _ in range(4):
         # df/drs = sum of pi*R_i/rs^2 * exp(-pi R_i/rs), always positive.
-        df = (
-            math.pi * r_a_ohm / rs**2 * math.exp(-math.pi * r_a_ohm / rs)
-            + math.pi * r_b_ohm / rs**2 * math.exp(-math.pi * r_b_ohm / rs)
-        )
+        try:
+            df = (
+                math.pi * r_a_ohm / rs**2 * math.exp(-math.pi * r_a_ohm / rs)
+                + math.pi * r_b_ohm / rs**2 * math.exp(-math.pi * r_b_ohm / rs)
+            )
+        except OverflowError as exc:  # rs^2 beyond the float range
+            raise NumericalFailure("Van-der-Pauw Newton step overflows") from exc
         rs -= f(rs) / df
     if not math.isfinite(rs) or abs(f(rs)) > 1e-10:
         raise NumericalFailure("Van-der-Pauw solve did not reach tolerance")

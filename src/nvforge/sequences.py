@@ -58,8 +58,8 @@ class PulseSequence:
 
 
 def check_times(times_s) -> None:
-    """Raise ``ValueError`` if any total evolution time is negative; both engines call it."""
-    if np.less(times_s, 0.0).any():
+    """Raise ``ValueError`` if any total time is negative or NaN; both engines call it."""
+    if not np.all(np.greater_equal(times_s, 0.0)):
         raise ValueError("times must be >= 0")
 
 

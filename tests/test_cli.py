@@ -87,8 +87,8 @@ CHOICE_OPTIONS = [
 def test_fixed_value_options_are_choices():
     assert CHOICE_OPTIONS == [
         ("decay", "sequence"), ("decay", "engine"), ("decay", "noise_preset"), ("decay", "grid"),
-        ("fit", "model"), ("sense", "preset"), ("implant", "species"), ("scan", "mode"),
-        ("fixtures", "target"),
+        ("fit", "model"), ("sense", "preset"), ("implant", "action"), ("implant", "species"),
+        ("scan", "mode"), ("fixtures", "target"),
     ]
 
 
@@ -96,10 +96,14 @@ def test_fixed_value_options_are_choices():
 @pytest.mark.parametrize("command, option", CHOICE_OPTIONS, ids=[o for _, o in CHOICE_OPTIONS])
 def test_bad_choice_exits_2_listing_the_choices(tmp_path, capsys, command, option, source):
     spec = COMMANDS[command]
-    argv = [command] + ([spec.positional[1][0]] if spec.positional else [])
+    argv = [command]
+    if spec.positional and option != spec.positional:
+        argv.append(spec.options[spec.positional][0].choices[0])
     if option == "grid":  # the grid spacing is read only for an explicit time range
         argv += ["--t-min-s", "1e-7", "--t-max-s", "1e-5"]
-    if source == "flag":
+    if source == "flag" and option == spec.positional:
+        argv.append("linaer")
+    elif source == "flag":
         argv += ["--" + option.replace("_", "-"), "linaer"]
     else:
         config = tmp_path / "run.cfg"
@@ -287,11 +291,15 @@ def test_decay_engine_mismatch_exits_3(tmp_path):
         ["--t-min-s=-1e-6", "--t-max-s", "1e-5", "--grid", "linear", "--engine", "both"],
         ["--t-min-s=-1e-6", "--t-max-s", "1e-5"],
         ["--t-min-s", "0", "--t-max-s", "1e-5"],
+        ["--t-min-s", "nan", "--t-max-s", "1e-5", "--grid", "linear", "--n-times", "3",
+         "--engine", "analytic"],
+        ["--t-min-s", "nan", "--t-max-s", "1e-5", "--grid", "linear", "--n-times", "3",
+         "--engine", "both"],
     ],
     ids=[
         "t_min_only", "no_points-analytic", "no_points-both",
         "negative_time-mc", "negative_time-analytic", "negative_time-both",
-        "negative_time-log", "zero_time-log",
+        "negative_time-log", "zero_time-log", "nan_time-analytic", "nan_time-both",
     ],
 )
 def test_decay_partial_time_grid_exits_2(tmp_path, args):
@@ -474,6 +482,30 @@ def test_implant_action_matches_case_insensitively(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_implant_action_from_config_file(tmp_path):
+    config = tmp_path / "implant.cfg"
+    config.write_text("action = budget\n")
+    assert main(["implant", "--config", str(config), "--output-dir", str(tmp_path / "cfg")]) == 0
+    assert main(["implant", "budget", "--output-dir", str(tmp_path / "flag")]) == 0
+    assert _output_bytes(tmp_path / "cfg") == _output_bytes(tmp_path / "flag")
+    assert _read_json(tmp_path / "cfg" / "manifest.json")["options"]["action"] == "budget"
+
+
+def test_implant_missing_action_exits_2(tmp_path, capsys):
+    assert main(["implant", "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: implant requires an action (plan or budget)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("diameter", ["1e-300", "inf", "1e300"])
+def test_implant_plan_extreme_diameter_exits_4(tmp_path, capsys, diameter):
+    argv = ["implant", "plan", "--diameter-m", diameter, "--output-dir", str(tmp_path)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_implant_bad_action_exits_2_listing_the_choices(tmp_path, capsys):
     assert main(["implant", "dose", "--output-dir", str(tmp_path / "out")]) == 2
     assert "expected one of plan, budget; got 'dose'" in capsys.readouterr().err
@@ -497,6 +529,15 @@ def test_scan_vdp_mode(tmp_path):
     assert code == 0
     report = _read_json(tmp_path / "scan_vdp.json")
     assert report["sheet_resistance_ohm_sq"] == pytest.approx(453.236, rel=1e-5)
+
+
+@pytest.mark.parametrize("r_a, r_b", [("1e300", "100"), ("100", "1e300")])
+def test_scan_vdp_huge_resistance_exits_4(tmp_path, capsys, r_a, r_b):
+    argv = ["scan", "--mode", "vdp", "--r-a-ohm", r_a, "--r-b-ohm", r_b]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_depth_pipeline(tmp_path):
@@ -743,6 +784,6 @@ def test_help_lists_all_config_keys():
         text = "".join(buffer.getvalue().split())  # argparse wraps lines, also at hyphens
         assert "[default:None]" not in text, command
         for name, (typ, _, _) in spec.options.items():
-            assert "--" + name.replace("_", "-") in text
+            assert (name if name == spec.positional else "--" + name.replace("_", "-")) in text
             for value in getattr(typ, "choices", ()):
                 assert value in text, (command, name, value)

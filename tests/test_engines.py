@@ -245,6 +245,11 @@ def test_longitudinal_exponent_owns_the_t1_law():
     assert factor.tobytes() == np.exp(-noise.longitudinal_exponent(times)).tobytes()
 
 
+def test_mc_rejects_nan_time():
+    with pytest.raises(ValueError, match="times must be >= 0"):
+        simulate_mc(build_sequence("hahn", 1e-6), NoiseModel(1e5, 1e-6), [math.nan], 10, 1)
+
+
 def test_analytic_signal_bounds_and_chi_properties():
     noise = NoiseModel(3e6, 2e-6)
     for kind, n in (("ramsey", None), ("hahn", None), ("cpmg", 8), ("xy8", None)):

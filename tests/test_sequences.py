@@ -71,7 +71,9 @@ def test_cell_lengths_same_bytes_as_tuple_fractions(n, times):
     assert seq.cell_lengths(times).tobytes() == reference_cell_lengths(n, times).tobytes()
 
 
-@pytest.mark.parametrize("times", [-1e-6, [1e-6, -1e-12]], ids=["scalar", "array"])
+@pytest.mark.parametrize(
+    "times", [-1e-6, [1e-6, -1e-12], [1e-6, float("nan")]], ids=["scalar", "array", "nan"]
+)
 def test_cell_lengths_reject_negative_times(times):
     with pytest.raises(ValueError, match="times must be >= 0"):
         build_sequence("hahn", 1e-6).cell_lengths(times)
