@@ -17,7 +17,11 @@ values, an upper-case ``implant`` action, an unknown fixtures target, a
 misspelt ``--grid``) and decay-time grid cases (CPMG(256) on the paper-like
 and slow-bath presets, a bath with no decay, a coupling whose square
 overflows, a T1 term that overflows in the bracket search, a negative time
-on an explicit linear and on a log grid).  Per command, the exit code,
+on an explicit linear and on a log grid, a NaN time) and numerical edge
+cases (a T1 factor that overflows on an explicit grid with either engine,
+an implant spot diameter that under- or overflows, a Van-der-Pauw resistance
+near the float limit) and an implant action read from a config file, which
+is written into each export.  Per command, the exit code,
 stdout, stderr (with the export directory replaced by ``<ROOT>``) and every
 output file except ``manifest.json`` are compared.  Prints each difference,
 and for each output file that differs the largest relative difference
@@ -41,6 +45,8 @@ REPO = Path(__file__).resolve().parent.parent
 SEEDS = (0, 5, 12345)
 FIT_MODELS = ("exp_t2star", "stretched_exp", "t1_stretched", "fid_beats")
 FIXTURES = ("fig5", "fig6", "fig7", "fig9", "raman", "s1s2s3", "table2")
+#: Config files written into each export before the script runs: name -> text.
+CONFIG_FILES = {"implant_budget.cfg": "action = budget\n"}
 #: A number as the CSV and JSON writers print it.
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan|Infinity|NaN)")
 
@@ -102,7 +108,18 @@ def script() -> list[tuple[str, list[str]]]:
         ("negative_time_analytic", ["decay", "--t-min-s=-1e-6", "--t-max-s", "1e-5", "--grid", "linear",
                                     "--engine", "analytic", "--n-times", "3"]),
         ("negative_time_log", ["decay", "--t-min-s=-1e-6", "--t-max-s", "1e-5"]),
+        ("nan_time_linear", ["decay", "--t-min-s", "nan", "--t-max-s", "1e-5", "--grid", "linear",
+                             "--n-times", "3", "--engine", "analytic"]),
+        ("plan_diameter_tiny", ["implant", "plan", "--diameter-m", "1e-300"]),
+        ("plan_diameter_huge", ["implant", "plan", "--diameter-m", "1e300"]),
+        ("vdp_huge", ["scan", "--mode", "vdp", "--r-a-ohm", "1e300", "--r-b-ohm", "100"]),
+        ("implant_action_cfg", ["implant", "--config", "implant_budget.cfg"]),
     ]
+    t1_overflow = ["decay", "--noise-preset", "none", "--b-rad-s", "1e5", "--tau-c-s", "1e-6",
+                   "--t1-s", "1e-300", "--t1-q", "2", "--t-min-s", "1e-6", "--t-max-s", "1e-5",
+                   "--grid", "linear", "--n-times", "3"]
+    steps += [(f"t1_overflow_{engine}", [*t1_overflow, "--engine", engine])
+              for engine in ("analytic", "mc")]
     curves = ["hahn/decay_analytic.csv"] + [f"fig7_0/fig7_cpmg{n:02d}.csv" for n in (4, 8, 16, 32, 64)]
     for curve in curves:
         stem = curve.replace("/", "_").removesuffix(".csv")
@@ -123,6 +140,8 @@ def export(rev: str, root: Path) -> None:
 def run_revision(rev: str, root: Path) -> dict[str, tuple]:
     """Export ``rev`` into ``root``, run the script there, collect the results."""
     export(rev, root)
+    for name, text in CONFIG_FILES.items():
+        (root / name).write_text(text)
     env = {k: v for k, v in os.environ.items() if k not in ("NVFORGE_SEED", "PYTHONWARNINGS")}
     env["PYTHONPATH"] = str(root / "src")
     results = {}
