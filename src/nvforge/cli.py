@@ -107,7 +107,10 @@ def _cmd_odmr(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     field = MagneticFieldVector(opts["bx_t"], opts["by_t"], opts["bz_t"])
     f_min, f_max = opts["f_min_hz"], opts["f_max_hz"]
     if f_min is None or f_max is None:
-        span = params.gyromag_hz_per_t * field.magnitude_t + 10 * params.linewidth_fwhm_hz
+        with np.errstate(over="ignore"):  # a field near the float limit has an infinite norm
+            span = params.gyromag_hz_per_t * field.magnitude_t + 10 * params.linewidth_fwhm_hz
+        if not math.isfinite(span):
+            raise ConfigError("the auto frequency span is not finite; give f-min-hz and f-max-hz")
         f_min = params.zfs_d_hz - span if f_min is None else f_min
         f_max = params.zfs_d_hz + span if f_max is None else f_max
     if not f_max > f_min:

@@ -19,7 +19,11 @@ equally spaced pi pulses (:class:`nvforge.sequences.PulseSequence`):
   drawn from their exact joint Gaussian law (see
   :func:`nvforge.noise.ou_cell_coefficients`), so the estimator is exact
   in distribution for any cell size; the only discrepancy against the
-  analytic engine is Monte-Carlo statistics.
+  analytic engine is Monte-Carlo statistics.  The phase is linear in the
+  normal draws (one initial noise value, then two per cell), so a backward
+  sweep over the cells turns their coefficients into one weight per draw
+  and time point, and each trajectory's phase is the weighted sum of its
+  draws.  The weights are never squared and summed: that sum is 2 chi.
 
 Monte-Carlo runs are bit-reproducible for a fixed seed regardless of
 evaluation order: trajectories are partitioned into fixed-size blocks and
@@ -48,7 +52,8 @@ from .sequences import PulseSequence, build_sequence, check_times
 MC_BLOCK_SIZE = 16384
 #: Trajectories per chunk of a block; a chunk's draws drive all time points at once.
 MC_CHUNK_SIZE = 2048
-#: Layout of the MC draws, recorded in the sidecar; it changes with the MC bytes.
+#: Layout of the MC draws, recorded in the sidecar.  It changes only when the
+#: draws do, not when the arithmetic on them changes the MC bytes by ulps.
 MC_STREAM = 2
 
 #: Decay window of :func:`decay_time_grid`, in -ln(signal).
@@ -186,29 +191,21 @@ def simulate_analytic(seq: PulseSequence, noise: NoiseModel, times_s) -> DecayCu
     return DecayCurve(times_s=times, signal=signal, meta=meta)
 
 
-def _mc_chunk_sums(
-    rng: Generator, chunk_n: int, coeffs: np.ndarray, b_rad_s: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _mc_chunk_sums(rng: Generator, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum and sum-of-squares of cos(phase) at every time point over chunk_n trajectories.
 
-    ``coeffs[k]`` holds cell k's (alpha, m_i, l11, l21, l22) as columns of
-    shape (n_times, 1), with the cell's sign folded into m_i, l21 and l22.
-    The chunk draws one initial value per trajectory, then one (z1, z2) pair
-    per cell, and every draw drives all time points at once by
-    broadcasting, so a time point's sums depend only on its own column.
+    The phase is the sum over the chunk's draws of ``weights[d]``, a column
+    of shape (n_times, 1), times row d of one ``standard_normal((rows,
+    chunk_n))`` call, drawn one row at a time into one buffer, so the
+    working set stays at (n_times, chunk_n) for any number of cells.  Each
+    draw drives all time points at once by broadcasting, so a time point's
+    sums depend only on its own column.
     """
-    x = np.empty((coeffs.shape[2], chunk_n))
-    x[:] = b_rad_s * rng.standard_normal(chunk_n)
-    phase = np.zeros_like(x)
-    term = np.empty_like(x)
-    for alpha, m_i, l11, l21, l22 in coeffs:
-        z1, z2 = rng.standard_normal((2, chunk_n))
-        # phase += m_i x + l21 z1 + l22 z2 and x = alpha x + l11 z1, in place.
-        phase += np.multiply(m_i, x, out=term)
-        phase += np.multiply(l21, z1, out=term)
-        phase += np.multiply(l22, z2, out=term)
-        x *= alpha
-        x += np.multiply(l11, z1, out=term)
+    phase = np.zeros((weights.shape[1], chunk_n))
+    term = np.empty_like(phase)
+    z = np.empty(chunk_n)
+    for w in weights:
+        phase += np.multiply(w, rng.standard_normal(out=z), out=term)
     cos = np.cos(phase, out=phase)
     return cos.sum(axis=1), np.square(cos, out=term).sum(axis=1)
 
@@ -241,7 +238,18 @@ def simulate_mc(
         ]
     ).reshape(n_cells, times.size, 5)
     cells[1::2, :, [1, 3, 4]] *= -1.0  # odd cells carry the sign -1
-    coeffs = np.ascontiguousarray(cells.transpose(0, 2, 1)[..., None])
+
+    # With x0 = b z0, each cell adds m_i x + l21 z1 + l22 z2 to the phase and
+    # moves x to alpha x + l11 z1.  Sweeping the cells backward, with g the
+    # weight of x at a cell's entry, gives every draw its weight.
+    weights = np.empty((2 * n_cells + 1, times.size, 1))
+    g = np.zeros(times.size)
+    for k in range(n_cells - 1, -1, -1):
+        alpha, m_i, l11, l21, l22 = cells[k].T
+        weights[2 * k + 1, :, 0] = l21 + l11 * g
+        weights[2 * k + 2, :, 0] = l22
+        g = m_i + alpha * g
+    weights[0, :, 0] = noise.b_rad_s * g
 
     # Block ib draws from its own stream, keyed by (seed, ib) only, so blocks
     # can be evaluated in any order.  It is walked in chunks of MC_CHUNK_SIZE
@@ -253,7 +261,7 @@ def simulate_mc(
         block_n = min(MC_BLOCK_SIZE, n_traj - ib * MC_BLOCK_SIZE)
         for start in range(0, block_n, MC_CHUNK_SIZE):
             chunk_n = min(MC_CHUNK_SIZE, block_n - start)
-            sums[ib] += _mc_chunk_sums(rng, chunk_n, coeffs, noise.b_rad_s)
+            sums[ib] += _mc_chunk_sums(rng, chunk_n, weights)
 
     # Block sums are added in index order, one block at a time, so every
     # point is summed the same way whatever the size of ``times``.

@@ -190,8 +190,9 @@ def odmr_spectrum(
     depth_each = params.odmr_contrast / 8.0
     signal = np.ones_like(freqs)
     half = params.linewidth_fwhm_hz / 2.0
-    for _, _, f0 in centers:
-        signal -= depth_each / (1.0 + ((freqs - f0) / half) ** 2)
+    with np.errstate(over="ignore"):  # far from a narrow line the Lorentzian is 1/(1 + inf) = 0
+        for _, _, f0 in centers:
+            signal -= depth_each / (1.0 + ((freqs - f0) / half) ** 2)
 
     resolved = _merge_centers(centers, params.linewidth_fwhm_hz, depth_each)
     return OdmrSpectrum(

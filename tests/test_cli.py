@@ -39,6 +39,20 @@ def test_odmr_zero_field_single_line(tmp_path):
     assert lines["resolved_lines"][0]["center_hz"] == pytest.approx(2.87e9)
 
 
+@pytest.mark.parametrize(
+    "option, value, code",
+    [("--bz-t", "1e300", 2), ("--bx-t", "1e200", 2), ("--linewidth-hz", "1e-300", 0)],
+)
+def test_odmr_extreme_values_are_quiet(tmp_path, capsys, option, value, code):
+    # A field near the float limit has no finite auto span (exit 2); a line
+    # narrower than the float range can resolve is 0 off its centre (exit 0).
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["odmr", option, value, "--output-dir", str(tmp_path)]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("# odmr run\nbz-t = 0.0\nn-freq = 501\n")

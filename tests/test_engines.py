@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from nvforge.engines import (
     decay_time_grid,
     simulate_analytic,
     simulate_fid_beats,
+    seeded_rng,
     simulate_mc,
     t2_vs_n,
 )
@@ -454,6 +456,93 @@ def test_mc_never_evaluates_chi(monkeypatch):
     got = simulate_mc(seq, noise, times, 3000, seed=2)
     assert np.array_equal(got.signal, expected.signal)
     assert got.meta == expected.meta
+
+
+def state_recursion_chunk_sums(rng, chunk_n, coeffs, b_rad_s):
+    """Reference MC chunk: carries the OU value x through every cell.
+
+    ``coeffs[k]`` holds cell k's (alpha, m_i, l11, l21, l22) as columns of
+    shape (n_times, 1), with the cell's sign folded into m_i, l21 and l22.
+    It takes the draws in the engine's order: one initial value per
+    trajectory, then one (z1, z2) pair per cell.
+    """
+    x = np.empty((coeffs.shape[2], chunk_n))
+    x[:] = b_rad_s * rng.standard_normal(chunk_n)
+    phase = np.zeros_like(x)
+    term = np.empty_like(x)
+    for alpha, m_i, l11, l21, l22 in coeffs:
+        z1, z2 = rng.standard_normal((2, chunk_n))
+        # phase += m_i x + l21 z1 + l22 z2 and x = alpha x + l11 z1, in place.
+        phase += np.multiply(m_i, x, out=term)
+        phase += np.multiply(l21, z1, out=term)
+        phase += np.multiply(l22, z2, out=term)
+        x *= alpha
+        x += np.multiply(l11, z1, out=term)
+    cos = np.cos(phase, out=phase)
+    return cos.sum(axis=1), np.square(cos, out=term).sum(axis=1)
+
+
+def state_recursion_mc(seq, noise, times, n_traj, seed):
+    """Reference (signal, variance of cos(phase)) of simulate_mc, on its blocks and chunks, without T1."""
+    lengths = seq.cell_lengths(times)
+    cells = np.array(
+        [[ou_cell_coefficients(noise.b_rad_s, noise.tau_c_s, length) for length in row] for row in lengths.T]
+    )
+    cells[1::2, :, [1, 3, 4]] *= -1.0
+    coeffs = cells.transpose(0, 2, 1)[..., None]
+    sums = np.zeros((2, times.size))
+    for ib in range(-(-n_traj // engines.MC_BLOCK_SIZE)):
+        rng = seeded_rng(seed, ib)
+        block_n = min(engines.MC_BLOCK_SIZE, n_traj - ib * engines.MC_BLOCK_SIZE)
+        for start in range(0, block_n, engines.MC_CHUNK_SIZE):
+            chunk_n = min(engines.MC_CHUNK_SIZE, block_n - start)
+            sums += state_recursion_chunk_sums(rng, chunk_n, coeffs, noise.b_rad_s)
+    mean, mean_sq = sums / n_traj
+    return mean, np.clip(mean_sq - mean**2, 0.0, None)
+
+
+def assert_matches_state_recursion(seq, noise, times, n_traj, seed):
+    # mc_stderr is compared as the variance n_traj * stderr^2: where the
+    # signal is near 1, mean_sq - mean^2 cancels, and a 1-ulp move of the
+    # mean moves the stderr by up to ~1e-11 while the variance moves by ~1e-16.
+    curve = simulate_mc(seq, noise, times, n_traj, seed)
+    signal, var = state_recursion_mc(seq, noise, times, n_traj, seed)
+    assert np.max(np.abs(curve.signal - signal)) <= 1e-14
+    assert np.max(np.abs(n_traj * np.array(curve.meta["mc_stderr"]) ** 2 - var)) <= 1e-14
+
+
+@pytest.mark.parametrize("b_tau", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("kind, n", [("ramsey", 0), ("hahn", 1), ("xy8", 8), ("cpmg", 7), ("cpmg", 64)])
+def test_mc_weights_match_the_state_recursion(kind, n, b_tau):
+    # The per-draw weights reorder the phase sum of the state recursion on
+    # the same draws, so the two agree to a few ulps of the phase.
+    seq = build_sequence(kind, 1e-6, n=n)
+    noise = NoiseModel(b_tau / 1e-6, 1e-6)
+    times = np.geomspace(1e-10, 30.0, 9) * noise.tau_c_s
+    assert_matches_state_recursion(seq, noise, times, 2500, seed=17)
+
+
+def test_mc_weights_match_the_state_recursion_over_two_blocks():
+    # Two blocks, the second ending on a partial chunk.
+    seq = build_sequence("cpmg", 1e-6, n=7)
+    noise = NoiseModel(1e6, 1e-6)
+    times = np.geomspace(1e-10, 30.0, 7) * noise.tau_c_s
+    n_traj = engines.MC_BLOCK_SIZE + engines.MC_CHUNK_SIZE + 452
+    assert_matches_state_recursion(seq, noise, times, n_traj, seed=3)
+
+
+def test_mc_draws_stay_in_a_bounded_working_set():
+    # CPMG(512) takes 1 + 2 * 513 rows of draws per chunk; taken in one call
+    # they would hold 1027 * 2048 * 8 B = 16.8 MB.
+    seq = build_sequence("cpmg", 1e-6, n=512)
+    times = np.geomspace(1e-7, 1e-5, 4)
+    tracemalloc.start()
+    try:
+        simulate_mc(seq, NoiseModel(1e6, 1e-6), times, engines.MC_CHUNK_SIZE, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_mc_noiseless_is_exactly_one():

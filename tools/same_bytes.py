@@ -20,8 +20,10 @@ overflows, a T1 term that overflows in the bracket search, a negative time
 on an explicit linear and on a log grid, a NaN time) and numerical edge
 cases (a T1 factor that overflows on an explicit grid with either engine,
 an implant spot diameter that under- or overflows, a Van-der-Pauw resistance
-near the float limit) and an implant action read from a config file, which
-is written into each export.  Per command, the exit code,
+near the float limit, an ODMR field near the float limit and a line too
+narrow to resolve) and an implant action read from a config file, which
+is written into each export, and a 20000-trajectory Monte-Carlo CPMG(64)
+curve.  Per command, the exit code,
 stdout, stderr (with the export directory replaced by ``<ROOT>``) and every
 output file except ``manifest.json`` are compared.  Prints each difference,
 and for each output file that differs the largest relative difference
@@ -114,6 +116,11 @@ def script() -> list[tuple[str, list[str]]]:
         ("plan_diameter_huge", ["implant", "plan", "--diameter-m", "1e300"]),
         ("vdp_huge", ["scan", "--mode", "vdp", "--r-a-ohm", "1e300", "--r-b-ohm", "100"]),
         ("implant_action_cfg", ["implant", "--config", "implant_budget.cfg"]),
+        ("odmr_bz_huge", ["odmr", "--bz-t", "1e300"]),
+        ("odmr_bx_huge", ["odmr", "--bx-t", "1e200"]),
+        ("odmr_linewidth_tiny", ["odmr", "--linewidth-hz", "1e-300"]),
+        ("cpmg64_mc", ["decay", "--sequence", "cpmg", "--n-pulses", "64", "--engine", "mc",
+                       "--n-traj", "20000"]),
     ]
     t1_overflow = ["decay", "--noise-preset", "none", "--b-rad-s", "1e5", "--tau-c-s", "1e-6",
                    "--t1-s", "1e-300", "--t1-q", "2", "--t-min-s", "1e-6", "--t-max-s", "1e-5",
