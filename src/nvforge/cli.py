@@ -106,6 +106,8 @@ def _cmd_odmr(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     )
     field = MagneticFieldVector(opts["bx_t"], opts["by_t"], opts["bz_t"])
     f_min, f_max = opts["f_min_hz"], opts["f_max_hz"]
+    if not all(math.isfinite(f) for f in (f_min, f_max) if f is not None):
+        raise ConfigError("f-min-hz and f-max-hz must be finite")
     if f_min is None or f_max is None:
         with np.errstate(over="ignore"):  # a field near the float limit has an infinite norm
             span = params.gyromag_hz_per_t * field.magnitude_t + 10 * params.linewidth_fwhm_hz
@@ -175,7 +177,7 @@ def _cmd_fit(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     curve = dataio.read_decay_csv(Path(opts["input"]))
     fix = {"c": 0.0} if opts["pin_offset"] else None
     result = fitkit.fit(curve, getattr(fitkit.FitModel, opts["model"])(), fix=fix)
-    return _write(out_dir, {"fit_result.json": result.as_dict()})
+    return _write(out_dir, {"fit_result.json": result})
 
 
 def _cmd_sense(opts: dict, seed: int, out_dir: Path) -> list[Path]:

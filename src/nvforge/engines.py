@@ -229,14 +229,18 @@ def simulate_mc(
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     times = np.asarray(times_s, dtype=float)
-    lengths = seq.cell_lengths(times)
-    n_cells = lengths.shape[-1]
+    check_times(times)
+    # Equal unit cells give equal cell lengths bit for bit (see
+    # PulseSequence.cell_lengths), so each distinct one is evaluated once.
+    unit_cells, unit_index = np.unique(seq._unit_cells, return_inverse=True)
+    lengths = np.multiply.outer(times, unit_cells)
     cells = np.array(
         [
             ou_cell_coefficients(noise.b_rad_s, noise.tau_c_s, length)
             for length in lengths.T.ravel().tolist()
         ]
-    ).reshape(n_cells, times.size, 5)
+    ).reshape(unit_cells.size, times.size, 5)[unit_index]
+    n_cells = unit_index.size
     cells[1::2, :, [1, 3, 4]] *= -1.0  # odd cells carry the sign -1
 
     # With x0 = b z0, each cell adds m_i x + l21 z1 + l22 z2 to the phase and
@@ -330,6 +334,9 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     The total decay exponent chi(t) + (t/T1)^q is monotone in t, so both
     endpoints are found together by one bisection on the pair of targets.
     """
+    def total_exponent(chi, t):
+        return np.maximum(chi, 0.0) + noise.longitudinal_exponent(t)
+
     # Upper bracket: the first tau_c * 2^k whose exponent reaches
     # GRID_DECAY_HI.  chi is evaluated on every candidate in one call; the
     # scan stops at the first crossing or non-finite chi, whichever comes
@@ -337,8 +344,7 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     with np.errstate(over="ignore"):
         probes = np.ldexp(noise.tau_c_s, np.arange(GRID_MAX_DOUBLINGS))
     chi = _chi(seq, noise, probes)
-    total = np.maximum(chi, 0.0) + noise.longitudinal_exponent(probes)
-    stop = ~np.isfinite(chi) | (total >= GRID_DECAY_HI)
+    stop = ~np.isfinite(chi) | (total_exponent(chi, probes) >= GRID_DECAY_HI)
     if not stop.any():
         raise ValueError("noise model produces no appreciable decay")
     k = np.argmax(stop)
@@ -353,9 +359,11 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     # with the same 0.5 * (lo + hi) arithmetic, evaluated together, and the
     # steps are then replayed on their indices: lo and hi come out bit for
     # bit as from one kernel call per step, provided the kernel gives each
-    # point the same value whatever else is in its call.
+    # point the same value whatever else is in its call.  The replay walks
+    # down by halving strides from lo, whose index is i; hi is at i + 1.
     targets = np.array([GRID_DECAY_LO, GRID_DECAY_HI])
     lo, hi = np.zeros(2), np.full(2, probe)
+    strides = [2**d for d in reversed(range(GRID_TREE_DEPTH))]
     for _ in range(GRID_BISECTION_STEPS // GRID_TREE_DEPTH):
         points = np.stack([lo, hi])
         for _ in range(GRID_TREE_DEPTH):
@@ -364,17 +372,11 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
             finer[1::2] = 0.5 * (points[:-1] + points[1:])
             points = finer
         inner = points[1:-1]
-        total = attenuation_exponent(seq, noise, inner) + noise.longitudinal_exponent(inner)
-        below = total < targets
-        i_lo, i_hi = [0, 0], [len(points) - 1] * 2
-        for _ in range(GRID_TREE_DEPTH):
-            for end in range(2):
-                i_mid = (i_lo[end] + i_hi[end]) // 2
-                if below[i_mid - 1, end]:
-                    i_lo[end] = i_mid
-                else:
-                    i_hi[end] = i_mid
-        lo, hi = points[i_lo, [0, 1]], points[i_hi, [0, 1]]
+        below = (total_exponent(attenuation_exponent(seq, noise, inner), inner) < targets).tolist()
+        i = [0, 0]
+        for step in strides:
+            i = [j + step if below[j + step - 1][end] else j for end, j in enumerate(i)]
+        lo, hi = points[i, [0, 1]], points[np.add(i, 1), [0, 1]]
     t_lo, t_hi = 0.5 * (lo + hi)
     return np.geomspace(max(t_lo, 1e-15), t_hi, n_points)
 

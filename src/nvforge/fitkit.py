@@ -18,7 +18,7 @@ of the signal, and oscillation frequencies from the curve periodogram.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -210,37 +210,27 @@ def spectral_lines(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     freqs = np.fft.rfftfreq(4 * n_uniform, d=tu[1] - tu[0])
     spec[0] = 0.0
     k_peak = int(np.argmax(spec))
-    interior = (spec[1:-1] > spec[:-2]) & (spec[1:-1] >= spec[2:])
-    idx = set((np.nonzero(interior)[0] + 1).tolist()) | {k_peak}
-    lines = [
-        (float(freqs[k]), float(spec[k]))
-        for k in sorted(idx)
-        if spec[k] >= 0.3 * spec[k_peak]
-    ]
-    return lines
+    keep = np.zeros(spec.size, dtype=bool)
+    keep[1:-1] = (spec[1:-1] > spec[:-2]) & (spec[1:-1] >= spec[2:])
+    keep[k_peak] = True
+    keep &= spec >= 0.3 * spec[k_peak]
+    return list(zip(freqs[keep].tolist(), spec[keep].tolist()))
 
 
 @dataclass
 class FitResult:
     """Fitted parameters with standard errors from the Jacobian at optimum."""
 
-    model_kind: str
+    model: str
     params: dict[str, float]
     stderr: dict[str, float]
     residual_rms: float
     converged: bool
     n_iter: int
-    objective_trace: list[float] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "model": self.model_kind,
-            "params": self.params,
-            "stderr": self.stderr,
-            "residual_rms": self.residual_rms,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-        }
+        """The fields, as :mod:`nvforge.dataio` writes them to ``fit_result.json``."""
+        return asdict(self)
 
 
 def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None) -> FitResult:
@@ -312,13 +302,12 @@ def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None)
         stderr[names[i]] = float(stderr_free[j])
 
     result = FitResult(
-        model_kind=model.kind,
+        model=model.kind,
         params=params,
         stderr=stderr,
         residual_rms=float(np.sqrt(res.sse / t.size)),
         converged=res.converged,
         n_iter=res.n_iter,
-        objective_trace=res.objective_trace,
     )
     if not res.converged:
         raise FitConvergenceError(f"fit did not converge: {res.message}", result)

@@ -1,15 +1,15 @@
 """Damped least-squares (Levenberg-Marquardt) minimizer.
 
 Trust-region flavored LM on the squared-residual objective with Marquardt
-diagonal scaling, simple box projection, and a monotone accepted-step
-objective trace.  Written in-house so fit contracts (iteration cap,
-convergence criteria, best-so-far on failure, step-trace inspection) are
-under direct control.
+diagonal scaling and simple box projection; a step is accepted only if it
+lowers the objective.  Written in-house so fit contracts (iteration cap,
+convergence criteria, best-so-far on failure, stop reason) are under
+direct control.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,7 +35,6 @@ class LMResult:
     sse: float
     converged: bool
     n_iter: int
-    objective_trace: list[float] = field(default_factory=list)
     jacobian: np.ndarray | None = None
     message: str = ""
 
@@ -84,7 +83,6 @@ def lm_least_squares(
     if not np.all(np.isfinite(r)):
         raise NumericalFailure("residual is not finite at the starting point")
     sse = float(r @ r)
-    trace = [sse]
     lam = LAMBDA_INIT
     message = "max_iter reached"
     converged = False
@@ -114,7 +112,6 @@ def lm_least_squares(
                 moved = np.abs(x_trial - x)
                 rel_move = float(np.max(moved / (np.abs(x) + 1e-300)))
                 x, r, sse = x_trial, r_trial, sse_trial
-                trace.append(sse)
                 lam = max(lam * LAMBDA_SHRINK, 1e-14)
                 accepted = True
                 if rel_move < XTOL:
@@ -135,7 +132,6 @@ def lm_least_squares(
         sse=sse,
         converged=converged,
         n_iter=n_iter,
-        objective_trace=trace,
         jacobian=jacobian_at(x, r),
         message=message,
     )

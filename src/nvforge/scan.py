@@ -419,10 +419,12 @@ def identify_peaks(spec: Spectrum) -> list[PeakFit]:
 
     Local maxima above the robust noise floor seed per-peak Lorentzian fits
     on windows of +-5 estimated FWHM (truncated halfway to the nearest
-    neighboring candidate).  After the first pass, each peak is refitted on
-    the data with the other fitted profiles subtracted, which removes the
-    area bias from overlapping tails.  Labels come from the line catalog
-    for the spectrum's unit; unmatched peaks are labeled ``unknown``.
+    neighboring candidate).  The fits run in DEFLATION_PASSES passes, each
+    on the data with the other peaks' profiles from the previous pass
+    subtracted (none in pass 1), which removes the area bias from
+    overlapping tails.  A candidate that pass 1 cannot fit is dropped.
+    Labels come from the line catalog for the spectrum's unit; unmatched
+    peaks are labeled ``unknown``.
     """
     x, y = spec.values, spec.counts
     if x.size < 50:
@@ -438,21 +440,18 @@ def identify_peaks(spec: Spectrum) -> list[PeakFit]:
         return []
 
     centers = x[np.array(candidates)]
-    fits: list[tuple[int, tuple[float, float, float]]] = []
-    for idx in candidates:
-        fitted = _fit_one_peak(x, y, idx, baseline, centers)
-        if fitted is not None:
-            fits.append((idx, fitted))
-
-    for _ in range(DEFLATION_PASSES - 1):
+    # A failed refit keeps the peak's fit from the previous pass.
+    fits = [(idx, None) for idx in candidates]
+    for _ in range(DEFLATION_PASSES):
         refined = []
-        for i, (idx, _) in enumerate(fits):
+        for i, (idx, previous) in enumerate(fits):
             cleaned = y.copy()
-            for j, (_, (amp_j, c_j, w_j)) in enumerate(fits):
-                if j != i:
-                    cleaned -= _lorentzian((amp_j, c_j, w_j, 0.0), x)
-            fitted = _fit_one_peak(x, cleaned, idx, baseline, centers)
-            refined.append((idx, fitted if fitted is not None else fits[i][1]))
+            for j, (_, other) in enumerate(fits):
+                if j != i and other is not None:
+                    cleaned -= _lorentzian((*other, 0.0), x)
+            fitted = _fit_one_peak(x, cleaned, idx, baseline, centers) or previous
+            if fitted is not None:
+                refined.append((idx, fitted))
         fits = refined
 
     peaks = [

@@ -41,14 +41,21 @@ def test_odmr_zero_field_single_line(tmp_path):
 
 @pytest.mark.parametrize(
     "option, value, code",
-    [("--bz-t", "1e300", 2), ("--bx-t", "1e200", 2), ("--linewidth-hz", "1e-300", 0)],
+    [
+        ("--bz-t", "1e300", 2),
+        ("--bx-t", "1e200", 2),
+        ("--linewidth-hz", "1e-300", 0),
+        ("--f-max-hz", "inf", 2),
+        ("--f-min-hz", "-inf", 2),
+    ],
 )
 def test_odmr_extreme_values_are_quiet(tmp_path, capsys, option, value, code):
-    # A field near the float limit has no finite auto span (exit 2); a line
-    # narrower than the float range can resolve is 0 off its centre (exit 0).
+    # A field near the float limit has no finite auto span, and an explicit
+    # grid end must be finite (exit 2); a line narrower than the float range
+    # can resolve is 0 off its centre (exit 0).
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["odmr", option, value, "--output-dir", str(tmp_path)]) == code
+        assert main(["odmr", f"{option}={value}", "--output-dir", str(tmp_path)]) == code
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in capsys.readouterr().err
 

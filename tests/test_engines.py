@@ -512,7 +512,9 @@ def assert_matches_state_recursion(seq, noise, times, n_traj, seed):
 
 
 @pytest.mark.parametrize("b_tau", [0.1, 1.0, 10.0])
-@pytest.mark.parametrize("kind, n", [("ramsey", 0), ("hahn", 1), ("xy8", 8), ("cpmg", 7), ("cpmg", 64)])
+@pytest.mark.parametrize(
+    "kind, n", [("ramsey", 0), ("hahn", 1), ("xy8", 8), ("cpmg", 7), ("cpmg", 64), ("cpmg", 100)]
+)
 def test_mc_weights_match_the_state_recursion(kind, n, b_tau):
     # The per-draw weights reorder the phase sum of the state recursion on
     # the same draws, so the two agree to a few ulps of the phase.

@@ -14,7 +14,9 @@ from nvforge.fitkit import (
     extract_t2_table,
     fit,
     fit_envelope,
+    spectral_lines,
 )
+from nvforge.levmar import lm_least_squares
 
 
 def _stretched_curve(t2, p, a=1.0, c=0.0, n=50, span=(0.05, 4.0)):
@@ -99,13 +101,66 @@ def test_amplitude_scale_equivariance():
     assert res.params["p"] == pytest.approx(ref.params["p"], rel=1e-8)
 
 
-def test_objective_trace_monotone_on_accepted_steps():
+def test_lm_returns_the_lowest_sse_it_evaluated():
+    # LM accepts a step only if it lowers the SSE, so the result is the
+    # best point of every residual evaluation, the start included.
     rng = np.random.default_rng(42)
     curve = _stretched_curve(2e-6, 0.8)
-    noisy = DecayCurve(curve.times_s, np.clip(curve.signal + 0.01 * rng.standard_normal(len(curve)), -1.04, 1.04))
-    result = fit(noisy, FitModel.stretched_exp())
-    trace = result.objective_trace
-    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    t = curve.times_s
+    y = np.clip(curve.signal + 0.01 * rng.standard_normal(len(curve)), -1.04, 1.04)
+    model = FitModel.stretched_exp()
+    evaluated = []
+
+    def residual(theta):
+        r = model.predict(t, theta) - y
+        evaluated.append(float(r @ r))
+        return r
+
+    lo, hi = model.bounds()
+    res = lm_least_squares(
+        residual, model.initial_guess(t, y), jacobian=lambda theta: model.jacobian(t, theta),
+        lower=lo, upper=hi,
+    )
+    assert len(evaluated) > 1
+    assert res.sse == min(evaluated)
+    assert res.sse <= evaluated[0]
+
+
+def reference_lines(t, y):
+    """spectral_lines' selection, one spectrum bin at a time."""
+    n_uniform = max(4096, 4 * t.size)
+    tu = np.linspace(t[0], t[-1], n_uniform)
+    spec = np.abs(np.fft.rfft(np.interp(tu, t, y), n=4 * n_uniform))
+    freqs = np.fft.rfftfreq(4 * n_uniform, d=tu[1] - tu[0]).tolist()
+    spec[0] = 0.0
+    spec = spec.tolist()
+    peak = spec.index(max(spec))
+    lines = []
+    for k, s in enumerate(spec):
+        local_max = 0 < k < len(spec) - 1 and spec[k - 1] < s >= spec[k + 1]
+        if (local_max or k == peak) and s >= 0.3 * spec[peak]:
+            lines.append((freqs[k], s))
+    return lines, (freqs[peak], spec[peak])
+
+
+@pytest.mark.parametrize(
+    "signal",
+    [
+        lambda t: simulate_fid_beats(HyperfineTriplet.doublet(2e6, 1e6), 2e-6, t).signal,
+        lambda t: np.cos(2 * math.pi * 3e6 * t) + 0.4 * np.cos(2 * math.pi * 7e6 * t),
+    ],
+    ids=["doublet_fid", "two_tone"],
+)
+def test_spectral_lines_match_a_bin_by_bin_selection(signal):
+    t = np.arange(1, 2500) * 2e-9
+    y = signal(t)
+    lines = spectral_lines(t, y - np.mean(y))
+    expected, peak = reference_lines(t, y - np.mean(y))
+    assert lines == expected
+    assert peak in lines
+    freqs = [f for f, _ in lines]
+    assert freqs == sorted(freqs) and len(lines) >= 2
+    assert all(type(f) is float and type(m) is float for f, m in lines)
 
 
 def test_fix_offset_is_respected():

@@ -20,12 +20,13 @@ overflows, a T1 term that overflows in the bracket search, a negative time
 on an explicit linear and on a log grid, a NaN time) and numerical edge
 cases (a T1 factor that overflows on an explicit grid with either engine,
 an implant spot diameter that under- or overflows, a Van-der-Pauw resistance
-near the float limit, an ODMR field near the float limit and a line too
-narrow to resolve) and an implant action read from a config file, which
-is written into each export, and a 20000-trajectory Monte-Carlo CPMG(64)
-curve.  Per command, the exit code,
-stdout, stderr (with the export directory replaced by ``<ROOT>``) and every
-output file except ``manifest.json`` are compared.  Prints each difference,
+near the float limit, an ODMR field near the float limit, a line too
+narrow to resolve and an infinite ODMR grid end) and an implant action
+read from a config file, which is written into each export, a
+20000-trajectory Monte-Carlo CPMG(64) curve and a 4096-trajectory CPMG(100)
+engine comparison, whose cells come in 9 distinct lengths.  Per command,
+the exit code, stdout, stderr (with the export directory replaced by
+``<ROOT>``) and every output file except ``manifest.json`` are compared.  Prints each difference,
 and for each output file that differs the largest relative difference
 between the numbers at the same place of the two files, or "structure
 differs" when the text around the numbers is not the same; exits 1 if
@@ -121,6 +122,9 @@ def script() -> list[tuple[str, list[str]]]:
         ("odmr_linewidth_tiny", ["odmr", "--linewidth-hz", "1e-300"]),
         ("cpmg64_mc", ["decay", "--sequence", "cpmg", "--n-pulses", "64", "--engine", "mc",
                        "--n-traj", "20000"]),
+        ("odmr_f_max_inf", ["odmr", "--f-max-hz", "inf"]),
+        ("cpmg100_both", ["decay", "--sequence", "cpmg", "--n-pulses", "100", "--engine", "both",
+                          "--n-traj", "4096"]),
     ]
     t1_overflow = ["decay", "--noise-preset", "none", "--b-rad-s", "1e5", "--tau-c-s", "1e-6",
                    "--t1-s", "1e-300", "--t1-q", "2", "--t-min-s", "1e-6", "--t-max-s", "1e-5",
