@@ -440,7 +440,6 @@ def identify_peaks(spec: Spectrum) -> list[PeakFit]:
         return []
 
     centers = x[np.array(candidates)]
-    # A failed refit keeps the peak's fit from the previous pass.
     fits = [(idx, None) for idx in candidates]
     for _ in range(DEFLATION_PASSES):
         refined = []

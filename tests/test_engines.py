@@ -252,6 +252,11 @@ def test_mc_rejects_nan_time():
         simulate_mc(build_sequence("hahn", 1e-6), NoiseModel(1e5, 1e-6), [math.nan], 10, 1)
 
 
+def test_mc_rejects_no_time_points():
+    with pytest.raises(ValueError, match="at least one time point"):
+        simulate_mc(build_sequence("cpmg", 1e-6, n=7), NoiseModel(1e5, 1e-6), [], 10, 1)
+
+
 def test_analytic_signal_bounds_and_chi_properties():
     noise = NoiseModel(3e6, 2e-6)
     for kind, n in (("ramsey", None), ("hahn", None), ("cpmg", 8), ("xy8", None)):
