@@ -29,14 +29,10 @@ import numpy as np
 
 from . import __version__, dataio, fitkit, fixtures, implant, magnetometry, presets
 from .config import ConfigError, boolean, choice, parse_config_file, resolve_options
-from .curves import DecayCurve
 from .engines import decay_time_grid, simulate_analytic, simulate_mc
 from .levmar import NumericalFailure
 from .noise import NoiseModel
 from .scan import (
-    DepthProfile,
-    ScanGrid,
-    Spectrum,
     charge_ratio,
     detect_spots,
     film_thickness,
@@ -45,23 +41,10 @@ from .scan import (
     van_der_pauw,
 )
 from .sequences import SEQUENCE_KINDS, build_sequence
-from .spincore import MagneticFieldVector, OdmrSpectrum, SpinParams, odmr_spectrum
+from .spincore import MagneticFieldVector, SpinParams, odmr_spectrum
 
 DEFAULT_SEED = 12345
 ENGINE_RMS_TOLERANCE = 0.02
-
-# The tables below name library functions or call them from lambdas and
-# never hold them: each call looks them up in the module namespaces, so
-# wrappers swapped into those namespaces (perfbench/tracing.py) see it.
-
-# Payload type -> dataio CSV writer; any other payload is written as JSON.
-_WRITERS = {
-    DecayCurve: "write_decay_csv",
-    OdmrSpectrum: "write_odmr_csv",
-    ScanGrid: "write_scan_grid_csv",
-    DepthProfile: "write_depth_profile_csv",
-    Spectrum: "write_spectrum_csv",
-}
 
 
 class EngineMismatchError(RuntimeError):
@@ -70,23 +53,15 @@ class EngineMismatchError(RuntimeError):
 
 def _write(out_dir: Path, files: dict) -> list[Path]:
     """Write each ``{file name: payload}``; returns every path written."""
-    written = []
-    for name, payload in files.items():
-        path = out_dir / name
-        writer = _WRITERS.get(type(payload))
-        if writer is None:
-            dataio.write_json(path, payload)
-        else:
-            getattr(dataio, writer)(payload, path)
-        written.append(path)
-        if isinstance(payload, DecayCurve):
-            written.append(path.with_suffix(".json"))
-    return written
+    return [path for name, payload in files.items()
+            for path in dataio.write(out_dir / name, payload)]
 
 
 def _noise_from_options(opts: dict) -> NoiseModel:
     preset = opts["noise_preset"]
     if preset != "none":
+        if opts["b_rad_s"] is not None or opts["tau_c_s"] is not None:
+            raise ConfigError("b-rad-s and tau-c-s need noise-preset none")
         noise = presets.noise_preset(preset)
         if opts["t1_s"] is not None:
             noise = NoiseModel(noise.b_rad_s, noise.tau_c_s, opts["t1_s"], opts["t1_q"])
@@ -230,6 +205,7 @@ def _scan_vdp(_, opts: dict) -> dict:
     return {"sheet_resistance_ohm_sq": rs, "sheet_conductance_s_sq": g}
 
 
+# Readers are named, not held, so wrappers swapped into dataio see each read.
 # mode -> (dataio reader of --input, or None; reducer(data, opts) -> JSON payload; output file)
 SCAN_MODES = {
     "spots": ("read_scan_grid_csv", lambda grid, opts: {
@@ -310,10 +286,10 @@ COMMANDS = {
         "bx_t": (float, 0.0, "field x component (T)"),
         "by_t": (float, 0.0, "field y component (T)"),
         "bz_t": (float, 1.6e-3, "field z component (T)"),
-        "zfs_d_hz": (float, 2.87e9, "zero-field splitting D (Hz)"),
-        "gamma_hz_per_t": (float, 2.8024e10, "gyromagnetic ratio (Hz/T)"),
-        "linewidth_hz": (float, 6e6, "dip FWHM (Hz)"),
-        "contrast": (float, 0.15, "total ODMR contrast"),
+        "zfs_d_hz": (float, SpinParams.zfs_d_hz, "zero-field splitting D (Hz)"),
+        "gamma_hz_per_t": (float, SpinParams.gyromag_hz_per_t, "gyromagnetic ratio (Hz/T)"),
+        "linewidth_hz": (float, SpinParams.linewidth_fwhm_hz, "dip FWHM (Hz)"),
+        "contrast": (float, SpinParams.odmr_contrast, "total ODMR contrast"),
         "f_min_hz": (float, None, "grid start (default: auto)"),
         "f_max_hz": (float, None, "grid end (default: auto)"),
         "n_freq": (int, 2001, "number of grid points"),
@@ -326,7 +302,7 @@ COMMANDS = {
         "b_rad_s": (float, None, "OU coupling (rad/s) when preset is none"),
         "tau_c_s": (float, None, "OU correlation time (s) when preset is none"),
         "t1_s": (float, None, "longitudinal time (s), omit for none"),
-        "t1_q": (float, 1.0, "longitudinal stretching exponent"),
+        "t1_q": (float, NoiseModel.t1_exponent_q, "longitudinal stretching exponent"),
         "t_min_s": (float, None, "grid start (default: auto)"),
         "t_max_s": (float, None, "grid end (default: auto)"),
         "n_times": (int, 24, "number of time points"),
@@ -344,7 +320,8 @@ COMMANDS = {
         "volume_m3": (float, None, "detection volume (m^3)"),
         "rate_cps": (float, None, "photon rate per center (counts/s)"),
         "contrast": (float, None, "readout contrast"),
-        "t2_star_s": (float, None, "T2* (s); preset supplies 3.6e-6"),
+        "t2_star_s": (float, None,
+                      f"T2* (s); preset supplies {magnetometry.PAPER_IDEAL_T2_STAR_S}"),
         "t2_dd_s": (float, None, "decoupled T2 (s) for the AC estimate"),
     }),
     "implant": Command(_cmd_implant, {
@@ -355,12 +332,14 @@ COMMANDS = {
         "diameter_m": (float, 25e-6, "spot or aperture diameter (m)"),
         "dose_cm2": (float, 1e12, "target atom dose (cm^-2)"),
         "chopper_pulse_s": (float, None, "beam-chopper pulse length (s)"),
-        "species": (choice(*implant.ATOMS_PER_CHARGE), "atomic", "ion species (N+ or N2+)"),
+        "species": (choice(*implant.ATOMS_PER_CHARGE), implant.BeamConfig.species,
+                    "ion species (N+ or N2+)"),
         "leak_sccm": (float, 2.4e-4, "chamber leak rate (sccm)"),
         "flow_sccm": (float, 400.0, "total process-gas flow (sccm)"),
-        "h2_purity": (float, 1.0, "hydrogen purity fraction"),
-        "ch4_purity": (float, 1.0, "methane purity fraction"),
-        "incorporation_rate": (float, 1e-4, "gas-to-solid nitrogen incorporation rate"),
+        "h2_purity": (float, implant.GrowthBudget.h2_purity, "hydrogen purity fraction"),
+        "ch4_purity": (float, implant.GrowthBudget.ch4_purity, "methane purity fraction"),
+        "incorporation_rate": (float, implant.GrowthBudget.incorporation_rate,
+                               "gas-to-solid nitrogen incorporation rate"),
     }, positional="action"),
     "scan": Command(_cmd_scan, {
         "mode": (choice(*SCAN_MODES), None, "reduction"),

@@ -66,6 +66,31 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     return header, np.array(rows, dtype=float)
 
 
+def write(path: Path, payload) -> list[Path]:
+    """Write ``payload`` in its type's format; returns every path written.
+
+    A decay curve is a CSV and its JSON sidecar, the other data types a CSV,
+    any other payload (a dataclass record or a dict) JSON.  The writers are
+    looked up on each call, never held, so wrappers swapped into this module
+    (perfbench/tracing.py) see it.
+    """
+    path = Path(path)
+    writer = {
+        DecayCurve: write_decay_csv,
+        OdmrSpectrum: write_odmr_csv,
+        ScanGrid: write_scan_grid_csv,
+        DepthProfile: write_depth_profile_csv,
+        Spectrum: write_spectrum_csv,
+    }.get(type(payload))
+    if writer is None:
+        write_json(path, payload)
+        return [path]
+    writer(payload, path)
+    if isinstance(payload, DecayCurve):
+        return [path, path.with_suffix(".json")]
+    return [path]
+
+
 def write_decay_csv(curve: DecayCurve, path: Path) -> None:
     """Write (time_s, signal) columns plus a JSON metadata sidecar."""
     path = Path(path)

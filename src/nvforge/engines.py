@@ -14,9 +14,10 @@ equally spaced pi pulses (:class:`nvforge.sequences.PulseSequence`):
   stochastic trajectories, where each trajectory accumulates phase =
   integral of s(t') dw(t') with the OU frequency noise dw, cell by cell
   over the sign-constant cells of
-  :meth:`~nvforge.sequences.PulseSequence.cell_lengths`.  Both the
-  cell-exit noise value and the integral of the noise over each cell are
-  drawn from their exact joint Gaussian law (see
+  :meth:`~nvforge.sequences.PulseSequence.cell_lengths`, which also
+  rejects negative and NaN times.  Cells of equal length share one
+  evaluation.  Both the cell-exit noise value and the integral of the
+  noise over each cell are drawn from their exact joint Gaussian law (see
   :func:`nvforge.noise.ou_cell_coefficients`), so the estimator is exact
   in distribution for any cell size; the only discrepancy against the
   analytic engine is Monte-Carlo statistics.  The phase is linear in the
@@ -229,17 +230,16 @@ def simulate_mc(
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     times = np.asarray(times_s, dtype=float)
-    check_times(times)
-    # Equal unit cells give equal cell lengths bit for bit (see
-    # PulseSequence.cell_lengths), so each distinct one is evaluated once.
-    unit_cells, unit_index = np.unique(seq._unit_cells, return_inverse=True)
-    lengths = np.multiply.outer(times, unit_cells)
+    # Equal cells of the unit window give equal cell lengths bit for bit at
+    # every time, so each distinct cell is evaluated once.
+    _, first, unit_index = np.unique(seq.cell_lengths(1.0), return_index=True, return_inverse=True)
+    lengths = seq.cell_lengths(times)[..., first]
     cells = np.array(
         [
             ou_cell_coefficients(noise.b_rad_s, noise.tau_c_s, length)
             for length in lengths.T.ravel().tolist()
         ]
-    ).reshape(unit_cells.size, times.size, 5)[unit_index]
+    ).reshape(first.size, times.size, 5)[unit_index]
     n_cells = unit_index.size
     cells[1::2, :, [1, 3, 4]] *= -1.0  # odd cells carry the sign -1
 

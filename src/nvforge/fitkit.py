@@ -42,6 +42,17 @@ MODEL_PARAMS = {
 }
 
 
+#: Parameter name -> (lower, upper) bound; any other parameter is unbounded.
+_PARAM_BOUNDS = {
+    "t2_star_s": (1e-300, np.inf),
+    "t2_s": (1e-300, np.inf),
+    "t1_s": (1e-300, np.inf),
+    "p": EXPONENT_BOUNDS,
+    "q": EXPONENT_BOUNDS,
+    "a_hf_hz": (0.0, np.inf),
+}
+
+
 def check_multiplicities(multiplicities) -> tuple[tuple[float, float], ...]:
     """The multiplet as a tuple of (m, w) pairs; the weights must sum to 1."""
     weights = sum(w for _, w in multiplicities)
@@ -143,18 +154,7 @@ class FitModel:
         )
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        tiny = 1e-300
-        lo_p, hi_p = EXPONENT_BOUNDS
-        table = {
-            "exp_t2star": ([-np.inf, tiny, -np.inf], [np.inf, np.inf, np.inf]),
-            "stretched_exp": ([-np.inf, tiny, lo_p, -np.inf], [np.inf, np.inf, hi_p, np.inf]),
-            "t1_stretched": ([-np.inf, tiny, lo_p, -np.inf], [np.inf, np.inf, hi_p, np.inf]),
-            "fid_beats": (
-                [-np.inf, tiny, -np.inf, 0.0, -np.inf],
-                [np.inf, np.inf, np.inf, np.inf, np.inf],
-            ),
-        }
-        lo, hi = table[self.kind]
+        lo, hi = zip(*(_PARAM_BOUNDS.get(name, (-np.inf, np.inf)) for name in self.param_names))
         return np.asarray(lo), np.asarray(hi)
 
     def initial_guess(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ exactly, not to derive it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .constants import CARBON_NUMBER_DENSITY_M3, GYROMAGNETIC_RATIO_HZ_PER_T
 
@@ -128,18 +128,15 @@ def paper_ideal_spot() -> tuple[EnsembleSpot, float]:
     values; the effective per-center rate R is solved in closed form from
     the target sensitivity.
     """
-    n_centers = (
-        PAPER_IDEAL_ALEPH_PPM * 1e-6 * CARBON_NUMBER_DENSITY_M3 * PAPER_IDEAL_VOLUME_M3
+    spot = EnsembleSpot(
+        concentration_aleph_ppm=PAPER_IDEAL_ALEPH_PPM,
+        detection_volume_m3=PAPER_IDEAL_VOLUME_M3,
+        photon_rate_per_center_cps=1.0,  # placeholder, solved below
+        contrast=PAPER_IDEAL_CONTRAST,
     )
     shots_target = (
         1.0
         / (GYROMAGNETIC_RATIO_HZ_PER_T * PAPER_IDEAL_CONTRAST * PAPER_IDEAL_ETA_DC)
     ) ** 2
-    rate = shots_target / (n_centers * PAPER_IDEAL_T2_STAR_S)
-    spot = EnsembleSpot(
-        concentration_aleph_ppm=PAPER_IDEAL_ALEPH_PPM,
-        detection_volume_m3=PAPER_IDEAL_VOLUME_M3,
-        photon_rate_per_center_cps=rate,
-        contrast=PAPER_IDEAL_CONTRAST,
-    )
-    return spot, PAPER_IDEAL_T2_STAR_S
+    rate = shots_target / (spot.n_centers * PAPER_IDEAL_T2_STAR_S)
+    return replace(spot, photon_rate_per_center_cps=rate), PAPER_IDEAL_T2_STAR_S

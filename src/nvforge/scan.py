@@ -293,36 +293,23 @@ def film_thickness(profile: DepthProfile) -> ThicknessResult:
     kernel = np.ones(width) / width
     smooth = np.convolve(counts, kernel, mode="same")
     grad = np.diff(smooth)
-
-    def step_regions(gradient):
-        top = float(np.max(gradient))
-        if top <= 0:
-            return []
-        mask = gradient > 0.15 * top
-        regions = []
-        start = None
-        for i, flag in enumerate(mask):
-            if flag and start is None:
-                # A dip shorter than the smoothing width is noise splitting
-                # one step, not the gap between two steps.
-                start = regions.pop()[0] if regions and i - regions[-1][1] < width else i
-            elif not flag and start is not None:
-                regions.append((start, i))
-                start = None
-        if start is not None:
-            regions.append((start, mask.size))
-        steps = []
-        for a, b in regions:
-            lo_window = smooth[max(a - 3 * width, 0) : max(a - width, 1)]
-            hi_window = smooth[min(b + width, smooth.size - 1) : b + 3 * width + 1]
-            lo = float(np.median(lo_window)) if lo_window.size else smooth[0]
-            hi = float(np.median(hi_window)) if hi_window.size else smooth[-1]
-            if hi - lo >= STEP_MIN_FRACTION * span:
-                center = a + int(np.argmax(gradient[a:b]))
-                steps.append(center)
-        return steps
-
-    rising = step_regions(grad)
+    padded = np.concatenate(([False], grad > 0.15 * np.max(grad), [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    regions = []
+    for a, b in zip(edges[::2], edges[1::2]):
+        # A dip shorter than the smoothing width is noise splitting one
+        # step, not the gap between two steps.
+        if regions and a - regions[-1][1] < width:
+            a = regions.pop()[0]
+        regions.append((a, b))
+    rising = []
+    for a, b in regions:
+        lo_window = smooth[max(a - 3 * width, 0) : max(a - width, 1)]
+        hi_window = smooth[min(b + width, smooth.size - 1) : b + 3 * width + 1]
+        lo = float(np.median(lo_window)) if lo_window.size else smooth[0]
+        hi = float(np.median(hi_window)) if hi_window.size else smooth[-1]
+        if hi - lo >= STEP_MIN_FRACTION * span:
+            rising.append(a + int(np.argmax(grad[a:b])))
     if len(rising) != 2:
         hint = ""
         if len(rising) < 2 and smooth[0] - smooth[-1] >= STEP_MIN_FRACTION * span:
@@ -332,7 +319,6 @@ def film_thickness(profile: DepthProfile) -> ThicknessResult:
             )
         raise DepthProfileError(f"found {len(rising)} rising step(s), need 2{hint}")
 
-    rising.sort()
     z1_0, z2_0 = float(z[rising[0]]), float(z[rising[1]])
     base0 = float(np.median(counts[: max(rising[0] - width, 1)]))
     mid0 = float(np.median(counts[rising[0] + width : max(rising[1] - width, rising[0] + width + 1)]))
@@ -364,17 +350,16 @@ def _lorentzian(params, x):
 
 
 def _label_for(center: float, unit: str) -> str:
-    if unit == "nm":
-        for line, label in KNOWN_LINES_NM.items():
-            if abs(center - line) < LINE_MATCH_TOLERANCE_NM:
-                return label
-        lo, hi = RAMAN_2ND_ORDER_BAND_NM
-        if lo <= center <= hi:
-            return "raman_2nd_order_band"
-    else:
-        for line, label in KNOWN_LINES_CM1.items():
-            if abs(center - line) < LINE_MATCH_TOLERANCE_CM1:
-                return label
+    lines, tolerance = {
+        "nm": (KNOWN_LINES_NM, LINE_MATCH_TOLERANCE_NM),
+        "cm-1": (KNOWN_LINES_CM1, LINE_MATCH_TOLERANCE_CM1),
+    }[unit]
+    for line, label in lines.items():
+        if abs(center - line) < tolerance:
+            return label
+    lo, hi = RAMAN_2ND_ORDER_BAND_NM
+    if unit == "nm" and lo <= center <= hi:
+        return "raman_2nd_order_band"
     return "unknown"
 
 

@@ -47,8 +47,8 @@ class PulseSequence:
     def _unit_cells(self) -> np.ndarray:
         """Cell lengths of a unit window, between 0, the fractions (2k - 1)/(2n) and 1.
 
-        Computed once per sequence for the Monte-Carlo engine, which walks
-        the cells; the analytic chi needs only n_pi.
+        Computed once per sequence and scaled to each total time by
+        :meth:`cell_lengths`, the one source of cell lengths.
         """
         n = self.n_pi
         edges = np.empty(n + 2)

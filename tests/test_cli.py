@@ -329,6 +329,16 @@ def test_decay_partial_time_grid_exits_2(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("option", ["--b-rad-s", "--tau-c-s"])
+def test_decay_bath_option_with_preset_exits_2(tmp_path, capsys, option):
+    # The preset sets the bath; an explicit coupling or correlation time
+    # would be ignored, so it is refused.
+    argv = ["decay", "--noise-preset", "paper-like", option, "1e9"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert "noise-preset none" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("engine", ["analytic", "mc"])
 def test_decay_t1_overflow_is_quiet(tmp_path, capsys, engine):
     # (t/T1)^q overflows at every point: the T1 factor is 0, with no RuntimeWarning.

@@ -5,7 +5,7 @@ import pytest
 
 from nvforge import dataio, fixtures, implant, magnetometry
 from nvforge.curves import DecayCurve
-from nvforge.scan import PeakFit, ScanGrid, Spectrum, SpotFit
+from nvforge.scan import DepthProfile, PeakFit, ScanGrid, Spectrum, SpotFit
 from nvforge.spincore import MagneticFieldVector, SpinParams, odmr_spectrum
 
 
@@ -145,6 +145,44 @@ def test_json_writer_rejects_other_objects_and_writes_nothing(tmp_path, value):
     with pytest.raises(TypeError, match="not JSON serializable"):
         dataio.write_json(tmp_path / "out.json", {"value": value, "spot": SpotFit(0, 0, 1, 1, 1)})
     assert list(tmp_path.iterdir()) == []
+
+
+def _write_payloads():
+    t = np.linspace(0.0, 1e-5, 4)
+    field = MagneticFieldVector(0.0, 0.0, 1.6e-3)
+    return {
+        "decay": (DecayCurve(t, np.exp(-t / 3e-6), meta={"engine": "analytic"}),
+                  dataio.write_decay_csv, [".csv", ".json"]),
+        "odmr": (odmr_spectrum(SpinParams(), field, np.linspace(2.8e9, 2.94e9, 5)),
+                 dataio.write_odmr_csv, [".csv"]),
+        "grid": (ScanGrid([0.0, 1.0], [0.0, 1.0, 2.0], np.arange(6.0).reshape(3, 2)),
+                 dataio.write_scan_grid_csv, [".csv"]),
+        "depth": (DepthProfile(np.arange(3.0), [1.0, 2.0, 4.0]),
+                  dataio.write_depth_profile_csv, [".csv"]),
+        "spectrum": (Spectrum([630.0, 637.0], [1.0, 9.0], unit="nm"),
+                     dataio.write_spectrum_csv, [".csv"]),
+        "record": (SpotFit(1.5, -2.0, 15.0, 27.0, 3e4), dataio.write_json, [".json"]),
+        "dict": ({"b": 1, "a": [2.5]}, dataio.write_json, [".json"]),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_write_payloads()))
+def test_write_returns_exactly_the_files_it_creates(tmp_path, kind):
+    payload, writer, suffixes = _write_payloads()[kind]
+    by_type, direct = tmp_path / "by_type", tmp_path / "direct"
+    by_type.mkdir()
+    direct.mkdir()
+    name = "out" + suffixes[0]
+    written = dataio.write(by_type / name, payload)
+    assert written == [(by_type / name).with_suffix(s) for s in suffixes]
+    assert sorted(by_type.iterdir()) == sorted(written)
+    # The same bytes as the type's own writer.
+    if writer is dataio.write_json:
+        writer(direct / name, payload)
+    else:
+        writer(payload, direct / name)
+    for path in written:
+        assert path.read_bytes() == (direct / path.name).read_bytes()
 
 
 def test_t2_table_csv(tmp_path):

@@ -136,6 +136,33 @@ def test_film_thickness_single_step_rejected():
         film_thickness(DepthProfile(z_um=z, counts=counts))
 
 
+def _two_ramp_profile(flat: int) -> DepthProfile:
+    """Noiseless 800-sample profile (smoothing width 8): air at 0, a surface
+    step that rises 0 -> 100 -> 200 in two 10-sample ramps with ``flat``
+    samples between them, and an interface step 200 -> 600."""
+    def ramp(lo, hi):
+        return np.linspace(lo, hi, 12)[1:-1]
+
+    head = [np.zeros(200), ramp(0, 100), np.full(flat, 100.0), ramp(100, 200)]
+    film = np.full(300 - sum(s.size for s in head[1:]), 200.0)
+    counts = np.concatenate([*head, film, ramp(200, 600), np.full(290, 600.0)])
+    return DepthProfile(z_um=0.1 * np.arange(800), counts=counts)
+
+
+def test_film_thickness_merges_dip_shorter_than_smoothing_width():
+    # The 6-sample flat leaves a 6-sample dip in the step mask: one step.
+    result = film_thickness(_two_ramp_profile(flat=6))
+    assert result.surface_z_um == pytest.approx(21.2, abs=0.5)
+    assert result.thickness_um == pytest.approx(29.2, abs=0.5)
+
+
+@pytest.mark.parametrize("flat", [8, 40])
+def test_film_thickness_keeps_dip_of_smoothing_width_apart(flat):
+    # A dip as long as the smoothing width splits the surface step in two.
+    with pytest.raises(DepthProfileError, match="found 3 rising step"):
+        film_thickness(_two_ramp_profile(flat=flat))
+
+
 def test_film_thickness_reversed_profile_gets_orientation_hint():
     profile = fixtures.depth_profile_fig6(seed=0)
     reversed_counts = profile.counts[::-1].copy()

@@ -24,7 +24,9 @@ near the float limit, an ODMR field near the float limit, a line too
 narrow to resolve and an infinite ODMR grid end) and an implant action
 read from a config file, which is written into each export, a
 20000-trajectory Monte-Carlo CPMG(64) curve and a 4096-trajectory CPMG(100)
-engine comparison, whose cells come in 9 distinct lengths.  Per command,
+engine comparison, whose cells come in 9 distinct lengths, a bath coupling
+given with a noise preset (exit 2), and the fig6 depth profile and its film
+thickness at seeds 90 and 140, for more step segmentation.  Per command,
 the exit code, stdout, stderr (with the export directory replaced by
 ``<ROOT>``) and every output file except ``manifest.json`` are compared.  Prints each difference,
 and for each output file that differs the largest relative difference
@@ -131,6 +133,13 @@ def script() -> list[tuple[str, list[str]]]:
                    "--grid", "linear", "--n-times", "3"]
     steps += [(f"t1_overflow_{engine}", [*t1_overflow, "--engine", engine])
               for engine in ("analytic", "mc")]
+    steps.append(("preset_b_rad_s", ["decay", "--noise-preset", "paper-like", "--b-rad-s", "1e6"]))
+    for seed in (90, 140):
+        steps += [
+            (f"fig6_{seed}", ["fixtures", "--target", "fig6", "--seed", str(seed)]),
+            (f"scan_depth_fig6_{seed}", ["scan", "--mode", "depth",
+                                         "--input", f"out/fig6_{seed}/fig6_depth_profile.csv"]),
+        ]
     curves = ["hahn/decay_analytic.csv"] + [f"fig7_0/fig7_cpmg{n:02d}.csv" for n in (4, 8, 16, 32, 64)]
     for curve in curves:
         stem = curve.replace("/", "_").removesuffix(".csv")
