@@ -58,18 +58,21 @@ def _write(out_dir: Path, files: dict) -> list[Path]:
 
 
 def _noise_from_options(opts: dict) -> NoiseModel:
+    if opts["t1_q"] is not None and opts["t1_s"] is None:
+        raise ConfigError("t1-q needs t1-s")
+    q = NoiseModel.t1_exponent_q if opts["t1_q"] is None else opts["t1_q"]
     preset = opts["noise_preset"]
     if preset != "none":
         if opts["b_rad_s"] is not None or opts["tau_c_s"] is not None:
             raise ConfigError("b-rad-s and tau-c-s need noise-preset none")
         noise = presets.noise_preset(preset)
         if opts["t1_s"] is not None:
-            noise = NoiseModel(noise.b_rad_s, noise.tau_c_s, opts["t1_s"], opts["t1_q"])
+            noise = NoiseModel(noise.b_rad_s, noise.tau_c_s, opts["t1_s"], q)
         return noise
     if opts["b_rad_s"] is None or opts["tau_c_s"] is None:
         raise ConfigError("noise-preset none requires b-rad-s and tau-c-s")
     t1 = opts["t1_s"] if opts["t1_s"] is not None else math.inf
-    return NoiseModel(opts["b_rad_s"], opts["tau_c_s"], t1, opts["t1_q"])
+    return NoiseModel(opts["b_rad_s"], opts["tau_c_s"], t1, q)
 
 
 def _cmd_odmr(opts: dict, seed: int, out_dir: Path) -> list[Path]:
@@ -302,7 +305,8 @@ COMMANDS = {
         "b_rad_s": (float, None, "OU coupling (rad/s) when preset is none"),
         "tau_c_s": (float, None, "OU correlation time (s) when preset is none"),
         "t1_s": (float, None, "longitudinal time (s), omit for none"),
-        "t1_q": (float, NoiseModel.t1_exponent_q, "longitudinal stretching exponent"),
+        "t1_q": (float, None,
+                 f"longitudinal stretching exponent, needs t1-s [default: {NoiseModel.t1_exponent_q}]"),
         "t_min_s": (float, None, "grid start (default: auto)"),
         "t_max_s": (float, None, "grid end (default: auto)"),
         "n_times": (int, 24, "number of time points"),

@@ -48,10 +48,8 @@ def read_json(path: Path):
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    rows = zip(*(map(repr, np.asarray(col, dtype=float).tolist()) for col in columns))
+    atomic_write_text(Path(path), "\n".join([",".join(header), *map(",".join, rows)]) + "\n")
 
 
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:

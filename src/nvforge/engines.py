@@ -361,10 +361,15 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     # bit as from one kernel call per step, provided the kernel gives each
     # point the same value whatever else is in its call.  The replay walks
     # down by halving strides from lo, whose index is i; hi is at i + 1.
+    # Once lo and hi are adjacent floats on both targets, every midpoint
+    # rounds to lo or hi, whose verdicts are known, so the steps left are
+    # no-ops and the loop ends.  The points are >= 0 by construction.
     targets = np.array([GRID_DECAY_LO, GRID_DECAY_HI])
     lo, hi = np.zeros(2), np.full(2, probe)
     strides = [2**d for d in reversed(range(GRID_TREE_DEPTH))]
     for _ in range(GRID_BISECTION_STEPS // GRID_TREE_DEPTH):
+        if np.all(np.nextafter(lo, hi) == hi):
+            break
         points = np.stack([lo, hi])
         for _ in range(GRID_TREE_DEPTH):
             finer = np.empty((2 * len(points) - 1, 2))
@@ -372,13 +377,18 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
             finer[1::2] = 0.5 * (points[:-1] + points[1:])
             points = finer
         inner = points[1:-1]
-        below = (total_exponent(attenuation_exponent(seq, noise, inner), inner) < targets).tolist()
+        chi = _chi(seq, noise, inner)
+        if not np.all(np.isfinite(chi)):
+            raise NumericalFailure("attenuation exponent is not finite")
+        below = (total_exponent(chi, inner) < targets).tolist()
         i = [0, 0]
         for step in strides:
             i = [j + step if below[j + step - 1][end] else j for end, j in enumerate(i)]
         lo, hi = points[i, [0, 1]], points[np.add(i, 1), [0, 1]]
     t_lo, t_hi = 0.5 * (lo + hi)
-    return np.geomspace(max(t_lo, 1e-15), t_hi, n_points)
+    if t_lo == 0.0:
+        raise ValueError("decay starts below the smallest positive time; no log grid")
+    return np.geomspace(t_lo, t_hi, n_points)
 
 
 def t2_vs_n(noise: NoiseModel, n_list, n_points: int = 40) -> list[tuple[int, float]]:

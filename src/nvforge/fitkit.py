@@ -199,15 +199,18 @@ class FitModel:
 def spectral_lines(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     """Significant oscillation lines of a (possibly log-sampled) curve.
 
-    Resamples onto a uniform grid, zero pads, and returns the local maxima
-    of |FFT| that reach 30% of the strongest one, as (frequency, magnitude)
-    pairs sorted by frequency.  Always contains at least the global peak.
+    Resamples onto a uniform grid, zero pads to at least 4x its length,
+    rounded up to a power of two (a fast FFT length), and returns the
+    local maxima of |FFT| that reach 30% of the strongest one, as
+    (frequency, magnitude) pairs sorted by frequency.  Always contains at
+    least the global peak.
     """
     n_uniform = max(4096, 4 * t.size)
     tu = np.linspace(t[0], t[-1], n_uniform)
     yu = np.interp(tu, t, y)
-    spec = np.abs(np.fft.rfft(yu, n=4 * n_uniform))
-    freqs = np.fft.rfftfreq(4 * n_uniform, d=tu[1] - tu[0])
+    n_fft = 1 << (4 * n_uniform - 1).bit_length()
+    spec = np.abs(np.fft.rfft(yu, n=n_fft))
+    freqs = np.fft.rfftfreq(n_fft, d=tu[1] - tu[0])
     spec[0] = 0.0
     k_peak = int(np.argmax(spec))
     keep = np.zeros(spec.size, dtype=bool)

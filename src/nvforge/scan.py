@@ -318,6 +318,10 @@ def film_thickness(profile: DepthProfile) -> ThicknessResult:
                 "film to substrate (is the z axis reversed?)"
             )
         raise DepthProfileError(f"found {len(rising)} rising step(s), need 2{hint}")
+    if rising[1] + width >= counts.size:
+        raise DepthProfileError(
+            f"second step lies within {width} samples of the profile's end; no substrate level"
+        )
 
     z1_0, z2_0 = float(z[rising[0]]), float(z[rising[1]])
     base0 = float(np.median(counts[: max(rising[0] - width, 1)]))

@@ -339,6 +339,41 @@ def test_decay_bath_option_with_preset_exits_2(tmp_path, capsys, option):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("preset", ["paper-like", "none"])
+def test_decay_t1_q_without_t1_s_exits_2(tmp_path, capsys, preset):
+    # With no T1 the exponent would be ignored (a preset's own q kept), so it is refused.
+    argv = ["decay", "--noise-preset", preset, "--t1-q", "2.5"]
+    if preset == "none":
+        argv += ["--b-rad-s", "1e6", "--tau-c-s", "1e-6"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert "t1-q needs t1-s" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t1_q, q", [(None, 1.0), ("2.5", 2.5)])
+def test_decay_t1_s_sets_the_exponent_with_a_preset(tmp_path, t1_q, q):
+    argv = ["decay", "--noise-preset", "paper-like", "--t1-s", "1e-3"]
+    if t1_q is not None:
+        argv += ["--t1-q", t1_q]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    noise = _read_json(tmp_path / "decay_analytic.json")["noise"]
+    assert (noise["t1_s"], noise["t1_exponent_q"]) == (1e-3, q)
+
+
+@pytest.mark.parametrize("b_rad_s", ["5e14", "1e16"])
+def test_decay_grid_of_a_strong_coupling_starts_at_the_decay_window(tmp_path, b_rad_s):
+    # The first grid point lies far below a femtosecond; it used to be
+    # floored there, which gave a decreasing grid (1e16) or a first point
+    # past the window's start (5e14).
+    argv = ["decay", "--sequence", "ramsey", "--noise-preset", "none", "--b-rad-s", b_rad_s,
+            "--tau-c-s", "1e-6"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    curve = dataio.read_decay_csv(tmp_path / "decay_analytic.csv")
+    assert curve.times_s[0] < 1e-15
+    assert -math.log(curve.signal[0]) == pytest.approx(0.02, rel=1e-9)
+    assert -math.log(curve.signal[-1]) == pytest.approx(3.0, rel=1e-9)
+
+
 @pytest.mark.parametrize("engine", ["analytic", "mc"])
 def test_decay_t1_overflow_is_quiet(tmp_path, capsys, engine):
     # (t/T1)^q overflows at every point: the T1 factor is 0, with no RuntimeWarning.

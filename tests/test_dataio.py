@@ -24,6 +24,16 @@ def test_decay_csv_roundtrip(tmp_path):
     assert back.meta["seed"] == 1
 
 
+def test_csv_rows_are_the_repr_of_each_value_as_a_float(tmp_path):
+    floats = np.array([-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan, 0.1])
+    ints = np.arange(-3, 4)
+    path = tmp_path / "values.csv"
+    dataio._write_csv(path, ["x", "n"], [floats, ints])
+    rows = [f"{float(x)!r},{float(n)!r}" for x, n in zip(floats, ints)]
+    assert path.read_text() == "\n".join(["x,n", *rows]) + "\n"
+    assert rows[:6] == ["-0.0,-3.0", "5e-324,-2.0", "1e+308,-1.0", "inf,0.0", "-inf,1.0", "nan,2.0"]
+
+
 def test_decay_csv_write_is_deterministic(tmp_path):
     curve = DecayCurve(np.geomspace(1e-7, 1e-5, 50), np.linspace(1.0, 0.0, 50))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

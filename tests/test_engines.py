@@ -121,7 +121,9 @@ def binary_bisection_grid(seq, noise, n_points=24):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     t_lo, t_hi = 0.5 * (lo + hi)
-    return np.geomspace(max(t_lo, 1e-15), t_hi, n_points)
+    if t_lo == 0.0:
+        raise ValueError("decay starts below the smallest positive time")
+    return np.geomspace(t_lo, t_hi, n_points)
 
 
 @pytest.mark.parametrize(
@@ -748,7 +750,9 @@ GRID_SEQUENCES = [
 
 
 @pytest.mark.parametrize("kind,n", GRID_SEQUENCES)
-@pytest.mark.parametrize("b_tau", [0.1, 1.0, 10.0])
+# From b * tau_c = 1e8 on, the window starts below a femtosecond; at 1e8
+# the bisection bracket does not close within its 80 steps.
+@pytest.mark.parametrize("b_tau", [0.1, 1.0, 10.0, 1e8, 5e8, 1e10])
 @pytest.mark.parametrize("t1", [math.inf, 1e-4])
 def test_decay_time_grid_equals_binary_bisection(kind, n, b_tau, t1):
     tau_c = 1e-6
@@ -794,7 +798,15 @@ def test_decay_time_grid_kernel_calls(monkeypatch, kind, n):
     for noise in (NoiseModel(1e6, 1e-6), paper_like_noise()):
         calls.clear()
         decay_time_grid(build_sequence(kind, 1e-6, n=n), noise)
-        assert len(calls) <= 18
+        assert len(calls) <= 14
+
+
+def test_decay_time_grid_rejects_decay_below_the_smallest_time():
+    # T1 = tau_c = 5e-324: the decay window starts below the smallest
+    # subnormal, where no log grid can start.
+    noise = NoiseModel(0.0, 5e-324, 5e-324, 1.0)
+    with pytest.raises(ValueError, match="smallest positive time"):
+        decay_time_grid(build_sequence("hahn", 1e-6), noise)
 
 
 def test_decay_time_grid_ignores_overflow_past_the_bracket():

@@ -126,12 +126,11 @@ def test_lm_returns_the_lowest_sse_it_evaluated():
     assert res.sse <= evaluated[0]
 
 
-def reference_lines(t, y):
-    """spectral_lines' selection, one spectrum bin at a time."""
-    n_uniform = max(4096, 4 * t.size)
-    tu = np.linspace(t[0], t[-1], n_uniform)
-    spec = np.abs(np.fft.rfft(np.interp(tu, t, y), n=4 * n_uniform))
-    freqs = np.fft.rfftfreq(4 * n_uniform, d=tu[1] - tu[0]).tolist()
+def reference_lines(t, y, n_fft):
+    """spectral_lines' selection, one spectrum bin at a time, on n_fft points."""
+    tu = np.linspace(t[0], t[-1], max(4096, 4 * t.size))
+    spec = np.abs(np.fft.rfft(np.interp(tu, t, y), n=n_fft))
+    freqs = np.fft.rfftfreq(n_fft, d=tu[1] - tu[0]).tolist()
     spec[0] = 0.0
     spec = spec.tolist()
     peak = spec.index(max(spec))
@@ -151,11 +150,22 @@ def reference_lines(t, y):
     ],
     ids=["doublet_fid", "two_tone"],
 )
-def test_spectral_lines_match_a_bin_by_bin_selection(signal):
+def test_spectral_lines_match_a_bin_by_bin_selection(monkeypatch, signal):
+    # 2499 samples resample onto 9996 points, zero padded to the power of
+    # two at or above 4x that: 65536.
     t = np.arange(1, 2500) * 2e-9
     y = signal(t)
+    lengths = []
+    rfft = np.fft.rfft
+
+    def recorded(a, n=None):
+        lengths.append(n)
+        return rfft(a, n=n)
+
+    monkeypatch.setattr(np.fft, "rfft", recorded)
     lines = spectral_lines(t, y - np.mean(y))
-    expected, peak = reference_lines(t, y - np.mean(y))
+    assert lengths == [65536]
+    expected, peak = reference_lines(t, y - np.mean(y), 65536)
     assert lines == expected
     assert peak in lines
     freqs = [f for f, _ in lines]

@@ -163,6 +163,16 @@ def test_film_thickness_keeps_dip_of_smoothing_width_apart(flat):
         film_thickness(_two_ramp_profile(flat=flat))
 
 
+def test_film_thickness_second_step_at_the_profile_end_rejected():
+    # 400 samples (smoothing width 4): 0 -> 100 at z = 50 um, then -> 400 in
+    # the last 2 samples, which leaves no samples to measure the substrate on.
+    z = 0.5 * np.arange(400)
+    counts = np.where(z < 50.0, 0.0, 100.0)
+    counts[-2:] = 400.0
+    with pytest.raises(DepthProfileError, match="within 4 samples of the profile's end"):
+        film_thickness(DepthProfile(z_um=z, counts=counts))
+
+
 def test_film_thickness_reversed_profile_gets_orientation_hint():
     profile = fixtures.depth_profile_fig6(seed=0)
     reversed_counts = profile.counts[::-1].copy()

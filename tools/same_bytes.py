@@ -25,8 +25,13 @@ narrow to resolve and an infinite ODMR grid end) and an implant action
 read from a config file, which is written into each export, a
 20000-trajectory Monte-Carlo CPMG(64) curve and a 4096-trajectory CPMG(100)
 engine comparison, whose cells come in 9 distinct lengths, a bath coupling
-given with a noise preset (exit 2), and the fig6 depth profile and its film
-thickness at seeds 90 and 140, for more step segmentation.  Per command,
+given with a noise preset (exit 2), the fig6 depth profile and its film
+thickness at seeds 90 and 140, for more step segmentation, and exit-code
+cases: ``--t1-q`` without ``--t1-s`` (exit 2), Ramsey grids whose decay
+window starts far below a femtosecond (b = 5e14 and 1e16 rad/s), a window
+that starts below the smallest subnormal (exit 2), and a depth profile whose
+second step ends the profile (exit 4), read from a CSV written into each
+export like the config file.  Per command,
 the exit code, stdout, stderr (with the export directory replaced by
 ``<ROOT>``) and every output file except ``manifest.json`` are compared.  Prints each difference,
 and for each output file that differs the largest relative difference
@@ -50,8 +55,12 @@ REPO = Path(__file__).resolve().parent.parent
 SEEDS = (0, 5, 12345)
 FIT_MODELS = ("exp_t2star", "stretched_exp", "t1_stretched", "fid_beats")
 FIXTURES = ("fig5", "fig6", "fig7", "fig9", "raman", "s1s2s3", "table2")
-#: Config files written into each export before the script runs: name -> text.
-CONFIG_FILES = {"implant_budget.cfg": "action = budget\n"}
+#: 400-sample depth profile: 0 -> 100 counts at z = 50 um, -> 400 in the last 2 samples.
+DEPTH_STEP_AT_END = "z_um,counts\n" + "".join(
+    f"{0.5 * i!r},{100.0 * (i >= 100) + 300.0 * (i >= 398)!r}\n" for i in range(400)
+)
+#: Input files written into each export before the script runs: name -> text.
+INPUT_FILES = {"implant_budget.cfg": "action = budget\n", "depth_step_at_end.csv": DEPTH_STEP_AT_END}
 #: A number as the CSV and JSON writers print it.
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan|Infinity|NaN)")
 
@@ -134,6 +143,12 @@ def script() -> list[tuple[str, list[str]]]:
     steps += [(f"t1_overflow_{engine}", [*t1_overflow, "--engine", engine])
               for engine in ("analytic", "mc")]
     steps.append(("preset_b_rad_s", ["decay", "--noise-preset", "paper-like", "--b-rad-s", "1e6"]))
+    steps.append(("t1_q_without_t1_s", ["decay", "--t1-q", "2.5"]))
+    steps += [(f"grid_ramsey_b{b}", ["decay", "--sequence", "ramsey", "--noise-preset", "none",
+                                     "--b-rad-s", b, "--tau-c-s", "1e-6"]) for b in ("5e14", "1e16")]
+    steps.append(("grid_underflow", ["decay", "--noise-preset", "none", "--b-rad-s", "0",
+                                     "--tau-c-s", "5e-324", "--t1-s", "5e-324"]))
+    steps.append(("scan_depth_step_at_end", ["scan", "--mode", "depth", "--input", "depth_step_at_end.csv"]))
     for seed in (90, 140):
         steps += [
             (f"fig6_{seed}", ["fixtures", "--target", "fig6", "--seed", str(seed)]),
@@ -160,7 +175,7 @@ def export(rev: str, root: Path) -> None:
 def run_revision(rev: str, root: Path) -> dict[str, tuple]:
     """Export ``rev`` into ``root``, run the script there, collect the results."""
     export(rev, root)
-    for name, text in CONFIG_FILES.items():
+    for name, text in INPUT_FILES.items():
         (root / name).write_text(text)
     env = {k: v for k, v in os.environ.items() if k not in ("NVFORGE_SEED", "PYTHONWARNINGS")}
     env["PYTHONPATH"] = str(root / "src")
