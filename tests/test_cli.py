@@ -1,11 +1,17 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nvforge import dataio, fitkit, scan
+import nvforge
+from nvforge import dataio, fitkit, fixtures, magnetometry, scan
 from nvforge.cli import COMMANDS, main
 from nvforge.levmar import NumericalFailure
 
@@ -155,20 +161,37 @@ def test_missing_mode_or_target_exits_2(tmp_path, capsys, command, option):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", [["fit"], ["scan", "--mode", "spots"]], ids=["fit", "scan"])
-@pytest.mark.parametrize("case", ["missing", "directory", "empty", "header_only", "short_row"])
+#: command -> (argv, CSV header, data rows that make a valid input but for one
+#: NaN or infinite value: a NaN signal, an infinite pixel, a NaN count).
+BAD_INPUT_COMMANDS = {
+    "fit": (["fit"], "time_s,signal",
+            [f"{1e-6 * (i + 1)!r},{math.exp(-i / 3)!r}" for i in range(5)] + ["6e-06,nan"]),
+    "scan": (["scan", "--mode", "spots"], "x_um,y_um,counts",
+             [f"{x}.0,{y}.0,{'inf' if (x, y) == (3, 4) else '5.0'}" for y in range(8) for x in range(8)]),
+    "spectrum": (["scan", "--mode", "spectrum"], "wavelength_nm,counts",
+                 [f"{500.0 + i!r},{'nan' if i == 75 else '50.0'}" for i in range(150)]),
+}
+
+
+@pytest.mark.parametrize("command", list(BAD_INPUT_COMMANDS))
+@pytest.mark.parametrize("case", ["missing", "directory", "empty", "header_only", "short_row", "non_finite"])
 def test_bad_input_file_exits_2(tmp_path, capsys, command, case):
+    argv, header, non_finite_rows = BAD_INPUT_COMMANDS[command]
     path = tmp_path / "input.csv"
     if case == "directory":
         path.mkdir()
     elif case == "empty":
         path.write_text("")
+    elif case == "non_finite":
+        path.write_text("\n".join([header, *non_finite_rows]) + "\n")
     elif case != "missing":
-        header = "x_um,y_um,counts\n" if command[0] == "scan" else "time_s,signal\n"
-        path.write_text(header + ("1.0\n" if case == "short_row" else ""))
-    code = main(command + ["--input", str(path), "--output-dir", str(tmp_path / "out")])
+        path.write_text(header + "\n" + ("1.0\n" if case == "short_row" else ""))
+    code = main(argv + ["--input", str(path), "--output-dir", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case == "non_finite":
+        assert err.endswith("every data value must be finite\n")
 
 
 def test_decay_analytic_paper_like_hahn_fit(tmp_path):
@@ -451,6 +474,13 @@ def test_fit_command_roundtrip(tmp_path):
     assert result["converged"] is True
 
 
+def test_decay_explicit_log_grid(tmp_path):
+    argv = ["decay", "--t-min-s", "1e-7", "--t-max-s", "1e-5", "--n-times", "12"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    curve = dataio.read_decay_csv(tmp_path / "decay_analytic.csv")
+    assert np.array_equal(curve.times_s, np.geomspace(1e-7, 1e-5, 12))
+
+
 def test_decay_coupling_overflow_exits_4(tmp_path, capsys):
     # (b * tau_c)^2 overflows a float: a numerical failure, not a crash.
     argv = ["decay", "--sequence", "hahn", "--noise-preset", "none", "--b-rad-s", "1e200", "--tau-c-s", "1e-6"]
@@ -507,6 +537,32 @@ def test_fit_non_finite_jacobian_exits_4_without_warnings(tmp_path, capsys):
     assert "Warning" not in err
 
 
+def test_fit_exp_t2star_on_a_hahn_echo_does_not_converge(tmp_path, capsys):
+    # The stretched echo has no single-exponential optimum: LM creeps along
+    # a -> inf, c -> -inf until its iteration cap, a numerical failure.
+    assert main(["decay", "--sequence", "hahn", "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "fit"
+    code = main(["fit", "--input", str(tmp_path / "decay_analytic.csv"), "--model", "exp_t2star",
+                 "--output-dir", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == "numerical failure: fit did not converge: max_iter reached\n"
+    assert not (out / "fit_result.json").exists()
+
+
+def test_fit_pin_offset_holds_c_at_zero(tmp_path):
+    assert main(["decay", "--sequence", "hahn", "--output-dir", str(tmp_path)]) == 0
+    curve_path = tmp_path / "decay_analytic.csv"
+    out = tmp_path / "fit"
+    argv = ["fit", "--input", str(curve_path), "--pin-offset", "true", "--output-dir", str(out)]
+    assert main(argv) == 0
+    result = _read_json(out / "fit_result.json")
+    assert result["params"]["c"] == 0.0
+    expected = fitkit.fit(dataio.read_decay_csv(curve_path), fitkit.FitModel.stretched_exp(),
+                          fix={"c": 0.0})
+    assert result["params"] == expected.params
+
+
 def test_sense_preset_report(tmp_path):
     assert (
         main(["sense", "--t2-dd-s", "173e-6", "--output-dir", str(tmp_path)]) == 0
@@ -519,6 +575,16 @@ def test_sense_preset_report(tmp_path):
 
 def test_sense_custom_requires_all_fields(tmp_path):
     assert main(["sense", "--preset", "none", "--output-dir", str(tmp_path)]) == 2
+
+
+def test_sense_custom_with_every_field(tmp_path):
+    argv = ["sense", "--preset", "none", "--aleph-ppm", "1", "--volume-m3", "1e-18",
+            "--rate-cps", "1e5", "--contrast", "0.03", "--t2-star-s", "1e-6", "--t2-dd-s", "1e-4"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    spot = magnetometry.EnsembleSpot(concentration_aleph_ppm=1.0, detection_volume_m3=1e-18,
+                                     photon_rate_per_center_cps=1e5, contrast=0.03)
+    expected = dataclasses.asdict(magnetometry.sensitivity_report(spot, 1e-6, 1e-4))
+    assert _read_json(tmp_path / "sensitivity.json") == expected
 
 
 def test_implant_plan_reference_numbers(tmp_path):
@@ -597,13 +663,37 @@ def test_scan_vdp_mode(tmp_path):
     assert report["sheet_resistance_ohm_sq"] == pytest.approx(453.236, rel=1e-5)
 
 
-@pytest.mark.parametrize("r_a, r_b", [("1e300", "100"), ("100", "1e300")])
-def test_scan_vdp_huge_resistance_exits_4(tmp_path, capsys, r_a, r_b):
-    argv = ["scan", "--mode", "vdp", "--r-a-ohm", r_a, "--r-b-ohm", r_b]
-    assert main(argv + ["--output-dir", str(tmp_path)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and "Traceback" not in err
+def _scan_vdp_in_subprocess(r_a, r_b, out_dir):
+    """``nvforge scan --mode vdp`` in a subprocess with a timeout: a bracket
+    search from pi (R_A + R_B) = inf never ends."""
+    argv = ["scan", "--mode", "vdp", "--r-a-ohm", r_a, "--r-b-ohm", r_b, "--output-dir", str(out_dir)]
+    env = {**os.environ, "PYTHONPATH": str(Path(nvforge.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "nvforge.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("r_a, r_b", [("5e307", "5e307"), ("1e308", "1e308")])
+def test_scan_vdp_huge_resistance_exits_4(tmp_path, r_a, r_b):
+    # R_s = pi R / ln 2 overflows.
+    proc = _scan_vdp_in_subprocess(r_a, r_b, tmp_path)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("numerical failure: ") and "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "r_a, r_b, sheet_resistance",
+    [
+        ("1e-300", "1e-300", math.pi * 1e-300 / math.log(2.0)),
+        ("1e300", "100", 4.6223766434881736e297),
+        ("1e308", "1", 4.471118302080967e305),  # pi * 1e308 overflows, R_s does not
+    ],
+)
+def test_scan_vdp_extreme_finite_roots_exit_0(tmp_path, r_a, r_b, sheet_resistance):
+    assert _scan_vdp_in_subprocess(r_a, r_b, tmp_path).returncode == 0
+    report = _read_json(tmp_path / "scan_vdp.json")
+    assert report["sheet_resistance_ohm_sq"] == sheet_resistance
+    assert report["sheet_conductance_s_sq"] == 1.0 / sheet_resistance
 
 
 def test_scan_depth_pipeline(tmp_path):
@@ -812,6 +902,24 @@ def test_fixtures_table2_with_discrepancy_flag(tmp_path):
     s5 = data["samples"][-1]
     assert s5["dose_discrepancy"] is True
     assert s5["dose_cm2"] == 4e15
+
+
+@pytest.mark.parametrize(
+    "target, curves",
+    [
+        ("fig7", lambda: {f"fig7_cpmg{n:02d}.csv": c for n, c in fixtures.decay_family_fig7()}),
+        ("fig9", lambda: {f"fig9_{k}.csv": c for k, c in fixtures.xy_curves_fig9().items()}),
+    ],
+    ids=["fig7", "fig9"],
+)
+def test_fixtures_decay_families(tmp_path, target, curves):
+    assert main(["fixtures", "--target", target, "--output-dir", str(tmp_path)]) == 0
+    expected = curves()
+    assert sorted(expected) == sorted(p.name for p in tmp_path.glob("*.csv"))
+    for name, curve in expected.items():
+        written = dataio.read_decay_csv(tmp_path / name)
+        assert np.array_equal(written.times_s, curve.times_s)
+        assert np.array_equal(written.signal, curve.signal)
 
 
 def test_fixtures_unknown_target_exits_2(tmp_path):

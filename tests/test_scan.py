@@ -1,9 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from nvforge import dataio, fixtures
+from nvforge import dataio, fixtures, scan
 from nvforge.levmar import NumericalFailure
 from nvforge.scan import (
     DepthProfile,
@@ -173,6 +174,18 @@ def test_film_thickness_second_step_at_the_profile_end_rejected():
         film_thickness(DepthProfile(z_um=z, counts=counts))
 
 
+def test_film_thickness_sharp_step_is_quiet():
+    # Noiseless steps at z = 50 um and 6 samples before the end: exp overflows
+    # in the logistic model far below each step, which the suite's
+    # error::RuntimeWarning filter turns into a failure unless it is silenced.
+    z = 0.5 * np.arange(400)
+    counts = np.where(z < 50.0, 0.0, 100.0)
+    counts[-6:] = 400.0
+    result = film_thickness(DepthProfile(z_um=z, counts=counts))
+    assert result.surface_z_um == pytest.approx(49.75, abs=0.01)
+    assert result.interface_z_um == pytest.approx(196.75, abs=0.01)
+
+
 def test_film_thickness_reversed_profile_gets_orientation_hint():
     profile = fixtures.depth_profile_fig6(seed=0)
     reversed_counts = profile.counts[::-1].copy()
@@ -310,6 +323,87 @@ def test_van_der_pauw_input_validation():
         van_der_pauw(0.0, 1.0)
     with pytest.raises((ValueError, NumericalFailure)):
         van_der_pauw(float("inf"), 1.0)
+
+
+#: pi to 50 digits, for references that must not inherit math.pi's rounding.
+PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _decimal_expm1_neg(x):
+    """exp(-x) - 1 for Decimal x >= 0, by its series where the difference cancels."""
+    if x > Decimal("0.1"):
+        return (-x).exp() - 1
+    term = total = -x
+    k = 1
+    while abs(term) > abs(total) * Decimal("1e-45"):
+        k += 1
+        term = -term * x / k
+        total += term
+    return total
+
+
+def _vdp_reference(r_a, r_b):
+    """R_s from a 50-digit bisection on g(v) = exp(-v) + expm1(-r v), v = pi R_max / R_s."""
+    r_min, r_max = sorted((r_a, r_b))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = Decimal(r_min) / Decimal(r_max)
+        lo, hi = Decimal(0), Decimal(800)
+        while hi - lo > hi * Decimal("1e-25"):
+            mid = (lo + hi) / 2
+            if (-mid).exp() + _decimal_expm1_neg(r * mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(PI_50 * Decimal(r_max) / ((lo + hi) / 2))
+
+
+def test_van_der_pauw_matches_a_high_precision_root():
+    # R_max / R_min from 1 to 1e300 around scales 1e-100, 1 and 1e100, plus
+    # (1e300, 100): summing exp(-x) + exp(-y) - 1 cancels from a ratio of ~1e4.
+    pairs = [(1e300, 100.0)]
+    for k in range(0, 301, 10):
+        for mantissa in (1.0, 3.7):
+            ratio = mantissa * 10.0**k
+            pairs += [(scale / math.sqrt(ratio), scale * math.sqrt(ratio))
+                      for scale in (1e-100, 1.0, 1e100)]
+    worst = max(abs(van_der_pauw(a, b)[0] / _vdp_reference(a, b) - 1.0) for a, b in pairs)
+    assert worst <= 5e-16
+    assert van_der_pauw(1e300, 100.0)[0] == 4.6223766434881736e297
+
+
+def test_van_der_pauw_symmetric_pairs_are_pi_r_over_ln2_exactly():
+    rng = np.random.default_rng(19)
+    for r in 10.0 ** rng.uniform(-300.0, 300.0, 20000):
+        rs, g = van_der_pauw(float(r), float(r))
+        assert rs == math.pi * float(r) / math.log(2.0)
+        assert g == 1.0 / rs
+
+
+# Pairs whose R_s overflows are run through the CLI in a subprocess
+# (tests/test_cli.py): a bracket search from pi (R_A + R_B) = inf never ends.
+@pytest.mark.parametrize(
+    "r_a, r_b, message",
+    [
+        (1e-320, 1e-320, "leaves the float range"),  # 1 / R_s overflows
+        (5e-324, 1e10, "ratio underflows"),
+    ],
+)
+def test_van_der_pauw_outside_the_float_range_raises(r_a, r_b, message):
+    with pytest.raises(NumericalFailure, match=message):
+        van_der_pauw(r_a, r_b)
+
+
+def test_van_der_pauw_subnormal_ratio_rises_to_its_root():
+    # exp(-v) is subnormal at this root, so only ~10 digits survive.
+    assert van_der_pauw(1e-320, 1.0)[0] == pytest.approx(4.302173258065405e-3, rel=1e-9)
+
+
+def test_van_der_pauw_step_cap(monkeypatch):
+    # A ratio of 1e-300 needs ~680 Newton steps of about 1 from v = 0.
+    monkeypatch.setattr(scan, "VDP_MAX_STEPS", 100)
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        van_der_pauw(1e-300, 1.0)
 
 
 def test_purity_report_uniform_grid_is_clean():

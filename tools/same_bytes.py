@@ -31,9 +31,15 @@ cases: ``--t1-q`` without ``--t1-s`` (exit 2), Ramsey grids whose decay
 window starts far below a femtosecond (b = 5e14 and 1e16 rad/s), a window
 that starts below the smallest subnormal (exit 2), and a depth profile whose
 second step ends the profile (exit 4), read from a CSV written into each
-export like the config file.  Per command,
+export like the config file; Van-der-Pauw pairs at the float edges (a sheet
+resistance that overflows, resistances of 1e-300, a subnormal ratio, a
+ratio of 1e16), a depth profile with two sharp noiseless steps, and a NaN or
+infinite value in a depth, spectrum, scan-grid and decay CSV, also written
+into each export.  Per command,
 the exit code, stdout, stderr (with the export directory replaced by
-``<ROOT>``) and every output file except ``manifest.json`` are compared.  Prints each difference,
+``<ROOT>``) and every output file except ``manifest.json`` are compared; a
+command still running after ``TIMEOUT_S`` seconds is stopped and counts as a
+difference.  Prints each difference,
 and for each output file that differs the largest relative difference
 between the numbers at the same place of the two files, or "structure
 differs" when the text around the numbers is not the same; exits 1 if
@@ -55,12 +61,52 @@ REPO = Path(__file__).resolve().parent.parent
 SEEDS = (0, 5, 12345)
 FIT_MODELS = ("exp_t2star", "stretched_exp", "t1_stretched", "fid_beats")
 FIXTURES = ("fig5", "fig6", "fig7", "fig9", "raman", "s1s2s3", "table2")
-#: 400-sample depth profile: 0 -> 100 counts at z = 50 um, -> 400 in the last 2 samples.
-DEPTH_STEP_AT_END = "z_um,counts\n" + "".join(
-    f"{0.5 * i!r},{100.0 * (i >= 100) + 300.0 * (i >= 398)!r}\n" for i in range(400)
-)
+#: Seconds one command may run before it is stopped and reported as a difference.
+TIMEOUT_S = 120
+
+
+def csv_text(header: str, rows) -> str:
+    """A CSV input file: the header line, then each row's values as ``repr``."""
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def depth_steps(top: int, bad: float | None = None) -> list[tuple[float, float]]:
+    """400-sample depth profile: 0 -> 100 counts at z = 50 um, -> 400 in the last
+    ``top`` samples; sample 200 is ``bad`` if given."""
+    rows = [(0.5 * i, 100.0 * (i >= 100) + 300.0 * (i >= 400 - top)) for i in range(400)]
+    if bad is not None:
+        rows[200] = (100.0, bad)
+    return rows
+
+
+def spot_grid(bad: float) -> list[tuple[float, float, float]]:
+    """16x16 long-format scan grid: 5 counts, 500 on a 13-pixel spot and ``bad``
+    at one pixel."""
+    def counts(x, y):
+        return bad if (x, y) == (2, 12) else 500.0 if abs(x - 8) + abs(y - 8) <= 2 else 5.0
+    return [(float(x), float(y), counts(x, y)) for y in range(16) for x in range(16)]
+
+
+def nv_spectrum_with_nan() -> list[tuple[float, float]]:
+    """550-669.75 nm in 0.25 nm steps: the two NV ZPLs (575 and 637 nm) on 50
+    counts, with sample 300 NaN."""
+    def counts(wl):
+        return 50.0 + sum(1000.0 / (1.0 + ((wl - c) / 1.5) ** 2) for c in (575.0, 637.0))
+    return [(550.0 + 0.25 * i, math.nan if i == 300 else counts(550.0 + 0.25 * i)) for i in range(480)]
+
+
 #: Input files written into each export before the script runs: name -> text.
-INPUT_FILES = {"implant_budget.cfg": "action = budget\n", "depth_step_at_end.csv": DEPTH_STEP_AT_END}
+INPUT_FILES = {
+    "implant_budget.cfg": "action = budget\n",
+    "depth_step_at_end.csv": csv_text("z_um,counts", depth_steps(2)),
+    "depth_sharp_step.csv": csv_text("z_um,counts", depth_steps(6)),
+    "depth_nan.csv": csv_text("z_um,counts", depth_steps(100, bad=math.nan)),
+    "decay_nan.csv": csv_text("time_s,signal",
+                              [(1e-6 * (i + 1), math.nan if i == 5 else math.exp(-i / 3)) for i in range(12)]),
+    "spectrum_nan.csv": csv_text("wavelength_nm,counts", nv_spectrum_with_nan()),
+    "grid_inf.csv": csv_text("x_um,y_um,counts", spot_grid(math.inf)),
+    "grid_nan.csv": csv_text("x_um,y_um,counts", spot_grid(math.nan)),
+}
 #: A number as the CSV and JSON writers print it.
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan|Infinity|NaN)")
 
@@ -149,6 +195,14 @@ def script() -> list[tuple[str, list[str]]]:
     steps.append(("grid_underflow", ["decay", "--noise-preset", "none", "--b-rad-s", "0",
                                      "--tau-c-s", "5e-324", "--t1-s", "5e-324"]))
     steps.append(("scan_depth_step_at_end", ["scan", "--mode", "depth", "--input", "depth_step_at_end.csv"]))
+    steps += [(f"vdp_{name}", ["scan", "--mode", "vdp", "--r-a-ohm", r_a, "--r-b-ohm", r_b])
+              for name, r_a, r_b in (("overflow", "5e307", "5e307"), ("tiny", "1e-300", "1e-300"),
+                                     ("subnormal_ratio", "1e-320", "1"), ("ratio_1e16", "1", "1e16"))]
+    steps += [(f"scan_{mode}_{Path(src).stem}", ["scan", "--mode", mode, "--input", src])
+              for mode, src in (("depth", "depth_sharp_step.csv"), ("depth", "depth_nan.csv"),
+                                ("spectrum", "spectrum_nan.csv"), ("ratio", "spectrum_nan.csv"),
+                                ("spots", "grid_inf.csv"), ("spots", "grid_nan.csv"))]
+    steps.append(("fit_decay_nan", ["fit", "--input", "decay_nan.csv"]))
     for seed in (90, 140):
         steps += [
             (f"fig6_{seed}", ["fixtures", "--target", "fig6", "--seed", str(seed)]),
@@ -182,10 +236,14 @@ def run_revision(rev: str, root: Path) -> dict[str, tuple]:
     results = {}
     for name, argv in script():
         out = root / "out" / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "nvforge.cli", *argv, "--output-dir", f"out/{name}"],
-            cwd=root, env=env, capture_output=True, text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nvforge.cli", *argv, "--output-dir", f"out/{name}"],
+                cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            results[name] = ("timeout", "", f"stopped after {TIMEOUT_S} s", {})
+            continue
         files = {p.name: p.read_bytes() for p in sorted(out.glob("*")) if p.name != "manifest.json"}
         results[name] = (
             proc.returncode,
@@ -217,7 +275,8 @@ def main(argv: list[str]) -> int:
     n_diff = 0
     for name, a in parent.items():
         b = candidate[name]
-        diffs = [what for what, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+        diffs = ["timeout"] if "timeout" in (a[0], b[0]) else []
+        diffs += [what for what, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
         diffs += [f"file {f}" for f in sorted(a[3] | b[3]) if a[3].get(f) != b[3].get(f)]
         if diffs:
             n_diff += 1
@@ -228,7 +287,7 @@ def main(argv: list[str]) -> int:
                 if a[3][f] != b[3][f]:
                     print(f"  file {f}: {number_difference(a[3][f], b[3][f])}")
     codes = Counter(code for code, *_ in candidate.values())
-    print(f"{len(parent)} commands (candidate exit codes {dict(sorted(codes.items()))}), "
+    print(f"{len(parent)} commands (candidate exit codes {dict(sorted(codes.items(), key=str))}), "
           f"{n_diff} with differences")
     return 1 if n_diff else 0
 
