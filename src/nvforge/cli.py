@@ -16,6 +16,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -359,6 +360,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # the tree depends only on COMMANDS; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nvforge",

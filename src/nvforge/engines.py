@@ -56,6 +56,14 @@ MC_CHUNK_SIZE = 2048
 #: Layout of the MC draws, recorded in the sidecar.  It changes only when the
 #: draws do, not when the arithmetic on them changes the MC bytes by ulps.
 MC_STREAM = 2
+#: numpy ufunc buffer, in elements, while the chunks run.  At numpy's default
+#: of 8192, broadcasting a weight column over a row of draws narrower than
+#: ~2800 takes numpy's buffered loop (1.0-1.6 ns per element on a 2048 row);
+#: a buffer no wider than the row runs it at 0.25-0.4 ns.  16 is the smallest
+#: buffer numpy accepts, so it is no wider than any chunk of 16 or more
+#: trajectories.  Elementwise ufuncs and unbuffered sums give the same bytes
+#: under any buffer.
+MC_UFUNC_BUFSIZE = 16
 
 #: Decay window of :func:`decay_time_grid`, in -ln(signal).
 GRID_DECAY_LO = 0.02
@@ -260,12 +268,16 @@ def simulate_mc(
     # trajectories, which bounds the working arrays at (n_times, MC_CHUNK_SIZE).
     n_blocks = (n_traj + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     sums = np.zeros((n_blocks, 2, times.size))  # sum and sum of squares of cos(phase)
-    for ib in range(n_blocks) if _block_order is None else _block_order:
-        rng = seeded_rng(seed, ib)
-        block_n = min(MC_BLOCK_SIZE, n_traj - ib * MC_BLOCK_SIZE)
-        for start in range(0, block_n, MC_CHUNK_SIZE):
-            chunk_n = min(MC_CHUNK_SIZE, block_n - start)
-            sums[ib] += _mc_chunk_sums(rng, chunk_n, weights)
+    old_bufsize = np.setbufsize(MC_UFUNC_BUFSIZE)
+    try:
+        for ib in range(n_blocks) if _block_order is None else _block_order:
+            rng = seeded_rng(seed, ib)
+            block_n = min(MC_BLOCK_SIZE, n_traj - ib * MC_BLOCK_SIZE)
+            for start in range(0, block_n, MC_CHUNK_SIZE):
+                chunk_n = min(MC_CHUNK_SIZE, block_n - start)
+                sums[ib] += _mc_chunk_sums(rng, chunk_n, weights)
+    finally:
+        np.setbufsize(old_bufsize)
 
     # Block sums are added in index order, one block at a time, so every
     # point is summed the same way whatever the size of ``times``.

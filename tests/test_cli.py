@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nvforge
-from nvforge import dataio, fitkit, fixtures, magnetometry, scan
+from nvforge import cli, dataio, fitkit, fixtures, magnetometry, scan
 from nvforge.cli import COMMANDS, main
 from nvforge.levmar import NumericalFailure
 
@@ -687,6 +687,7 @@ def test_scan_vdp_huge_resistance_exits_4(tmp_path, r_a, r_b):
         ("1e-300", "1e-300", math.pi * 1e-300 / math.log(2.0)),
         ("1e300", "100", 4.6223766434881736e297),
         ("1e308", "1", 4.471118302080967e305),  # pi * 1e308 overflows, R_s does not
+        ("5e-324", "1e300", 2.2000694181365975e297),  # R_min / R_max underflows to 0
     ],
 )
 def test_scan_vdp_extreme_finite_roots_exit_0(tmp_path, r_a, r_b, sheet_resistance):
@@ -944,6 +945,32 @@ def test_manifest_contents(tmp_path):
     assert str(config) in manifest["input_hashes"]
     assert sorted(manifest["outputs"]) == ["odmr.csv", "odmr_lines.json"]
     assert manifest["wall_time_s"] >= 0.0
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # main() reuses one argparse tree; each call must still give what a
+    # fresh tree gives, after a parse error and after --version too.
+    def session(root, fresh):
+        steps = [
+            ["decay", "--no-such-flag"],
+            ["--version"],
+            ["decay", "--engine", "both", "--n-traj", "2000", "--output-dir", str(root / "decay")],
+            ["fit", "--input", str(root / "decay" / "decay_analytic.csv"), "--output-dir", str(root / "fit")],
+        ]
+        results = []
+        for argv in steps:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            out, err = (text.replace(str(root), "<ROOT>") for text in capsys.readouterr())
+            results.append((code, out, err))
+        return results + [_output_bytes(root / "decay"), _output_bytes(root / "fit")]
+
+    cli._build_parser.cache_clear()
+    reused = session(tmp_path / "reused", fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused[:4]] == [2, 0, 0, 0]
+    assert reused == session(tmp_path / "fresh", fresh=True)
 
 
 def test_help_lists_all_config_keys():

@@ -590,6 +590,53 @@ def test_mc_point_does_not_depend_on_the_rest_of_its_call():
         assert alone.meta["mc_stderr"][0] == full.meta["mc_stderr"][i]
 
 
+@pytest.mark.parametrize("n_traj", [20000, engines.MC_BLOCK_SIZE + 452])
+def test_mc_bytes_do_not_depend_on_the_callers_ufunc_buffer(n_traj):
+    # The chunks run under MC_UFUNC_BUFSIZE whatever the caller has set, and
+    # the caller's buffer is back afterwards.  The second count ends on a
+    # 452-wide chunk.
+    seq = build_sequence("xy8", 1e-6)
+    noise = NoiseModel(1e6, 1e-6)
+    times = np.geomspace(1e-7, 2e-5, 16)
+    runs = []
+    for bufsize in (8192, 16, 1 << 20):
+        old = np.setbufsize(bufsize)
+        try:
+            curve = simulate_mc(seq, noise, times, n_traj, seed=9)
+            assert np.getbufsize() == bufsize
+        finally:
+            np.setbufsize(old)
+        runs.append((curve.signal.tobytes(), curve.meta["mc_stderr"]))
+    assert runs == runs[:1] * 3
+
+
+def test_mc_chunks_run_under_the_small_ufunc_buffer_and_restore_the_callers(monkeypatch):
+    seq = build_sequence("hahn", 1e-6)
+    noise = NoiseModel(1e6, 1e-6)
+    seen = []
+    chunk_sums = engines._mc_chunk_sums
+
+    def spy(*args):
+        seen.append(np.getbufsize())
+        return chunk_sums(*args)
+
+    def broken(*args):
+        raise RuntimeError("chunk failed")
+
+    old = np.setbufsize(4096)
+    try:
+        monkeypatch.setattr(engines, "_mc_chunk_sums", spy)
+        simulate_mc(seq, noise, [1e-6, 2e-6], 3000, seed=1)
+        assert seen == [engines.MC_UFUNC_BUFSIZE] * 2
+        assert np.getbufsize() == 4096
+        monkeypatch.setattr(engines, "_mc_chunk_sums", broken)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            simulate_mc(seq, noise, [1e-6, 2e-6], 3000, seed=1)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+
+
 def test_mc_motional_narrowing_agrees_with_analytic():
     # b*tau_c << 1: exponential decay at rate ~ b^2 tau_c; the MC estimate
     # agrees with the closed form within 3 sigma at every point.

@@ -348,7 +348,7 @@ def _vdp_reference(r_a, r_b):
     with localcontext() as ctx:
         ctx.prec = 50
         r = Decimal(r_min) / Decimal(r_max)
-        lo, hi = Decimal(0), Decimal(800)
+        lo, hi = Decimal(0), Decimal(2000)
         while hi - lo > hi * Decimal("1e-25"):
             mid = (lo + hi) / 2
             if (-mid).exp() + _decimal_expm1_neg(r * mid) > 0:
@@ -360,8 +360,12 @@ def _vdp_reference(r_a, r_b):
 
 def test_van_der_pauw_matches_a_high_precision_root():
     # R_max / R_min from 1 to 1e300 around scales 1e-100, 1 and 1e100, plus
-    # (1e300, 100): summing exp(-x) + exp(-y) - 1 cancels from a ratio of ~1e4.
-    pairs = [(1e300, 100.0)]
+    # (1e300, 100): summing exp(-x) + exp(-y) - 1 cancels from a ratio of ~1e4;
+    # ratios on either side of VDP_LOG_SWITCH; and subnormal ratios, down to
+    # one that underflows to 0, (5e-324, 1e300).
+    pairs = [(1e300, 100.0), (1.0, 1.0 / scan.VDP_LOG_SWITCH), (1.0, 0.99 / scan.VDP_LOG_SWITCH),
+             (1e-320, 1.0), (5e-324, 1.0), (5e-324, 1e10), (5e-324, 1e300), (5e-324, 1.7e308),
+             (1e-310, 1e-5), (2.5e-320, 3e-3)]
     for k in range(0, 301, 10):
         for mantissa in (1.0, 3.7):
             ratio = mantissa * 10.0**k
@@ -386,7 +390,6 @@ def test_van_der_pauw_symmetric_pairs_are_pi_r_over_ln2_exactly():
     "r_a, r_b, message",
     [
         (1e-320, 1e-320, "leaves the float range"),  # 1 / R_s overflows
-        (5e-324, 1e10, "ratio underflows"),
     ],
 )
 def test_van_der_pauw_outside_the_float_range_raises(r_a, r_b, message):
@@ -395,15 +398,18 @@ def test_van_der_pauw_outside_the_float_range_raises(r_a, r_b, message):
 
 
 def test_van_der_pauw_subnormal_ratio_rises_to_its_root():
-    # exp(-v) is subnormal at this root, so only ~10 digits survive.
-    assert van_der_pauw(1e-320, 1.0)[0] == pytest.approx(4.302173258065405e-3, rel=1e-9)
+    # exp(-v) is subnormal at these roots and the second ratio underflows to
+    # 0; the log form keeps every digit of the 50-digit roots.
+    assert van_der_pauw(1e-320, 1.0)[0] == pytest.approx(4.302173258065405e-3, rel=5e-16)
+    assert van_der_pauw(5e-324, 1e300)[0] == pytest.approx(2.2000694181365975e297, rel=5e-16)
 
 
 def test_van_der_pauw_step_cap(monkeypatch):
-    # A ratio of 1e-300 needs ~680 Newton steps of about 1 from v = 0.
+    # A ratio of 1e-200, above VDP_LOG_SWITCH, needs ~460 Newton steps of
+    # about 1 from v = 0.
     monkeypatch.setattr(scan, "VDP_MAX_STEPS", 100)
     with pytest.raises(NumericalFailure, match="did not converge"):
-        van_der_pauw(1e-300, 1.0)
+        van_der_pauw(1e-200, 1.0)
 
 
 def test_purity_report_uniform_grid_is_clean():

@@ -33,9 +33,10 @@ that starts below the smallest subnormal (exit 2), and a depth profile whose
 second step ends the profile (exit 4), read from a CSV written into each
 export like the config file; Van-der-Pauw pairs at the float edges (a sheet
 resistance that overflows, resistances of 1e-300, a subnormal ratio, a
-ratio of 1e16), a depth profile with two sharp noiseless steps, and a NaN or
-infinite value in a depth, spectrum, scan-grid and decay CSV, also written
-into each export.  Per command,
+ratio that underflows to 0, a ratio of 1e16), a 16836-trajectory engine
+comparison, whose last chunk is 452 trajectories wide, a depth profile with
+two sharp noiseless steps, and a NaN or infinite value in a depth, spectrum,
+scan-grid and decay CSV, also written into each export.  Per command,
 the exit code, stdout, stderr (with the export directory replaced by
 ``<ROOT>``) and every output file except ``manifest.json`` are compared; a
 command still running after ``TIMEOUT_S`` seconds is stopped and counts as a
@@ -197,7 +198,9 @@ def script() -> list[tuple[str, list[str]]]:
     steps.append(("scan_depth_step_at_end", ["scan", "--mode", "depth", "--input", "depth_step_at_end.csv"]))
     steps += [(f"vdp_{name}", ["scan", "--mode", "vdp", "--r-a-ohm", r_a, "--r-b-ohm", r_b])
               for name, r_a, r_b in (("overflow", "5e307", "5e307"), ("tiny", "1e-300", "1e-300"),
-                                     ("subnormal_ratio", "1e-320", "1"), ("ratio_1e16", "1", "1e16"))]
+                                     ("subnormal_ratio", "1e-320", "1"), ("ratio_1e16", "1", "1e16"),
+                                     ("ratio_underflow", "5e-324", "1e300"))]
+    steps.append(("hahn_both_tail_chunk", ["decay", "--engine", "both", "--n-traj", "16836"]))
     steps += [(f"scan_{mode}_{Path(src).stem}", ["scan", "--mode", mode, "--input", src])
               for mode, src in (("depth", "depth_sharp_step.csv"), ("depth", "depth_nan.csv"),
                                 ("spectrum", "spectrum_nan.csv"), ("ratio", "spectrum_nan.csv"),
