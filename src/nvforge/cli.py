@@ -161,6 +161,8 @@ def _cmd_fit(opts: dict, seed: int, out_dir: Path) -> list[Path]:
 
 def _cmd_sense(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     if opts["preset"] == "paper-ideal":
+        if any(opts[k] is not None for k in ("aleph_ppm", "volume_m3", "rate_cps", "contrast")):
+            raise ConfigError("aleph-ppm, volume-m3, rate-cps and contrast need preset none")
         spot, t2_star = magnetometry.paper_ideal_spot()
         if opts["t2_star_s"] is not None:
             t2_star = opts["t2_star_s"]
@@ -419,7 +421,7 @@ def _write_manifest(
         "tool": "nvforge",
         "version": __version__,
         "command": command,
-        "options": {k: (v if v is None or isinstance(v, (int, float, bool)) else str(v)) for k, v in opts.items()},
+        "options": opts,
         "seed": seed,
         "input_hashes": {str(p): _sha256(p) for p in inputs if p is not None and p.exists()},
         "outputs": sorted(p.name for p in outputs),

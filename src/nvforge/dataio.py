@@ -20,10 +20,6 @@ from .scan import DepthProfile, ScanGrid, Spectrum
 from .spincore import OdmrSpectrum
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -163,22 +159,8 @@ def read_depth_profile_csv(path: Path) -> DepthProfile:
 
 def write_t2_table_csv(rows, path: Path) -> None:
     """Flat (n, T2, p, stderr) table for plotting, one row per pulse count."""
-    lines = ["n,t2_s,p,stderr_t2_s,stderr_p,converged,error"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    _fmt(row.t2_s),
-                    _fmt(row.p),
-                    _fmt(row.stderr_t2_s),
-                    _fmt(row.stderr_p),
-                    str(row.converged).lower(),
-                    row.error or "",
-                ]
-            )
-        )
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    header = ["n", "t2_s", "p", "stderr_t2_s", "stderr_p"]
+    _write_csv(Path(path), header, [[getattr(row, name) for row in rows] for name in header])
 
 
 def write_scan_grid_csv(grid: ScanGrid, path: Path) -> None:

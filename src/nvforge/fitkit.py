@@ -341,36 +341,21 @@ class T2TableRow:
     p: float
     stderr_t2_s: float
     stderr_p: float
-    converged: bool
-    error: str | None = None
 
 
 def extract_t2_table(labeled_curves) -> list[T2TableRow]:
     """Fit a stretched exponential to each (n, curve) pair.
 
-    Per-row failures are recorded in the row's ``error`` field instead of
-    aborting the batch.
+    The first failed fit, in input order, raises :class:`FitError` with its
+    n attached, chained from the fit's own error.
     """
     rows = []
     model = FitModel.stretched_exp()
     for n, curve in labeled_curves:
         try:
             r = fit(curve, model, fix={"c": 0.0})
-            rows.append(
-                T2TableRow(
-                    n=int(n),
-                    t2_s=r.params["t2_s"],
-                    p=r.params["p"],
-                    stderr_t2_s=r.stderr["t2_s"],
-                    stderr_p=r.stderr["p"],
-                    converged=r.converged,
-                )
-            )
         except FitError as exc:
-            rows.append(
-                T2TableRow(
-                    n=int(n), t2_s=math.nan, p=math.nan, stderr_t2_s=math.nan,
-                    stderr_p=math.nan, converged=False, error=str(exc),
-                )
-            )
+            raise FitError(f"T2 fit failed for n={int(n)}: {exc}") from exc
+        rows.append(T2TableRow(n=int(n), t2_s=r.params["t2_s"], p=r.params["p"],
+                               stderr_t2_s=r.stderr["t2_s"], stderr_p=r.stderr["p"]))
     return rows

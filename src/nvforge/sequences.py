@@ -3,9 +3,9 @@
 Every sequence kind has CPMG timing: n equally spaced pi pulses, pulse k
 at the fraction (2k - 1)/(2n) of the free-evolution window; Ramsey is
 n = 0.  Each kind (Ramsey, Hahn echo, CPMG(n), XY4, XY8) is one row of
-:data:`SEQUENCE_KINDS` giving n and the pulse phases; XY4 and XY8 are
-CPMG(4) and CPMG(8) with the phase patterns X-Y-X-Y and X-Y-X-Y-Y-X-Y-X.
-Microwave pulses are ideal (zero width).  The analytic chi needs only n;
+:data:`SEQUENCE_KINDS` giving its name and n.  XY4 and XY8 are CPMG(4) and
+CPMG(8) with the phase patterns X-Y-X-Y and X-Y-X-Y-Y-X-Y-X; pulses are
+ideal (zero width), so the phases play no part.  The analytic chi needs only n;
 the Monte-Carlo engine walks the split of the free-evolution window into
 sign-constant cells, exposed by :meth:`PulseSequence.cell_lengths`.
 """
@@ -17,13 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-XY4_PHASES = ("x", "y", "x", "y")
-XY8_PHASES = ("x", "y", "x", "y", "y", "x", "y", "x")
-
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """n_pi equally spaced pi pulses, with their phases, in one free-evolution window.
+    """n_pi equally spaced pi pulses in one free-evolution window.
 
     The sequence carries no time scale, so the same object can be
     evaluated at any total evolution time.
@@ -31,7 +28,6 @@ class PulseSequence:
 
     name: str
     n_pi: int
-    pi_phases: tuple[str, ...]
 
     def cell_lengths(self, times_s) -> np.ndarray:
         """Lengths of the sign-constant cells for each total time t.
@@ -63,13 +59,13 @@ def check_times(times_s) -> None:
         raise ValueError("times must be >= 0")
 
 
-# kind -> n -> (name, n_pi, pi_phases)
+# kind -> n -> (name, n_pi)
 SEQUENCE_KINDS = {
-    "ramsey": lambda n: ("ramsey", 0, ()),
-    "hahn": lambda n: ("hahn", 1, ("y",)),
-    "cpmg": lambda n: (f"cpmg{n}", n, ("y",) * n),
-    "xy4": lambda n: ("xy4", 4, XY4_PHASES),
-    "xy8": lambda n: ("xy8", 8, XY8_PHASES),
+    "ramsey": lambda n: ("ramsey", 0),
+    "hahn": lambda n: ("hahn", 1),
+    "cpmg": lambda n: (f"cpmg{n}", n),
+    "xy4": lambda n: ("xy4", 4),
+    "xy8": lambda n: ("xy8", 8),
 }
 
 

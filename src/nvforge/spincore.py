@@ -206,10 +206,7 @@ def odmr_spectrum(
 def _axis_frame(axis: NVAxis) -> np.ndarray:
     """Right-handed orthonormal frame with the NV axis as its z column."""
     z = axis.as_array()
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(z @ ref) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    x = np.cross(ref, z)
+    x = np.cross([0.0, 0.0, 1.0], z)  # no <111> axis is parallel to e_z
     x /= np.linalg.norm(x)
     y = np.cross(z, x)
     return np.column_stack([x, y, z])

@@ -13,6 +13,7 @@ import pytest
 import nvforge
 from nvforge import cli, dataio, fitkit, fixtures, magnetometry, scan
 from nvforge.cli import COMMANDS, main
+from nvforge.curves import DecayCurve
 from nvforge.levmar import NumericalFailure
 
 
@@ -192,6 +193,62 @@ def test_bad_input_file_exits_2(tmp_path, capsys, command, case):
     assert err.startswith("error: ")
     if case == "non_finite":
         assert err.endswith("every data value must be finite\n")
+
+
+#: case -> (argv, input files written into the working directory, environment,
+#: the error message).  Each exits 2 before it writes a data file.
+EXIT_2_CASES = {
+    "config_missing": (["decay", "--config", "missing.cfg"], {}, {},
+                       "config file not found: missing.cfg"),
+    "config_no_equals": (["decay", "--config", "run.cfg"], {"run.cfg": "sequence hahn\n"}, {},
+                         "run.cfg:1: expected 'key = value', got 'sequence hahn'"),
+    "config_empty_key": (["decay", "--config", "run.cfg"], {"run.cfg": "# run\n = 1\n"}, {},
+                         "run.cfg:2: empty key"),
+    "config_duplicate_key": (["decay", "--config", "run.cfg"],
+                             {"run.cfg": "n-times = 3\nn_times = 4\n"}, {},
+                             "run.cfg:2: duplicate key 'n_times'"),
+    "fit_header": (["fit", "--input", "in.csv"], {"in.csv": "time_s,sig\n1e-06,0.5\n"}, {},
+                   "expected columns time_s, signal; got ['time_s', 'sig']"),
+    "depth_header": (["scan", "--mode", "depth", "--input", "in.csv"],
+                     {"in.csv": "z,counts\n0.0,1.0\n"}, {},
+                     "expected columns z_um, counts; got ['z', 'counts']"),
+    "spots_header": (["scan", "--mode", "spots", "--input", "in.csv"],
+                     {"in.csv": "a,b,c\n0.0,0.0,1.0\n"}, {},
+                     "unrecognized scan-grid header: ['a', 'b', 'c']"),
+    "preset_none_without_bath": (["decay", "--noise-preset", "none"], {}, {},
+                                 "noise-preset none requires b-rad-s and tau-c-s"),
+    "odmr_reversed_grid": (["odmr", "--f-min-hz", "3e9", "--f-max-hz", "2e9"], {}, {},
+                           "f-max-hz must exceed f-min-hz"),
+    "vdp_one_resistance": (["scan", "--mode", "vdp", "--r-a-ohm", "1"], {}, {},
+                           "vdp mode requires r-a-ohm and r-b-ohm"),
+    "env_seed": (["odmr"], {}, {"NVFORGE_SEED": "x"}, "NVFORGE_SEED must be an integer, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_2_CASES))
+def test_config_header_and_option_errors_exit_2(tmp_path, capsys, monkeypatch, case):
+    argv, files, env, message = EXIT_2_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv + ["--output-dir", "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list((tmp_path / "out").glob("*")) == []
+
+
+def test_fit_pin_offset_no_is_the_default(tmp_path):
+    t = np.geomspace(0.3e-6, 26e-6, 60)
+    curve_path = tmp_path / "curve.csv"
+    dataio.write_decay_csv(DecayCurve(t, 0.9 * np.exp(-((t / 6.4e-6) ** 0.96)) + 0.05), curve_path)
+    runs = {"default": [], "no": ["--pin-offset", "no"]}
+    for name, extra in runs.items():
+        argv = ["fit", "--input", str(curve_path), *extra, "--output-dir", str(tmp_path / name)]
+        assert main(argv) == 0
+    default, no = ((tmp_path / name / "fit_result.json").read_bytes() for name in runs)
+    assert default == no
+    assert json.loads(no)["params"]["c"] != 0.0
 
 
 def test_decay_analytic_paper_like_hahn_fit(tmp_path):
@@ -449,8 +506,6 @@ def test_decay_env_seed_overrides_flag(tmp_path, monkeypatch):
 def test_fit_command_roundtrip(tmp_path):
     t = np.geomspace(0.3e-6, 26e-6, 60)
     curve_path = tmp_path / "curve.csv"
-    from nvforge.curves import DecayCurve
-
     dataio.write_decay_csv(
         DecayCurve(t, np.exp(-((t / 6.4e-6) ** 0.96))), curve_path
     )
@@ -515,8 +570,6 @@ def test_fit_command_missing_input_exits_2(tmp_path):
 def test_fit_command_constant_signal_exits_4(tmp_path):
     t = np.geomspace(1e-7, 1e-5, 30)
     curve_path = tmp_path / "flat.csv"
-    from nvforge.curves import DecayCurve
-
     dataio.write_decay_csv(DecayCurve(t, np.full(30, 0.5)), curve_path)
     code = main(["fit", "--input", str(curve_path), "--output-dir", str(tmp_path)])
     assert code == 4  # rank-deficient data is a numerical failure
@@ -585,6 +638,24 @@ def test_sense_custom_with_every_field(tmp_path):
                                      photon_rate_per_center_cps=1e5, contrast=0.03)
     expected = dataclasses.asdict(magnetometry.sensitivity_report(spot, 1e-6, 1e-4))
     assert _read_json(tmp_path / "sensitivity.json") == expected
+
+
+@pytest.mark.parametrize("option", ["--aleph-ppm", "--volume-m3", "--rate-cps", "--contrast"])
+def test_sense_spot_option_with_the_preset_exits_2(tmp_path, capsys, option):
+    assert main(["sense", option, "0.5", "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: aleph-ppm, volume-m3, rate-cps and contrast need preset none\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sense_t2_star_overrides_the_preset(tmp_path):
+    assert main(["sense", "--t2-star-s", "1e-6", "--t2-dd-s", "1e-4", "--output-dir", str(tmp_path)]) == 0
+    spot, t2_star = magnetometry.paper_ideal_spot()
+    assert t2_star != 1e-6
+    expected = dataclasses.asdict(magnetometry.sensitivity_report(spot, 1e-6, 1e-4))
+    assert _read_json(tmp_path / "sensitivity.json") == expected
+    assert expected["assumptions"]["t2_star_s"] == 1e-6
 
 
 def test_implant_plan_reference_numbers(tmp_path):

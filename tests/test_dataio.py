@@ -199,15 +199,13 @@ def test_t2_table_csv(tmp_path):
     from nvforge.fitkit import T2TableRow
 
     rows = [
-        T2TableRow(n=1, t2_s=6.4e-6, p=0.96, stderr_t2_s=1e-8, stderr_p=0.01, converged=True),
-        T2TableRow(
-            n=4, t2_s=float("nan"), p=float("nan"), stderr_t2_s=float("nan"),
-            stderr_p=float("nan"), converged=False, error="fit failed",
-        ),
+        T2TableRow(n=1, t2_s=6.4e-6, p=0.96, stderr_t2_s=1e-8, stderr_p=0.01),
+        T2TableRow(n=4, t2_s=1.6e-5, p=1.5, stderr_t2_s=2e-8, stderr_p=0.02),
     ]
     path = tmp_path / "t2_table.csv"
     dataio.write_t2_table_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,t2_s,p,stderr_t2_s,stderr_p,converged,error"
-    assert lines[1].startswith("1,6.4e-06,0.96")
-    assert lines[2].endswith("fit failed")
+    assert path.read_text().splitlines() == [
+        "n,t2_s,p,stderr_t2_s,stderr_p",
+        "1.0,6.4e-06,0.96,1e-08,0.01",
+        "4.0,1.6e-05,1.5,2e-08,0.02",
+    ]

@@ -9,6 +9,7 @@ from nvforge.fitkit import (
     DOUBLET_MULTIPLICITIES,
     TRIPLET_MULTIPLICITIES,
     FitConvergenceError,
+    FitError,
     FitModel,
     RankDeficientDataError,
     extract_t2_table,
@@ -257,7 +258,6 @@ def test_extract_t2_table_roundtrip():
     rows = extract_t2_table(rows_in)
     for (n, _), row in zip(rows_in, rows):
         assert row.n == n
-        assert row.error is None
         assert row.t2_s == pytest.approx(6.4e-6 * n ** (2 / 3), rel=0.01)
     t2s = [row.t2_s for row in rows]
     assert all(a < b for a, b in zip(t2s, t2s[1:]))
@@ -271,13 +271,12 @@ def test_extract_t2_table_single_row_matches_plain_fit():
     assert rows[0].t2_s == pytest.approx(direct.params["t2_s"], rel=1e-12)
 
 
-def test_extract_t2_table_records_row_errors():
+def test_extract_t2_table_raises_on_the_first_failed_row():
     good = _stretched_curve(6.4e-6, 0.96)
     flat = DecayCurve(np.geomspace(1e-7, 1e-5, 40), np.full(40, 0.5))
-    rows = extract_t2_table([(1, good), (2, flat)])
-    assert rows[0].error is None
-    assert rows[1].error is not None
-    assert math.isnan(rows[1].t2_s)
+    with pytest.raises(FitError, match=r"^T2 fit failed for n=2: signal is constant") as info:
+        extract_t2_table([(1, good), (2, flat), (3, flat)])
+    assert isinstance(info.value.__cause__, RankDeficientDataError)
 
 
 @pytest.mark.parametrize(

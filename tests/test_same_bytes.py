@@ -1,0 +1,133 @@
+"""Same bytes: every step of ``tools/same_bytes.py`` against a checked-in digest table.
+
+Each step of the tool's ``script()`` runs in process through ``cli.main``, in
+a directory that holds ``configs/`` and the tool's ``INPUT_FILES``, with
+``NVFORGE_SEED`` unset.  Its exit code, the SHA-256 of its stderr (with the
+directory replaced by ``<ROOT>``) and the SHA-256 of each output file except
+``manifest.json`` must equal its entry in ``same_bytes_digests.json``.  The
+table records the Python and numpy versions that made it, because libm and
+numpy can move bytes.  A declared byte change regenerates the table:
+
+    PYTHONPATH=src python tests/test_same_bytes.py > tests/same_bytes_digests.json
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import re
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nvforge import cli, dataio
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "tools"))
+import same_bytes  # noqa: E402
+
+DIGESTS = Path(__file__).with_name("same_bytes_digests.json")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def run_steps(root: Path, steps) -> dict:
+    """Write the inputs into ``root``, the working directory, and run ``steps`` there.
+
+    Returns step name -> {"exit", "stderr", "files"}, the last two as SHA-256 digests.
+    """
+    shutil.copytree(REPO / "configs", root / "configs")
+    for name, text in same_bytes.INPUT_FILES.items():
+        (root / name).write_text(text)
+    results = {}
+    for name, argv in steps:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--output-dir", f"out/{name}"])
+        results[name] = {
+            "exit": code,
+            "stderr": _sha256(err.getvalue().replace(str(root), "<ROOT>").encode()),
+            "files": {p.name: _sha256(p.read_bytes())
+                      for p in sorted((root / "out" / name).glob("*")) if p.name != "manifest.json"},
+        }
+    return results
+
+
+def differences(results: dict, expected: dict) -> list[str]:
+    """One line per step of ``results`` whose exit code, stderr or files differ from ``expected``."""
+    lines = []
+    for name, got in results.items():
+        want = expected.get(name, {"files": {}})
+        parts = [key for key in ("exit", "stderr") if want.get(key) != got[key]]
+        names = sorted(want["files"].keys() | got["files"].keys())
+        parts += [f"file {f}" for f in names if want["files"].get(f) != got["files"].get(f)]
+        if parts:
+            lines.append(f"{name}: {', '.join(parts)}")
+    return lines
+
+
+def _table() -> dict:
+    table = json.loads(DIGESTS.read_text())
+    made, here = {k: table[k] for k in versions()}, versions()
+    assert made == here, (
+        f"the digests were made with python {made['python']} and numpy {made['numpy']}, "
+        f"this run has python {here['python']} and numpy {here['numpy']}; "
+        "check the bytes with tools/same_bytes.py, then regenerate the table"
+    )
+    return table["steps"]
+
+
+def test_a_version_mismatch_names_both_versions(monkeypatch):
+    made = json.loads(DIGESTS.read_text())["numpy"]
+    monkeypatch.setattr(np, "__version__", "0.0.0")
+    with pytest.raises(AssertionError, match=rf"numpy {re.escape(made)}, this run .* numpy 0\.0\.0;"):
+        _table()
+
+
+def test_every_step_gives_its_recorded_bytes(tmp_path, monkeypatch):
+    expected = _table()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NVFORGE_SEED", raising=False)
+    results = run_steps(tmp_path, same_bytes.script())
+    assert list(results) == list(expected)
+    assert differences(results, expected) == []
+
+
+def test_one_changed_writer_byte_fails_the_digests(tmp_path, monkeypatch):
+    expected = _table()
+    write = dataio.write_depth_profile_csv
+
+    def write_one_byte_off(profile, path):
+        write(profile, path)
+        data = bytearray(path.read_bytes())
+        data[-2] ^= 1
+        path.write_bytes(bytes(data))
+
+    monkeypatch.setattr(dataio, "write_depth_profile_csv", write_one_byte_off)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NVFORGE_SEED", raising=False)
+    steps = [(name, argv) for name, argv in same_bytes.script() if name.startswith("fig6_")]
+    assert len(steps) == 5
+    results = run_steps(tmp_path, steps)
+    assert differences(results, expected) == [f"{name}: file fig6_depth_profile.csv" for name, _ in steps]
+
+
+if __name__ == "__main__":
+    os.environ.pop("NVFORGE_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        steps = run_steps(Path(tmp), same_bytes.script())
+        os.chdir(REPO)
+    print(json.dumps({**versions(), "steps": steps}, indent=1))

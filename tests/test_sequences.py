@@ -14,7 +14,7 @@ def reference_cell_lengths(n, times):
 
 def test_ramsey_has_no_pi_pulses():
     seq = build_sequence("ramsey", 2e-6)
-    assert (seq.n_pi, seq.pi_phases) == (0, ())
+    assert seq.n_pi == 0
     assert seq.cell_lengths(1e-5).tolist() == [1e-5]
 
 
@@ -26,7 +26,7 @@ def test_hahn_timing():
 def test_cpmg1_timing_identical_to_hahn():
     hahn = build_sequence("hahn", 1e-6)
     cpmg1 = build_sequence("cpmg", 1e-6, n=1)
-    assert (cpmg1.n_pi, cpmg1.pi_phases) == (hahn.n_pi, hahn.pi_phases)
+    assert cpmg1.n_pi == hahn.n_pi
     assert cpmg1.cell_lengths(2e-6).tobytes() == hahn.cell_lengths(2e-6).tobytes()
 
 
@@ -40,14 +40,12 @@ def test_cpmg64_timing():
 
 def test_xy4_pattern():
     seq = build_sequence("xy4", 1e-6)
-    assert seq.pi_phases == ("x", "y", "x", "y")
     assert seq.cell_lengths(8e-6).tolist() == pytest.approx([1e-6, 2e-6, 2e-6, 2e-6, 1e-6])
 
 
 def test_xy8_pattern():
     seq = build_sequence("xy8", 1e-6)
     assert seq.n_pi == 8
-    assert seq.pi_phases == ("x", "y", "x", "y", "y", "x", "y", "x")
     xy8, cpmg8 = seq.cell_lengths(16e-6), build_sequence("cpmg", 1e-6, n=8).cell_lengths(16e-6)
     assert xy8.tobytes() == cpmg8.tobytes()
     assert xy8.tolist() == pytest.approx([1e-6, *[2e-6] * 7, 1e-6])
@@ -80,21 +78,21 @@ def test_cell_lengths_reject_negative_times(times):
 
 
 @pytest.mark.parametrize(
-    "kind, n, name, n_pi, pi_phases",
+    "kind, n, name, n_pi",
     [
-        ("ramsey", None, "ramsey", 0, ()),
-        ("hahn", None, "hahn", 1, ("y",)),
-        ("cpmg", 1, "cpmg1", 1, ("y",)),
-        ("cpmg", 7, "cpmg7", 7, ("y",) * 7),
-        ("cpmg", 64, "cpmg64", 64, ("y",) * 64),
-        ("xy4", None, "xy4", 4, ("x", "y", "x", "y")),
-        ("xy8", None, "xy8", 8, ("x", "y", "x", "y", "y", "x", "y", "x")),
+        ("ramsey", None, "ramsey", 0),
+        ("hahn", None, "hahn", 1),
+        ("cpmg", 1, "cpmg1", 1),
+        ("cpmg", 7, "cpmg7", 7),
+        ("cpmg", 64, "cpmg64", 64),
+        ("xy4", None, "xy4", 4),
+        ("xy8", None, "xy8", 8),
     ],
     ids=["ramsey", "hahn", "cpmg1", "cpmg7", "cpmg64", "xy4", "xy8"],
 )
-def test_sequence_table_rows(kind, n, name, n_pi, pi_phases):
+def test_sequence_table_rows(kind, n, name, n_pi):
     seq = build_sequence(kind, 1e-6, n=n)
-    assert (seq.name, seq.n_pi, seq.pi_phases) == (name, n_pi, pi_phases)
+    assert (seq.name, seq.n_pi) == (name, n_pi)
 
 
 def test_invalid_inputs_rejected():

@@ -4,47 +4,18 @@
     python3 tools/same_bytes.py PARENT CANDIDATE     # any two git revisions
 
 Each revision is exported with ``git archive`` into a temporary directory
-and runs one fixed script of ``python -m nvforge.cli`` commands: the README
-examples, the ODMR config file, decay paths beyond the README's (CPMG(64),
-an odd CPMG(7), XY4, a slow-bath XY8 engine comparison, a Ramsey curve with T1 inside the grid, a
-linear-grid Monte-Carlo Hahn curve), every ``fixtures`` target at seeds 0, 5
-and 12345, every ``scan`` mode on those fixtures (including the charge ratio
-of the Raman spectrum, which has no NV0 line and exits 4), every ``fit``
-model on the Hahn and fig7 curves, record edge cases (a chopped
-molecular implant plan, a DC-only sensitivity report, a spot scan that finds
-no spot) and fixed-value options (upper-case ``--engine``/``--sequence``
-values, an upper-case ``implant`` action, an unknown fixtures target, a
-misspelt ``--grid``) and decay-time grid cases (CPMG(256) on the paper-like
-and slow-bath presets, a bath with no decay, a coupling whose square
-overflows, a T1 term that overflows in the bracket search, a negative time
-on an explicit linear and on a log grid, a NaN time) and numerical edge
-cases (a T1 factor that overflows on an explicit grid with either engine,
-an implant spot diameter that under- or overflows, a Van-der-Pauw resistance
-near the float limit, an ODMR field near the float limit, a line too
-narrow to resolve and an infinite ODMR grid end) and an implant action
-read from a config file, which is written into each export, a
-20000-trajectory Monte-Carlo CPMG(64) curve and a 4096-trajectory CPMG(100)
-engine comparison, whose cells come in 9 distinct lengths, a bath coupling
-given with a noise preset (exit 2), the fig6 depth profile and its film
-thickness at seeds 90 and 140, for more step segmentation, and exit-code
-cases: ``--t1-q`` without ``--t1-s`` (exit 2), Ramsey grids whose decay
-window starts far below a femtosecond (b = 5e14 and 1e16 rad/s), a window
-that starts below the smallest subnormal (exit 2), and a depth profile whose
-second step ends the profile (exit 4), read from a CSV written into each
-export like the config file; Van-der-Pauw pairs at the float edges (a sheet
-resistance that overflows, resistances of 1e-300, a subnormal ratio, a
-ratio that underflows to 0, a ratio of 1e16), a 16836-trajectory engine
-comparison, whose last chunk is 452 trajectories wide, a depth profile with
-two sharp noiseless steps, and a NaN or infinite value in a depth, spectrum,
-scan-grid and decay CSV, also written into each export.  Per command,
-the exit code, stdout, stderr (with the export directory replaced by
-``<ROOT>``) and every output file except ``manifest.json`` are compared; a
-command still running after ``TIMEOUT_S`` seconds is stopped and counts as a
-difference.  Prints each difference,
-and for each output file that differs the largest relative difference
-between the numbers at the same place of the two files, or "structure
-differs" when the text around the numbers is not the same; exits 1 if
-there is any difference, 0 otherwise.
+and runs the steps of :func:`script`, one ``python -m nvforge.cli``
+subprocess each; the step names are the list of cases.  Per step, the exit
+code, stdout, stderr (with the export directory replaced by ``<ROOT>``) and
+every output file except ``manifest.json`` are compared; a step still
+running after ``TIMEOUT_S`` seconds is stopped and counts as a difference.
+Prints each difference, and for each output file that differs the largest
+relative difference between the numbers at the same place of the two
+files, or "structure differs" when the text around the numbers is not the
+same; exits 1 if there is any difference, 0 otherwise.
+
+``tests/test_same_bytes.py`` runs the same steps in process against a
+checked-in digest table.
 """
 
 from __future__ import annotations
@@ -151,6 +122,7 @@ def script() -> list[tuple[str, list[str]]]:
         ]
     steps += [
         ("plan_chopped", ["implant", "plan", "--chopper-pulse-s", "1e-4", "--species", "molecular"]),
+        ("sense_preset_spot", ["sense", "--aleph-ppm", "5", "--contrast", "0.5"]),
         ("sense_dc_only", ["sense", "--preset", "none", "--aleph-ppm", "1", "--volume-m3", "1e-18",
                            "--rate-cps", "1e5", "--contrast", "0.03", "--t2-star-s", "1e-6"]),
         ("scan_spots_none", ["scan", "--mode", "spots", "--threshold-sigma", "1e6",
