@@ -160,15 +160,15 @@ def _cmd_fit(opts: dict, seed: int, out_dir: Path) -> list[Path]:
 
 
 def _cmd_sense(opts: dict, seed: int, out_dir: Path) -> list[Path]:
+    spot_options = ("aleph_ppm", "volume_m3", "rate_cps", "contrast")
     if opts["preset"] == "paper-ideal":
-        if any(opts[k] is not None for k in ("aleph_ppm", "volume_m3", "rate_cps", "contrast")):
+        if any(opts[k] is not None for k in spot_options):
             raise ConfigError("aleph-ppm, volume-m3, rate-cps and contrast need preset none")
         spot, t2_star = magnetometry.paper_ideal_spot()
         if opts["t2_star_s"] is not None:
             t2_star = opts["t2_star_s"]
     else:
-        required = ("aleph_ppm", "volume_m3", "rate_cps", "contrast", "t2_star_s")
-        missing = [k for k in required if opts[k] is None]
+        missing = [k for k in (*spot_options, "t2_star_s") if opts[k] is None]
         if missing:
             raise ConfigError(f"preset none requires: {', '.join(missing)}")
         spot = magnetometry.EnsembleSpot(
