@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, dataio, fitkit, fixtures, implant, magnetometry, presets
-from .config import ConfigError, boolean, choice, parse_config_file, resolve_options
+from .config import ConfigError, boolean, choice, finite, parse_config_file, resolve_options
 from .engines import decay_time_grid, simulate_analytic, simulate_mc
 from .levmar import NumericalFailure
 from .noise import NoiseModel
@@ -85,8 +85,6 @@ def _cmd_odmr(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     )
     field = MagneticFieldVector(opts["bx_t"], opts["by_t"], opts["bz_t"])
     f_min, f_max = opts["f_min_hz"], opts["f_max_hz"]
-    if not all(math.isfinite(f) for f in (f_min, f_max) if f is not None):
-        raise ConfigError("f-min-hz and f-max-hz must be finite")
     if f_min is None or f_max is None:
         with np.errstate(over="ignore"):  # a field near the float limit has an infinite norm
             span = params.gyromag_hz_per_t * field.magnitude_t + 10 * params.linewidth_fwhm_hz
@@ -289,15 +287,15 @@ COMMON_OPTIONS = {
 
 COMMANDS = {
     "odmr": Command(_cmd_odmr, {
-        "bx_t": (float, 0.0, "field x component (T)"),
-        "by_t": (float, 0.0, "field y component (T)"),
-        "bz_t": (float, 1.6e-3, "field z component (T)"),
-        "zfs_d_hz": (float, SpinParams.zfs_d_hz, "zero-field splitting D (Hz)"),
-        "gamma_hz_per_t": (float, SpinParams.gyromag_hz_per_t, "gyromagnetic ratio (Hz/T)"),
-        "linewidth_hz": (float, SpinParams.linewidth_fwhm_hz, "dip FWHM (Hz)"),
-        "contrast": (float, SpinParams.odmr_contrast, "total ODMR contrast"),
-        "f_min_hz": (float, None, "grid start (default: auto)"),
-        "f_max_hz": (float, None, "grid end (default: auto)"),
+        "bx_t": (finite, 0.0, "field x component (T)"),
+        "by_t": (finite, 0.0, "field y component (T)"),
+        "bz_t": (finite, 1.6e-3, "field z component (T)"),
+        "zfs_d_hz": (finite, SpinParams.zfs_d_hz, "zero-field splitting D (Hz)"),
+        "gamma_hz_per_t": (finite, SpinParams.gyromag_hz_per_t, "gyromagnetic ratio (Hz/T)"),
+        "linewidth_hz": (finite, SpinParams.linewidth_fwhm_hz, "dip FWHM (Hz)"),
+        "contrast": (finite, SpinParams.odmr_contrast, "total ODMR contrast"),
+        "f_min_hz": (finite, None, "grid start (default: auto)"),
+        "f_max_hz": (finite, None, "grid end (default: auto)"),
         "n_freq": (int, 2001, "number of grid points"),
     }),
     "decay": Command(_cmd_decay, {
@@ -305,13 +303,13 @@ COMMANDS = {
         "n_pulses": (int, 1, "pi-pulse count for cpmg"),
         "engine": (choice("mc", "analytic", "both"), "analytic", "decay engine (both: compare them)"),
         "noise_preset": (choice(*presets.NOISE_PRESETS, "none"), "paper-like", "OU bath preset"),
-        "b_rad_s": (float, None, "OU coupling (rad/s) when preset is none"),
-        "tau_c_s": (float, None, "OU correlation time (s) when preset is none"),
-        "t1_s": (float, None, "longitudinal time (s), omit for none"),
-        "t1_q": (float, None,
+        "b_rad_s": (finite, None, "OU coupling (rad/s) when preset is none"),
+        "tau_c_s": (finite, None, "OU correlation time (s) when preset is none"),
+        "t1_s": (finite, None, "longitudinal time (s), omit for none"),
+        "t1_q": (finite, None,
                  f"longitudinal stretching exponent, needs t1-s [default: {NoiseModel.t1_exponent_q}]"),
-        "t_min_s": (float, None, "grid start (default: auto)"),
-        "t_max_s": (float, None, "grid end (default: auto)"),
+        "t_min_s": (finite, None, "grid start (default: auto)"),
+        "t_max_s": (finite, None, "grid end (default: auto)"),
         "n_times": (int, 24, "number of time points"),
         "grid": (choice("log", "linear"), "log", "spacing of an explicit time grid"),
         "n_traj": (int, 20000, "Monte-Carlo trajectories"),
@@ -323,38 +321,38 @@ COMMANDS = {
     }),
     "sense": Command(_cmd_sense, {
         "preset": (choice("paper-ideal", "none"), "paper-ideal", "ensemble preset"),
-        "aleph_ppm": (float, None, "NV concentration (ppm)"),
-        "volume_m3": (float, None, "detection volume (m^3)"),
-        "rate_cps": (float, None, "photon rate per center (counts/s)"),
-        "contrast": (float, None, "readout contrast"),
-        "t2_star_s": (float, None,
+        "aleph_ppm": (finite, None, "NV concentration (ppm)"),
+        "volume_m3": (finite, None, "detection volume (m^3)"),
+        "rate_cps": (finite, None, "photon rate per center (counts/s)"),
+        "contrast": (finite, None, "readout contrast"),
+        "t2_star_s": (finite, None,
                       f"T2* (s); preset supplies {magnetometry.PAPER_IDEAL_T2_STAR_S}"),
-        "t2_dd_s": (float, None, "decoupled T2 (s) for the AC estimate"),
+        "t2_dd_s": (finite, None, "decoupled T2 (s) for the AC estimate"),
     }),
     "implant": Command(_cmd_implant, {
         "action": (choice("plan", "budget"), None,
                    "plan: dose/depth/yield plan; budget: CVD nitrogen budget"),
-        "energy_ev": (float, 5000.0, "ion energy (eV)"),
-        "current_a": (float, 500e-12, "beam current (A)"),
-        "diameter_m": (float, 25e-6, "spot or aperture diameter (m)"),
-        "dose_cm2": (float, 1e12, "target atom dose (cm^-2)"),
-        "chopper_pulse_s": (float, None, "beam-chopper pulse length (s)"),
+        "energy_ev": (finite, 5000.0, "ion energy (eV)"),
+        "current_a": (finite, 500e-12, "beam current (A)"),
+        "diameter_m": (finite, 25e-6, "spot or aperture diameter (m)"),
+        "dose_cm2": (finite, 1e12, "target atom dose (cm^-2)"),
+        "chopper_pulse_s": (finite, None, "beam-chopper pulse length (s)"),
         "species": (choice(*implant.ATOMS_PER_CHARGE), implant.BeamConfig.species,
                     "ion species (N+ or N2+)"),
-        "leak_sccm": (float, 2.4e-4, "chamber leak rate (sccm)"),
-        "flow_sccm": (float, 400.0, "total process-gas flow (sccm)"),
-        "h2_purity": (float, implant.GrowthBudget.h2_purity, "hydrogen purity fraction"),
-        "ch4_purity": (float, implant.GrowthBudget.ch4_purity, "methane purity fraction"),
-        "incorporation_rate": (float, implant.GrowthBudget.incorporation_rate,
+        "leak_sccm": (finite, 2.4e-4, "chamber leak rate (sccm)"),
+        "flow_sccm": (finite, 400.0, "total process-gas flow (sccm)"),
+        "h2_purity": (finite, implant.GrowthBudget.h2_purity, "hydrogen purity fraction"),
+        "ch4_purity": (finite, implant.GrowthBudget.ch4_purity, "methane purity fraction"),
+        "incorporation_rate": (finite, implant.GrowthBudget.incorporation_rate,
                                "gas-to-solid nitrogen incorporation rate"),
     }, positional="action"),
     "scan": Command(_cmd_scan, {
         "mode": (choice(*SCAN_MODES), None, "reduction"),
         "input": (str, None, "input CSV (not used by vdp)"),
-        "threshold_sigma": (float, 5.0, "spot detection threshold (sigma)"),
-        "kappa": (float, 1.0, "charge-ratio calibration factor"),
-        "r_a_ohm": (float, None, "Van-der-Pauw resistance A (ohm)"),
-        "r_b_ohm": (float, None, "Van-der-Pauw resistance B (ohm)"),
+        "threshold_sigma": (finite, 5.0, "spot detection threshold (sigma)"),
+        "kappa": (finite, 1.0, "charge-ratio calibration factor"),
+        "r_a_ohm": (finite, None, "Van-der-Pauw resistance A (ohm)"),
+        "r_b_ohm": (finite, None, "Van-der-Pauw resistance B (ohm)"),
     }),
     "fixtures": Command(_cmd_fixtures, {
         "target": (choice(*FIXTURE_TARGETS), None, "fixture set"),

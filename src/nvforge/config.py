@@ -8,6 +8,7 @@ duplicate keys are rejected; command-line flags override file values.
 
 from __future__ import annotations
 
+import math
 from argparse import ArgumentTypeError
 from pathlib import Path
 
@@ -46,8 +47,8 @@ def resolve_options(
     """Merge defaults, config-file values, and explicit flags.
 
     ``spec`` maps option name -> (type, default), where the type parses a
-    raw string and raises ``ValueError`` (or, for :func:`choice`,
-    ``ArgumentTypeError``) on a bad one.  Precedence: flag over file over
+    raw string and raises ``ValueError`` (or, for :func:`choice` and
+    :func:`finite`, ``ArgumentTypeError``) on a bad one.  Precedence: flag over file over
     default.  Unknown file keys and bad values raise :class:`ConfigError`.
     """
     unknown = set(file_values) - set(spec)
@@ -78,6 +79,18 @@ def boolean(raw: str) -> bool:
     if lowered in ("false", "0", "no", "off"):
         return False
     raise ValueError(f"expected boolean, got {raw!r}")
+
+
+def finite(raw: str) -> float:
+    """Parse a float flag or config value that must be finite.
+
+    nan and inf raise ``ArgumentTypeError``, whose message argparse prints
+    as is; a value that is no number raises ``ValueError``, as ``float`` does.
+    """
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def choice(*values: str):

@@ -144,32 +144,39 @@ def _series_below(x, switch: float, coeffs, power: int, closed):
     return np.where(x < switch, acc, closed)
 
 
-def _chi(seq: PulseSequence, noise: NoiseModel, times_s) -> np.ndarray:
-    """Unchecked chi(t) as an array: inf or nan where it overflows, with no warning.
+def _chi(n, noise: NoiseModel, times_s) -> np.ndarray:
+    """Unchecked chi(t) for n pi pulses as an array: inf or nan where it overflows, with no warning.
 
-    Every step is elementwise, so a point gets the same value whatever
-    else is in ``times_s``; :func:`decay_time_grid` relies on it.
+    ``n`` is a pulse count, or a 1-D array of counts >= 1 broadcast along
+    the last axis of ``times_s``, one per column.  Every step is
+    elementwise, and a column's coefficients are those of its own n, so a
+    point gets the same value whatever else is in ``times_s`` and whatever
+    the other columns' n; :func:`decay_time_grid` relies on it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             scale = (noise.b_rad_s * noise.tau_c_s) ** 2
         except OverflowError:  # b*tau_c beyond ~1.3e154 on Python floats: chi(t) > 0 is inf
             scale = math.inf
-        n = seq.n_pi
-        if n == 0:
-            x = np.divide(times_s, noise.tau_c_s)
-            closed = x + np.expm1(-x)
-            return scale * _series_below(x, RAMSEY_SERIES_SWITCH, RAMSEY_SERIES[::-1], 2, closed)
+        if not isinstance(n, np.ndarray):
+            if n == 0:
+                x = np.divide(times_s, noise.tau_c_s)
+                closed = x + np.expm1(-x)
+                return scale * _series_below(x, RAMSEY_SERIES_SWITCH, RAMSEY_SERIES[::-1], 2, closed)
+            sign, series = (1.0 if n % 2 else -1.0), _cpmg_series(n)
+        else:
+            sign = np.where(n % 2, 1.0, -1.0)
+            series = np.array([_cpmg_series(k) for k in n.tolist()]).T
         h = np.divide(times_s, 2 * n * noise.tau_c_s)
         one_m = -np.expm1(-h)
         e_h = 1.0 - one_m
         tanh = np.tanh(h)
         a = e_h * e_h
-        g = (1.0 if n % 2 else -1.0) * np.exp((2 - 2 * n) * h)
+        g = sign * np.exp((2 - 2 * n) * h)
         closed = (2 * n - 2) * (h - tanh) + 2.0 * (h - one_m) - one_m * tanh
         p = e_h * one_m
         tail = p * one_m * one_m * (1.0 + e_h - g * p) / ((1.0 + a) * (1.0 + a))
-        return scale * (_series_below(h, CHI_SERIES_SWITCH, _cpmg_series(n), 3, closed) + tail)
+        return scale * (_series_below(h, CHI_SERIES_SWITCH, series, 3, closed) + tail)
 
 
 def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
@@ -185,7 +192,7 @@ def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
     if any chi overflows.
     """
     check_times(times_s)
-    chi = _chi(seq, noise, times_s)
+    chi = _chi(seq.n_pi, noise, times_s)
     if not np.all(np.isfinite(chi)):
         raise NumericalFailure("attenuation exponent is not finite")
     return np.maximum(chi, 0.0)[()]
@@ -346,6 +353,18 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     The total decay exponent chi(t) + (t/T1)^q is monotone in t, so both
     endpoints are found together by one bisection on the pair of targets.
     """
+    return _decay_time_grids(seq.n_pi, noise, n_points)[0]
+
+
+def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
+    """The grid of :func:`decay_time_grid` for each pulse count of ``n``, in one kernel pass.
+
+    ``n`` is a pulse count, or a 1-D array of counts >= 1 as :func:`_chi`
+    takes them; each count is a column of the probe and has two bracket
+    columns, one per target, in the bisection.  Every kernel call is
+    shared by all columns, and a column's grid is bit for bit the one it
+    gets on its own.
+    """
     def total_exponent(chi, t):
         return np.maximum(chi, 0.0) + noise.longitudinal_exponent(t)
 
@@ -353,69 +372,74 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     # GRID_DECAY_HI.  chi is evaluated on every candidate in one call; the
     # scan stops at the first crossing or non-finite chi, whichever comes
     # first, so a non-finite chi past the first crossing is never looked at.
+    # The first column that fails raises.
     with np.errstate(over="ignore"):
-        probes = np.ldexp(noise.tau_c_s, np.arange(GRID_MAX_DOUBLINGS))
-    chi = _chi(seq, noise, probes)
+        probes = np.ldexp(noise.tau_c_s, np.arange(GRID_MAX_DOUBLINGS))[:, None]
+    chi = _chi(n, noise, probes)
     stop = ~np.isfinite(chi) | (total_exponent(chi, probes) >= GRID_DECAY_HI)
-    if not stop.any():
-        raise ValueError("noise model produces no appreciable decay")
-    k = np.argmax(stop)
-    if not np.isfinite(chi[k]):
-        raise NumericalFailure("attenuation exponent is not finite")
-    probe = probes[k]
+    k = np.argmax(stop, axis=0).tolist()
+    for j, kj in enumerate(k):
+        if not stop[kj, j]:
+            raise ValueError("noise model produces no appreciable decay")
+        if not np.isfinite(chi[kj, j]):
+            raise NumericalFailure("attenuation exponent is not finite")
 
-    # Binary bisection on both targets, GRID_TREE_DEPTH steps per kernel
-    # call.  Each step compares at the midpoint of the interval the earlier
-    # steps left, so the next GRID_TREE_DEPTH steps can only compare at the
-    # 2^depth - 1 dyadic points of (lo, hi).  They are built level by level
-    # with the same 0.5 * (lo + hi) arithmetic, evaluated together, and the
-    # steps are then replayed on their indices: lo and hi come out bit for
-    # bit as from one kernel call per step, provided the kernel gives each
-    # point the same value whatever else is in its call.  The replay walks
-    # down by halving strides from lo, whose index is i; hi is at i + 1.
-    # Once lo and hi are adjacent floats on both targets, every midpoint
-    # rounds to lo or hi, whose verdicts are known, so the steps left are
-    # no-ops and the loop ends.  The points are >= 0 by construction.
-    targets = np.array([GRID_DECAY_LO, GRID_DECAY_HI])
-    lo, hi = np.zeros(2), np.full(2, probe)
+    # Binary bisection on both targets of every column, GRID_TREE_DEPTH
+    # steps per kernel call.  Each step compares at the midpoint of the
+    # interval the earlier steps left, so the next GRID_TREE_DEPTH steps can
+    # only compare at the 2^depth - 1 dyadic points of (lo, hi).  They are
+    # built level by level with the same 0.5 * (lo + hi) arithmetic,
+    # evaluated together, and the steps are then replayed on their indices:
+    # lo and hi come out bit for bit as from one kernel call per step,
+    # provided the kernel gives each point the same value whatever else is
+    # in its call.  The replay walks down by halving strides from lo, whose
+    # index is i; hi is at i + 1.  Once lo and hi are adjacent floats, every
+    # midpoint rounds to lo or hi, whose verdicts are known, so the steps
+    # left are no-ops; the loop ends once that holds for every column.  The
+    # points are >= 0 by construction.
+    targets = np.array([GRID_DECAY_LO, GRID_DECAY_HI] * len(k))
+    pair_n = np.repeat(n, 2) if isinstance(n, np.ndarray) else n
+    ends = list(range(targets.size))
+    lo, hi = np.zeros(targets.size), np.repeat(probes[k, 0], 2)
     strides = [2**d for d in reversed(range(GRID_TREE_DEPTH))]
     for _ in range(GRID_BISECTION_STEPS // GRID_TREE_DEPTH):
-        if np.all(np.nextafter(lo, hi) == hi):
+        if (np.nextafter(lo, hi) == hi).all():
             break
-        points = np.stack([lo, hi])
+        points = np.array([lo, hi])
         for _ in range(GRID_TREE_DEPTH):
-            finer = np.empty((2 * len(points) - 1, 2))
+            finer = np.empty((2 * len(points) - 1, targets.size))
             finer[0::2] = points
             finer[1::2] = 0.5 * (points[:-1] + points[1:])
             points = finer
         inner = points[1:-1]
-        chi = _chi(seq, noise, inner)
-        if not np.all(np.isfinite(chi)):
+        chi = _chi(pair_n, noise, inner)
+        if not np.isfinite(chi).all():
             raise NumericalFailure("attenuation exponent is not finite")
         below = (total_exponent(chi, inner) < targets).tolist()
-        i = [0, 0]
+        i = [0] * targets.size
         for step in strides:
             i = [j + step if below[j + step - 1][end] else j for end, j in enumerate(i)]
-        lo, hi = points[i, [0, 1]], points[np.add(i, 1), [0, 1]]
-    t_lo, t_hi = 0.5 * (lo + hi)
-    if t_lo == 0.0:
-        raise ValueError("decay starts below the smallest positive time; no log grid")
-    return np.geomspace(t_lo, t_hi, n_points)
+        lo, hi = points[i, ends], points[np.add(i, 1), ends]
+    grids = []
+    for t_lo, t_hi in (0.5 * (lo + hi)).reshape(-1, 2):
+        if t_lo == 0.0:
+            raise ValueError("decay starts below the smallest positive time; no log grid")
+        grids.append(np.geomspace(t_lo, t_hi, n_points))
+    return grids
 
 
 def t2_vs_n(noise: NoiseModel, n_list, n_points: int = 40) -> list[tuple[int, float]]:
     """Coherence time versus number of CPMG pi pulses.
 
-    For each n, simulates the CPMG(n) decay on a log-spaced grid with the
-    analytic engine, then fits them all with :func:`fitkit.extract_t2_table`,
-    which raises at the first failed fit, in ``n_list`` order, with its n attached.
+    Builds the log-spaced grid of every CPMG(n) in one kernel pass, simulates
+    each decay with the analytic engine, then fits them all with
+    :func:`fitkit.extract_t2_table`, which raises at the first failed fit, in
+    ``n_list`` order, with its n attached.
     """
     if not n_list:
         raise ValueError("n_list must be non-empty")
-    curves = []
-    for n in n_list:
-        # Canonical spacing; the engines rescale the sequence to each total time.
-        seq = build_sequence("cpmg", 1e-6, n=int(n))
-        times = decay_time_grid(seq, noise, n_points=n_points)
-        curves.append((n, simulate_analytic(seq, noise, times)))
+    # Canonical spacing; the engines rescale each sequence to each total time.
+    seqs = [build_sequence("cpmg", 1e-6, n=n) for n in n_list]
+    grids = _decay_time_grids(np.array([seq.n_pi for seq in seqs]), noise, n_points)
+    curves = [(seq.n_pi, simulate_analytic(seq, noise, times)) for seq, times in zip(seqs, grids)]
     return [(row.n, row.t2_s) for row in fitkit.extract_t2_table(curves)]

@@ -12,6 +12,7 @@ sign-constant cells, exposed by :meth:`PulseSequence.cell_lengths`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,7 +82,7 @@ def build_sequence(kind: str, tau_s: float, n: int | None = None) -> PulseSequen
         Pulse spacing.  It must be positive but sets no time scale: the
         engines rescale the sequence to every total time they evaluate.
     n:
-        Number of pi pulses, required for ``cpmg``.
+        Number of pi pulses, an integer >= 1, required for ``cpmg``.
 
     Raises
     ------
@@ -93,6 +94,8 @@ def build_sequence(kind: str, tau_s: float, n: int | None = None) -> PulseSequen
     kind = kind.lower()
     if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown sequence kind: {kind!r}")
-    if kind == "cpmg" and (n is None or n < 1):
-        raise ValueError("cpmg requires n >= 1")
+    if kind == "cpmg":
+        if not isinstance(n, numbers.Integral) or n < 1:  # 2.5 and 2.0 alike
+            raise ValueError("cpmg requires an integer n >= 1")
+        n = int(n)
     return PulseSequence(*SEQUENCE_KINDS[kind](n))

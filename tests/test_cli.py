@@ -700,13 +700,44 @@ def test_implant_missing_action_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("diameter", ["1e-300", "inf", "1e300"])
+@pytest.mark.parametrize("diameter", ["1e-300", "1e300"])
 def test_implant_plan_extreme_diameter_exits_4(tmp_path, capsys, diameter):
     argv = ["implant", "plan", "--diameter-m", diameter, "--output-dir", str(tmp_path)]
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sense", "--t2-star-s", "inf"],
+        ["sense", "--t2-dd-s", "nan"],
+        ["implant", "budget", "--leak-sccm", "nan"],
+        ["implant", "plan", "--dose-cm2", "inf"],
+        ["implant", "plan", "--diameter-m", "inf"],
+        ["decay", "--t1-s", "1e-3", "--t1-q", "inf"],
+        ["odmr", "--f-min-hz", "-inf"],
+    ],
+    ids=["sense-t2-star-inf", "sense-t2-dd-nan", "budget-leak-nan", "plan-dose-inf",
+         "plan-diameter-inf", "decay-t1-q-inf", "odmr-f-min-minus-inf"],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_option_values_exit_2(tmp_path, capsys, argv, source):
+    # Every float option is parsed finite, so nan and inf never reach a
+    # command or the JSON it writes.
+    *command, flag, value = argv
+    if source == "config":
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag.removeprefix('--')} = {value}\n")
+        command += ["--config", str(config)]
+    else:
+        command.append(f"{flag}={value}")
+    assert main([*command, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"expected a finite number, got {value!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_implant_bad_action_exits_2_listing_the_choices(tmp_path, capsys):

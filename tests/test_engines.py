@@ -769,6 +769,27 @@ def test_t2_vs_n_rejects_empty_list():
         t2_vs_n(NoiseModel(1e6, 1e-6), [])
 
 
+def test_t2_vs_n_rejects_a_non_integral_n():
+    # CPMG(2.7) is no sequence; it must not be fitted as CPMG(2) and reported as n = 2.
+    with pytest.raises(ValueError, match="integer"):
+        t2_vs_n(NoiseModel(1e6, 1e-6), [4, 2.7])
+
+
+def test_t2_vs_n_kernel_calls(monkeypatch):
+    # One grid pass for the whole sweep, then one call per analytic curve.
+    calls = []
+    kernel = engines._chi
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(engines, "_chi", counted)
+    n_list = [1, 4, 8, 16, 32, 64]
+    t2_vs_n(paper_like_noise(), n_list)
+    assert len(calls) <= 14 + len(n_list)
+
+
 def test_paper_like_preset_calibration():
     noise = paper_like_noise()
     assert noise.tau_c_s == 1e-5
@@ -846,6 +867,42 @@ def test_decay_time_grid_kernel_calls(monkeypatch, kind, n):
         calls.clear()
         decay_time_grid(build_sequence(kind, 1e-6, n=n), noise)
         assert len(calls) <= 14
+
+
+def random_baths(count, seed):
+    """Seeded OU baths: b * tau_c in [0.1, 10], tau_c in [1 us, 1 ms], T1 on for every other one."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        tau_c = 10 ** rng.uniform(-6, -3)
+        b_tau = 10 ** rng.uniform(-1, 1)
+        t1 = tau_c / min(b_tau, b_tau**2) * 10 ** rng.uniform(0, 2) if i % 2 else math.inf
+        yield NoiseModel(b_tau / tau_c, tau_c, t1, rng.uniform(1.0, 2.0))
+
+
+def test_chi_columns_of_n_equal_single_n_calls():
+    # Both parities, points on both sides of the series switch, and n up to 2048.
+    ns = np.array([1, 2, 3, 8, 7, 2048, 2])
+    noise = NoiseModel(2e6, 1e-6)
+    times = np.concatenate([np.geomspace(1e-12, 1e-2, 40),
+                            [switch_time(n, noise.tau_c_s) for n in ns.tolist()]])
+    got = engines._chi(ns, noise, times[:, None])
+    assert got.shape == (times.size, ns.size)
+    for column, n in zip(got.T, ns.tolist()):
+        assert np.array_equal(column, engines._chi(n, noise, times))
+
+
+@pytest.mark.parametrize("noise", [paper_like_noise(), slow_bath_noise(), *random_baths(24, seed=22)],
+                         ids=["paper-like", "slow-bath", *(f"random{i}" for i in range(24))])
+def test_batched_grids_equal_per_n_grids(noise):
+    # Mixed parities, unsorted, repeated, from 1 to 2048.
+    rng = np.random.default_rng(int(noise.tau_c_s * 1e12))
+    ns = [*rng.integers(1, 2049, size=6).tolist(), 1, 2048]
+    ns += [ns[2], ns[0]]
+    for n_points in (24, 40):
+        grids = engines._decay_time_grids(np.array(ns), noise, n_points)
+        assert len(grids) == len(ns)
+        for n, grid in zip(ns, grids):
+            assert np.array_equal(grid, decay_time_grid(build_sequence("cpmg", 1e-6, n=n), noise, n_points))
 
 
 def test_decay_time_grid_rejects_decay_below_the_smallest_time():

@@ -106,3 +106,14 @@ def test_invalid_inputs_rejected():
         build_sequence("cpmg", 1e-6, n=0)
     with pytest.raises(ValueError):
         build_sequence("udd", 1e-6)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "3", np.float64(4.0)])
+def test_cpmg_rejects_a_non_integral_pulse_count(n):
+    with pytest.raises(ValueError, match=r"^cpmg requires an integer n >= 1$"):
+        build_sequence("cpmg", 1e-6, n=n)
+
+
+def test_cpmg_takes_a_numpy_integer_pulse_count():
+    seq = build_sequence("cpmg", 1e-6, n=np.int64(4))
+    assert (seq.name, seq.n_pi, type(seq.n_pi)) == ("cpmg4", 4, int)

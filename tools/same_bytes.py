@@ -83,6 +83,16 @@ INPUT_FILES = {
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan|Infinity|NaN)")
 
 
+#: (step name, argv) of options that are nan or inf: each exits 2 before its command runs.
+NON_FINITE_OPTIONS = [
+    ("sense_t2_star_inf", ["sense", "--t2-star-s", "inf"]),
+    ("sense_t2_dd_nan", ["sense", "--t2-dd-s", "nan"]),
+    ("budget_leak_nan", ["implant", "budget", "--leak-sccm", "nan"]),
+    ("plan_dose_inf", ["implant", "plan", "--dose-cm2", "inf"]),
+    ("decay_t1_q_inf", ["decay", "--t1-s", "1e-3", "--t1-q", "inf"]),
+]
+
+
 def script() -> list[tuple[str, list[str]]]:
     """(step name, argv); step ``x`` writes to ``out/x``, later steps read it."""
     steps = [
@@ -178,6 +188,7 @@ def script() -> list[tuple[str, list[str]]]:
                                 ("spectrum", "spectrum_nan.csv"), ("ratio", "spectrum_nan.csv"),
                                 ("spots", "grid_inf.csv"), ("spots", "grid_nan.csv"))]
     steps.append(("fit_decay_nan", ["fit", "--input", "decay_nan.csv"]))
+    steps += NON_FINITE_OPTIONS
     for seed in (90, 140):
         steps += [
             (f"fig6_{seed}", ["fixtures", "--target", "fig6", "--seed", str(seed)]),
