@@ -55,10 +55,6 @@ def t2_rows(noise: NoiseModel, n_list, n_points: int) -> list[list]:
     return [[row.n, repr(row.t2_s), repr(row.p)] for row in rows]
 
 
-def tables() -> dict:
-    return {name: t2_rows(noise(), n_list, n_points) for name, (noise, n_list, n_points) in CASES.items()}
-
-
 @pytest.mark.parametrize("name", CASES)
 def test_t2_vs_n_gives_its_recorded_fits(name):
     table = json.loads(TABLE.read_text())
@@ -72,4 +68,5 @@ def test_t2_vs_n_gives_its_recorded_fits(name):
 
 
 if __name__ == "__main__":
-    print(json.dumps({**versions(), "cases": tables()}, indent=1))
+    cases = {name: t2_rows(noise(), n_list, n_points) for name, (noise, n_list, n_points) in CASES.items()}
+    print(json.dumps({**versions(), "cases": cases}, indent=1))
