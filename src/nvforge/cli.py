@@ -94,7 +94,7 @@ def _cmd_odmr(opts: dict, seed: int, out_dir: Path) -> list[Path]:
         f_max = params.zfs_d_hz + span if f_max is None else f_max
     if not f_max > f_min:
         raise ConfigError("f-max-hz must exceed f-min-hz")
-    grid = np.linspace(f_min, f_max, int(opts["n_freq"]))
+    grid = np.linspace(f_min, f_max, opts["n_freq"])
     spectrum = odmr_spectrum(params, field, grid)
     return _write(
         out_dir, {"odmr.csv": spectrum, "odmr_lines.json": dataio.odmr_line_table(spectrum)}
@@ -103,10 +103,13 @@ def _cmd_odmr(opts: dict, seed: int, out_dir: Path) -> list[Path]:
 
 def _cmd_decay(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     engine = opts["engine"]
+    n_pulses = opts["n_pulses"]
+    if n_pulses is not None and opts["sequence"] != "cpmg":
+        raise ConfigError("n-pulses needs sequence cpmg")
     # Canonical spacing; the engines rescale the sequence to each total time.
-    seq = build_sequence(opts["sequence"], 1e-6, n=int(opts["n_pulses"]))
+    seq = build_sequence(opts["sequence"], 1e-6, n=1 if n_pulses is None else n_pulses)
     noise = _noise_from_options(opts)
-    n_times = int(opts["n_times"])
+    n_times = opts["n_times"]
     if (opts["t_min_s"] is None) != (opts["t_max_s"] is None):
         raise ConfigError("t-min-s and t-max-s must be given together")
     if opts["t_min_s"] is None:
@@ -122,7 +125,7 @@ def _cmd_decay(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     if engine in ("analytic", "both"):
         curves["analytic"] = simulate_analytic(seq, noise, times)
     if engine in ("mc", "both"):
-        curves["mc"] = simulate_mc(seq, noise, times, int(opts["n_traj"]), seed)
+        curves["mc"] = simulate_mc(seq, noise, times, opts["n_traj"], seed)
     files = {f"decay_{name}.csv": curve for name, curve in curves.items()}
     if engine != "both":
         return _write(out_dir, files)
@@ -300,7 +303,7 @@ COMMANDS = {
     }),
     "decay": Command(_cmd_decay, {
         "sequence": (choice(*SEQUENCE_KINDS), "hahn", "pulse sequence"),
-        "n_pulses": (int, 1, "pi-pulse count for cpmg"),
+        "n_pulses": (int, None, "pi-pulse count, cpmg only [default: 1]"),
         "engine": (choice("mc", "analytic", "both"), "analytic", "decay engine (both: compare them)"),
         "noise_preset": (choice(*presets.NOISE_PRESETS, "none"), "paper-like", "OU bath preset"),
         "b_rad_s": (finite, None, "OU coupling (rad/s) when preset is none"),
@@ -390,7 +393,7 @@ def _resolve(args: argparse.Namespace, command: Command) -> tuple[dict, int, Pat
     config_path = None if args.config is None else Path(args.config)
     file_values = {} if config_path is None else parse_config_file(config_path)
     opts = resolve_options({name: getattr(args, name) for name in spec}, file_values, spec)
-    seed = int(opts.pop("seed"))
+    seed = opts.pop("seed")
     env_seed = os.environ.get("NVFORGE_SEED")
     if env_seed is not None:
         try:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import presets
 from .curves import DecayCurve
-from .engines import decay_time_grid, seeded_rng, simulate_analytic
+from .engines import _analytic_curves, seeded_rng
 from .implant import POST_ANNEAL, TABLE2_SAMPLES
 from .scan import FWHM_PER_SIGMA, DepthProfile, ScanGrid, Spectrum, _gaussian2d, _lorentzian
 from .sequences import build_sequence
@@ -143,24 +143,16 @@ def raman_spectrum() -> Spectrum:
 
 def decay_family_fig7() -> list[tuple[int, DecayCurve]]:
     """CPMG decay-curve family for the paper-like bath (analytic engine)."""
-    noise = presets.paper_like_noise()
-    family = []
-    for n in FIG7_PULSE_COUNTS:
-        seq = build_sequence("cpmg", tau_s=1e-6, n=n)
-        times = decay_time_grid(seq, noise, n_points=DECAY_FIXTURE_POINTS)
-        family.append((n, simulate_analytic(seq, noise, times)))
-    return family
+    seqs = [build_sequence("cpmg", tau_s=1e-6, n=n) for n in FIG7_PULSE_COUNTS]
+    curves = _analytic_curves(seqs, presets.paper_like_noise(), DECAY_FIXTURE_POINTS)
+    return list(zip(FIG7_PULSE_COUNTS, curves))
 
 
 def xy_curves_fig9() -> dict[str, DecayCurve]:
     """XY4 and XY8 decay curves for the paper-like bath (analytic engine)."""
-    noise = presets.paper_like_noise()
-    out: dict[str, DecayCurve] = {}
-    for kind in ("xy4", "xy8"):
-        seq = build_sequence(kind, tau_s=1e-6)
-        times = decay_time_grid(seq, noise, n_points=DECAY_FIXTURE_POINTS)
-        out[kind] = simulate_analytic(seq, noise, times)
-    return out
+    seqs = [build_sequence(kind, tau_s=1e-6) for kind in ("xy4", "xy8")]
+    curves = _analytic_curves(seqs, presets.paper_like_noise(), DECAY_FIXTURE_POINTS)
+    return {seq.name: curve for seq, curve in zip(seqs, curves)}
 
 
 def table2_metadata() -> dict:

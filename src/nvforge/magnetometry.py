@@ -38,14 +38,11 @@ class EnsembleSpot:
     contrast: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "concentration_aleph_ppm",
-            "detection_volume_m3",
-            "photon_rate_per_center_cps",
-            "contrast",
-        ):
+        for name in ("concentration_aleph_ppm", "detection_volume_m3", "photon_rate_per_center_cps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.contrast <= 1.0:
+            raise ValueError("contrast must lie in (0, 1]")
         if self.n_centers < 1:
             raise ValueError("detection volume holds fewer than one center")
 

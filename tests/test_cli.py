@@ -430,6 +430,29 @@ def test_decay_t1_q_without_t1_s_exits_2(tmp_path, capsys, preset):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sequence", ["ramsey", "hahn", "xy4", "xy8"])
+@pytest.mark.parametrize("source, count", [("flag", "5"), ("config", "1")])
+def test_decay_n_pulses_without_cpmg_exits_2(tmp_path, capsys, sequence, source, count):
+    # Only CPMG takes a pulse count; any other sequence would ignore it, an
+    # explicit 1 included, so it is refused.
+    argv = ["decay", "--sequence", sequence]
+    if source == "config":
+        config = tmp_path / "run.cfg"
+        config.write_text(f"n-pulses = {count}\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--n-pulses", count]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: n-pulses needs sequence cpmg\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_decay_cpmg_defaults_to_one_pulse(tmp_path, capsys):
+    assert main(["decay", "--sequence", "cpmg", "--output-dir", str(tmp_path)]) == 0
+    assert _read_json(tmp_path / "decay_analytic.json")["sequence"] == "cpmg1"
+    assert main(["decay", "--help"]) == 0
+    assert "pi-pulse count, cpmg only [default: 1]" in " ".join(capsys.readouterr().out.split())
+
 @pytest.mark.parametrize("t1_q, q", [(None, 1.0), ("2.5", 2.5)])
 def test_decay_t1_s_sets_the_exponent_with_a_preset(tmp_path, t1_q, q):
     argv = ["decay", "--noise-preset", "paper-like", "--t1-s", "1e-3"]
@@ -648,6 +671,14 @@ def test_sense_spot_option_with_the_preset_exits_2(tmp_path, capsys, option):
     )
     assert list(tmp_path.iterdir()) == []
 
+
+@pytest.mark.parametrize("contrast", ["0", "-0.1", "1.5", "2"])
+def test_sense_contrast_outside_0_1_exits_2(tmp_path, capsys, contrast):
+    argv = ["sense", "--preset", "none", "--aleph-ppm", "1", "--volume-m3", "1e-18",
+            "--rate-cps", "1e5", "--contrast", contrast, "--t2-star-s", "1e-6"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: contrast must lie in (0, 1]\n"
+    assert list(tmp_path.iterdir()) == []
 
 def test_sense_t2_star_overrides_the_preset(tmp_path):
     assert main(["sense", "--t2-star-s", "1e-6", "--t2-dd-s", "1e-4", "--output-dir", str(tmp_path)]) == 0

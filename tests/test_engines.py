@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nvforge import engines
+from nvforge import engines, fixtures
 from nvforge.curves import DecayCurve
 from nvforge.engines import (
     GRID_DECAY_HI,
@@ -789,6 +789,35 @@ def test_t2_vs_n_kernel_calls(monkeypatch):
     t2_vs_n(paper_like_noise(), n_list)
     assert len(calls) <= 14 + len(n_list)
 
+
+
+@pytest.mark.parametrize("family, n_curves", [(fixtures.decay_family_fig7, 5), (fixtures.xy_curves_fig9, 2)],
+                         ids=["fig7", "fig9"])
+def test_fixture_family_kernel_calls(monkeypatch, family, n_curves):
+    # One call calibrates the preset, one grid pass serves the whole family,
+    # then one call per curve.
+    calls = []
+    kernel = engines._chi
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(engines, "_chi", counted)
+    assert len(family()) == n_curves
+    assert len(calls) <= 1 + 14 + n_curves
+
+
+def test_fixture_families_equal_one_grid_and_curve_per_sequence():
+    noise = paper_like_noise()
+    family = [(build_sequence("cpmg", 1e-6, n=n), curve) for n, curve in fixtures.decay_family_fig7()]
+    family += [(build_sequence(kind, 1e-6), curve) for kind, curve in fixtures.xy_curves_fig9().items()]
+    assert [seq.n_pi for seq, _ in family] == [*fixtures.FIG7_PULSE_COUNTS, 4, 8]
+    for seq, curve in family:
+        want = simulate_analytic(seq, noise, decay_time_grid(seq, noise, fixtures.DECAY_FIXTURE_POINTS))
+        assert curve.times_s.tobytes() == want.times_s.tobytes()
+        assert curve.signal.tobytes() == want.signal.tobytes()
+        assert curve.meta == want.meta
 
 def test_paper_like_preset_calibration():
     noise = paper_like_noise()

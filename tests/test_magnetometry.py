@@ -33,6 +33,9 @@ def test_n_centers_from_concentration():
 def test_spot_validation():
     with pytest.raises(ValueError):
         _spot(contrast=0.0)
+    with pytest.raises(ValueError, match=r"contrast must lie in \(0, 1\]"):
+        _spot(contrast=1.5)
+    assert _spot(contrast=1.0).contrast == 1.0
     with pytest.raises(ValueError):
         _spot(detection_volume_m3=-1.0)
     with pytest.raises(ValueError):

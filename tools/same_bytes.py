@@ -189,6 +189,9 @@ def script() -> list[tuple[str, list[str]]]:
                                 ("spots", "grid_inf.csv"), ("spots", "grid_nan.csv"))]
     steps.append(("fit_decay_nan", ["fit", "--input", "decay_nan.csv"]))
     steps += NON_FINITE_OPTIONS
+    steps.append(("hahn_n_pulses", ["decay", "--sequence", "hahn", "--n-pulses", "5"]))
+    steps.append(("sense_contrast_2", ["sense", "--preset", "none", "--aleph-ppm", "1", "--volume-m3", "1e-18",
+                                       "--rate-cps", "1e5", "--contrast", "2", "--t2-star-s", "1e-6"]))
     for seed in (90, 140):
         steps += [
             (f"fig6_{seed}", ["fixtures", "--target", "fig6", "--seed", str(seed)]),
