@@ -38,6 +38,7 @@ distribution, and a point's value does not depend on the other points.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,8 +72,6 @@ GRID_DECAY_HI = 3.0
 #: Doublings of tau_c searched for an upper bracket, and bisection steps.
 GRID_MAX_DOUBLINGS = 200
 GRID_BISECTION_STEPS = 80
-#: Bisection steps resolved per kernel call, on 2^depth - 1 points per target.
-GRID_TREE_DEPTH = 5
 
 
 def seeded_rng(seed: int, stream: int) -> Generator:
@@ -163,8 +162,8 @@ def _chi(n, noise: NoiseModel, times_s) -> np.ndarray:
                 x = np.divide(times_s, noise.tau_c_s)
                 closed = x + np.expm1(-x)
                 return scale * _series_below(x, RAMSEY_SERIES_SWITCH, RAMSEY_SERIES[::-1], 2, closed)
-            # A scalar n keeps its tuple of Python floats: on a 31 x 2 bisection
-            # block it takes 63-99 us, a one-element array n 108-124 us (2-core VM).
+            # A scalar n keeps its tuple of Python floats: on the bisection's 2 x 2
+            # to 55 x 2 path blocks it takes 53-91 us, an array n 80-152 us (2-core VM).
             sign, series = (1.0 if n % 2 else -1.0), _cpmg_series(n)
         else:
             sign = np.where(n % 2, 1.0, -1.0)
@@ -358,14 +357,23 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     return _decay_time_grids(seq.n_pi, noise, n_points)[0]
 
 
+def _grid_guess(target, lo, f_lo, hi, f_hi, hi2, f_hi2) -> float:
+    """Where the exponent f reaches ``target``: the power law through (hi, f_hi) and (lo, f_lo), or
+    (hi2, f_hi2) while f_lo is 0.  It sets the kernel calls of :func:`_decay_time_grids`, not its grids."""
+    t0, f0 = (lo, f_lo) if f_lo > 0 else (hi2, f_hi2)
+    try:
+        return hi * (target / f_hi) ** (math.log(hi / t0) / math.log(f_hi / f0))
+    except (ArithmeticError, ValueError):  # a ratio of 1, 0 or inf
+        return hi
+
+
 def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
-    """The grid of :func:`decay_time_grid` for each pulse count of ``n``, in one kernel pass.
+    """The grid of :func:`decay_time_grid` for each pulse count of ``n``, sharing every kernel call.
 
     ``n`` is a pulse count, or a 1-D array of counts >= 1 as :func:`_chi`
     takes them: Ramsey comes only as the scalar 0.  Each count is a column
-    of the probe and has two bracket columns, one per target, in the
-    bisection.  Every kernel call is shared by all columns, and a column's
-    grid is bit for bit the one it gets on its own.
+    of the probe and has two columns, one per target, in the bisection.  A
+    column's grid is bit for bit the one it gets on its own.
     """
     def total_exponent(chi, t):
         return np.maximum(chi, 0.0) + noise.longitudinal_exponent(t)
@@ -378,7 +386,8 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
     with np.errstate(over="ignore"):
         probes = np.ldexp(noise.tau_c_s, np.arange(GRID_MAX_DOUBLINGS))[:, None]
     chi = _chi(n, noise, probes)
-    stop = ~np.isfinite(chi) | (total_exponent(chi, probes) >= GRID_DECAY_HI)
+    probe_total = total_exponent(chi, probes)
+    stop = ~np.isfinite(chi) | (probe_total >= GRID_DECAY_HI)
     k = np.argmax(stop, axis=0).tolist()
     for j, kj in enumerate(k):
         if not stop[kj, j]:
@@ -386,44 +395,56 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
         if not np.isfinite(chi[kj, j]):
             raise NumericalFailure("attenuation exponent is not finite")
 
-    # Binary bisection on both targets of every column, GRID_TREE_DEPTH
-    # steps per kernel call.  Each step compares at the midpoint of the
-    # interval the earlier steps left, so the next GRID_TREE_DEPTH steps can
-    # only compare at the 2^depth - 1 dyadic points of (lo, hi).  They are
-    # built level by level with the same 0.5 * (lo + hi) arithmetic,
-    # evaluated together, and the steps are then replayed on their indices:
-    # lo and hi come out bit for bit as from one kernel call per step,
-    # provided the kernel gives each point the same value whatever else is
-    # in its call.  The replay walks down by halving strides from lo, whose
-    # index is i; hi is at i + 1.  Once lo and hi are adjacent floats, every
-    # midpoint rounds to lo or hi, whose verdicts are known, so the steps
-    # left are no-ops; the loop ends once that holds for every column.  The
-    # points are >= 0 by construction.
-    targets = np.array([GRID_DECAY_LO, GRID_DECAY_HI] * len(k))
+    # Bisection on both targets of every column: GRID_BISECTION_STEPS steps of
+    # mid = 0.5 * (lo + hi) from (0, tau_c * 2^k), lo moving to mid where the
+    # exponent there is below the target.  A target's state is [lo, f(lo), hi,
+    # f(hi), the hi before (the probe above at first), its f, steps left].  Steps
+    # are taken with the real verdicts along a path of known midpoints, up to
+    # and including the first verdict its guess got wrong.  The first path is the
+    # probe ladder tau_c * 2^(k-1), ..., tau_c, guessed never below; then each
+    # kernel call evaluates every target's path as _grid_guess predicts it, up
+    # to the steps left or until lo and hi are adjacent floats, after which
+    # every midpoint rounds to lo or hi, whose verdicts are known.  Each step
+    # taken is the bisection's own, so lo and hi come out bit for bit whatever
+    # the guess, provided the kernel gives each point the same value whatever
+    # else is in its call.  The points are >= 0 by construction.
+    def take_steps(state, target, guess, path, totals):
+        for mid, total in zip(path[:state[6]], totals):
+            state[6] -= 1
+            below = total < target
+            if below:
+                state[:2] = mid, total
+            else:
+                state[2:6] = mid, total, *state[2:4]
+            if below != (mid < guess):
+                return
+
+    targets = [GRID_DECAY_LO, GRID_DECAY_HI] * len(k)
     pair_n = np.repeat(n, 2) if isinstance(n, np.ndarray) else n
-    ends = list(range(targets.size))
-    lo, hi = np.zeros(targets.size), np.repeat(probes[k, 0], 2)
-    strides = [2**d for d in reversed(range(GRID_TREE_DEPTH))]
-    for _ in range(GRID_BISECTION_STEPS // GRID_TREE_DEPTH):
-        if (np.nextafter(lo, hi) == hi).all():
+    ladder = [*probes[:, 0].tolist(), math.inf]
+    states = []
+    for target, kj, f in zip(targets, np.repeat(k, 2).tolist(), np.repeat(probe_total, 2, axis=1).T.tolist()):
+        f.append(math.inf)
+        states.append([0.0, 0.0, ladder[kj], f[kj], ladder[kj + 1], f[kj + 1], GRID_BISECTION_STEPS])
+        take_steps(states[-1], target, 0.0, ladder[:kj][::-1], f[:kj][::-1])
+    while True:
+        guesses = [_grid_guess(target, *state[:6]) for target, state in zip(targets, states)]
+        paths = [[] for _ in states]
+        for guess, path, (lo, _, hi, *_, left) in zip(guesses, paths, states):
+            while len(path) < left and math.nextafter(lo, hi) != hi:
+                path.append(0.5 * (lo + hi))
+                lo, hi = (path[-1], hi) if path[-1] < guess else (lo, path[-1])
+        if not any(paths):
             break
-        points = np.array([lo, hi])
-        for _ in range(GRID_TREE_DEPTH):
-            finer = np.empty((2 * len(points) - 1, targets.size))
-            finer[0::2] = points
-            finer[1::2] = 0.5 * (points[:-1] + points[1:])
-            points = finer
-        inner = points[1:-1]
-        chi = _chi(pair_n, noise, inner)
+        points = np.array(list(itertools.zip_longest(*paths, fillvalue=0.0)))
+        chi = _chi(pair_n, noise, points)
         if not np.isfinite(chi).all():
             raise NumericalFailure("attenuation exponent is not finite")
-        below = (total_exponent(chi, inner) < targets).tolist()
-        i = [0] * targets.size
-        for step in strides:
-            i = [j + step if below[j + step - 1][end] else j for end, j in enumerate(i)]
-        lo, hi = points[i, ends], points[np.add(i, 1), ends]
+        for step in zip(states, targets, guesses, paths, total_exponent(chi, points).T.tolist()):
+            take_steps(*step)
     grids = []
-    for t_lo, t_hi in (0.5 * (lo + hi)).reshape(-1, 2):
+    ends = [0.5 * (lo + hi) for lo, _, hi, *_ in states]
+    for t_lo, t_hi in zip(ends[0::2], ends[1::2]):
         if t_lo == 0.0:
             raise ValueError("decay starts below the smallest positive time; no log grid")
         grids.append(np.geomspace(t_lo, t_hi, n_points))

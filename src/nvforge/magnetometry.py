@@ -18,6 +18,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 from .constants import CARBON_NUMBER_DENSITY_M3, GYROMAGNETIC_RATIO_HZ_PER_T
+from .levmar import NumericalFailure
 
 # Pinned "paper-ideal" preset: 22 ppm ensemble, T2* = 3.6 us, 1 um^3
 # detection volume, 5% contrast, R solved so eta_dc is exactly 100 nT/rtHz.
@@ -65,11 +66,14 @@ class SensitivityReport:
 
 
 def eta_dc(spot: EnsembleSpot, t2_star_s: float) -> float:
-    """DC sensitivity 1/(gamma C sqrt(R N T2*)), scaling as 1/sqrt(N)."""
+    """DC sensitivity 1/(gamma C sqrt(R N T2*)), scaling as 1/sqrt(N); NumericalFailure if 0 or inf."""
     if not t2_star_s > 0:
         raise ValueError("t2_star_s must be positive")
     shots = spot.photon_rate_per_center_cps * spot.n_centers * t2_star_s
-    return 1.0 / (GYROMAGNETIC_RATIO_HZ_PER_T * spot.contrast * math.sqrt(shots))
+    scale = GYROMAGNETIC_RATIO_HZ_PER_T * spot.contrast * math.sqrt(shots)
+    if not 1e-308 < scale < math.inf:  # then 1 / scale is finite and > 0
+        raise NumericalFailure("DC sensitivity leaves the float range")
+    return 1.0 / scale
 
 
 def eta_ac(eta_dc_value: float, t2_star_s: float, t2_dd_s: float) -> tuple[float, float]:

@@ -680,6 +680,19 @@ def test_sense_contrast_outside_0_1_exits_2(tmp_path, capsys, contrast):
     assert capsys.readouterr().err == "error: contrast must lie in (0, 1]\n"
     assert list(tmp_path.iterdir()) == []
 
+
+@pytest.mark.parametrize("spot", [
+    ["--aleph-ppm", "1", "--volume-m3", "1e-18", "--rate-cps", "1e-300", "--t2-star-s", "1e-300"],
+    ["--aleph-ppm", "1e300", "--volume-m3", "1e300", "--rate-cps", "1", "--t2-star-s", "1e-6"],
+], ids=["shots_underflow", "centers_overflow"])
+def test_sense_outside_the_float_range_exits_4(tmp_path, capsys, spot):
+    # The shot count R N T2* underflows to 0, or N overflows to inf.
+    argv = ["sense", "--preset", "none", "--contrast", "0.5", *spot, "--output-dir", str(tmp_path)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "numerical failure: DC sensitivity leaves the float range\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sense_t2_star_overrides_the_preset(tmp_path):
     assert main(["sense", "--t2-star-s", "1e-6", "--t2-dd-s", "1e-4", "--output-dir", str(tmp_path)]) == 0
     spot, t2_star = magnetometry.paper_ideal_spot()

@@ -787,7 +787,7 @@ def test_t2_vs_n_kernel_calls(monkeypatch):
     monkeypatch.setattr(engines, "_chi", counted)
     n_list = [1, 4, 8, 16, 32, 64]
     t2_vs_n(paper_like_noise(), n_list)
-    assert len(calls) <= 14 + len(n_list)
+    assert len(calls) <= 8 + len(n_list)
 
 
 
@@ -805,7 +805,7 @@ def test_fixture_family_kernel_calls(monkeypatch, family, n_curves):
 
     monkeypatch.setattr(engines, "_chi", counted)
     assert len(family()) == n_curves
-    assert len(calls) <= 1 + 14 + n_curves
+    assert len(calls) <= 1 + 8 + n_curves
 
 
 def test_fixture_families_equal_one_grid_and_curve_per_sequence():
@@ -882,7 +882,7 @@ def test_decay_time_grid_equals_binary_bisection_property(kind, n, b_tau, tau_c,
     assert np.array_equal(decay_time_grid(seq, noise), binary_bisection_grid(seq, noise))
 
 
-@pytest.mark.parametrize("kind,n", [("hahn", None), ("xy8", None), ("cpmg", 256)])
+@pytest.mark.parametrize("kind,n", [("ramsey", None), ("hahn", None), ("xy8", None), ("cpmg", 256)])
 def test_decay_time_grid_kernel_calls(monkeypatch, kind, n):
     calls = []
     kernel = engines._chi
@@ -892,10 +892,37 @@ def test_decay_time_grid_kernel_calls(monkeypatch, kind, n):
         return kernel(*args)
 
     monkeypatch.setattr(engines, "_chi", counted)
-    for noise in (NoiseModel(1e6, 1e-6), paper_like_noise()):
+    # b * tau_c = 1, the paper-like bath, then 1e8, 5e8 and 1e10, where the
+    # window starts below a femtosecond.
+    for noise in (NoiseModel(1e6, 1e-6), paper_like_noise(), *(NoiseModel(b, 1e-6) for b in (1e14, 5e14, 1e16))):
         calls.clear()
         decay_time_grid(build_sequence(kind, 1e-6, n=n), noise)
-        assert len(calls) <= 14
+        assert len(calls) <= 8
+
+
+#: Guesses of the bisection's crossing, good and bad, for _grid_guess(target, lo, f_lo, hi, f_hi, hi2, f_hi2).
+GUESSES = {
+    "lo": lambda target, lo, f_lo, hi, *_: lo,
+    "hi": lambda target, lo, f_lo, hi, *_: hi,
+    "zero": lambda *_: 0.0,
+    "huge": lambda *_: 1e300,
+}
+
+
+@pytest.mark.parametrize("guess", GUESSES)
+@pytest.mark.parametrize("b_tau", [0.1, 10.0, 1e8, 1e10])
+@pytest.mark.parametrize("t1", [math.inf, 1e-4])
+def test_decay_time_grid_bytes_do_not_depend_on_the_guess(monkeypatch, guess, b_tau, t1):
+    # The guess sets only how many bisection steps each kernel call checks.
+    tau_c = 1e-6
+    noise = NoiseModel(b_tau / tau_c, tau_c, t1, 1.32)
+    monkeypatch.setattr(engines, "_grid_guess", GUESSES[guess])
+    seqs = [build_sequence(kind, 1e-6, n=n) for kind, n in GRID_SEQUENCES]
+    for seq in seqs:
+        assert np.array_equal(decay_time_grid(seq, noise), binary_bisection_grid(seq, noise))
+    ns = [seq.n_pi for seq in seqs[1:]]
+    for n, grid in zip(ns, engines._decay_time_grids(np.array(ns), noise, 24)):
+        assert np.array_equal(grid, decay_time_grid(build_sequence("cpmg", 1e-6, n=n), noise))
 
 
 def random_baths(count, seed):

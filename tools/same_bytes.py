@@ -203,6 +203,22 @@ def script() -> list[tuple[str, list[str]]]:
         stem = curve.replace("/", "_").removesuffix(".csv")
         steps += [(f"fit_{model}_{stem}", ["fit", "--input", f"out/{curve}", "--model", model])
                   for model in FIT_MODELS]
+    # Decay grids whose crossings are hardest to guess: a bracket that the 80
+    # bisection steps do not close (b * tau_c = 1e8), a window set by T1, CPMG(2048).
+    steps += [
+        ("grid_ramsey_b1e14", ["decay", "--sequence", "ramsey", "--noise-preset", "none", "--b-rad-s", "1e14",
+                               "--tau-c-s", "1e-6"]),
+        ("grid_t1_dominated", ["decay", "--sequence", "xy8", "--noise-preset", "none", "--b-rad-s", "1e3",
+                               "--tau-c-s", "1e-6", "--t1-s", "1e-5", "--t1-q", "1.5"]),
+        ("cpmg2048", ["decay", "--sequence", "cpmg", "--n-pulses", "2048"]),
+    ]
+    sense = ["sense", "--preset", "none", "--contrast", "0.5"]
+    steps += [
+        ("sense_shots_underflow", [*sense, "--aleph-ppm", "1", "--volume-m3", "1e-18", "--rate-cps", "1e-300",
+                                   "--t2-star-s", "1e-300"]),
+        ("sense_centers_overflow", [*sense, "--aleph-ppm", "1e300", "--volume-m3", "1e300", "--rate-cps", "1",
+                                    "--t2-star-s", "1e-6"]),
+    ]
     return steps
 
 
