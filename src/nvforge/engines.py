@@ -463,7 +463,7 @@ def _analytic_curves(seqs, noise: NoiseModel, n_points: int) -> list[DecayCurve]
 def t2_vs_n(noise: NoiseModel, n_list, n_points: int = 40) -> list[tuple[int, float]]:
     """Coherence time versus number of CPMG pi pulses.
 
-    Builds the log-spaced grid of every CPMG(n) in one kernel pass, simulates
+    Builds the log-spaced grid of every CPMG(n) in one grid pass, simulates
     each decay with the analytic engine, then fits them all with
     :func:`fitkit.extract_t2_table`, which raises at the first failed fit, in
     ``n_list`` order, with its n attached.
