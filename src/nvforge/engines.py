@@ -118,13 +118,11 @@ RAMSEY_SERIES = (
 )
 
 
-@functools.lru_cache(maxsize=256)
-def _cpmg_series(n: int) -> tuple[float, ...]:
-    """Coefficients of (n - 1) u(2h) + E(h), highest power first, from h^30 down to h^3."""
-    coeffs = list(CHI_E_SERIES)
-    for i, c in enumerate(CHI_U_SERIES):
-        coeffs[2 * i] += (n - 1) * c
-    return tuple(reversed(coeffs))
+#: The two series highest power first, h^30 down to h^3, u at the odd powers
+#: and 0 elsewhere: (n - 1) u(2h) + E(h) has the coefficients (n - 1) u + E.
+_CHI_E = np.array(CHI_E_SERIES[::-1])
+_CHI_U = np.zeros(_CHI_E.size)
+_CHI_U[::-2] = CHI_U_SERIES
 
 
 def _series_below(x, switch: float, coeffs, power: int, closed):
@@ -147,27 +145,22 @@ def _chi(n, noise: NoiseModel, times_s) -> np.ndarray:
     """Unchecked chi(t) for n pi pulses as an array: inf or nan where it overflows, with no warning.
 
     ``n`` is a pulse count, or a 1-D array of counts >= 1 broadcast along
-    the last axis of ``times_s``, one per column.  Every step is
-    elementwise, and a column's coefficients are those of its own n, so a
-    point gets the same value whatever else is in ``times_s`` and whatever
-    the other columns' n; :func:`decay_time_grid` relies on it.
+    the last axis of ``times_s``, one per column; a scalar is the 0-d case,
+    Ramsey (n = 0) the one branch.  Steps are elementwise on each column's
+    own coefficients (n - 1) u + E, so a point's value does not depend on
+    the other points or columns; :func:`decay_time_grid` relies on it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             scale = (noise.b_rad_s * noise.tau_c_s) ** 2
         except OverflowError:  # b*tau_c beyond ~1.3e154 on Python floats: chi(t) > 0 is inf
             scale = math.inf
-        if not isinstance(n, np.ndarray):
-            if n == 0:
-                x = np.divide(times_s, noise.tau_c_s)
-                closed = x + np.expm1(-x)
-                return scale * _series_below(x, RAMSEY_SERIES_SWITCH, RAMSEY_SERIES[::-1], 2, closed)
-            # A scalar n keeps its tuple of Python floats: on the bisection's 2 x 2
-            # to 55 x 2 path blocks it takes 53-91 us, an array n 80-152 us (2-core VM).
-            sign, series = (1.0 if n % 2 else -1.0), _cpmg_series(n)
-        else:
-            sign = np.where(n % 2, 1.0, -1.0)
-            series = np.array([_cpmg_series(k) for k in n.tolist()]).T
+        if np.ndim(n) == 0 and n == 0:
+            x = np.divide(times_s, noise.tau_c_s)
+            closed = x + np.expm1(-x)
+            return scale * _series_below(x, RAMSEY_SERIES_SWITCH, RAMSEY_SERIES[::-1], 2, closed)
+        sign = n % 2 * 2.0 - 1.0
+        series = (np.multiply.outer(n - 1, _CHI_U) + _CHI_E).T  # (28,) or (28, columns)
         h = np.divide(times_s, 2 * n * noise.tau_c_s)
         one_m = -np.expm1(-h)
         e_h = 1.0 - one_m
@@ -250,26 +243,29 @@ def simulate_mc(
     # every time, so each distinct cell is evaluated once.
     _, first, unit_index = np.unique(seq.cell_lengths(1.0), return_index=True, return_inverse=True)
     lengths = seq.cell_lengths(times)[..., first]
-    cells = np.array(
-        [
-            ou_cell_coefficients(noise.b_rad_s, noise.tau_c_s, length)
-            for length in lengths.T.ravel().tolist()
-        ]
-    ).reshape(first.size, times.size, 5)[unit_index]
-    n_cells = unit_index.size
-    cells[1::2, :, [1, 3, 4]] *= -1.0  # odd cells carry the sign -1
-
     # With x0 = b z0, each cell adds m_i x + l21 z1 + l22 z2 to the phase and
     # moves x to alpha x + l11 z1.  Sweeping the cells backward, with g the
-    # weight of x at a cell's entry, gives every draw its weight.
+    # weight of x at a cell's entry, gives every draw its weight.  An overflow
+    # (b * b does from b ~ 1.3e154) is refused before the first draw.
+    n_cells = unit_index.size
     weights = np.empty((2 * n_cells + 1, times.size, 1))
     g = np.zeros(times.size)
-    for k in range(n_cells - 1, -1, -1):
-        alpha, m_i, l11, l21, l22 = cells[k].T
-        weights[2 * k + 1, :, 0] = l21 + l11 * g
-        weights[2 * k + 2, :, 0] = l22
-        g = m_i + alpha * g
-    weights[0, :, 0] = noise.b_rad_s * g
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = np.array(
+            [
+                ou_cell_coefficients(noise.b_rad_s, noise.tau_c_s, length)
+                for length in lengths.T.ravel().tolist()
+            ]
+        ).reshape(first.size, times.size, 5)[unit_index]
+        cells[1::2, :, [1, 3, 4]] *= -1.0  # odd cells carry the sign -1
+        for k in range(n_cells - 1, -1, -1):
+            alpha, m_i, l11, l21, l22 = cells[k].T
+            weights[2 * k + 1, :, 0] = l21 + l11 * g
+            weights[2 * k + 2, :, 0] = l22
+            g = m_i + alpha * g
+        weights[0, :, 0] = noise.b_rad_s * g
+    if not (np.isfinite(cells).all() and np.isfinite(weights).all()):
+        raise NumericalFailure("Monte-Carlo cell coefficients are not finite")
 
     # Block ib draws from its own stream, keyed by (seed, ib) only, so blocks
     # can be evaluated in any order.  It is walked in chunks of MC_CHUNK_SIZE
@@ -373,7 +369,9 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
     ``n`` is a pulse count, or a 1-D array of counts >= 1 as :func:`_chi`
     takes them: Ramsey comes only as the scalar 0.  Each count is a column
     of the probe and has two columns, one per target, in the bisection.  A
-    column's grid is bit for bit the one it gets on its own.
+    column's grid is bit for bit the one it gets on its own.  Raises
+    ``ValueError`` when the low target's bracket still starts at 0 after the
+    bisection: the decay starts below every time it reached.
     """
     def total_exponent(chi, t):
         return np.maximum(chi, 0.0) + noise.longitudinal_exponent(t)
@@ -420,7 +418,7 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
                 return
 
     targets = [GRID_DECAY_LO, GRID_DECAY_HI] * len(k)
-    pair_n = np.repeat(n, 2) if isinstance(n, np.ndarray) else n
+    pair_n = np.repeat(n, 2) if np.ndim(n) else n
     ladder = [*probes[:, 0].tolist(), math.inf]
     states = []
     for target, kj, f in zip(targets, np.repeat(k, 2).tolist(), np.repeat(probe_total, 2, axis=1).T.tolist()):
@@ -444,9 +442,10 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
             take_steps(*step)
     grids = []
     ends = [0.5 * (lo + hi) for lo, _, hi, *_ in states]
-    for t_lo, t_hi in zip(ends[0::2], ends[1::2]):
-        if t_lo == 0.0:
-            raise ValueError("decay starts below the smallest positive time; no log grid")
+    for (lo, _, hi, *_), t_lo, t_hi in zip(states[0::2], ends[0::2], ends[1::2]):
+        if lo == 0.0:  # no time the bisection reached lies below the low target
+            raise ValueError(f"decay starts below {hi:.3g} s, the smallest positive time "
+                             "the grid bisection reaches; no log grid")
         grids.append(np.geomspace(t_lo, t_hi, n_points))
     return grids
 

@@ -83,11 +83,16 @@ def eta_ac(eta_dc_value: float, t2_star_s: float, t2_dd_s: float) -> tuple[float
     ------
     ValueError
         If the decoupled coherence time is below T2*.
+    NumericalFailure
+        If the AC sensitivity is 0: the factor or the quotient leaves the float range.
     """
     if t2_dd_s < t2_star_s:
         raise ValueError("t2_dd_s must be >= t2_star_s")
     factor = math.sqrt(t2_dd_s / t2_star_s)
-    return eta_dc_value / factor, factor
+    ac = eta_dc_value / factor
+    if not ac > 0:  # T2_DD / T2* overflows to inf, or the quotient underflows
+        raise NumericalFailure("AC sensitivity leaves the float range")
+    return ac, factor
 
 
 def concentration_from_pl(

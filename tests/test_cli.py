@@ -586,6 +586,53 @@ def test_decay_grid_t1_overflow_exits_0(tmp_path, capsys):
     assert curve.signal[-1] == pytest.approx(math.exp(-3.0), rel=1e-9)
 
 
+OVERFLOW = ["decay", "--noise-preset", "none", "--b-rad-s", "1e200", "--tau-c-s", "1e-6",
+            "--t-min-s", "1e-7", "--t-max-s", "1e-5", "--n-traj", "10"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([*OVERFLOW, "--engine", "analytic"], "attenuation exponent is not finite"),
+    ([*OVERFLOW, "--engine", "mc"], "Monte-Carlo cell coefficients are not finite"),
+    ([*OVERFLOW, "--engine", "both"], "attenuation exponent is not finite"),
+    (["decay", "--engine", "both", "--n-traj", "100", "--noise-preset", "none", "--b-rad-s", "2e154",
+      "--tau-c-s", "1e-6", "--t-min-s", "1e-160", "--t-max-s", "1e-150"],
+     "Monte-Carlo cell coefficients are not finite"),
+], ids=["analytic", "mc", "both", "both_mc_only"])
+def test_decay_overflow_exits_4_for_either_engine(tmp_path, capsys, argv, message):
+    # b * tau_c = 1e194: chi and b * b overflow.  At b = 2e154 chi is finite
+    # on these times, but the MC engine's b * b is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_decay_nan_rms_is_an_engine_mismatch(tmp_path, monkeypatch):
+    # A NaN RMS difference is not within the tolerance: exit 3, as the report says.
+    def nan_mc(seq, noise, times, n_traj, seed):
+        return DecayCurve(times, np.full(len(times), math.nan), {"mc_stderr": [0.0] * len(times)})
+
+    monkeypatch.setattr(cli, "simulate_mc", nan_mc)
+    argv = ["decay", "--engine", "both", "--n-times", "4", "--output-dir", str(tmp_path)]
+    assert main(argv) == 3
+    report = _read_json(tmp_path / "engine_comparison.json")
+    assert math.isnan(report["rms_difference"]) and report["within_tolerance"] is False
+
+
+@pytest.mark.parametrize("b_rad_s", ["1e30", "1e32"])
+def test_decay_grid_below_the_bisections_reach_exits_2(tmp_path, capsys, b_rad_s):
+    # b * tau_c = 1e24 and 1e26: the decay starts below tau_c * 2^-80, the
+    # smallest time the grid bisection reaches, so no grid can place it.
+    argv = ["decay", "--sequence", "ramsey", "--noise-preset", "none", "--b-rad-s", b_rad_s,
+            "--tau-c-s", "1e-6", "--output-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: decay starts below 8.27e-31 s, the smallest positive time the grid bisection reaches; "
+        "no log grid\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_command_missing_input_exits_2(tmp_path):
     assert main(["fit", "--output-dir", str(tmp_path)]) == 2
 
@@ -681,15 +728,20 @@ def test_sense_contrast_outside_0_1_exits_2(tmp_path, capsys, contrast):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("spot", [
-    ["--aleph-ppm", "1", "--volume-m3", "1e-18", "--rate-cps", "1e-300", "--t2-star-s", "1e-300"],
-    ["--aleph-ppm", "1e300", "--volume-m3", "1e300", "--rate-cps", "1", "--t2-star-s", "1e-6"],
-], ids=["shots_underflow", "centers_overflow"])
-def test_sense_outside_the_float_range_exits_4(tmp_path, capsys, spot):
-    # The shot count R N T2* underflows to 0, or N overflows to inf.
-    argv = ["sense", "--preset", "none", "--contrast", "0.5", *spot, "--output-dir", str(tmp_path)]
-    assert main(argv) == 4
-    assert capsys.readouterr().err == "numerical failure: DC sensitivity leaves the float range\n"
+SPOT_NONE = ["--preset", "none", "--contrast", "0.5"]
+
+
+@pytest.mark.parametrize("options,which", [
+    ([*SPOT_NONE, "--aleph-ppm", "1", "--volume-m3", "1e-18", "--rate-cps", "1e-300", "--t2-star-s", "1e-300"],
+     "DC"),
+    ([*SPOT_NONE, "--aleph-ppm", "1e300", "--volume-m3", "1e300", "--rate-cps", "1", "--t2-star-s", "1e-6"],
+     "DC"),
+    (["--t2-star-s", "1e-300", "--t2-dd-s", "1e300"], "AC"),
+], ids=["shots_underflow", "centers_overflow", "ac_factor_overflow"])
+def test_sense_outside_the_float_range_exits_4(tmp_path, capsys, options, which):
+    # The shot count R N T2* underflows to 0, N overflows to inf, or T2_DD / T2* does.
+    assert main(["sense", *options, "--output-dir", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == f"numerical failure: {which} sensitivity leaves the float range\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -76,6 +76,14 @@ def pairwise_chi(seq, noise, total_t):
     return 0.5 * noise.b_rad_s**2 * chi
 
 
+def cpmg_series(n):
+    """Per-n reference: coefficients of (n - 1) u(2h) + E(h) as Python floats, h^30 down to h^3."""
+    coeffs = list(engines.CHI_E_SERIES)
+    for i, c in enumerate(engines.CHI_U_SERIES):
+        coeffs[2 * i] += (n - 1) * c
+    return tuple(reversed(coeffs))
+
+
 def running_sum_chi(seq, noise, times_s):
     """O(n) reference: one running sum over the cells of cell_lengths.
 
@@ -945,6 +953,46 @@ def test_chi_columns_of_n_equal_single_n_calls():
     assert got.shape == (times.size, ns.size)
     for column, n in zip(got.T, ns.tolist()):
         assert np.array_equal(column, engines._chi(n, noise, times))
+        assert np.array_equal(column, engines._chi(np.int64(n), noise, times))
+        for t, value in zip(times.tolist(), column.tolist()):
+            point = engines._chi(n, noise, t)
+            assert np.ndim(point) == 0 and point == value
+
+
+def test_chi_series_coefficients_equal_the_per_n_sums(monkeypatch):
+    # The coefficients _chi hands to Horner's rule, for an array n and for
+    # scalar n, bit for bit those of the per-n sum.
+    seen = []
+    series_below = engines._series_below
+
+    def spy(x, switch, coeffs, power, closed):
+        seen.append(np.array(coeffs))
+        return series_below(x, switch, coeffs, power, closed)
+
+    monkeypatch.setattr(engines, "_series_below", spy)
+    noise = NoiseModel(1e6, 1e-6)
+    ns = np.arange(1, 4097)
+    engines._chi(ns, noise, np.full((1, ns.size), 1e-7))
+    scalars = [1, 2, 7, np.int64(64), 4096]
+    for n in scalars:
+        engines._chi(n, noise, 1e-7)
+    assert seen[0].shape == (28, ns.size)
+    assert seen[0].tobytes() == np.array([cpmg_series(n) for n in ns.tolist()]).T.tobytes()
+    for got, n in zip(seen[1:], scalars, strict=True):
+        assert got.tobytes() == np.array(cpmg_series(int(n))).tobytes()
+
+
+def test_attenuation_exponent_raises_where_chi_overflows():
+    # (b * tau_c)^2 = 1e388 overflows, so chi is inf at every t > 0.
+    with pytest.raises(NumericalFailure, match="attenuation exponent is not finite"):
+        attenuation_exponent(build_sequence("hahn", 1e-6), NoiseModel(1e200, 1e-6), [1e-7, 1e-5])
+
+
+@pytest.mark.parametrize("b", [1e200, 2e154, np.float64(2e154)])
+def test_mc_raises_where_its_cell_coefficients_overflow(b):
+    # b * b overflows from b ~ 1.34e154, where chi itself may still be finite.
+    with pytest.raises(NumericalFailure, match="Monte-Carlo cell coefficients are not finite"):
+        simulate_mc(build_sequence("hahn", 1e-6), NoiseModel(b, 1e-6), [1e-160, 1e-150], 10, 1)
 
 
 @pytest.mark.parametrize("noise", [paper_like_noise(), slow_bath_noise(), *random_baths(24, seed=22)],
@@ -967,6 +1015,18 @@ def test_decay_time_grid_rejects_decay_below_the_smallest_time():
     noise = NoiseModel(0.0, 5e-324, 5e-324, 1.0)
     with pytest.raises(ValueError, match="smallest positive time"):
         decay_time_grid(build_sequence("hahn", 1e-6), noise)
+
+
+@pytest.mark.parametrize("kind,b_tau", [("ramsey", 1e24), ("ramsey", 1e26), ("hahn", 1e37)])
+def test_decay_time_grid_rejects_decay_below_the_bisections_reach(kind, b_tau):
+    # The decay starts below tau_c * 2^(k - 80), the smallest time the 80
+    # bisection steps reach: the low target's bracket still starts at 0, and
+    # a grid would start at half that time, not where the decay starts.
+    seq, noise = build_sequence(kind, 1e-6), NoiseModel(b_tau / 1e-6, 1e-6)
+    start = binary_bisection_grid(seq, noise)[0]
+    assert attenuation_exponent(seq, noise, start) > 2 * GRID_DECAY_LO
+    with pytest.raises(ValueError, match="smallest positive time the grid bisection reaches"):
+        decay_time_grid(seq, noise)
 
 
 def test_decay_time_grid_ignores_overflow_past_the_bracket():

@@ -218,7 +218,21 @@ def script() -> list[tuple[str, list[str]]]:
                                    "--t2-star-s", "1e-300"]),
         ("sense_centers_overflow", [*sense, "--aleph-ppm", "1e300", "--volume-m3", "1e300", "--rate-cps", "1",
                                     "--t2-star-s", "1e-6"]),
+        ("sense_ac_overflow", ["sense", "--t2-star-s", "1e-300", "--t2-dd-s", "1e300"]),
     ]
+    # Overflows: chi and b * b at b = 1e200, only the MC engine's b * b at
+    # 2e154; a decay that starts below the smallest time the grid bisection reaches.
+    overflow = ["decay", "--noise-preset", "none", "--b-rad-s", "1e200", "--tau-c-s", "1e-6",
+                "--t-min-s", "1e-7", "--t-max-s", "1e-5"]
+    steps += [
+        ("decay_overflow_analytic", overflow),
+        ("decay_overflow_mc", [*overflow, "--engine", "mc", "--n-traj", "10"]),
+        ("decay_mc_b_squared_overflow", ["decay", "--engine", "both", "--n-traj", "100", "--noise-preset", "none",
+                                         "--b-rad-s", "2e154", "--tau-c-s", "1e-6", "--t-min-s", "1e-160",
+                                         "--t-max-s", "1e-150"]),
+    ]
+    steps += [(f"grid_ramsey_b{b}", ["decay", "--sequence", "ramsey", "--noise-preset", "none",
+                                     "--b-rad-s", b, "--tau-c-s", "1e-6"]) for b in ("1e30", "1e32")]
     return steps
 
 
