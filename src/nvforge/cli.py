@@ -3,10 +3,15 @@
 Subcommands: ``odmr``, ``decay``, ``fit``, ``sense``, ``implant``, ``scan``,
 ``fixtures``.  Every physical option carries its unit in the flag name
 (``--tau-s``, ``--bz-t``, ``--dose-cm2``, ...) and has a one-to-one config
-file counterpart (see :mod:`nvforge.config`); explicit flags override file
-values.  The environment variable ``NVFORGE_SEED`` overrides the master
-seed from either source.  :data:`COMMANDS` is the one table that builds the
-parser, the config keys and the dispatch.
+file counterpart; explicit flags override file values.  The environment
+variable ``NVFORGE_SEED`` overrides the master seed from either source.
+:data:`COMMANDS` is the one table that builds the parser, the config keys
+and the dispatch.
+
+Config files (``--config``): one ``key = value`` pair per line, ``#``
+starts a comment, blank lines are ignored.  Keys use the same names as the
+CLI flags (dashes or underscores, unit suffixes included, e.g. ``tau-s =
+1e-6``).  Unknown and duplicate keys are rejected.
 
 Exit codes: 0 success, 2 configuration or input-file error, 3
 acceptance-check failure (engine disagreement beyond tolerance), 4
@@ -29,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, dataio, fitkit, fixtures, implant, magnetometry, presets
-from .config import ConfigError, boolean, choice, finite, parse_config_file, resolve_options
 from .engines import decay_time_grid, simulate_analytic, simulate_mc
 from .levmar import NumericalFailure
 from .noise import NoiseModel
@@ -50,6 +54,72 @@ ENGINE_RMS_TOLERANCE = 0.02
 
 class EngineMismatchError(RuntimeError):
     """Monte-Carlo and analytic engines disagree beyond tolerance."""
+
+
+class ConfigError(ValueError):
+    """A configuration file or flag set is invalid."""
+
+
+def parse_config_file(path: Path) -> dict[str, str]:
+    """Parse a config file into normalized {key: raw-string-value}."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    values: dict[str, str] = {}
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_").lower()
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value
+    return values
+
+
+def boolean(raw: str) -> bool:
+    """Parse a boolean flag or config value (true/false, 1/0, yes/no, on/off)."""
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected boolean, got {raw!r}")
+
+
+def finite(raw: str) -> float:
+    """Parse a float flag or config value that must be finite.
+
+    nan and inf raise ``ArgumentTypeError``, whose message argparse prints
+    as is; a value that is no number raises ``ValueError``, as ``float`` does.
+    """
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def choice(*values: str):
+    """Parser for a fixed-value option: one of ``values``, matched case-insensitively.
+
+    ``values`` are lower case; the parser returns the matching one and
+    keeps the list in ``.choices``.  Any other value raises
+    ``ArgumentTypeError``, whose message argparse prints as is.
+    """
+
+    def parse(raw: str) -> str:
+        lowered = raw.lower()
+        if lowered not in values:
+            raise argparse.ArgumentTypeError(f"expected one of {', '.join(values)}; got {raw!r}")
+        return lowered
+
+    parse.choices = values
+    return parse
 
 
 def _write(out_dir: Path, files: dict) -> list[Path]:
@@ -273,7 +343,7 @@ class Command:
     ``handler(opts, seed, out_dir)`` returns the paths it wrote.  ``options``
     maps name -> (type, default, help with units); the names double as
     config keys.  The type parses flag and config-file values alike, and a
-    :func:`~nvforge.config.choice` type's values are appended to the help.
+    :func:`choice` type's values are appended to the help.
     ``positional`` names the option, if any, that is given on the command
     line as an optional positional argument instead of a flag.
     """
@@ -389,11 +459,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace, command: Command) -> tuple[dict, int, Path, Path | None]:
+    """Each option's value (flag over config file over default), the seed and the output directory."""
     options = {**COMMON_OPTIONS, **command.options}
-    spec = {name: (typ, default) for name, (typ, default, _) in options.items()}
     config_path = None if args.config is None else Path(args.config)
     file_values = {} if config_path is None else parse_config_file(config_path)
-    opts = resolve_options({name: getattr(args, name) for name in spec}, file_values, spec)
+    unknown = set(file_values) - set(options)
+    if unknown:
+        raise ConfigError(
+            f"unknown config key(s): {', '.join(sorted(unknown))}; "
+            f"accepted keys: {', '.join(sorted(options))}"
+        )
+    opts = {}
+    for name, (typ, default, _) in options.items():
+        if getattr(args, name) is not None:
+            opts[name] = getattr(args, name)
+        elif name in file_values:
+            try:
+                opts[name] = typ(file_values[name])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"config key {name!r}: {exc}") from exc
+        else:
+            opts[name] = default
     seed = opts.pop("seed")
     env_seed = os.environ.get("NVFORGE_SEED")
     if env_seed is not None:
