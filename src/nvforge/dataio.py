@@ -3,7 +3,8 @@
 All writers produce byte-identical output for identical inputs: floats are
 rendered with shortest round-trip ``repr``, JSON keys are sorted, a
 dataclass record is written as its fields, and files are written atomically
-(temp file + rename).
+(temp file + rename).  A writer refuses a non-finite value with
+:class:`~nvforge.levmar.NumericalFailure` before it writes the file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import DecayCurve
+from .levmar import NumericalFailure
 from .scan import DepthProfile, ScanGrid, Spectrum
 from .spincore import OdmrSpectrum
 
@@ -34,8 +36,15 @@ def _record_fields(obj) -> dict:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _not_finite(path: Path) -> NumericalFailure:
+    return NumericalFailure(f"{path}: a value to write is not finite")
+
+
 def write_json(path: Path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_record_fields)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_record_fields, allow_nan=False)
+    except ValueError as exc:  # nan or inf; the payloads hold no circular reference
+        raise _not_finite(path) from exc
     atomic_write_text(Path(path), text + "\n")
 
 
@@ -44,7 +53,10 @@ def read_json(path: Path):
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*(map(repr, np.asarray(col, dtype=float).tolist()) for col in columns))
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    if not all(np.isfinite(col).all() for col in columns):
+        raise _not_finite(path)
+    rows = zip(*(map(repr, col.tolist()) for col in columns))
     atomic_write_text(Path(path), "\n".join([",".join(header), *map(",".join, rows)]) + "\n")
 
 

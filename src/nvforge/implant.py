@@ -220,6 +220,8 @@ class GrowthBudget:
         for name in ("h2_purity", "ch4_purity"):
             if not 0 < getattr(self, name) <= 1:
                 raise ValueError(f"{name} must lie in (0, 1]")
+        if not 0 <= self.incorporation_rate <= 1:
+            raise ValueError("incorporation_rate must lie in [0, 1]")
 
 
 @dataclass

@@ -103,7 +103,8 @@ def ou_cell_coefficients(b_rad_s: float, tau_c_s: float, length_s: float):
     with alpha = exp(-L/tau_c), m_i = tau_c * (1 - alpha), z1, z2 iid
     standard normals, and (L11, L21, L22) the Cholesky factors of the
     conditional covariance; L22^2 = Var(I) - L21^2 is taken from
-    :func:`conditional_integral_variance`.  Returns (alpha, m_i, L11, L21, L22).
+    :func:`conditional_integral_variance`.  Returns (alpha, m_i, L11, L21, L22);
+    L22 is 0 for b = 0, also where L/tau_c overflows.
     """
     tau = tau_c_s
     alpha = math.exp(-length_s / tau)
@@ -116,5 +117,7 @@ def ou_cell_coefficients(b_rad_s: float, tau_c_s: float, length_s: float):
         l21 = cov_xi / l11
     else:
         l21 = 0.0
+    if b_rad_s == 0:
+        return alpha, tau * one_m, l11, l21, 0.0
     l22 = b_rad_s * tau * math.sqrt(conditional_integral_variance(length_s / tau))
     return alpha, tau * one_m, l11, l21, l22

@@ -61,6 +61,8 @@ class SpinParams:
             raise ValueError("gyromag_hz_per_t must be positive")
         if not self.linewidth_fwhm_hz > 0:
             raise ValueError("linewidth_fwhm_hz must be positive")
+        if not self.linewidth_fwhm_hz / 2.0 > 0:
+            raise ValueError("linewidth_fwhm_hz is too small: its half width rounds to 0")
         if not 0.0 < self.odmr_contrast <= 1.0:
             raise ValueError("odmr_contrast must lie in (0, 1]")
 

@@ -608,16 +608,34 @@ def test_decay_overflow_exits_4_for_either_engine(tmp_path, capsys, argv, messag
     assert list(tmp_path.iterdir()) == []
 
 
-def test_decay_nan_rms_is_an_engine_mismatch(tmp_path, monkeypatch):
-    # A NaN RMS difference is not within the tolerance: exit 3, as the report says.
+@pytest.mark.parametrize("engine", ["analytic", "mc", "both"])
+def test_decay_without_coupling_is_exactly_one(tmp_path, capsys, engine):
+    # b = 0: no decay, also at times where t / tau_c overflows a float.
+    argv = ["decay", "--noise-preset", "none", "--b-rad-s", "0", "--tau-c-s", "1e-300", "--t-min-s", "1e-6",
+            "--t-max-s", "1e10", "--n-times", "3", "--engine", engine, "--n-traj", "100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("analytic", "mc") if engine == "both" else (engine,):
+        curve = dataio.read_decay_csv(tmp_path / f"decay_{name}.csv")
+        assert np.array_equal(curve.signal, np.ones(3))
+    if engine == "both":
+        assert _read_json(tmp_path / "engine_comparison.json")["rms_difference"] == 0.0
+
+
+def test_decay_nan_rms_is_an_engine_mismatch(tmp_path, monkeypatch, capsys):
+    # A NaN MC curve, whose RMS difference would be NaN, is refused at its
+    # CSV: exit 4, with no engine comparison and no manifest written.
     def nan_mc(seq, noise, times, n_traj, seed):
         return DecayCurve(times, np.full(len(times), math.nan), {"mc_stderr": [0.0] * len(times)})
 
     monkeypatch.setattr(cli, "simulate_mc", nan_mc)
     argv = ["decay", "--engine", "both", "--n-times", "4", "--output-dir", str(tmp_path)]
-    assert main(argv) == 3
-    report = _read_json(tmp_path / "engine_comparison.json")
-    assert math.isnan(report["rms_difference"]) and report["within_tolerance"] is False
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        f"numerical failure: {tmp_path / 'decay_mc.csv'}: a value to write is not finite\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["decay_analytic.csv", "decay_analytic.json"]
 
 
 @pytest.mark.parametrize("b_rad_s", ["1e30", "1e32"])
@@ -802,6 +820,29 @@ def test_implant_plan_extreme_diameter_exits_4(tmp_path, capsys, diameter):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["implant", "plan", "--current-a=5e-324"], 4,
+     "numerical failure: {out}/implant_plan.json: a value to write is not finite"),
+    (["implant", "budget", "--leak-sccm=1.7e308"], 4,
+     "numerical failure: {out}/nitrogen_budget.json: a value to write is not finite"),
+    (["implant", "budget", "--flow-sccm=5e-324"], 4,
+     "numerical failure: {out}/nitrogen_budget.json: a value to write is not finite"),
+    (["implant", "budget", "--incorporation-rate=1.7e308"], 2,
+     "error: incorporation_rate must lie in [0, 1]"),
+    (["odmr", "--linewidth-hz=5e-324"], 2,
+     "error: linewidth_fwhm_hz is too small: its half width rounds to 0"),
+], ids=["plan-current", "budget-leak", "budget-flow", "budget-incorporation", "odmr-linewidth"])
+def test_results_outside_the_float_range_are_refused(tmp_path, capsys, argv, code, message):
+    # A finite option whose result overflows is refused at the writer (exit
+    # 4); one outside its physical range by the dataclass that owns it (exit
+    # 2).  Either way no file is written and no warning printed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--output-dir", str(tmp_path)]) == code
+    assert capsys.readouterr().err == message.format(out=tmp_path) + "\n"
     assert list(tmp_path.iterdir()) == []
 
 

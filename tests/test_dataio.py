@@ -5,6 +5,7 @@ import pytest
 
 from nvforge import dataio, fixtures, implant, magnetometry
 from nvforge.curves import DecayCurve
+from nvforge.levmar import NumericalFailure
 from nvforge.scan import DepthProfile, PeakFit, ScanGrid, Spectrum, SpotFit
 from nvforge.spincore import MagneticFieldVector, SpinParams, odmr_spectrum
 
@@ -25,13 +26,30 @@ def test_decay_csv_roundtrip(tmp_path):
 
 
 def test_csv_rows_are_the_repr_of_each_value_as_a_float(tmp_path):
-    floats = np.array([-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan, 0.1])
-    ints = np.arange(-3, 4)
+    floats = np.array([-0.0, 5e-324, 1e308, 0.1])
+    ints = np.arange(-2, 2)
     path = tmp_path / "values.csv"
     dataio._write_csv(path, ["x", "n"], [floats, ints])
     rows = [f"{float(x)!r},{float(n)!r}" for x, n in zip(floats, ints)]
     assert path.read_text() == "\n".join(["x,n", *rows]) + "\n"
-    assert rows[:6] == ["-0.0,-3.0", "5e-324,-2.0", "1e+308,-1.0", "inf,0.0", "-inf,1.0", "nan,2.0"]
+    assert rows == ["-0.0,-2.0", "5e-324,-1.0", "1e+308,0.0", "0.1,1.0"]
+    # inf and nan are refused before the file is written.
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NumericalFailure, match="bad.csv: a value to write is not finite"):
+            dataio._write_csv(tmp_path / "bad.csv", ["x", "n"], [np.array([0.1, bad]), ints[:2]])
+        assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_json_writer_refuses_non_finite_values(tmp_path, bad):
+    path = tmp_path / "report.json"
+    with pytest.raises(NumericalFailure, match="report.json: a value to write is not finite"):
+        dataio.write_json(path, {"ok": 1.0, "nested": [0.5, {"value": bad}]})
+    assert not path.exists()
+    # An infinite T1 is written as null by the noise model, not as a number.
+    curve = DecayCurve(np.array([1e-6]), np.array([0.5]), {"noise": {"t1_s": None}})
+    dataio.write_decay_csv(curve, tmp_path / "decay.csv")
+    assert dataio.read_decay_csv(tmp_path / "decay.csv").meta == {"noise": {"t1_s": None}}
 
 
 def test_decay_csv_write_is_deterministic(tmp_path):

@@ -232,6 +232,14 @@ def test_chi_zero_at_zero_time_and_zero_coupling():
     seq = build_sequence("hahn", 1e-6)
     assert attenuation_exponent(seq, NoiseModel(0.0, 1e-6), 1e-5) == 0.0
     assert attenuation_exponent(seq, NoiseModel(1e6, 1e-6), 0.0) == 0.0
+    # Without coupling chi is 0 also where t/tau_c overflows (1e10 / 1e-300),
+    # for Ramsey, for Hahn and for a column of pulse counts.
+    no_coupling = NoiseModel(0.0, 1e-300)
+    times = np.array([1e-6, 1e10])
+    for n in (0, 1):
+        assert np.array_equal(attenuation_exponent(cpmg_or_ramsey(n), no_coupling, times), np.zeros(2))
+    got = engines._chi(np.array([1, 2, 2048]), no_coupling, times[:, None])
+    assert got.shape == (2, 3) and np.array_equal(got, np.zeros((2, 3)))
 
 
 def test_analytic_noiseless_reduces_to_t1_channel():
@@ -436,7 +444,10 @@ def decimal_chi(n: int, t: float) -> Decimal:
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(0, 2048), t=log_uniform(1e-8, 1e3))
+@given(n=st.integers(0, 4096), t=log_uniform(1e-12, 1e3))
+@example(n=4096, t=1e-12)  # the accepted range's corners
+@example(n=0, t=1e-12)
+@example(n=4096, t=1e3)
 @example(n=2048, t=1e3)  # every cell 0.24 tau_c: the series only
 @example(n=2048, t=40.96)  # every half-cell exactly 1e-2 tau_c
 @example(n=1, t=0.75)  # Hahn at the switch
@@ -471,6 +482,31 @@ def test_mc_never_evaluates_chi(monkeypatch):
     got = simulate_mc(seq, noise, times, 3000, seed=2)
     assert np.array_equal(got.signal, expected.signal)
     assert got.meta == expected.meta
+
+
+def test_mc_weights_give_twice_chi(monkeypatch):
+    # A trajectory's phase is the sum of w_d z_d over iid standard normals, so
+    # its variance, the sum of w_d^2, is 2 chi.  The engine never forms that
+    # sum; the test captures the backward sweep's weights and forms it here.
+    captured = []
+
+    def capture(rng, chunk_n, weights):
+        captured.append(weights[:, :, 0].copy())
+        return np.zeros(weights.shape[1]), np.zeros(weights.shape[1])
+
+    monkeypatch.setattr(engines, "_mc_chunk_sums", capture)
+    rng = np.random.default_rng(27)
+    draws = [(int(rng.integers(0, 4097)), np.sort(10.0 ** rng.uniform(-12, 3, 4))) for _ in range(100)]
+    # Of every n <= 4096, n = 4033 has the largest error, 1.22e-18 / t at
+    # both t = 1e-12 and 1e-8; 1417 at 1.5e-11 gives 1.24e-9.
+    draws += [(4033, np.array([1e-12, 1e-8])), (1417, np.array([1.5e-11]))]
+    for n, times in draws:
+        captured.clear()
+        simulate_mc(cpmg_or_ramsey(n), NoiseModel(1.0, 1.0), times, 1, seed=0)
+        (weights,) = captured
+        for t, w in zip(times.tolist(), weights.T):
+            err = abs(Decimal(math.fsum((w * w).tolist())) / (2 * decimal_chi(n, t)) - 1)
+            assert err <= Decimal(2e-13 + 1.25e-18 / t), (n, t)
 
 
 def state_recursion_chunk_sums(rng, chunk_n, coeffs, b_rad_s):
@@ -566,6 +602,16 @@ def test_mc_noiseless_is_exactly_one():
     seq = build_sequence("hahn", 1e-6)
     curve = simulate_mc(seq, NoiseModel(0.0, 1e-6), [1e-6, 1e-5], 128, seed=1)
     assert np.all(curve.signal == 1.0)
+
+
+def test_mc_without_coupling_is_exactly_one_where_t_over_tau_c_overflows():
+    # The cells are 1e10 / 1e-300 = inf correlation times long: b = 0 gives
+    # zero cell noise, not 0 * inf.
+    assert ou_cell_coefficients(0.0, 1e-300, 1e10)[2:] == (0.0, 0.0, 0.0)
+    for kind in ("ramsey", "hahn", "xy8"):
+        curve = simulate_mc(build_sequence(kind, 1e-6), NoiseModel(0.0, 1e-300), [1e-6, 1e10], 128, seed=1)
+        assert np.array_equal(curve.signal, np.ones(2))
+        assert curve.meta["mc_stderr"] == [0.0, 0.0]
 
 
 def test_mc_bit_reproducible_and_block_order_independent():

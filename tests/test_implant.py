@@ -164,6 +164,14 @@ def test_nitrogen_budget_zero_leak_perfect_purity():
     assert nitrogen_budget(budget).incorporated_ppb == 0.0
 
 
+@pytest.mark.parametrize("rate", [-0.1, 1.0 + 2**-52, 1.7e308])
+def test_budget_rejects_an_incorporation_rate_outside_0_1(rate):
+    with pytest.raises(ValueError, match=r"incorporation_rate must lie in \[0, 1\]"):
+        GrowthBudget(total_flow_sccm=400.0, leak_rate_sccm=2.4e-4, incorporation_rate=rate)
+    for ends in (0.0, 1.0):
+        GrowthBudget(total_flow_sccm=400.0, leak_rate_sccm=2.4e-4, incorporation_rate=ends)
+
+
 def test_nitrogen_budget_linear_in_leak_and_impurity():
     base = GrowthBudget(total_flow_sccm=400.0, leak_rate_sccm=2.4e-4)
     double_leak = GrowthBudget(total_flow_sccm=400.0, leak_rate_sccm=4.8e-4)

@@ -45,6 +45,13 @@ def test_spin_params_invariants():
         SpinParams(linewidth_fwhm_hz=0.0)
 
 
+def test_spin_params_reject_a_linewidth_whose_half_width_rounds_to_0():
+    # Half of the smallest subnormal rounds to 0; half of twice it does not.
+    with pytest.raises(ValueError, match="linewidth_fwhm_hz is too small: its half width rounds to 0"):
+        SpinParams(linewidth_fwhm_hz=5e-324)
+    assert SpinParams(linewidth_fwhm_hz=1e-323).linewidth_fwhm_hz / 2.0 > 0
+
+
 def test_project_zero_field_is_zero():
     zero = MagneticFieldVector(0.0, 0.0, 0.0)
     for axis in CANONICAL_AXES:

@@ -233,6 +233,22 @@ def script() -> list[tuple[str, list[str]]]:
     ]
     steps += [(f"grid_ramsey_b{b}", ["decay", "--sequence", "ramsey", "--noise-preset", "none",
                                      "--b-rad-s", b, "--tau-c-s", "1e-6"]) for b in ("1e30", "1e32")]
+    # No coupling where t / tau_c overflows: a signal of exactly 1 from either engine.
+    no_coupling = ["decay", "--noise-preset", "none", "--b-rad-s", "0", "--tau-c-s", "1e-300",
+                   "--t-min-s", "1e-6", "--t-max-s", "1e10", "--n-times", "3"]
+    steps += [
+        ("decay_no_coupling_overflow_analytic", [*no_coupling, "--engine", "analytic"]),
+        ("decay_no_coupling_overflow_mc", [*no_coupling, "--engine", "mc", "--n-traj", "100"]),
+    ]
+    # Finite options whose result leaves the float range (exit 4 at the
+    # writer) or whose value lies outside its physical range (exit 2).
+    steps += [
+        ("plan_current_subnormal", ["implant", "plan", "--current-a=5e-324"]),
+        ("budget_leak_huge", ["implant", "budget", "--leak-sccm=1.7e308"]),
+        ("budget_flow_subnormal", ["implant", "budget", "--flow-sccm=5e-324"]),
+        ("budget_incorporation_huge", ["implant", "budget", "--incorporation-rate=1.7e308"]),
+        ("odmr_linewidth_subnormal", ["odmr", "--linewidth-hz=5e-324"]),
+    ]
     return steps
 
 
