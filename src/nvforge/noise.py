@@ -117,7 +117,5 @@ def ou_cell_coefficients(b_rad_s: float, tau_c_s: float, length_s: float):
         l21 = cov_xi / l11
     else:
         l21 = 0.0
-    if b_rad_s == 0:
-        return alpha, tau * one_m, l11, l21, 0.0
-    l22 = b_rad_s * tau * math.sqrt(conditional_integral_variance(length_s / tau))
+    l22 = b_rad_s * tau * math.sqrt(conditional_integral_variance(length_s / tau)) if b_rad_s else 0.0
     return alpha, tau * one_m, l11, l21, l22
