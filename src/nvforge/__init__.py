@@ -1,72 +1,3 @@
 """nvforge: desk-scale NV-center ensemble simulation and analysis toolkit."""
 
 __version__ = "0.1.0"
-
-from .curves import DecayCurve
-from .engines import (
-    HyperfineTriplet,
-    attenuation_exponent,
-    decay_time_grid,
-    simulate_analytic,
-    simulate_fid_beats,
-    simulate_mc,
-    t2_vs_n,
-)
-from .fitkit import FitModel, FitResult, extract_t2_table, fit, fit_envelope
-from .magnetometry import (
-    EnsembleSpot,
-    SensitivityReport,
-    concentration_from_pl,
-    eta_ac,
-    eta_dc,
-    paper_ideal_spot,
-    sensitivity_report,
-)
-from .noise import NoiseModel
-from .sequences import PulseSequence, build_sequence
-from .spincore import (
-    CANONICAL_AXES,
-    MagneticFieldVector,
-    NVAxis,
-    OdmrSpectrum,
-    SpinParams,
-    full_hamiltonian_frequencies,
-    odmr_spectrum,
-    project_field,
-    transition_frequencies,
-)
-
-__all__ = [
-    "CANONICAL_AXES",
-    "DecayCurve",
-    "EnsembleSpot",
-    "FitModel",
-    "FitResult",
-    "HyperfineTriplet",
-    "MagneticFieldVector",
-    "NVAxis",
-    "NoiseModel",
-    "OdmrSpectrum",
-    "PulseSequence",
-    "SensitivityReport",
-    "SpinParams",
-    "attenuation_exponent",
-    "build_sequence",
-    "concentration_from_pl",
-    "decay_time_grid",
-    "eta_ac",
-    "eta_dc",
-    "extract_t2_table",
-    "fit",
-    "fit_envelope",
-    "full_hamiltonian_frequencies",
-    "odmr_spectrum",
-    "paper_ideal_spot",
-    "project_field",
-    "sensitivity_report",
-    "simulate_analytic",
-    "simulate_fid_beats",
-    "simulate_mc",
-    "t2_vs_n",
-    "transition_frequencies",
-]

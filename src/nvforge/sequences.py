@@ -42,16 +42,22 @@ class PulseSequence:
 
     @cached_property
     def _unit_cells(self) -> np.ndarray:
-        """Cell lengths of a unit window, between 0, the fractions (2k - 1)/(2n) and 1.
+        """Cell lengths of a unit window: a half cell 1/(2n) at each end, n - 1 cells of 1/n.
 
-        Computed once per sequence and scaled to each total time by
-        :meth:`cell_lengths`, the one source of cell lengths.
+        Ramsey is one cell of 1.  Every inner cell is the same float and the
+        end cells are its exact half, so the signed cell sum is exactly 0 and
+        static noise refocuses, as the chi kernel assumes (differences of the
+        rounded fractions (2k - 1)/(2n) leave up to ~1e-13 for counts that
+        are not powers of two).  Computed once per sequence and scaled to
+        each total time by :meth:`cell_lengths`, the one source of cell
+        lengths.
         """
         n = self.n_pi
-        edges = np.empty(n + 2)
-        edges[0], edges[-1] = 0.0, 1.0
-        edges[1:-1] = (2 * np.arange(1, n + 1) - 1) / (2 * n)  # empty, no warning, at n = 0
-        return edges[1:] - edges[:-1]
+        if n == 0:
+            return np.ones(1)
+        cells = np.full(n + 1, 1.0 / n)
+        cells[[0, -1]] *= 0.5
+        return cells
 
 
 def check_times(times_s) -> None:

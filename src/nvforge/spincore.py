@@ -156,15 +156,22 @@ def _merge_centers(
 ) -> list[tuple[float, float]]:
     # Greedy left-to-right clustering; centers are pre-sorted.
     tol = LINE_MERGE_FRACTION * linewidth_hz
+
+    def line(group: list[float]) -> tuple[float, float]:
+        # The mean of up to eight centres is taken at 1/8 scale, so their sum
+        # cannot overflow; both factors are powers of two, so a normal centre
+        # keeps its bytes.
+        return float(np.mean(np.multiply(group, 0.125))) * 8.0, depth_each * len(group)
+
     resolved: list[tuple[float, float]] = []
     group: list[float] = []
     for _, _, f in centers:
         if group and f - group[0] > tol:
-            resolved.append((float(np.mean(group)), depth_each * len(group)))
+            resolved.append(line(group))
             group = []
         group.append(f)
     if group:
-        resolved.append((float(np.mean(group)), depth_each * len(group)))
+        resolved.append(line(group))
     return resolved
 
 

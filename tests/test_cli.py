@@ -1,20 +1,30 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nvforge
 from nvforge import cli, dataio, fitkit, fixtures, magnetometry, scan
 from nvforge.cli import COMMANDS, main
 from nvforge.curves import DecayCurve
 from nvforge.levmar import NumericalFailure
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import same_bytes  # noqa: E402
 
 
 def _read_json(path):
@@ -1227,3 +1237,105 @@ def test_help_lists_all_config_keys():
             assert (name if name == spec.positional else "--" + name.replace("_", "-")) in text
             for value in getattr(typ, "choices", ()):
                 assert value in text, (command, name, value)
+
+
+def test_import_nvforge_loads_no_submodule_and_no_numpy():
+    # The package namespace holds only __version__; names live in their modules.
+    code = (
+        "import sys, nvforge; "
+        "print(sorted(m for m in sys.modules if m.startswith(('nvforge.', 'numpy'))), nvforge.__version__)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(nvforge.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] 0.1.0\n", "")
+
+
+# The exit-code contract over every command of the registry.  Floats come
+# from the float range's edges and the option's default; ints are kept small
+# enough (and the MC cheap enough) for one run to take well under a second.
+CONTRACT_FLOATS = ("0", "-1", "5e-324", "1e-300", "1e300", "1.7e308")
+CONTRACT_INT_MAX = {"n_traj": 2000, "n_pulses": 2048, "n_times": 64, "n_freq": 4001, "seed": 2**32}
+CONTRACT_BOOLEANS = ("true", "false", "1", "0", "yes", "no", "on", "off")
+
+
+@st.composite
+def contract_argv(draw):
+    """One CLI call: a command and its options, each ``--option=value``."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    command = COMMANDS[name]
+    options = {"seed": cli.COMMON_OPTIONS["seed"], **command.options}
+    # The options that pick a branch (a choice or an input file) are always
+    # set, and so is the MC's trajectory count, to keep it small.
+    picks = [o for o, (typ, _, _) in command.options.items()
+             if typ is str or hasattr(typ, "choices") or o == "n_traj"]
+    others = sorted(set(options) - set(picks))
+    argv = [name]
+    for option in picks + draw(st.lists(st.sampled_from(others), max_size=4, unique=True)):
+        typ, default, _ = options[option]
+        if typ is cli.finite:
+            ordinary = [repr(default), repr(-default)] if default else ["1e-6", "2.5"]
+            value = draw(st.sampled_from(CONTRACT_FLOATS) | st.sampled_from(ordinary))
+        elif typ is int:
+            value = str(draw(st.integers(-1, CONTRACT_INT_MAX[option])))
+        elif typ is cli.boolean:
+            value = draw(st.sampled_from(CONTRACT_BOOLEANS))
+        elif hasattr(typ, "choices"):
+            value = draw(st.sampled_from(typ.choices))
+            value = draw(st.sampled_from([value, value.upper(), value.title()]))
+        else:  # str: an input file of the working directory
+            value = draw(st.sampled_from(CONTRACT_INPUTS))
+        if option == command.positional:
+            argv.insert(1, value)
+        else:
+            argv.append(f"--{option.replace('_', '-')}={value}")
+    return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """A working directory holding every input file the contract test may name."""
+    root = tmp_path_factory.mktemp("contract")
+    for name, text in same_bytes.INPUT_FILES.items():
+        (root / name).write_text(text)
+    for name, payload in {"decay.csv": fixtures.decay_family_fig7()[0][1],
+                          "grid.csv": fixtures.spot_grid_fig5(0),
+                          "depth.csv": fixtures.depth_profile_fig6(0),
+                          "spectrum.csv": fixtures.spectrum_s123("s1")}.items():
+        dataio.write(root / name, payload)
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        yield root
+    finally:
+        os.chdir(cwd)
+
+
+CONTRACT_INPUTS = (*sorted(same_bytes.INPUT_FILES), "decay.csv", "grid.csv", "depth.csv", "spectrum.csv",
+                   "missing.csv")
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(argv=contract_argv())
+@example(argv=["odmr", "--f-min-hz=0", "--zfs-d-hz=1e308"])  # eight centres whose sum overflows
+def test_every_command_keeps_the_exit_code_contract(contract_dir, argv):
+    # Exit 0, 2, 3 or 4; no traceback or RuntimeWarning; nothing non-finite written.
+    out_dir = Path(tempfile.mkdtemp(dir=contract_dir))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([*argv, "--output-dir", str(out_dir)])
+    assert code in (0, 2, 3, 4), argv
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue(), argv
+    for path in out_dir.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=_refuse_constant)
+        else:
+            assert not re.search(r"nan|inf", text.split("\n", 1)[1], re.IGNORECASE), (argv, path.name)
+    shutil.rmtree(out_dir)

@@ -497,8 +497,6 @@ def test_mc_weights_give_twice_chi(monkeypatch):
     monkeypatch.setattr(engines, "_mc_chunk_sums", capture)
     rng = np.random.default_rng(27)
     draws = [(int(rng.integers(0, 4097)), np.sort(10.0 ** rng.uniform(-12, 3, 4))) for _ in range(100)]
-    # Of every n <= 4096, n = 4033 has the largest error, 1.22e-18 / t at
-    # both t = 1e-12 and 1e-8; 1417 at 1.5e-11 gives 1.24e-9.
     draws += [(4033, np.array([1e-12, 1e-8])), (1417, np.array([1.5e-11]))]
     for n, times in draws:
         captured.clear()
@@ -506,7 +504,7 @@ def test_mc_weights_give_twice_chi(monkeypatch):
         (weights,) = captured
         for t, w in zip(times.tolist(), weights.T):
             err = abs(Decimal(math.fsum((w * w).tolist())) / (2 * decimal_chi(n, t)) - 1)
-            assert err <= Decimal(2e-13 + 1.25e-18 / t), (n, t)
+            assert err <= Decimal(1e-14), (n, t)
 
 
 def state_recursion_chunk_sums(rng, chunk_n, coeffs, b_rad_s):

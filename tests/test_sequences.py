@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +9,9 @@ from nvforge.sequences import build_sequence
 
 
 def reference_cell_lengths(n, times):
-    """Reference cells: the pi-pulse fractions divided one by one in Python floats."""
-    fractions = [(2 * k - 1) / (2 * n) for k in range(1, n + 1)]
-    return np.multiply.outer(times, np.diff([0.0, *fractions, 1.0]))
+    """Reference cells in Python floats: half a cell 1/n at each end, n - 1 cells of 1/n (Ramsey: one cell)."""
+    cells = [1 / n / 2, *[1 / n] * (n - 1), 1 / n / 2] if n else [1.0]
+    return np.multiply.outer(times, np.array(cells))
 
 
 def test_ramsey_has_no_pi_pulses():
@@ -67,6 +69,18 @@ def test_cell_lengths_same_bytes_as_tuple_fractions(n, times):
     seq = build_sequence("cpmg", 1e-6, n=n) if n else build_sequence("ramsey", 1e-6)
     times = np.array(times)
     assert seq.cell_lengths(times).tobytes() == reference_cell_lengths(n, times).tobytes()
+
+
+def test_unit_cells_refocus_static_noise_exactly():
+    # A static field picks up the signed cell sum, which must be exactly 0
+    # for every count; the inner cells are one float.  The sum is taken over
+    # the distinct lengths, each times its signed count.
+    for n in range(1, 4097):
+        cells = build_sequence("cpmg", 1e-6, n=n).cell_lengths(1.0)
+        lengths, index = np.unique(cells, return_inverse=True)
+        counts = np.bincount(index, weights=(-1.0) ** np.arange(cells.size))
+        assert sum(Fraction(c) * int(k) for c, k in zip(lengths.tolist(), counts.tolist())) == 0, n
+        assert np.unique(cells[1:-1]).size <= 1, n
 
 
 @pytest.mark.parametrize(

@@ -151,6 +151,14 @@ def test_odmr_signal_returns_to_one_far_from_lines():
     assert np.all(spec.signal >= 1 - params.odmr_contrast)
 
 
+@pytest.mark.parametrize("zfs_hz", [1e308, 1.7e308])
+def test_odmr_lines_near_the_float_limit_merge_without_overflow(zfs_hz):
+    # All eight centres round to D; their sum alone would overflow.
+    params = SpinParams(zfs_d_hz=zfs_hz)
+    spec = odmr_spectrum(params, MagneticFieldVector(0, 0, B_16_GAUSS), [0.0, zfs_hz])
+    assert spec.resolved_lines == [(zfs_hz, params.odmr_contrast)]
+
+
 def test_odmr_rejects_bad_grid():
     params = SpinParams()
     field = MagneticFieldVector(0, 0, 0)

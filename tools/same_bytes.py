@@ -249,6 +249,8 @@ def script() -> list[tuple[str, list[str]]]:
         ("budget_incorporation_huge", ["implant", "budget", "--incorporation-rate=1.7e308"]),
         ("odmr_linewidth_subnormal", ["odmr", "--linewidth-hz=5e-324"]),
     ]
+    # Line centres near the float limit: eight of them must average without overflow.
+    steps += [("odmr_zfs_huge", ["odmr", "--f-min-hz", "0", "--zfs-d-hz", "1e308"])]
     return steps
 
 
