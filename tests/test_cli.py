@@ -1295,27 +1295,25 @@ def _refuse_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
+# Well-formed inputs besides the same-bytes script's ill-formed ones: name -> payload maker.
+CONTRACT_FIXTURES = {
+    "decay.csv": lambda: fixtures.decay_family_fig7()[0][1],
+    "grid.csv": lambda: fixtures.spot_grid_fig5(0),
+    "depth.csv": lambda: fixtures.depth_profile_fig6(0),
+    "spectrum.csv": lambda: fixtures.spectrum_s123("s1"),
+}
+CONTRACT_INPUTS = (*sorted(same_bytes.INPUT_FILES), *CONTRACT_FIXTURES, "missing.csv")
+
+
 @pytest.fixture(scope="module")
 def contract_dir(tmp_path_factory):
-    """A working directory holding every input file the contract test may name."""
+    """A directory holding every input file the contract test may name."""
     root = tmp_path_factory.mktemp("contract")
     for name, text in same_bytes.INPUT_FILES.items():
         (root / name).write_text(text)
-    for name, payload in {"decay.csv": fixtures.decay_family_fig7()[0][1],
-                          "grid.csv": fixtures.spot_grid_fig5(0),
-                          "depth.csv": fixtures.depth_profile_fig6(0),
-                          "spectrum.csv": fixtures.spectrum_s123("s1")}.items():
-        dataio.write(root / name, payload)
-    cwd = os.getcwd()
-    os.chdir(root)
-    try:
-        yield root
-    finally:
-        os.chdir(cwd)
-
-
-CONTRACT_INPUTS = (*sorted(same_bytes.INPUT_FILES), "decay.csv", "grid.csv", "depth.csv", "spectrum.csv",
-                   "missing.csv")
+    for name, make in CONTRACT_FIXTURES.items():
+        dataio.write(root / name, make())
+    return root
 
 
 @settings(max_examples=600, derandomize=True, deadline=None)
@@ -1325,10 +1323,15 @@ def test_every_command_keeps_the_exit_code_contract(contract_dir, argv):
     # Exit 0, 2, 3 or 4; no traceback or RuntimeWarning; nothing non-finite written.
     out_dir = Path(tempfile.mkdtemp(dir=contract_dir))
     err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = main([*argv, "--output-dir", str(out_dir)])
+    cwd = os.getcwd()
+    os.chdir(contract_dir)  # input files are named relative to it
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([*argv, "--output-dir", str(out_dir)])
+    finally:
+        os.chdir(cwd)
     assert code in (0, 2, 3, 4), argv
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
     assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue(), argv
