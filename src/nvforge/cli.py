@@ -164,6 +164,8 @@ def _cmd_odmr(opts: dict, seed: int, out_dir: Path) -> list[Path]:
         f_max = params.zfs_d_hz + span if f_max is None else f_max
     if not f_max > f_min:
         raise ConfigError("f-max-hz must exceed f-min-hz")
+    if not math.isfinite(f_max - f_min):
+        raise ConfigError("the frequency span from f-min-hz to f-max-hz is not finite")
     grid = np.linspace(f_min, f_max, opts["n_freq"])
     spectrum = odmr_spectrum(params, field, grid)
     return _write(

@@ -6,8 +6,6 @@ value (e.g. the range-curve anchors in :mod:`nvforge.implant`) it lives next
 to the code that uses it instead.
 """
 
-import numpy as np
-
 # NV ground-state zero-field splitting between m_S = 0 and m_S = +/-1 (Hz).
 ZERO_FIELD_SPLITTING_HZ = 2.87e9
 
@@ -20,14 +18,3 @@ CARBON_NUMBER_DENSITY_M3 = 1.76e29
 # Elementary charge (coulomb); beam currents are singly-charged ion counts.
 ELEMENTARY_CHARGE_C = 1.602176634e-19  # CODATA 2018, exact
 
-# The four <111> body diagonals of the diamond lattice, normalized.
-# Pairwise dot products are exactly +/- 1/3.
-NV_AXIS_DIRECTIONS = np.array(
-    [
-        [1.0, 1.0, 1.0],
-        [1.0, -1.0, -1.0],
-        [-1.0, 1.0, -1.0],
-        [-1.0, -1.0, 1.0],
-    ]
-) / np.sqrt(3.0)
-NV_AXIS_DIRECTIONS.setflags(write=False)

@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import (
-    GYROMAGNETIC_RATIO_HZ_PER_T,
-    NV_AXIS_DIRECTIONS,
-    ZERO_FIELD_SPLITTING_HZ,
-)
+from .constants import GYROMAGNETIC_RATIO_HZ_PER_T, ZERO_FIELD_SPLITTING_HZ
 
 # Dips whose centers lie within this fraction of the linewidth merge into a
 # single resolved line.
@@ -87,26 +83,17 @@ class MagneticFieldVector:
         return float(np.linalg.norm(self.as_array()))
 
 
-@dataclass(frozen=True)
-class NVAxis:
-    """One of the four canonical <111> NV symmetry axes."""
-
-    direction: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.direction, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise ValueError("axis direction must be a unit vector")
-        if min(np.linalg.norm(NV_AXIS_DIRECTIONS - d, axis=1)) > 1e-9:
-            raise ValueError("axis must be one of the four canonical <111> directions")
-        object.__setattr__(self, "direction", tuple(float(c) for c in d))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.direction)
-
-
-#: The four canonical axes, in a fixed order used for axis indices.
-CANONICAL_AXES = tuple(NVAxis(tuple(row)) for row in NV_AXIS_DIRECTIONS)
+#: The four <111> NV symmetry axes of the diamond lattice as unit rows, in a
+#: fixed order used for axis indices; pairwise dot products are -1/3.
+CANONICAL_AXES = np.array(
+    [
+        [1.0, 1.0, 1.0],
+        [1.0, -1.0, -1.0],
+        [-1.0, 1.0, -1.0],
+        [-1.0, -1.0, 1.0],
+    ]
+) / np.sqrt(3.0)
+CANONICAL_AXES.setflags(write=False)
 
 
 @dataclass
@@ -126,9 +113,9 @@ class OdmrSpectrum:
     resolved_lines: list[tuple[float, float]] = field(default_factory=list)
 
 
-def project_field(fieldvec: MagneticFieldVector, axis: NVAxis) -> float:
-    """Signed projection (tesla) of the lab field onto an NV axis."""
-    return float(fieldvec.as_array() @ axis.as_array())
+def project_field(fieldvec: MagneticFieldVector, axis: np.ndarray) -> float:
+    """Signed projection (tesla) of the lab field onto an NV axis, a row of ``CANONICAL_AXES``."""
+    return float(fieldvec.as_array() @ axis)
 
 
 def transition_frequencies(params: SpinParams, b_parallel_t: float) -> tuple[float, float]:
@@ -212,17 +199,15 @@ def odmr_spectrum(
     )
 
 
-def _axis_frame(axis: NVAxis) -> np.ndarray:
+def _axis_frame(axis: np.ndarray) -> np.ndarray:
     """Right-handed orthonormal frame with the NV axis as its z column."""
-    z = axis.as_array()
-    x = np.cross([0.0, 0.0, 1.0], z)  # no <111> axis is parallel to e_z
+    x = np.cross([0.0, 0.0, 1.0], axis)  # no <111> axis is parallel to e_z
     x /= np.linalg.norm(x)
-    y = np.cross(z, x)
-    return np.column_stack([x, y, z])
+    return np.column_stack([x, np.cross(axis, x), axis])
 
 
 def full_hamiltonian_frequencies(
-    params: SpinParams, fieldvec: MagneticFieldVector, axis: NVAxis
+    params: SpinParams, fieldvec: MagneticFieldVector, axis: np.ndarray
 ) -> tuple[float, float]:
     """Exact transition frequencies from the 3x3 ground-state Hamiltonian.
 

@@ -239,8 +239,7 @@ def test_criterion_6_odmr():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
-        axis = CANONICAL_AXES[rng.integers(4)]
-        z = axis.as_array()
+        z = axis = CANONICAL_AXES[rng.integers(4)]
         ref = np.array([0.0, 0.0, 1.0]) if abs(z[2]) < 0.9 else np.array([0.0, 1.0, 0.0])
         x = np.cross(ref, z)
         x /= np.linalg.norm(x)

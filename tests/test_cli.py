@@ -1241,13 +1241,15 @@ def test_help_lists_all_config_keys():
 
 def test_import_nvforge_loads_no_submodule_and_no_numpy():
     # The package namespace holds only __version__; names live in their modules.
-    code = (
-        "import sys, nvforge; "
-        "print(sorted(m for m in sys.modules if m.startswith(('nvforge.', 'numpy'))), nvforge.__version__)"
-    )
+    # The constants are plain floats, so importing them loads no numpy either.
     env = {**os.environ, "PYTHONPATH": str(Path(nvforge.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] 0.1.0\n", "")
+    for module, loaded in (("nvforge", []), ("nvforge.constants", ["nvforge.constants"])):
+        code = (
+            f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.startswith(('nvforge.', 'numpy'))), nvforge.__version__)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{loaded} 0.1.0\n", ""), module
 
 
 # The exit-code contract over every command of the registry.  Floats come
@@ -1319,6 +1321,7 @@ def contract_dir(tmp_path_factory):
 @settings(max_examples=600, derandomize=True, deadline=None)
 @given(argv=contract_argv())
 @example(argv=["odmr", "--f-min-hz=0", "--zfs-d-hz=1e308"])  # eight centres whose sum overflows
+@example(argv=["odmr", "--gamma-hz-per-t=1.7e308", "--bz-t=1"])  # a grid span that overflows
 def test_every_command_keeps_the_exit_code_contract(contract_dir, argv):
     # Exit 0, 2, 3 or 4; no traceback or RuntimeWarning; nothing non-finite written.
     out_dir = Path(tempfile.mkdtemp(dir=contract_dir))

@@ -1,26 +1,26 @@
 """Same bytes: every step of ``tools/same_bytes.py`` against a checked-in digest table.
 
-Each step of the tool's ``script()`` runs in process through ``cli.main``, in
-a directory that holds ``configs/`` and the tool's ``INPUT_FILES``, with
-``NVFORGE_SEED`` unset.  Its exit code, the SHA-256 of its stderr (with the
-directory replaced by ``<ROOT>``) and the SHA-256 of each output file except
-``manifest.json`` must equal its entry in ``same_bytes_digests.json``.  The
-table records the Python and numpy versions that made it, because libm and
-numpy can move bytes.  A declared byte change regenerates the table:
+Each step of the tool's ``script()`` runs in process through the tool's
+``run_steps``, in a directory that holds ``configs/`` and the tool's
+``INPUT_FILES``, with ``NVFORGE_SEED`` unset.  Its exit code, the SHA-256 of
+its stderr (with the directory replaced by ``<ROOT>``) and the SHA-256 of each
+output file except ``manifest.json`` must equal its entry in
+``same_bytes_digests.json``.  The table records the Python and numpy versions
+that made it, because libm and numpy can move bytes.  A declared byte change regenerates the table:
 
     PYTHONPATH=src python tests/test_same_bytes.py > tests/same_bytes_digests.json
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import platform
 import re
 import shutil
+import signal
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -44,25 +44,14 @@ def versions() -> dict:
 
 
 def run_steps(root: Path, steps) -> dict:
-    """Write the inputs into ``root``, the working directory, and run ``steps`` there.
+    """Copy ``configs/`` into ``root``, the working directory, and run ``steps`` there.
 
     Returns step name -> {"exit", "stderr", "files"}, the last two as SHA-256 digests.
     """
     shutil.copytree(REPO / "configs", root / "configs")
-    for name, text in same_bytes.INPUT_FILES.items():
-        (root / name).write_text(text)
-    results = {}
-    for name, argv in steps:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main([*argv, "--output-dir", f"out/{name}"])
-        results[name] = {
-            "exit": code,
-            "stderr": _sha256(err.getvalue().replace(str(root), "<ROOT>").encode()),
-            "files": {p.name: _sha256(p.read_bytes())
-                      for p in sorted((root / "out" / name).glob("*")) if p.name != "manifest.json"},
-        }
-    return results
+    return {name: {"exit": code, "stderr": _sha256(err.encode()),
+                   "files": {f: _sha256(data) for f, data in files.items()}}
+            for name, (code, _, err, files) in same_bytes.run_steps(root, steps).items()}
 
 
 def differences(results: dict, expected: dict) -> list[str]:
@@ -122,6 +111,25 @@ def test_one_changed_writer_byte_fails_the_digests(tmp_path, monkeypatch):
     assert len(steps) == 5
     results = run_steps(tmp_path, steps)
     assert differences(results, expected) == [f"{name}: file fig6_depth_profile.csv" for name, _ in steps]
+
+
+def test_a_step_past_the_timeout_is_stopped_and_the_next_runs(tmp_path, monkeypatch):
+    main = cli.main
+
+    def main_or_sleep(argv):
+        if argv[0] == "sleep":
+            time.sleep(60)
+        return main(argv)
+
+    monkeypatch.setattr(cli, "main", main_or_sleep)
+    monkeypatch.setattr(same_bytes, "TIMEOUT_S", 1)
+    monkeypatch.chdir(tmp_path)
+    started = time.monotonic()
+    results = same_bytes.run_steps(tmp_path, [("slow", ["sleep"]), ("budget", ["implant", "budget"])])
+    assert time.monotonic() - started < 30
+    assert results["slow"] == ("timeout", "", "stopped after 1 s", {})
+    assert results["budget"][0] == 0 and "nitrogen_budget.json" in results["budget"][3]
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 
     python3 tools/same_bytes.py PARENT CANDIDATE     # any two git revisions
 
-Each revision is exported with ``git archive`` into a temporary directory
-and runs the steps of :func:`script`, one ``python -m nvforge.cli``
-subprocess each; the step names are the list of cases.  Per step, the exit
+Each revision is exported with ``git archive`` into a temporary directory,
+where one child process runs the steps of :func:`script` through
+:func:`run_steps`; the step names are the list of cases.  Per step, the exit
 code, stdout, stderr (with the export directory replaced by ``<ROOT>``) and
 every output file except ``manifest.json`` are compared; a step still
 running after ``TIMEOUT_S`` seconds is stopped and counts as a difference.
@@ -14,18 +14,23 @@ relative difference between the numbers at the same place of the two
 files, or "structure differs" when the text around the numbers is not the
 same; exits 1 if there is any difference, 0 otherwise.
 
-``tests/test_same_bytes.py`` runs the same steps in process against a
-checked-in digest table.
+``tests/test_same_bytes.py`` runs the same steps through the same
+:func:`run_steps` against a checked-in digest table.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
+import pickle
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -251,6 +256,9 @@ def script() -> list[tuple[str, list[str]]]:
     ]
     # Line centres near the float limit: eight of them must average without overflow.
     steps += [("odmr_zfs_huge", ["odmr", "--f-min-hz", "0", "--zfs-d-hz", "1e308"])]
+    # Grids whose span f_max - f_min overflows, from the auto span or from the options.
+    steps += [("odmr_span_overflow_auto", ["odmr", "--gamma-hz-per-t=1.7e308", "--bz-t=1"]),
+              ("odmr_span_overflow_explicit", ["odmr", "--f-min-hz=-1.7e308", "--f-max-hz=1.7e308"])]
     return steps
 
 
@@ -263,32 +271,54 @@ def export(rev: str, root: Path) -> None:
         sys.exit(f"git archive {rev} failed")
 
 
-def run_revision(rev: str, root: Path) -> dict[str, tuple]:
-    """Export ``rev`` into ``root``, run the script there, collect the results."""
-    export(rev, root)
+class StepTimeout(BaseException):
+    """A step still running after ``TIMEOUT_S`` seconds; no handler of ``cli.main`` catches it."""
+
+
+def _stop(signum, frame):
+    raise StepTimeout
+
+
+def run_steps(root: Path, steps) -> dict[str, tuple]:
+    """Write the inputs into ``root``, the working directory, and run ``steps`` there in process.
+
+    Returns step name -> (exit code, stdout, stderr, output files except
+    ``manifest.json`` as name -> bytes), with ``root`` replaced by ``<ROOT>``.
+    """
+    from nvforge import cli  # imported here: the revision first on the path is the one run
     for name, text in INPUT_FILES.items():
         (root / name).write_text(text)
-    env = {k: v for k, v in os.environ.items() if k not in ("NVFORGE_SEED", "PYTHONWARNINGS")}
-    env["PYTHONPATH"] = str(root / "src")
+    handler = signal.signal(signal.SIGALRM, _stop)
     results = {}
-    for name, argv in script():
-        out = root / "out" / name
+    for name, argv in steps:
+        out, err = io.StringIO(), io.StringIO()
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "nvforge.cli", *argv, "--output-dir", f"out/{name}"],
-                cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
-            )
-        except subprocess.TimeoutExpired:
+            signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
+            # A fresh warnings state per step shows each step its warnings, as a new process would.
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, "--output-dir", f"out/{name}"])
+        except StepTimeout:
             results[name] = ("timeout", "", f"stopped after {TIMEOUT_S} s", {})
             continue
-        files = {p.name: p.read_bytes() for p in sorted(out.glob("*")) if p.name != "manifest.json"}
-        results[name] = (
-            proc.returncode,
-            proc.stdout.replace(str(root), "<ROOT>"),
-            proc.stderr.replace(str(root), "<ROOT>"),
-            files,
-        )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        files = {p.name: p.read_bytes() for p in sorted((root / "out" / name).glob("*"))
+                 if p.name != "manifest.json"}
+        results[name] = (code, *(buf.getvalue().replace(str(root), "<ROOT>") for buf in (out, err)), files)
+    signal.signal(signal.SIGALRM, handler)
     return results
+
+
+def run_revision(rev: str, root: Path) -> dict[str, tuple]:
+    """Export ``rev`` into ``root`` and run the script there, in one child process."""
+    export(rev, root)
+    env = {k: v for k, v in os.environ.items() if k not in ("NVFORGE_SEED", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(Path(__file__).parent)])
+    code = "import pathlib, pickle, sys, same_bytes as sb; " \
+           "pickle.dump(sb.run_steps(pathlib.Path.cwd(), sb.script()), sys.stdout.buffer)"
+    # A step's own stderr is captured in the child; a crash of the child prints to ours.
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, stdout=subprocess.PIPE, check=True)
+    return pickle.loads(done.stdout)
 
 
 def number_difference(a: bytes, b: bytes) -> str:
