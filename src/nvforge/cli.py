@@ -6,7 +6,8 @@ Subcommands: ``odmr``, ``decay``, ``fit``, ``sense``, ``implant``, ``scan``,
 file counterpart; explicit flags override file values.  The environment
 variable ``NVFORGE_SEED`` overrides the master seed from either source.
 :data:`COMMANDS` is the one table that builds the parser, the config keys
-and the dispatch.
+and the dispatch.  Handlers import their modules when they run, so only the
+commands that compute with numpy load it.
 
 Config files (``--config``): one ``key = value`` pair per line, ``#``
 starts a comment, blank lines are ignored.  Keys use the same names as the
@@ -31,22 +32,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from . import __version__, dataio, fitkit, fixtures, implant, magnetometry, presets
-from .engines import decay_time_grid, simulate_analytic, simulate_mc
-from .levmar import NumericalFailure
-from .noise import NoiseModel
-from .scan import (
-    charge_ratio,
-    detect_spots,
-    film_thickness,
-    identify_peaks,
-    purity_report,
-    van_der_pauw,
-)
-from .sequences import SEQUENCE_KINDS, build_sequence
-from .spincore import MagneticFieldVector, SpinParams, odmr_spectrum
+from . import __version__, constants
+from .constants import NumericalFailure, write_json
 
 DEFAULT_SEED = 12345
 ENGINE_RMS_TOLERANCE = 0.02
@@ -124,11 +111,20 @@ def choice(*values: str):
 
 def _write(out_dir: Path, files: dict) -> list[Path]:
     """Write each ``{file name: payload}``; returns every path written."""
-    return [path for name, payload in files.items()
-            for path in dataio.write(out_dir / name, payload)]
+    paths = []
+    for name, payload in files.items():
+        if name.endswith(".json"):  # no numpy needed; a CSV's writer in dataio loads it
+            write_json(out_dir / name, payload)
+            paths.append(out_dir / name)
+        else:
+            from . import dataio
+            paths += dataio.write(out_dir / name, payload)
+    return paths
 
 
-def _noise_from_options(opts: dict) -> NoiseModel:
+def _noise_from_options(opts: dict):
+    from . import presets
+    from .noise import NoiseModel
     if opts["t1_q"] is not None and opts["t1_s"] is None:
         raise ConfigError("t1-q needs t1-s")
     q = NoiseModel.t1_exponent_q if opts["t1_q"] is None else opts["t1_q"]
@@ -147,6 +143,9 @@ def _noise_from_options(opts: dict) -> NoiseModel:
 
 
 def _cmd_odmr(opts: dict, seed: int, out_dir: Path) -> list[Path]:
+    import numpy as np
+    from . import dataio
+    from .spincore import MagneticFieldVector, SpinParams, odmr_spectrum
     params = SpinParams(
         zfs_d_hz=opts["zfs_d_hz"],
         gyromag_hz_per_t=opts["gamma_hz_per_t"],
@@ -174,6 +173,9 @@ def _cmd_odmr(opts: dict, seed: int, out_dir: Path) -> list[Path]:
 
 
 def _cmd_decay(opts: dict, seed: int, out_dir: Path) -> list[Path]:
+    import numpy as np
+    from .engines import decay_time_grid, simulate_analytic, simulate_mc
+    from .sequences import build_sequence
     engine = opts["engine"]
     n_pulses = opts["n_pulses"]
     if n_pulses is not None and opts["sequence"] != "cpmg":
@@ -227,6 +229,7 @@ def _cmd_decay(opts: dict, seed: int, out_dir: Path) -> list[Path]:
 def _cmd_fit(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     if not opts["input"]:
         raise ConfigError("fit requires --input")
+    from . import dataio, fitkit
     curve = dataio.read_decay_csv(Path(opts["input"]))
     fix = {"c": 0.0} if opts["pin_offset"] else None
     result = fitkit.fit(curve, getattr(fitkit.FitModel, opts["model"])(), fix=fix)
@@ -234,6 +237,7 @@ def _cmd_fit(opts: dict, seed: int, out_dir: Path) -> list[Path]:
 
 
 def _cmd_sense(opts: dict, seed: int, out_dir: Path) -> list[Path]:
+    from . import magnetometry
     spot_options = ("aleph_ppm", "volume_m3", "rate_cps", "contrast")
     if opts["preset"] == "paper-ideal":
         if any(opts[k] is not None for k in spot_options):
@@ -259,6 +263,7 @@ def _cmd_sense(opts: dict, seed: int, out_dir: Path) -> list[Path]:
 def _cmd_implant(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     if opts["action"] is None:
         raise ConfigError("implant requires an action (plan or budget)")
+    from . import implant
     if opts["action"] == "plan":
         beam = implant.BeamConfig(
             energy_ev=opts["energy_ev"],
@@ -278,26 +283,28 @@ def _cmd_implant(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     return _write(out_dir, {"nitrogen_budget.json": implant.nitrogen_budget(budget)})
 
 
-def _scan_vdp(_, opts: dict) -> dict:
+def _scan_vdp(scan, _, opts: dict) -> dict:
     if opts["r_a_ohm"] is None or opts["r_b_ohm"] is None:
         raise ConfigError("vdp mode requires r-a-ohm and r-b-ohm")
+    from .vdp import van_der_pauw
     rs, g = van_der_pauw(opts["r_a_ohm"], opts["r_b_ohm"])
     return {"sheet_resistance_ohm_sq": rs, "sheet_conductance_s_sq": g}
 
 
 # Readers are named, not held, so wrappers swapped into dataio see each read.
-# mode -> (dataio reader of --input, or None; reducer(data, opts) -> JSON payload; output file)
+# mode -> (dataio reader of --input, or None; reducer(scan module, data, opts) -> JSON payload;
+# output file).  Without a reader (vdp), scan and dataio, which load numpy, are not imported.
 SCAN_MODES = {
-    "spots": ("read_scan_grid_csv", lambda grid, opts: {
-        "spots": detect_spots(grid, threshold_sigma=opts["threshold_sigma"])}, "scan_spots.json"),
-    "depth": ("read_depth_profile_csv", lambda profile, opts: film_thickness(profile),
+    "spots": ("read_scan_grid_csv", lambda scan, grid, opts: {
+        "spots": scan.detect_spots(grid, threshold_sigma=opts["threshold_sigma"])}, "scan_spots.json"),
+    "depth": ("read_depth_profile_csv", lambda scan, profile, opts: scan.film_thickness(profile),
               "scan_depth.json"),
-    "spectrum": ("read_spectrum_csv", lambda spec, opts: {"peaks": identify_peaks(spec)},
+    "spectrum": ("read_spectrum_csv", lambda scan, spec, opts: {"peaks": scan.identify_peaks(spec)},
                  "scan_spectrum.json"),
-    "ratio": ("read_spectrum_csv", lambda spec, opts: charge_ratio(spec, kappa=opts["kappa"]),
+    "ratio": ("read_spectrum_csv", lambda scan, spec, opts: scan.charge_ratio(spec, kappa=opts["kappa"]),
               "scan_ratio.json"),
     "vdp": (None, _scan_vdp, "scan_vdp.json"),
-    "purity": ("read_scan_grid_csv", lambda grid, opts: purity_report(grid), "scan_purity.json"),
+    "purity": ("read_scan_grid_csv", lambda scan, grid, opts: scan.purity_report(grid), "scan_purity.json"),
 }
 
 
@@ -306,36 +313,38 @@ def _cmd_scan(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     if mode is None:
         raise ConfigError("scan requires --mode")
     reader, reduce, name = SCAN_MODES[mode]
-    data = None
+    scan = data = None
     if reader is not None:
         if not opts["input"]:
             raise ConfigError(f"scan mode {mode!r} requires --input")
+        from . import dataio, scan
         data = getattr(dataio, reader)(Path(opts["input"]))
-    return _write(out_dir, {name: reduce(data, opts)})
+    return _write(out_dir, {name: reduce(scan, data, opts)})
 
 
-# target -> seed -> {output file: payload}
+# target -> (fixtures module, seed) -> {output file: payload}
 FIXTURE_TARGETS = {
-    "fig5": lambda seed: {"fig5_spot_grid.csv": fixtures.spot_grid_fig5(seed)},
-    "fig6": lambda seed: {"fig6_depth_profile.csv": fixtures.depth_profile_fig6(seed)},
-    "fig7": lambda seed: {
+    "fig5": lambda fixtures, seed: {"fig5_spot_grid.csv": fixtures.spot_grid_fig5(seed)},
+    "fig6": lambda fixtures, seed: {"fig6_depth_profile.csv": fixtures.depth_profile_fig6(seed)},
+    "fig7": lambda fixtures, seed: {
         f"fig7_cpmg{n:02d}.csv": curve for n, curve in fixtures.decay_family_fig7()
     },
-    "fig9": lambda seed: {
+    "fig9": lambda fixtures, seed: {
         f"fig9_{kind}.csv": curve for kind, curve in fixtures.xy_curves_fig9().items()
     },
-    "raman": lambda seed: {"raman_spectrum.csv": fixtures.raman_spectrum()},
-    "s1s2s3": lambda seed: {
+    "raman": lambda fixtures, seed: {"raman_spectrum.csv": fixtures.raman_spectrum()},
+    "s1s2s3": lambda fixtures, seed: {
         f"spectrum_{sample}.csv": fixtures.spectrum_s123(sample) for sample in ("s1", "s2", "s3")
     },
-    "table2": lambda seed: {"table2_samples.json": fixtures.table2_metadata()},
+    "table2": lambda fixtures, seed: {"table2_samples.json": fixtures.table2_metadata()},
 }
 
 
 def _cmd_fixtures(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     if opts["target"] is None:
         raise ConfigError("fixtures requires --target")
-    return _write(out_dir, FIXTURE_TARGETS[opts["target"]](seed))
+    from . import fixtures
+    return _write(out_dir, FIXTURE_TARGETS[opts["target"]](fixtures, seed))
 
 
 @dataclass(frozen=True)
@@ -366,24 +375,24 @@ COMMANDS = {
         "bx_t": (finite, 0.0, "field x component (T)"),
         "by_t": (finite, 0.0, "field y component (T)"),
         "bz_t": (finite, 1.6e-3, "field z component (T)"),
-        "zfs_d_hz": (finite, SpinParams.zfs_d_hz, "zero-field splitting D (Hz)"),
-        "gamma_hz_per_t": (finite, SpinParams.gyromag_hz_per_t, "gyromagnetic ratio (Hz/T)"),
-        "linewidth_hz": (finite, SpinParams.linewidth_fwhm_hz, "dip FWHM (Hz)"),
-        "contrast": (finite, SpinParams.odmr_contrast, "total ODMR contrast"),
+        "zfs_d_hz": (finite, constants.ZERO_FIELD_SPLITTING_HZ, "zero-field splitting D (Hz)"),
+        "gamma_hz_per_t": (finite, constants.GYROMAGNETIC_RATIO_HZ_PER_T, "gyromagnetic ratio (Hz/T)"),
+        "linewidth_hz": (finite, constants.ODMR_LINEWIDTH_FWHM_HZ, "dip FWHM (Hz)"),
+        "contrast": (finite, constants.ODMR_CONTRAST, "total ODMR contrast"),
         "f_min_hz": (finite, None, "grid start (default: auto)"),
         "f_max_hz": (finite, None, "grid end (default: auto)"),
         "n_freq": (int, 2001, "number of grid points"),
     }),
     "decay": Command(_cmd_decay, {
-        "sequence": (choice(*SEQUENCE_KINDS), "hahn", "pulse sequence"),
+        "sequence": (choice(*constants.SEQUENCE_KINDS), "hahn", "pulse sequence"),
         "n_pulses": (int, None, "pi-pulse count, cpmg only [default: 1]"),
         "engine": (choice("mc", "analytic", "both"), "analytic", "decay engine (both: compare them)"),
-        "noise_preset": (choice(*presets.NOISE_PRESETS, "none"), "paper-like", "OU bath preset"),
+        "noise_preset": (choice(*constants.NOISE_PRESET_NAMES, "none"), "paper-like", "OU bath preset"),
         "b_rad_s": (finite, None, "OU coupling (rad/s) when preset is none"),
         "tau_c_s": (finite, None, "OU correlation time (s) when preset is none"),
         "t1_s": (finite, None, "longitudinal time (s), omit for none"),
         "t1_q": (finite, None,
-                 f"longitudinal stretching exponent, needs t1-s [default: {NoiseModel.t1_exponent_q}]"),
+                 f"longitudinal stretching exponent, needs t1-s [default: {constants.T1_EXPONENT_Q}]"),
         "t_min_s": (finite, None, "grid start (default: auto)"),
         "t_max_s": (finite, None, "grid end (default: auto)"),
         "n_times": (int, 24, "number of time points"),
@@ -392,7 +401,7 @@ COMMANDS = {
     }),
     "fit": Command(_cmd_fit, {
         "input": (str, None, "decay-curve CSV (time_s, signal)"),
-        "model": (choice(*fitkit.MODEL_PARAMS), "stretched_exp", "decay model"),
+        "model": (choice(*constants.MODEL_PARAMS), "stretched_exp", "decay model"),
         "pin_offset": (boolean, False, "fix the baseline c at 0"),
     }),
     "sense": Command(_cmd_sense, {
@@ -402,7 +411,7 @@ COMMANDS = {
         "rate_cps": (finite, None, "photon rate per center (counts/s)"),
         "contrast": (finite, None, "readout contrast"),
         "t2_star_s": (finite, None,
-                      f"T2* (s); preset supplies {magnetometry.PAPER_IDEAL_T2_STAR_S}"),
+                      f"T2* (s); preset supplies {constants.PAPER_IDEAL_T2_STAR_S}"),
         "t2_dd_s": (finite, None, "decoupled T2 (s) for the AC estimate"),
     }),
     "implant": Command(_cmd_implant, {
@@ -413,13 +422,12 @@ COMMANDS = {
         "diameter_m": (finite, 25e-6, "spot or aperture diameter (m)"),
         "dose_cm2": (finite, 1e12, "target atom dose (cm^-2)"),
         "chopper_pulse_s": (finite, None, "beam-chopper pulse length (s)"),
-        "species": (choice(*implant.ATOMS_PER_CHARGE), implant.BeamConfig.species,
-                    "ion species (N+ or N2+)"),
+        "species": (choice(*constants.ATOMS_PER_CHARGE), constants.ION_SPECIES, "ion species (N+ or N2+)"),
         "leak_sccm": (finite, 2.4e-4, "chamber leak rate (sccm)"),
         "flow_sccm": (finite, 400.0, "total process-gas flow (sccm)"),
-        "h2_purity": (finite, implant.GrowthBudget.h2_purity, "hydrogen purity fraction"),
-        "ch4_purity": (finite, implant.GrowthBudget.ch4_purity, "methane purity fraction"),
-        "incorporation_rate": (finite, implant.GrowthBudget.incorporation_rate,
+        "h2_purity": (finite, constants.H2_PURITY, "hydrogen purity fraction"),
+        "ch4_purity": (finite, constants.CH4_PURITY, "methane purity fraction"),
+        "incorporation_rate": (finite, constants.INCORPORATION_RATE,
                                "gas-to-solid nitrogen incorporation rate"),
     }, positional="action"),
     "scan": Command(_cmd_scan, {
@@ -517,7 +525,7 @@ def _write_manifest(
         "outputs": sorted(p.name for p in outputs),
         "wall_time_s": wall_time_s,
     }
-    dataio.write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def main(argv=None) -> int:

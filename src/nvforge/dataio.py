@@ -4,48 +4,20 @@ All writers produce byte-identical output for identical inputs: floats are
 rendered with shortest round-trip ``repr``, JSON keys are sorted, a
 dataclass record is written as its fields, and files are written atomically
 (temp file + rename).  A writer refuses a non-finite value with
-:class:`~nvforge.levmar.NumericalFailure` before it writes the file.
+:class:`~nvforge.constants.NumericalFailure` before it writes the file.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
+from .constants import _not_finite, atomic_write_text, write_json
 from .curves import DecayCurve
-from .levmar import NumericalFailure
 from .scan import DepthProfile, ScanGrid, Spectrum
 from .spincore import OdmrSpectrum
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _record_fields(obj) -> dict:
-    """JSON hook: a dataclass record is written as its fields."""
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _not_finite(path: Path) -> NumericalFailure:
-    return NumericalFailure(f"{path}: a value to write is not finite")
-
-
-def write_json(path: Path, payload) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_record_fields, allow_nan=False)
-    except ValueError as exc:  # nan or inf; the payloads hold no circular reference
-        raise _not_finite(path) from exc
-    atomic_write_text(Path(path), text + "\n")
 
 
 def read_json(path: Path):

@@ -47,7 +47,7 @@ from numpy.random import Generator, Philox
 
 from . import fitkit
 from .curves import DecayCurve
-from .levmar import NumericalFailure
+from .constants import NumericalFailure
 from .noise import NoiseModel, ou_cell_coefficients
 from .sequences import PulseSequence, build_sequence, check_times
 

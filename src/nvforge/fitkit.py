@@ -22,8 +22,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .constants import MODEL_PARAMS, NumericalFailure
 from .curves import DecayCurve
-from .levmar import NumericalFailure, covariance_from_jacobian, lm_least_squares
+from .levmar import covariance_from_jacobian, lm_least_squares
 
 EXPONENT_BOUNDS = (0.3, 3.0)
 
@@ -32,15 +33,6 @@ TRIPLET_MULTIPLICITIES = ((-1.0, 1 / 3), (0.0, 1 / 3), (1.0, 1 / 3))
 
 #: Spin-1/2 alternative (two lines split by the full coupling A).
 DOUBLET_MULTIPLICITIES = ((-0.5, 0.5), (0.5, 0.5))
-
-#: Model kind -> parameter names, in the order of the parameter vector.
-MODEL_PARAMS = {
-    "exp_t2star": ("a", "t2_star_s", "c"),
-    "stretched_exp": ("a", "t2_s", "p", "c"),
-    "t1_stretched": ("a", "t1_s", "q", "c"),
-    "fid_beats": ("a", "t2_star_s", "delta_hz", "a_hf_hz", "c"),
-}
-
 
 #: Parameter name -> (lower, upper) bound; any other parameter is unbounded.
 _PARAM_BOUNDS = {

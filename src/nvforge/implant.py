@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CARBON_NUMBER_DENSITY_M3, ELEMENTARY_CHARGE_C
-from .levmar import NumericalFailure
+from .constants import ATOMS_PER_CHARGE, CARBON_NUMBER_DENSITY_M3, CH4_PURITY, ELEMENTARY_CHARGE_C, H2_PURITY
+from .constants import INCORPORATION_RATE, ION_SPECIES, NumericalFailure
 
 GUN_ENERGY_RANGE_EV = (400.0, 5000.0)
 CHOPPER_PULSE_RANGE_S = (15e-6, 1.5e-3)
@@ -40,9 +40,6 @@ CH4_FRACTION = 0.04
 AIR_N2_FRACTION = 0.78
 SATURATION_PPM = 1e4
 
-# Ion species -> nitrogen atoms per elementary charge: N+ or N2+.
-ATOMS_PER_CHARGE = {"atomic": 1, "molecular": 2}
-
 
 class InfeasiblePlanError(ValueError):
     """The requested plan cannot be realized with the given beam."""
@@ -56,7 +53,7 @@ class BeamConfig:
     current_a: float
     spot_diameter_m: float
     chopper_pulse_s: float | None = None
-    species: str = "atomic"  # a key of ATOMS_PER_CHARGE
+    species: str = ION_SPECIES  # a key of ATOMS_PER_CHARGE
 
     def __post_init__(self) -> None:
         lo, hi = GUN_ENERGY_RANGE_EV
@@ -208,9 +205,9 @@ class GrowthBudget:
 
     total_flow_sccm: float
     leak_rate_sccm: float
-    h2_purity: float = 1.0
-    ch4_purity: float = 1.0
-    incorporation_rate: float = 1e-4
+    h2_purity: float = H2_PURITY
+    ch4_purity: float = CH4_PURITY
+    incorporation_rate: float = INCORPORATION_RATE
 
     def __post_init__(self) -> None:
         if not self.total_flow_sccm > 0:

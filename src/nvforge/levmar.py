@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .constants import NumericalFailure
+
 MAX_LAMBDA = 1e14
 LAMBDA_INIT = 1e-3
 LAMBDA_SHRINK = 0.3
@@ -23,10 +25,6 @@ LAMBDA_GROW = 4.0
 MAX_ITER = 500
 XTOL = 1e-8
 GTOL = 1e-10
-
-
-class NumericalFailure(RuntimeError):
-    """A numerical procedure failed to converge or produced non-finite values."""
 
 
 @dataclass

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import T1_EXPONENT_Q
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -22,7 +24,7 @@ class NoiseModel:
     b_rad_s: float
     tau_c_s: float
     t1_s: float = math.inf
-    t1_exponent_q: float = 1.0
+    t1_exponent_q: float = T1_EXPONENT_Q
 
     def __post_init__(self) -> None:
         if self.b_rad_s < 0:

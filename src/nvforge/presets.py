@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from .constants import NOISE_PRESET_NAMES
 from .engines import attenuation_exponent
 from .noise import NoiseModel
 from .sequences import build_sequence
@@ -58,10 +59,8 @@ def slow_bath_noise() -> NoiseModel:
     return NoiseModel(SLOW_BATH_B_RAD_S, SLOW_BATH_TAU_C_S)
 
 
-NOISE_PRESETS = {
-    "paper-like": paper_like_noise,
-    "slow-bath": slow_bath_noise,
-}
+# The names are in constants, where the CLI reads them without importing numpy.
+NOISE_PRESETS = dict(zip(NOISE_PRESET_NAMES, (paper_like_noise, slow_bath_noise)))
 
 
 def noise_preset(name: str) -> NoiseModel:

@@ -18,6 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .constants import SEQUENCE_KINDS
+
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -64,16 +66,6 @@ def check_times(times_s) -> None:
     """Raise ``ValueError`` if any total time is negative or NaN; both engines call it."""
     if not np.all(np.greater_equal(times_s, 0.0)):
         raise ValueError("times must be >= 0")
-
-
-# kind -> n -> (name, n_pi)
-SEQUENCE_KINDS = {
-    "ramsey": lambda n: ("ramsey", 0),
-    "hahn": lambda n: ("hahn", 1),
-    "cpmg": lambda n: (f"cpmg{n}", n),
-    "xy4": lambda n: ("xy4", 4),
-    "xy8": lambda n: ("xy8", 8),
-}
 
 
 def build_sequence(kind: str, tau_s: float, n: int | None = None) -> PulseSequence:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import GYROMAGNETIC_RATIO_HZ_PER_T, ZERO_FIELD_SPLITTING_HZ
+from .constants import GYROMAGNETIC_RATIO_HZ_PER_T, ODMR_CONTRAST, ODMR_LINEWIDTH_FWHM_HZ
+from .constants import ZERO_FIELD_SPLITTING_HZ
 
 # Dips whose centers lie within this fraction of the linewidth merge into a
 # single resolved line.
@@ -47,8 +48,8 @@ class SpinParams:
 
     zfs_d_hz: float = ZERO_FIELD_SPLITTING_HZ
     gyromag_hz_per_t: float = GYROMAGNETIC_RATIO_HZ_PER_T
-    linewidth_fwhm_hz: float = 6.0e6
-    odmr_contrast: float = 0.15
+    linewidth_fwhm_hz: float = ODMR_LINEWIDTH_FWHM_HZ
+    odmr_contrast: float = ODMR_CONTRAST
 
     def __post_init__(self) -> None:
         if not self.zfs_d_hz > 0:

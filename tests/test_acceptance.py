@@ -32,7 +32,6 @@ from nvforge.scan import (
     detect_spots,
     film_thickness,
     identify_peaks,
-    van_der_pauw,
 )
 from nvforge.sequences import build_sequence
 from nvforge.spincore import (
@@ -44,6 +43,7 @@ from nvforge.spincore import (
     project_field,
     transition_frequencies,
 )
+from nvforge.vdp import van_der_pauw
 
 
 def _report(criterion, ok, detail):

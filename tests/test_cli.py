@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nvforge
-from nvforge import cli, dataio, fitkit, fixtures, magnetometry, scan
+from nvforge import cli, dataio, engines, fitkit, fixtures, magnetometry, scan
 from nvforge.cli import COMMANDS, main
 from nvforge.curves import DecayCurve
 from nvforge.levmar import NumericalFailure
@@ -640,7 +641,7 @@ def test_decay_nan_rms_is_an_engine_mismatch(tmp_path, monkeypatch, capsys):
     def nan_mc(seq, noise, times, n_traj, seed):
         return DecayCurve(times, np.full(len(times), math.nan), {"mc_stderr": [0.0] * len(times)})
 
-    monkeypatch.setattr(cli, "simulate_mc", nan_mc)
+    monkeypatch.setattr(engines, "simulate_mc", nan_mc)
     argv = ["decay", "--engine", "both", "--n-times", "4", "--output-dir", str(tmp_path)]
     assert main(argv) == 4
     assert capsys.readouterr().err == (
@@ -1250,6 +1251,86 @@ def test_import_nvforge_loads_no_submodule_and_no_numpy():
         )
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{loaded} 0.1.0\n", ""), module
+
+
+def _modules_after(argv, tmp_path):
+    """Exit code and the sorted ``nvforge.*`` and ``numpy`` modules loaded by one CLI run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(nvforge.__file__).parents[1])}
+    env.pop("NVFORGE_SEED", None)
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from nvforge import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(('nvforge.', 'numpy')))]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == "", argv
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv, exit_code, loaded", [
+    (["sense"], 0, ["magnetometry"]),
+    (["implant", "plan"], 0, ["implant"]),
+    (["implant", "budget"], 0, ["implant"]),
+    (["scan", "--mode", "vdp", "--r-a-ohm", "100", "--r-b-ohm", "250"], 0, ["vdp"]),
+    (["--help"], 0, []),
+    (["decay", "--help"], 0, []),
+    (["--version"], 0, []),
+    (["implant"], 2, []),  # no action
+    (["implant", "plan", "--current-a=5e-324"], 4, ["implant"]),  # a plan time that is not finite
+])
+def test_pure_python_commands_load_no_numpy(tmp_path, argv, exit_code, loaded):
+    # These compute with math alone; the CLI imports each handler's modules when it runs.
+    assert _modules_after(argv, tmp_path) == (
+        exit_code, sorted(f"nvforge.{m}" for m in ("cli", "constants", *loaded)))
+
+
+# The nvforge modules each numpy command loaded when the CLI imported every module at its top.
+ALL_MODULES = ("cli", "constants", "curves", "dataio", "engines", "fitkit", "fixtures", "implant", "levmar",
+               "magnetometry", "noise", "presets", "scan", "sequences", "spincore")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--engine", "both", "--n-times", "8"],
+    ["fit", "--input", "fig7_cpmg04.csv"],
+    ["odmr"],
+    ["fixtures", "--target", "fig5"],
+])
+def test_numpy_commands_load_no_new_module(tmp_path, argv):
+    if argv[0] == "fit":
+        dataio.write_decay_csv(dict(fixtures.decay_family_fig7())[4], tmp_path / "fig7_cpmg04.csv")
+    exit_code, modules = _modules_after([*argv, "--output-dir", "out"], tmp_path)
+    assert exit_code == 0
+    assert "numpy" in modules
+    assert {m for m in modules if m.startswith("nvforge.")} <= {f"nvforge.{m}" for m in ALL_MODULES}
+
+
+# SHA-256 of stdout for each --help and --version at 80 columns (Python 3.11's
+# argparse), recorded when every handler's modules were imported at the CLI's top.
+HELP_DIGESTS = {
+    "--help": "65d32fe08a5d0a7c9503e478656d692511d032a07ab1fd9843b7f4b8c7caa9ad",
+    "odmr --help": "422deaee621f5761ea827405e0f5d9368a84620d5ea6fe8853a062d08c0f9005",
+    "decay --help": "54916779123e753e54416f49f25f1be63d4f16652346606d248b0cc249bd30b5",
+    "fit --help": "f9b000d373e53396b978316de918370e90680786487b74acd6f5095056f59049",
+    "sense --help": "f3b3eaf28f0cc2859fb9b2ea59a22d783b9713ea46542a88348912a7611a77bc",
+    "implant --help": "033bf4ca461764138b4dfaf8f0ff889474be2c6fe1010802e199ce264bd673be",
+    "scan --help": "8c4a833856daa9c982ffef628902c8693fdae1ee03b8a97d5a139ffbf7f79152",
+    "fixtures --help": "d1b6bf598a8082530bc5ae23d9f3d20d78b47ab4db959839c50332a37cd1fa10",
+    "--version": "a9c67c5f54b71e9e1e4a4e3ceed69d01ecdc80cc4e3c03ce01c3df3f26a1ff1c",
+}
+
+
+def test_help_and_version_keep_their_bytes(monkeypatch):
+    assert sys.version_info[:2] == (3, 11), "the digests were made with Python 3.11's argparse"
+    assert list(HELP_DIGESTS) == ["--help", *(f"{name} --help" for name in COMMANDS), "--version"]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    for args, digest in HELP_DIGESTS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(args.split()) == 0, args
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, args
 
 
 # The exit-code contract over every command of the registry.  Floats come

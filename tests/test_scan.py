@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from nvforge import dataio, fixtures, scan
+from nvforge import dataio, fixtures, vdp
 from nvforge.levmar import NumericalFailure
 from nvforge.scan import (
     DepthProfile,
@@ -19,8 +19,8 @@ from nvforge.scan import (
     label_regions,
     purity_report,
     robust_background,
-    van_der_pauw,
 )
+from nvforge.vdp import van_der_pauw
 
 
 def _flat_grid(level=5000.0, n=32):
@@ -363,7 +363,7 @@ def test_van_der_pauw_matches_a_high_precision_root():
     # (1e300, 100): summing exp(-x) + exp(-y) - 1 cancels from a ratio of ~1e4;
     # ratios on either side of VDP_LOG_SWITCH; and subnormal ratios, down to
     # one that underflows to 0, (5e-324, 1e300).
-    pairs = [(1e300, 100.0), (1.0, 1.0 / scan.VDP_LOG_SWITCH), (1.0, 0.99 / scan.VDP_LOG_SWITCH),
+    pairs = [(1e300, 100.0), (1.0, 1.0 / vdp.VDP_LOG_SWITCH), (1.0, 0.99 / vdp.VDP_LOG_SWITCH),
              (1e-320, 1.0), (5e-324, 1.0), (5e-324, 1e10), (5e-324, 1e300), (5e-324, 1.7e308),
              (1e-310, 1e-5), (2.5e-320, 3e-3)]
     for k in range(0, 301, 10):
@@ -407,7 +407,7 @@ def test_van_der_pauw_subnormal_ratio_rises_to_its_root():
 def test_van_der_pauw_step_cap(monkeypatch):
     # A ratio of 1e-200, above VDP_LOG_SWITCH, needs ~460 Newton steps of
     # about 1 from v = 0.
-    monkeypatch.setattr(scan, "VDP_MAX_STEPS", 100)
+    monkeypatch.setattr(vdp, "VDP_MAX_STEPS", 100)
     with pytest.raises(NumericalFailure, match="did not converge"):
         van_der_pauw(1e-200, 1.0)
 
