@@ -283,7 +283,7 @@ def _cmd_implant(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     return _write(out_dir, {"nitrogen_budget.json": implant.nitrogen_budget(budget)})
 
 
-def _scan_vdp(scan, _, opts: dict) -> dict:
+def _scan_vdp(_scan, _data, opts: dict) -> dict:
     if opts["r_a_ohm"] is None or opts["r_b_ohm"] is None:
         raise ConfigError("vdp mode requires r-a-ohm and r-b-ohm")
     from .vdp import van_der_pauw

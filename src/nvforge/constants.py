@@ -4,6 +4,7 @@ Physical constants are plain SI floats, exposed at module level so tests can
 pin them.  Where a constant is a convention of this toolkit rather than a
 CODATA value (e.g. the range-curve anchors in :mod:`nvforge.implant`) it lives
 next to the code that uses it instead.
+
 The CLI builds its parser and runs its pure-Python commands from this module
 alone, so it also owns their option vocabulary, :class:`NumericalFailure`
 and the JSON writer.

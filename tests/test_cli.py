@@ -1270,7 +1270,7 @@ def _modules_after(argv, tmp_path):
     return tuple(json.loads(proc.stdout))
 
 
-@pytest.mark.parametrize("argv, exit_code, loaded", [
+NO_NUMPY_RUNS = [  # argv, exit code, nvforge modules loaded besides cli and constants
     (["sense"], 0, ["magnetometry"]),
     (["implant", "plan"], 0, ["implant"]),
     (["implant", "budget"], 0, ["implant"]),
@@ -1280,7 +1280,10 @@ def _modules_after(argv, tmp_path):
     (["--version"], 0, []),
     (["implant"], 2, []),  # no action
     (["implant", "plan", "--current-a=5e-324"], 4, ["implant"]),  # a plan time that is not finite
-])
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, loaded", NO_NUMPY_RUNS, ids=[" ".join(run[0]) for run in NO_NUMPY_RUNS])
 def test_pure_python_commands_load_no_numpy(tmp_path, argv, exit_code, loaded):
     # These compute with math alone; the CLI imports each handler's modules when it runs.
     assert _modules_after(argv, tmp_path) == (
@@ -1297,7 +1300,7 @@ ALL_MODULES = ("cli", "constants", "curves", "dataio", "engines", "fitkit", "fix
     ["fit", "--input", "fig7_cpmg04.csv"],
     ["odmr"],
     ["fixtures", "--target", "fig5"],
-])
+], ids=" ".join)
 def test_numpy_commands_load_no_new_module(tmp_path, argv):
     if argv[0] == "fit":
         dataio.write_decay_csv(dict(fixtures.decay_family_fig7())[4], tmp_path / "fig7_cpmg04.csv")
