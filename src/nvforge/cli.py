@@ -23,14 +23,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__, constants
 from .constants import NumericalFailure, write_json
@@ -347,8 +345,7 @@ def _cmd_fixtures(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     return _write(out_dir, FIXTURE_TARGETS[opts["target"]](fixtures, seed))
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand.
 
     ``handler(opts, seed, out_dir)`` returns the paths it wrote.  ``options``
@@ -503,6 +500,7 @@ def _resolve(args: argparse.Namespace, command: Command) -> tuple[dict, int, Pat
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

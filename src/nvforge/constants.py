@@ -10,7 +10,6 @@ alone, so it also owns their option vocabulary, :class:`NumericalFailure`
 and the JSON writer.
 """
 
-import dataclasses
 import json
 import os
 from pathlib import Path
@@ -76,6 +75,7 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def _record_fields(obj) -> dict:
     """JSON hook: a dataclass record is written as its fields."""
+    import dataclasses  # loaded already by the record's own module
     if dataclasses.is_dataclass(obj):
         return dataclasses.asdict(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

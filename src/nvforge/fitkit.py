@@ -178,6 +178,9 @@ class FitModel:
         resid = y - c0
         a0 = float(np.max(np.abs(resid))) or 1.0
         lines = spectral_lines(t, resid)
+        periods = max(lines, key=lambda line: line[1])[0] * float(t[-1] - t[0])
+        if periods < 5.0:
+            raise ValueError(f"curve spans {periods:.2f} oscillation periods; need >= 5")
         freqs = np.array([f for f, _ in lines])
         # For a symmetric multiplet the unweighted line centroid equals the
         # detuning, and the largest offset is max|m| * A.
@@ -241,6 +244,9 @@ def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None)
 
     Raises
     ------
+    ValueError
+        For a ``fid_beats`` curve whose strongest line spans fewer than
+        five oscillation periods.
     RankDeficientDataError
         For constant (informationless) signal.
     FitConvergenceError
@@ -310,19 +316,7 @@ def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None)
 
 
 def fit_envelope(curve: DecayCurve, multiplicities=TRIPLET_MULTIPLICITIES) -> FitResult:
-    """Extract T2* from an oscillating free-induction curve.
-
-    Fits the full beat model rather than a literal envelope trace, which is
-    robust at beat nodes.  Requires at least five oscillation periods.
-    """
-    t = curve.times_s
-    lines = spectral_lines(t, curve.signal - float(np.mean(curve.signal)))
-    f_peak = max(lines, key=lambda line: line[1])[0]
-    span = float(t[-1] - t[0])
-    if f_peak * span < 5.0:
-        raise ValueError(
-            f"curve spans {f_peak * span:.2f} oscillation periods; need >= 5"
-        )
+    """T2* of an oscillating free-induction curve: :func:`fit` with the beat model."""
     return fit(curve, FitModel.fid_beats(multiplicities))
 
 

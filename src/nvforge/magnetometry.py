@@ -95,20 +95,6 @@ def eta_ac(eta_dc_value: float, t2_star_s: float, t2_dd_s: float) -> tuple[float
     return ac, factor
 
 
-def concentration_from_pl(
-    ensemble_rate_cps: float, single_center_rate_cps: float, focal_volume_m3: float
-) -> float:
-    """NV concentration (ppm) by scaling ensemble PL against a single center."""
-    if not (ensemble_rate_cps > 0 and single_center_rate_cps > 0):
-        raise ValueError("rates must be positive")
-    if ensemble_rate_cps < single_center_rate_cps:
-        raise ValueError("ensemble rate must be at least the single-center rate")
-    if not focal_volume_m3 > 0:
-        raise ValueError("focal_volume_m3 must be positive")
-    n_centers = ensemble_rate_cps / single_center_rate_cps
-    return n_centers / (focal_volume_m3 * CARBON_NUMBER_DENSITY_M3) * 1e6
-
-
 def sensitivity_report(
     spot: EnsembleSpot, t2_star_s: float, t2_dd_s: float | None = None
 ) -> SensitivityReport:

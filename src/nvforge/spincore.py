@@ -1,10 +1,10 @@
 """Static spin physics of the NV ground state.
 
 Covers projection of a lab-frame magnetic field onto the four NV symmetry
-axes, the secular transition frequencies f+- = D +- gamma*|B_par|, synthetic
-CW-ODMR spectra built from Lorentzian dips, and a full 3x3 ground-state
-Hamiltonian eigensolver that serves as the exact oracle for the secular
-approximation.
+axes, the secular transition frequencies f+- = D +- gamma*|B_par| and
+synthetic CW-ODMR spectra built from Lorentzian dips.  The tests check the
+secular approximation against an exact 3x3 ground-state Hamiltonian
+eigensolver of their own.
 
 Only the electronic lines are modeled here: hyperfine structure enters the
 free-induction simulation (:mod:`nvforge.engines`), not the ODMR spectrum.
@@ -23,11 +23,6 @@ from .constants import ZERO_FIELD_SPLITTING_HZ
 # Dips whose centers lie within this fraction of the linewidth merge into a
 # single resolved line.
 LINE_MERGE_FRACTION = 0.1
-
-# Spin-1 operators in the |+1>, |0>, |-1> basis.
-_SZ = np.diag([1.0, 0.0, -1.0])
-_SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2.0)
-_SY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -198,29 +193,3 @@ def odmr_spectrum(
         line_centers=centers,
         resolved_lines=resolved,
     )
-
-
-def _axis_frame(axis: np.ndarray) -> np.ndarray:
-    """Right-handed orthonormal frame with the NV axis as its z column."""
-    x = np.cross([0.0, 0.0, 1.0], axis)  # no <111> axis is parallel to e_z
-    x /= np.linalg.norm(x)
-    return np.column_stack([x, np.cross(axis, x), axis])
-
-
-def full_hamiltonian_frequencies(
-    params: SpinParams, fieldvec: MagneticFieldVector, axis: np.ndarray
-) -> tuple[float, float]:
-    """Exact transition frequencies from the 3x3 ground-state Hamiltonian.
-
-    Diagonalizes H = D*Sz^2 + gamma*(B . S) in the axis frame and returns
-    the two eigenvalue differences from the lowest (m_S = 0 like) state.
-    This is the oracle against which the secular approximation is checked.
-    """
-    frame = _axis_frame(axis)
-    b_axis = frame.T @ fieldvec.as_array()
-    g = params.gyromag_hz_per_t
-    h = params.zfs_d_hz * (_SZ @ _SZ) + g * (
-        b_axis[0] * _SX + b_axis[1] * _SY + b_axis[2] * _SZ
-    )
-    evals = np.linalg.eigvalsh(h)
-    return float(evals[1] - evals[0]), float(evals[2] - evals[0])

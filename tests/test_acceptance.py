@@ -38,12 +38,13 @@ from nvforge.spincore import (
     CANONICAL_AXES,
     MagneticFieldVector,
     SpinParams,
-    full_hamiltonian_frequencies,
     odmr_spectrum,
     project_field,
     transition_frequencies,
 )
 from nvforge.vdp import van_der_pauw
+
+from hamiltonian_oracle import full_hamiltonian_frequencies
 
 
 def _report(criterion, ok, detail):

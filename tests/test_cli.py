@@ -675,11 +675,13 @@ def test_fit_command_constant_signal_exits_4(tmp_path):
 
 
 def test_fit_non_finite_jacobian_exits_4_without_warnings(tmp_path, capsys):
-    # The beat model on a Hahn echo drives T2* onto its lower bound, where
-    # the Jacobian is no longer finite: a numerical failure, not bad input.
-    assert main(["decay", "--sequence", "hahn", "--output-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
-    curve = tmp_path / "decay_analytic.csv"
+    # A fast decay under a six-period cosine passes the five-period check, but
+    # the beat model drives T2* onto its lower bound, where the Jacobian is no
+    # longer finite: a numerical failure, not bad input.
+    t = np.linspace(1e-7, 1e-5, 200)
+    signal = np.exp(-((t / 1e-6) ** 3)) + 0.3 * np.cos(2 * np.pi * 6 * t / (t[-1] - t[0]))
+    curve = tmp_path / "beats.csv"
+    dataio.write_decay_csv(DecayCurve(t, np.clip(signal, -1.0, 1.0)), curve)
     code = main(
         ["fit", "--input", str(curve), "--model", "fid_beats", "--output-dir", str(tmp_path / "fit")]
     )
@@ -687,6 +689,21 @@ def test_fit_non_finite_jacobian_exits_4_without_warnings(tmp_path, capsys):
     assert code == 4
     assert err.startswith("numerical failure:")
     assert "Warning" not in err
+
+
+def test_fit_fid_beats_on_a_hahn_echo_exits_2(tmp_path, capsys):
+    # The echo spans under one period of its strongest line; the beat fit
+    # refuses it before LM starts, as bad input.
+    assert main(["decay", "--sequence", "hahn", "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "fit"
+    code = main(["fit", "--input", str(tmp_path / "decay_analytic.csv"), "--model", "fid_beats",
+                 "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: curve spans ")
+    assert err.endswith(" oscillation periods; need >= 5\n")
+    assert list(out.iterdir()) == []
 
 
 def test_fit_exp_t2star_on_a_hahn_echo_does_not_converge(tmp_path, capsys):
@@ -1253,8 +1270,8 @@ def test_import_nvforge_loads_no_submodule_and_no_numpy():
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{loaded} 0.1.0\n", ""), module
 
 
-def _modules_after(argv, tmp_path):
-    """Exit code and the sorted ``nvforge.*`` and ``numpy`` modules loaded by one CLI run in a fresh interpreter."""
+def _modules_after(argv, tmp_path, prefixes=("nvforge.", "numpy")):
+    """Exit code and the sorted modules named with ``prefixes`` loaded by one CLI run in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(nvforge.__file__).parents[1])}
     env.pop("NVFORGE_SEED", None)
     code = (
@@ -1262,7 +1279,7 @@ def _modules_after(argv, tmp_path):
         "from nvforge import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(('nvforge.', 'numpy')))]))"
+        f"print(json.dumps([code, sorted(m for m in sys.modules if m.startswith({prefixes!r}))]))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
@@ -1288,6 +1305,14 @@ def test_pure_python_commands_load_no_numpy(tmp_path, argv, exit_code, loaded):
     # These compute with math alone; the CLI imports each handler's modules when it runs.
     assert _modules_after(argv, tmp_path) == (
         exit_code, sorted(f"nvforge.{m}" for m in ("cli", "constants", *loaded)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["--version"], ["scan", "--mode", "vdp", "--r-a-ohm", "100", "--r-b-ohm", "250"],
+], ids=" ".join)
+def test_start_up_loads_no_dataclasses_inspect_or_hashlib(tmp_path, argv):
+    # Command is a NamedTuple; the JSON hook and the manifest's input hashes import theirs when called.
+    assert _modules_after(argv, tmp_path, ("dataclasses", "inspect", "hashlib")) == (0, [])
 
 
 # The nvforge modules each numpy command loaded when the CLI imported every module at its top.

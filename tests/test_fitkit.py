@@ -230,8 +230,8 @@ def test_envelope_pure_cosine_recovers_detuning():
 def test_envelope_requires_five_periods():
     t = np.linspace(1e-9, 60e-9, 200)  # three periods at 50 MHz
     curve = simulate_fid_beats(HyperfineTriplet(50e6, 0.0), 3.6e-6, t)
-    with pytest.raises(ValueError):
-        fit_envelope(curve)
+    with pytest.raises(ValueError, match=r"^curve spans 3\.00 oscillation periods; need >= 5$"):
+        fit(curve, FitModel.fid_beats())
 
 
 def test_wrong_model_residual_much_larger():

@@ -5,7 +5,6 @@ import pytest
 from nvforge.constants import CARBON_NUMBER_DENSITY_M3
 from nvforge.magnetometry import (
     EnsembleSpot,
-    concentration_from_pl,
     eta_ac,
     eta_dc,
     paper_ideal_spot,
@@ -91,32 +90,6 @@ def test_eta_ac_identity_and_precondition():
     assert value == 100e-9
     with pytest.raises(ValueError):
         eta_ac(100e-9, 3.6e-6, 1e-6)
-
-
-def test_concentration_single_center():
-    v = 1e-18
-    ppm = concentration_from_pl(1e5, 1e5, v)
-    assert ppm == pytest.approx(1.0 / (v * CARBON_NUMBER_DENSITY_M3) * 1e6, rel=1e-12)
-
-
-def test_concentration_fixture_reproduces_22_ppm():
-    v = 1e-18
-    n = 22e-6 * CARBON_NUMBER_DENSITY_M3 * v
-    ppm = concentration_from_pl(n * 1e5, 1e5, v)
-    assert ppm == pytest.approx(22.0, rel=1e-12)
-
-
-def test_concentration_halves_with_double_volume():
-    ppm1 = concentration_from_pl(2e9, 1e5, 1e-18)
-    ppm2 = concentration_from_pl(2e9, 1e5, 2e-18)
-    assert ppm1 / ppm2 == pytest.approx(2.0, rel=1e-12)
-
-
-def test_concentration_preconditions():
-    with pytest.raises(ValueError):
-        concentration_from_pl(1e4, 1e5, 1e-18)  # ensemble below single
-    with pytest.raises(ValueError):
-        concentration_from_pl(1e5, 0.0, 1e-18)
 
 
 def test_report_echoes_inputs_exactly():

@@ -8,11 +8,12 @@ from nvforge.spincore import (
     CANONICAL_AXES,
     MagneticFieldVector,
     SpinParams,
-    full_hamiltonian_frequencies,
     odmr_spectrum,
     project_field,
     transition_frequencies,
 )
+
+from hamiltonian_oracle import full_hamiltonian_frequencies
 
 B_16_GAUSS = 1.6e-3
 
