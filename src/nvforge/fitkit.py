@@ -178,7 +178,8 @@ class FitModel:
         resid = y - c0
         a0 = float(np.max(np.abs(resid))) or 1.0
         lines = spectral_lines(t, resid)
-        periods = max(lines, key=lambda line: line[1])[0] * float(t[-1] - t[0])
+        span = float(t[-1] - t[0])
+        periods = max(lines, key=lambda line: line[1])[0] * span
         if periods < 5.0:
             raise ValueError(f"curve spans {periods:.2f} oscillation periods; need >= 5")
         freqs = np.array([f for f, _ in lines])
@@ -187,8 +188,7 @@ class FitModel:
         delta0 = float(np.mean(freqs))
         max_m = max(abs(m) for m, _ in self.multiplicities) or 1.0
         ahf0 = float(np.max(np.abs(freqs - delta0))) / max_m
-        t0 = float(t[-1] - t[0]) / 2.0
-        return np.array([a0, t0, delta0, ahf0, c0])
+        return np.array([a0, span / 2.0, delta0, ahf0, c0])
 
 
 def spectral_lines(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
