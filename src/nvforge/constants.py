@@ -62,6 +62,21 @@ MODEL_PARAMS = {
 }
 
 
+#: Default hyperfine multiplet: nuclear spin 1, equal projection weights.
+TRIPLET_MULTIPLICITIES = ((-1.0, 1 / 3), (0.0, 1 / 3), (1.0, 1 / 3))
+
+#: Spin-1/2 alternative (two lines split by the full coupling A).
+DOUBLET_MULTIPLICITIES = ((-0.5, 0.5), (0.5, 0.5))
+
+
+def check_multiplicities(multiplicities) -> tuple[tuple[float, float], ...]:
+    """The multiplet as a tuple of (m, w) pairs; the weights must sum to 1."""
+    weights = sum(w for _, w in multiplicities)
+    if abs(weights - 1.0) > 1e-9:
+        raise ValueError("multiplicity weights must sum to 1")
+    return tuple(multiplicities)
+
+
 class NumericalFailure(RuntimeError):
     """A numerical procedure failed to converge or produced non-finite values."""
 

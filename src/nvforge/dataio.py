@@ -15,9 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import _not_finite, atomic_write_text, write_json
-from .curves import DecayCurve
-from .scan import DepthProfile, ScanGrid, Spectrum
-from .spincore import OdmrSpectrum
+from .curves import DecayCurve, DepthProfile, OdmrSpectrum, ScanGrid, Spectrum
 
 
 def read_json(path: Path):
@@ -169,12 +167,27 @@ def read_scan_grid_csv(path: Path) -> ScanGrid:
         return ScanGrid(x_um=x, y_um=data[:, 0], counts=data[:, 1:])
     if header[:3] != ["x_um", "y_um", "counts"]:
         raise ValueError(f"unrecognized scan-grid header: {header}")
-    x = np.unique(data[:, 0])
-    y = np.unique(data[:, 1])
+    x = sorted_unique(data[:, 0])
+    y = sorted_unique(data[:, 1])
     counts = np.full((y.size, x.size), np.nan)
     ix = np.searchsorted(x, data[:, 0])
     iy = np.searchsorted(y, data[:, 1])
     counts[iy, ix] = data[:, 2]
     if np.any(np.isnan(counts)):
         raise ValueError("scan-grid CSV does not cover a full rectangular grid")
+    if len(data) != counts.size:
+        raise ValueError(f"scan-grid CSV repeats a pixel: {len(data)} rows for {x.size} x {y.size} pixels")
     return ScanGrid(x_um=x, y_um=y, counts=counts)
+
+
+def sorted_unique(column: np.ndarray) -> np.ndarray:
+    """``np.unique`` of finite values, bit for bit, without its import of ``numpy.ma``.
+
+    It is numpy's own sort-and-mask: the same sort, then the first value of
+    each run of equal values, so +0.0 and -0.0 become whichever the sort puts first.
+    """
+    aux = np.sort(column)
+    keep = np.empty(aux.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = aux[1:] != aux[:-1]
+    return aux[keep]

@@ -43,12 +43,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
-from . import fitkit
 from .curves import DecayCurve
-from .constants import NumericalFailure
-from .noise import NoiseModel, ou_cell_coefficients
+from .constants import DOUBLET_MULTIPLICITIES, TRIPLET_MULTIPLICITIES, NumericalFailure, check_multiplicities
+from .noise import NoiseModel, ou_cell_coefficients, seeded_rng
 from .sequences import PulseSequence, build_sequence, check_times
 
 MC_BLOCK_SIZE = 16384
@@ -72,11 +70,6 @@ GRID_DECAY_HI = 3.0
 #: Doublings of tau_c searched for an upper bracket, and bisection steps.
 GRID_MAX_DOUBLINGS = 200
 GRID_BISECTION_STEPS = 80
-
-
-def seeded_rng(seed: int, stream: int) -> Generator:
-    """Counter-based Philox stream keyed by (seed mod 2^64, stream)."""
-    return Generator(Philox(key=np.array([seed % 2**64, stream], dtype=np.uint64)))
 
 
 #: chi in units of b^2 tau_c^2, with h = t/(2 n tau_c) the half-cell at either
@@ -204,7 +197,7 @@ def simulate_analytic(seq: PulseSequence, noise: NoiseModel, times_s) -> DecayCu
     return DecayCurve(times_s=times, signal=signal, meta=meta)
 
 
-def _mc_chunk_sums(rng: Generator, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mc_chunk_sums(rng: np.random.Generator, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum and sum-of-squares of cos(phase) at every time point over chunk_n trajectories.
 
     The phase is the sum over the chunk's draws of ``weights[d]``, a column
@@ -317,14 +310,14 @@ class HyperfineTriplet:
 
     detuning_hz: float
     a_parallel_hz: float
-    multiplicities: tuple[tuple[float, float], ...] = fitkit.TRIPLET_MULTIPLICITIES
+    multiplicities: tuple[tuple[float, float], ...] = TRIPLET_MULTIPLICITIES
 
     def __post_init__(self) -> None:
-        fitkit.check_multiplicities(self.multiplicities)
+        check_multiplicities(self.multiplicities)
 
     @classmethod
     def doublet(cls, detuning_hz: float, a_parallel_hz: float) -> "HyperfineTriplet":
-        return cls(detuning_hz, a_parallel_hz, fitkit.DOUBLET_MULTIPLICITIES)
+        return cls(detuning_hz, a_parallel_hz, DOUBLET_MULTIPLICITIES)
 
 
 def simulate_fid_beats(triplet: HyperfineTriplet, t2_star_s: float, times_s) -> DecayCurve:
@@ -332,6 +325,7 @@ def simulate_fid_beats(triplet: HyperfineTriplet, t2_star_s: float, times_s) -> 
 
     signal(t) = exp(-t/T2*) * sum_m w_m cos(2 pi (delta + m*A) t)
     """
+    from . import fitkit
     if not t2_star_s > 0:
         raise ValueError("t2_star_s must be positive")
     times = np.asarray(times_s, dtype=float)
@@ -470,6 +464,7 @@ def t2_vs_n(noise: NoiseModel, n_list, n_points: int = 40) -> list[tuple[int, fl
     :func:`fitkit.extract_t2_table`, which raises at the first failed fit, in
     ``n_list`` order, with its n attached.
     """
+    from . import fitkit
     if not n_list:
         raise ValueError("n_list must be non-empty")
     # Canonical spacing; the engines rescale each sequence to each total time.

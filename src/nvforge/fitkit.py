@@ -22,17 +22,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .constants import MODEL_PARAMS, NumericalFailure
-from .curves import DecayCurve
+from .constants import MODEL_PARAMS, TRIPLET_MULTIPLICITIES, NumericalFailure, check_multiplicities
+from .curves import DecayCurve, median
 from .levmar import covariance_from_jacobian, lm_least_squares
 
 EXPONENT_BOUNDS = (0.3, 3.0)
-
-#: Default hyperfine multiplet: nuclear spin 1, equal projection weights.
-TRIPLET_MULTIPLICITIES = ((-1.0, 1 / 3), (0.0, 1 / 3), (1.0, 1 / 3))
-
-#: Spin-1/2 alternative (two lines split by the full coupling A).
-DOUBLET_MULTIPLICITIES = ((-0.5, 0.5), (0.5, 0.5))
 
 #: Parameter name -> (lower, upper) bound; any other parameter is unbounded.
 _PARAM_BOUNDS = {
@@ -43,14 +37,6 @@ _PARAM_BOUNDS = {
     "q": EXPONENT_BOUNDS,
     "a_hf_hz": (0.0, np.inf),
 }
-
-
-def check_multiplicities(multiplicities) -> tuple[tuple[float, float], ...]:
-    """The multiplet as a tuple of (m, w) pairs; the weights must sum to 1."""
-    weights = sum(w for _, w in multiplicities)
-    if abs(weights - 1.0) > 1e-9:
-        raise ValueError("multiplicity weights must sum to 1")
-    return tuple(multiplicities)
 
 
 def beat_sum(multiplicities, delta_hz: float, a_hf_hz: float, t: np.ndarray) -> np.ndarray:
@@ -160,7 +146,7 @@ class FitModel:
             c0 = float(np.min(y))
         s = np.clip((y - c0) / a0, 1e-6, 1 - 1e-6)
         mask = s > 0.2
-        t_scale = float(np.median(t))
+        t_scale = float(median(t))
         p0 = 1.0
         if np.count_nonzero(mask) >= 2:
             u = np.log(t[mask])

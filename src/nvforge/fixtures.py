@@ -3,7 +3,9 @@
 No raw maps or spectra are published for the reference experiments, so
 every fixture here is a synthetic reconstruction targeted at the published
 summary numbers (film thickness, spot widths, charge ratios, Raman width,
-decay families).  All generators are pure functions of their seed.
+decay families).  All generators are pure functions of their seed.  The
+decay and metadata builders import the engines and the implantation tables
+when called, so the scan and spectrum targets load neither.
 """
 
 from __future__ import annotations
@@ -12,12 +14,9 @@ import math
 
 import numpy as np
 
-from . import presets
-from .curves import DecayCurve
-from .engines import _analytic_curves, seeded_rng
-from .implant import POST_ANNEAL, TABLE2_SAMPLES
-from .scan import FWHM_PER_SIGMA, DepthProfile, ScanGrid, Spectrum, _gaussian2d, _lorentzian
-from .sequences import build_sequence
+from .curves import DecayCurve, DepthProfile, ScanGrid, Spectrum
+from .noise import seeded_rng
+from .scan import FWHM_PER_SIGMA, _gaussian2d, _lorentzian
 
 #: Target NV0:NV- area ratios for the three spectra fixtures.
 S123_CHARGE_RATIOS = {"s1": 0.71, "s2": 2.8, "s3": 1.5}
@@ -143,6 +142,9 @@ def raman_spectrum() -> Spectrum:
 
 def decay_family_fig7() -> list[tuple[int, DecayCurve]]:
     """CPMG decay-curve family for the paper-like bath (analytic engine)."""
+    from . import presets
+    from .engines import _analytic_curves
+    from .sequences import build_sequence
     seqs = [build_sequence("cpmg", tau_s=1e-6, n=n) for n in FIG7_PULSE_COUNTS]
     curves = _analytic_curves(seqs, presets.paper_like_noise(), DECAY_FIXTURE_POINTS)
     return list(zip(FIG7_PULSE_COUNTS, curves))
@@ -150,6 +152,9 @@ def decay_family_fig7() -> list[tuple[int, DecayCurve]]:
 
 def xy_curves_fig9() -> dict[str, DecayCurve]:
     """XY4 and XY8 decay curves for the paper-like bath (analytic engine)."""
+    from . import presets
+    from .engines import _analytic_curves
+    from .sequences import build_sequence
     seqs = [build_sequence(kind, tau_s=1e-6) for kind in ("xy4", "xy8")]
     curves = _analytic_curves(seqs, presets.paper_like_noise(), DECAY_FIXTURE_POINTS)
     return {seq.name: curve for seq, curve in zip(seqs, curves)}
@@ -157,6 +162,7 @@ def xy_curves_fig9() -> dict[str, DecayCurve]:
 
 def table2_metadata() -> dict:
     """Reference-sample implantation metadata, including the S5 dose flag."""
+    from .implant import POST_ANNEAL, TABLE2_SAMPLES
     return {
         "samples": [dict(sample) for sample in TABLE2_SAMPLES],
         "post_anneal": dict(POST_ANNEAL),

@@ -4,7 +4,8 @@ The transverse environment is modeled as a stationary Gaussian
 Ornstein-Uhlenbeck (OU) frequency-noise process with standard deviation
 ``b_rad_s`` (rad/s) and exponential autocorrelation time ``tau_c_s``.
 Longitudinal relaxation multiplies every coherence signal by
-exp(-(t/T1)^q); ``t1_s = inf`` disables the channel.
+exp(-(t/T1)^q); ``t1_s = inf`` disables the channel.  Draws of the noise,
+in the Monte-Carlo engine and the fixtures, come from :func:`seeded_rng`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import T1_EXPONENT_Q
+
+
+def seeded_rng(seed: int, stream: int) -> np.random.Generator:
+    """Counter-based Philox stream keyed by (seed mod 2^64, stream).
+
+    ``numpy.random`` is imported here, on the first draw, so the commands
+    that draw nothing do not load it.
+    """
+    from numpy.random import Generator, Philox
+    return Generator(Philox(key=np.array([seed % 2**64, stream], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)

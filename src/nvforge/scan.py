@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import NumericalFailure
+from .curves import DepthProfile, ScanGrid, Spectrum, median
 from .levmar import lm_least_squares
 
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -52,67 +53,6 @@ class DepthProfileError(NumericalFailure):
 
 class MissingZplError(NumericalFailure):
     """A required zero-phonon line is absent from the spectrum."""
-
-
-@dataclass
-class ScanGrid:
-    """Spatial count-rate raster with uniform axes in micrometers."""
-
-    x_um: np.ndarray
-    y_um: np.ndarray
-    counts: np.ndarray  # shape (len(y_um), len(x_um))
-
-    def __post_init__(self) -> None:
-        self.x_um = np.asarray(self.x_um, dtype=float)
-        self.y_um = np.asarray(self.y_um, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=float)
-        for axis in (self.x_um, self.y_um):
-            if axis.size > 1 and not np.all(np.diff(axis) > 0):
-                raise ValueError("grid axes must be strictly increasing")
-            steps = np.diff(axis)
-            if steps.size and not np.allclose(steps, steps[0], rtol=1e-6):
-                raise ValueError("grid axes must be uniformly spaced")
-        if self.counts.shape != (self.y_um.size, self.x_um.size):
-            raise ValueError("counts shape must be (len(y), len(x))")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
-
-
-@dataclass
-class DepthProfile:
-    """Count rate versus focal depth."""
-
-    z_um: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.z_um = np.asarray(self.z_um, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=float)
-        if self.z_um.shape != self.counts.shape or self.z_um.ndim != 1:
-            raise ValueError("z and counts must be 1-D arrays of equal length")
-        if not np.all(np.diff(self.z_um) > 0):
-            raise ValueError("z must be strictly increasing")
-
-
-@dataclass
-class Spectrum:
-    """PL or Raman spectrum; ``unit`` is 'nm' or 'cm-1'."""
-
-    values: np.ndarray
-    counts: np.ndarray
-    unit: str = "nm"
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=float)
-        if self.values.shape != self.counts.shape or self.values.ndim != 1:
-            raise ValueError("values and counts must be 1-D arrays of equal length")
-        if not np.all(np.diff(self.values) > 0):
-            raise ValueError("spectral axis must be strictly increasing")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
-        if self.unit not in ("nm", "cm-1"):
-            raise ValueError("unit must be 'nm' or 'cm-1'")
 
 
 @dataclass
@@ -160,7 +100,7 @@ def robust_background(counts: np.ndarray) -> float:
     """Median of the lowest decile of counts."""
     flat = np.sort(np.asarray(counts, dtype=float).ravel())
     decile = flat[: max(1, flat.size // 10)]
-    return float(np.median(decile))
+    return float(median(decile))
 
 
 def _gaussian2d(params, xg, yg):
@@ -306,7 +246,7 @@ def film_thickness(profile: DepthProfile) -> ThicknessResult:
     for a, b in regions:
         lo_window = smooth[max(a - 3 * width, 0) : max(a - width, 1)]
         hi_window = smooth[min(b + width, smooth.size - 1) : b + 3 * width + 1]
-        if np.median(hi_window) - np.median(lo_window) >= STEP_MIN_FRACTION * span:
+        if median(hi_window) - median(lo_window) >= STEP_MIN_FRACTION * span:
             rising.append(a + int(np.argmax(grad[a:b])))
     if len(rising) != 2:
         hint = ""
@@ -322,9 +262,9 @@ def film_thickness(profile: DepthProfile) -> ThicknessResult:
         )
 
     z1_0, z2_0 = float(z[rising[0]]), float(z[rising[1]])
-    base0 = float(np.median(counts[: max(rising[0] - width, 1)]))
-    mid0 = float(np.median(counts[rising[0] + width : max(rising[1] - width, rising[0] + width + 1)]))
-    top0 = float(np.median(counts[rising[1] + width :]))
+    base0 = float(median(counts[: max(rising[0] - width, 1)]))
+    mid0 = float(median(counts[rising[0] + width : max(rising[1] - width, rising[0] + width + 1)]))
+    top0 = float(median(counts[rising[1] + width :]))
     w0 = max(float(z[1] - z[0]) * width, 1e-3)
     theta0 = np.array([base0, mid0 - base0, z1_0, w0, top0 - mid0, z2_0, w0])
 
@@ -410,8 +350,8 @@ def identify_peaks(spec: Spectrum) -> list[PeakFit]:
     x, y = spec.values, spec.counts
     if x.size < 50:
         raise ValueError("spectrum must have at least 50 samples")
-    baseline = float(np.median(y))
-    mad = float(np.median(np.abs(y - baseline)))
+    baseline = float(median(y))
+    mad = float(median(np.abs(y - baseline)))
     noise = 1.4826 * mad
     floor = baseline + PEAK_NOISE_SIGMA * noise
 

@@ -13,12 +13,13 @@ free-induction simulation (:mod:`nvforge.engines`), not the ODMR spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import GYROMAGNETIC_RATIO_HZ_PER_T, ODMR_CONTRAST, ODMR_LINEWIDTH_FWHM_HZ
 from .constants import ZERO_FIELD_SPLITTING_HZ
+from .curves import OdmrSpectrum
 
 # Dips whose centers lie within this fraction of the linewidth merge into a
 # single resolved line.
@@ -90,23 +91,6 @@ CANONICAL_AXES = np.array(
     ]
 ) / np.sqrt(3.0)
 CANONICAL_AXES.setflags(write=False)
-
-
-@dataclass
-class OdmrSpectrum:
-    """Synthetic CW-ODMR spectrum.
-
-    ``signal`` is normalized PL (1 = off resonance).  ``line_centers`` lists
-    all eight underlying dip centers as ``(axis_index, branch, frequency_hz)``
-    sorted by frequency; ``resolved_lines`` groups centers closer than
-    ``LINE_MERGE_FRACTION * linewidth`` into single deeper dips, reported as
-    ``(center_hz, depth)``.
-    """
-
-    frequencies_hz: np.ndarray
-    signal: np.ndarray
-    line_centers: list[tuple[int, int, float]]
-    resolved_lines: list[tuple[float, float]] = field(default_factory=list)
 
 
 def project_field(fieldvec: MagneticFieldVector, axis: np.ndarray) -> float:

@@ -1119,6 +1119,17 @@ def test_scan_missing_input_exits_2(tmp_path):
     assert main(["scan", "--mode", "depth", "--output-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("mode", ["spots", "purity"])
+def test_scan_grid_with_a_repeated_pixel_exits_2(tmp_path, capsys, mode):
+    # An 8 x 8 grid plus a second row for pixel (1, 1); the last row used to win.
+    rows = [f"{x}.0,{y}.0,5.0" for y in range(8) for x in range(8)] + ["1.0,1.0,400.0"]
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(["x_um,y_um,counts", *rows]) + "\n")
+    assert main(["scan", "--mode", mode, "--input", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: scan-grid CSV repeats a pixel: 65 rows for 8 x 8 pixels\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "error",
     [
@@ -1315,24 +1326,48 @@ def test_start_up_loads_no_dataclasses_inspect_or_hashlib(tmp_path, argv):
     assert _modules_after(argv, tmp_path, ("dataclasses", "inspect", "hashlib")) == (0, [])
 
 
-# The nvforge modules each numpy command loaded when the CLI imported every module at its top.
-ALL_MODULES = ("cli", "constants", "curves", "dataio", "engines", "fitkit", "fixtures", "implant", "levmar",
-               "magnetometry", "noise", "presets", "scan", "sequences", "spincore")
+# The module sets of the numpy commands: each command kind of perfbench's cli-session, plus the
+# decay fixtures, the metadata fixture and the engine comparison.
+FIXTURE_MODULES = ("dataio", "fixtures", "levmar", "noise", "scan")
+NUMPY_RUNS = [  # argv, nvforge modules loaded besides cli, constants and curves, numpy.random loaded
+    (["decay", "--engine", "both", "--n-times", "8"], ["dataio", "engines", "noise", "presets", "sequences"], True),
+    (["decay", "--sequence", "hahn"], ["dataio", "engines", "noise", "presets", "sequences"], False),
+    (["fit", "--input", "fig7_cpmg04.csv"], ["dataio", "fitkit", "levmar"], False),
+    (["odmr"], ["dataio", "spincore"], False),
+    (["fixtures", "--target", "fig5"], FIXTURE_MODULES, True),
+    (["fixtures", "--target", "fig6"], FIXTURE_MODULES, True),
+    (["fixtures", "--target", "s1s2s3"], FIXTURE_MODULES, False),
+    (["fixtures", "--target", "raman"], FIXTURE_MODULES, False),
+    (["fixtures", "--target", "fig7"], [*FIXTURE_MODULES, "engines", "presets", "sequences"], False),
+    (["fixtures", "--target", "table2"], ["fixtures", "implant", "levmar", "noise", "scan"], False),
+    *((["scan", "--mode", mode, "--input", name], ["dataio", "levmar", "scan"], False) for mode, name in (
+        ("spots", "fig5_spot_grid.csv"), ("purity", "fig5_spot_grid.csv"), ("depth", "fig6_depth_profile.csv"),
+        ("spectrum", "spectrum_s1.csv"), ("ratio", "spectrum_s2.csv"))),
+]
+#: Input file -> its payload, written before the run that reads it.
+NUMPY_RUN_INPUTS = {
+    "fig7_cpmg04.csv": lambda: dict(fixtures.decay_family_fig7())[4],
+    "fig5_spot_grid.csv": lambda: fixtures.spot_grid_fig5(0),
+    "fig6_depth_profile.csv": lambda: fixtures.depth_profile_fig6(0),
+    "spectrum_s1.csv": lambda: fixtures.spectrum_s123("s1"),
+    "spectrum_s2.csv": lambda: fixtures.spectrum_s123("s2"),
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["decay", "--engine", "both", "--n-times", "8"],
-    ["fit", "--input", "fig7_cpmg04.csv"],
-    ["odmr"],
-    ["fixtures", "--target", "fig5"],
-], ids=" ".join)
-def test_numpy_commands_load_no_new_module(tmp_path, argv):
-    if argv[0] == "fit":
-        dataio.write_decay_csv(dict(fixtures.decay_family_fig7())[4], tmp_path / "fig7_cpmg04.csv")
+@pytest.mark.parametrize("argv, loaded, draws", NUMPY_RUNS, ids=[" ".join(run[0]) for run in NUMPY_RUNS])
+def test_numpy_commands_load_no_new_module(tmp_path, argv, loaded, draws):
+    # Each loads only the modules its handler calls; numpy.ma, which np.median and a plain
+    # np.unique import, is never loaded, and numpy.random only for a draw.
+    if "--input" in argv:
+        name = argv[argv.index("--input") + 1]
+        dataio.write(tmp_path / name, NUMPY_RUN_INPUTS[name]())
     exit_code, modules = _modules_after([*argv, "--output-dir", "out"], tmp_path)
     assert exit_code == 0
     assert "numpy" in modules
-    assert {m for m in modules if m.startswith("nvforge.")} <= {f"nvforge.{m}" for m in ALL_MODULES}
+    assert [m for m in modules if m.startswith("nvforge.")] == sorted(
+        f"nvforge.{m}" for m in ("cli", "constants", "curves", *loaded))
+    assert not [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
+    assert ("numpy.random" in modules) == draws
 
 
 # SHA-256 of stdout for each --help and --version at 80 columns (Python 3.11's

@@ -143,6 +143,14 @@ def test_scan_grid_incomplete_long_format_rejected(tmp_path):
         dataio.read_scan_grid_csv(path)
 
 
+def test_scan_grid_long_format_with_a_repeated_pixel_rejected(tmp_path):
+    # A full 2 x 2 grid plus a second row for pixel (1, 1), which used to win silently.
+    path = tmp_path / "repeated.csv"
+    path.write_text("x_um,y_um,counts\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n1,1,400\n")
+    with pytest.raises(ValueError, match=r"repeats a pixel: 5 rows for 2 x 2 pixels"):
+        dataio.read_scan_grid_csv(path)
+
+
 def test_json_writer_sorted_and_newline_terminated(tmp_path):
     path = tmp_path / "out.json"
     dataio.write_json(path, {"b": 1, "a": 2})

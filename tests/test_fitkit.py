@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from nvforge.constants import DOUBLET_MULTIPLICITIES, TRIPLET_MULTIPLICITIES
 from nvforge.curves import DecayCurve
 from nvforge.engines import HyperfineTriplet, simulate_fid_beats
 from nvforge.fitkit import (
-    DOUBLET_MULTIPLICITIES,
-    TRIPLET_MULTIPLICITIES,
     FitConvergenceError,
     FitError,
     FitModel,
