@@ -7,7 +7,8 @@ next to the code that uses it instead.
 
 The CLI builds its parser and runs its pure-Python commands from this module
 alone, so it also owns their option vocabulary, :class:`NumericalFailure`
-and the JSON writer.
+and the JSON writer.  The hyperfine multiplets live here too, so the
+engines share them with the fit kit without importing it.
 """
 
 import json

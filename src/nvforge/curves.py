@@ -1,11 +1,8 @@
-"""The toolkit's data records and the median their reductions share.
+"""The toolkit's data records, and the median their reductions share.
 
-:class:`DecayCurve` comes from the engines and goes to the fit kit; the
-scan records (:class:`ScanGrid`, :class:`DepthProfile`, :class:`Spectrum`)
-go to :mod:`nvforge.scan`, and :class:`OdmrSpectrum` comes from
-:mod:`nvforge.spincore`.  They live here, apart from the code that makes or
-reduces them, so the readers and writers of :mod:`nvforge.dataio` load
-neither.
+The records live apart from the code that makes or reduces them, so the
+readers and writers of :mod:`nvforge.dataio` load neither
+:mod:`nvforge.scan` nor :mod:`nvforge.spincore`.
 """
 
 from __future__ import annotations

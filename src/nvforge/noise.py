@@ -19,11 +19,7 @@ from .constants import T1_EXPONENT_Q
 
 
 def seeded_rng(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based Philox stream keyed by (seed mod 2^64, stream).
-
-    ``numpy.random`` is imported here, on the first draw, so the commands
-    that draw nothing do not load it.
-    """
+    """Counter-based Philox stream keyed by (seed mod 2^64, stream); loads ``numpy.random`` when first called."""
     from numpy.random import Generator, Philox
     return Generator(Philox(key=np.array([seed % 2**64, stream], dtype=np.uint64)))
 
