@@ -1,21 +1,180 @@
-"""Deterministic CSV/JSON readers and writers for the toolkit's data types.
+"""The toolkit's data records and their deterministic CSV/JSON formats.
 
-All writers produce byte-identical output for identical inputs: floats are
-rendered with shortest round-trip ``repr``, JSON keys are sorted, a
-dataclass record is written as its fields, and files are written atomically
-(temp file + rename).  A writer refuses a non-finite value with
+Each record checks its fields when it is made.  All writers produce
+byte-identical output for identical inputs: floats are rendered with
+shortest round-trip ``repr``, JSON keys are sorted, a dataclass record is
+written as its fields, and files are written atomically (temp file +
+rename).  A writer refuses a non-finite value with
 :class:`~nvforge.constants.NumericalFailure` before it writes the file.
+The line shapes the fixtures and the reductions share live here too, as
+do ``median`` and ``sorted_unique``, which give numpy's bits without its
+import of ``numpy.ma``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .constants import _not_finite, atomic_write_text, write_json
-from .curves import DecayCurve, DepthProfile, OdmrSpectrum, ScanGrid, Spectrum
+
+# Small allowance above |1| so noisy measured curves remain representable.
+SIGNAL_BOUND = 1.05
+
+FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+
+#: Spectrum unit -> the name of its axis column in a spectrum CSV.
+SPECTRUM_COLUMNS = {"nm": "wavelength_nm", "cm-1": "wavenumber_cm1"}
+
+
+def median(values) -> np.float64:
+    """``np.median`` of the flattened values, bit for bit, without its import of ``numpy.ma``.
+
+    It takes the same partition and the same mean as numpy: an even count
+    gives the mean of the middle pair, and any NaN gives NaN.
+    """
+    a = np.asarray(values, dtype=float).ravel()
+    half = a.size // 2
+    part = np.partition(a, [half, -1] if a.size % 2 else [half - 1, half, -1])
+    if a.size and np.isnan(part[-1]):  # NaNs sort last
+        return part[-1]
+    return np.mean(part[half - 1 + a.size % 2 : half + 1])
+
+
+def sorted_unique(column: np.ndarray) -> np.ndarray:
+    """``np.unique`` of finite values, bit for bit, without its import of ``numpy.ma``.
+
+    It is numpy's own sort-and-mask: the same sort, then the first value of
+    each run of equal values, so +0.0 and -0.0 become whichever the sort puts first.
+    """
+    aux = np.sort(column)
+    keep = np.empty(aux.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = aux[1:] != aux[:-1]
+    return aux[keep]
+
+
+def gaussian2d(params, xg, yg):
+    """Elliptical Gaussian spot: params (amp, x0, y0, sigma_x, sigma_y, offset)."""
+    amp, x0, y0, sx, sy, off = params
+    return amp * np.exp(
+        -((xg - x0) ** 2) / (2 * sx**2) - ((yg - y0) ** 2) / (2 * sy**2)
+    ) + off
+
+
+def lorentzian(params, x):
+    """Lorentzian line: params (peak height, center, FWHM, offset)."""
+    amp, center, fwhm, off = params
+    half = fwhm / 2.0
+    return amp / (1.0 + ((x - center) / half) ** 2) + off
+
+
+@dataclass
+class DecayCurve:
+    """Signal versus total evolution time.
+
+    ``meta`` carries provenance (sequence name, engine, seed, noise
+    parameters, per-point Monte-Carlo standard errors, ...) and is written
+    to the JSON sidecar when the curve is serialized.
+    """
+
+    times_s: np.ndarray
+    signal: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.times_s = np.asarray(self.times_s, dtype=float)
+        self.signal = np.asarray(self.signal, dtype=float)
+        if self.times_s.ndim != 1 or self.times_s.shape != self.signal.shape:
+            raise ValueError("times and signal must be 1-D arrays of equal length")
+        if not self.times_s.size:
+            raise ValueError("a decay curve needs at least one time point")
+        if self.times_s.size > 1 and not np.all(np.diff(self.times_s) > 0):
+            raise ValueError("times must be strictly increasing")
+        if np.any(np.abs(self.signal) > SIGNAL_BOUND):
+            raise ValueError(f"signal values must lie within +/-{SIGNAL_BOUND}")
+
+
+@dataclass
+class ScanGrid:
+    """Spatial count-rate raster with uniform axes in micrometers."""
+
+    x_um: np.ndarray
+    y_um: np.ndarray
+    counts: np.ndarray  # shape (len(y_um), len(x_um))
+
+    def __post_init__(self) -> None:
+        self.x_um = np.asarray(self.x_um, dtype=float)
+        self.y_um = np.asarray(self.y_um, dtype=float)
+        self.counts = np.asarray(self.counts, dtype=float)
+        for axis in (self.x_um, self.y_um):
+            if axis.size > 1 and not np.all(np.diff(axis) > 0):
+                raise ValueError("grid axes must be strictly increasing")
+            steps = np.diff(axis)
+            if steps.size and not np.allclose(steps, steps[0], rtol=1e-6):
+                raise ValueError("grid axes must be uniformly spaced")
+        if self.counts.shape != (self.y_um.size, self.x_um.size):
+            raise ValueError("counts shape must be (len(y), len(x))")
+        if np.any(self.counts < 0):
+            raise ValueError("counts must be non-negative")
+
+
+@dataclass
+class DepthProfile:
+    """Count rate versus focal depth."""
+
+    z_um: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.z_um = np.asarray(self.z_um, dtype=float)
+        self.counts = np.asarray(self.counts, dtype=float)
+        if self.z_um.shape != self.counts.shape or self.z_um.ndim != 1:
+            raise ValueError("z and counts must be 1-D arrays of equal length")
+        if not np.all(np.diff(self.z_um) > 0):
+            raise ValueError("z must be strictly increasing")
+
+
+@dataclass
+class Spectrum:
+    """PL or Raman spectrum; ``unit`` is 'nm' or 'cm-1'."""
+
+    values: np.ndarray
+    counts: np.ndarray
+    unit: str = "nm"
+
+    def __post_init__(self) -> None:
+        self.values = np.asarray(self.values, dtype=float)
+        self.counts = np.asarray(self.counts, dtype=float)
+        if self.values.shape != self.counts.shape or self.values.ndim != 1:
+            raise ValueError("values and counts must be 1-D arrays of equal length")
+        if not np.all(np.diff(self.values) > 0):
+            raise ValueError("spectral axis must be strictly increasing")
+        if np.any(self.counts < 0):
+            raise ValueError("counts must be non-negative")
+        if self.unit not in SPECTRUM_COLUMNS:
+            raise ValueError(f"unit must be {' or '.join(map(repr, SPECTRUM_COLUMNS))}")
+
+
+@dataclass
+class OdmrSpectrum:
+    """Synthetic CW-ODMR spectrum.
+
+    ``signal`` is normalized PL (1 = off resonance).  ``line_centers`` lists
+    all eight underlying dip centers as ``(axis_index, branch, frequency_hz)``
+    sorted by frequency; ``resolved_lines`` groups centers closer than
+    ``spincore.LINE_MERGE_FRACTION * linewidth`` into single deeper dips,
+    reported as ``(center_hz, depth)``.
+    """
+
+    frequencies_hz: np.ndarray
+    signal: np.ndarray
+    line_centers: list[tuple[int, int, float]]
+    resolved_lines: list[tuple[float, float]] = field(default_factory=list)
 
 
 def read_json(path: Path):
@@ -110,22 +269,17 @@ def odmr_line_table(spectrum: OdmrSpectrum) -> dict:
 
 
 def write_spectrum_csv(spec: Spectrum, path: Path) -> None:
-    column = "wavelength_nm" if spec.unit == "nm" else "wavenumber_cm1"
-    _write_csv(Path(path), [column, "counts"], [spec.values, spec.counts])
+    _write_csv(Path(path), [SPECTRUM_COLUMNS[spec.unit], "counts"], [spec.values, spec.counts])
 
 
 def read_spectrum_csv(path: Path) -> Spectrum:
     header, data = _read_csv(path)
-    if header[0] == "wavelength_nm":
-        unit = "nm"
-    elif header[0] == "wavenumber_cm1":
-        unit = "cm-1"
-    else:
+    units = {column: unit for unit, column in SPECTRUM_COLUMNS.items()}
+    if header[0] not in units:
         raise ValueError(
-            "first column must be wavelength_nm or wavenumber_cm1, "
-            f"got {header[0]!r}"
+            f"first column must be {' or '.join(SPECTRUM_COLUMNS.values())}, got {header[0]!r}"
         )
-    return Spectrum(values=data[:, 0], counts=data[:, 1], unit=unit)
+    return Spectrum(values=data[:, 0], counts=data[:, 1], unit=units[header[0]])
 
 
 def write_depth_profile_csv(profile: DepthProfile, path: Path) -> None:
@@ -178,16 +332,3 @@ def read_scan_grid_csv(path: Path) -> ScanGrid:
     if len(data) != counts.size:
         raise ValueError(f"scan-grid CSV repeats a pixel: {len(data)} rows for {x.size} x {y.size} pixels")
     return ScanGrid(x_um=x, y_um=y, counts=counts)
-
-
-def sorted_unique(column: np.ndarray) -> np.ndarray:
-    """``np.unique`` of finite values, bit for bit, without its import of ``numpy.ma``.
-
-    It is numpy's own sort-and-mask: the same sort, then the first value of
-    each run of equal values, so +0.0 and -0.0 become whichever the sort puts first.
-    """
-    aux = np.sort(column)
-    keep = np.empty(aux.size, dtype=bool)
-    keep[:1] = True
-    keep[1:] = aux[1:] != aux[:-1]
-    return aux[keep]

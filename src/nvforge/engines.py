@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DecayCurve
 from .constants import DOUBLET_MULTIPLICITIES, TRIPLET_MULTIPLICITIES, NumericalFailure, check_multiplicities
+from .dataio import DecayCurve
 from .noise import NoiseModel, ou_cell_coefficients, seeded_rng
 from .sequences import PulseSequence, build_sequence, check_times
 

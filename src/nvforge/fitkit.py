@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .constants import MODEL_PARAMS, TRIPLET_MULTIPLICITIES, NumericalFailure, check_multiplicities
-from .curves import DecayCurve, median
+from .dataio import DecayCurve, median
 from .levmar import covariance_from_jacobian, lm_least_squares
 
 EXPONENT_BOUNDS = (0.3, 3.0)

@@ -14,9 +14,8 @@ import math
 
 import numpy as np
 
-from .curves import DecayCurve, DepthProfile, ScanGrid, Spectrum
+from .dataio import FWHM_PER_SIGMA, DecayCurve, DepthProfile, ScanGrid, Spectrum, gaussian2d, lorentzian
 from .noise import seeded_rng
-from .scan import FWHM_PER_SIGMA, _gaussian2d, _lorentzian
 
 #: Target NV0:NV- area ratios for the three spectra fixtures.
 S123_CHARGE_RATIOS = {"s1": 0.71, "s2": 2.8, "s3": 1.5}
@@ -60,7 +59,7 @@ def spot_grid_fig5(seed: int = 0) -> ScanGrid:
     fx, fy = FIG5_SPOT_FWHM_UM
     sx = fx / FWHM_PER_SIGMA
     sy = fy / FWHM_PER_SIGMA
-    counts = _gaussian2d((30000.0, 0.0, 0.0, sx, sy, background), xg, yg)
+    counts = gaussian2d((30000.0, 0.0, 0.0, sx, sy, background), xg, yg)
     counts += math.sqrt(background) * seeded_rng(seed, 5).standard_normal(counts.shape)
     return ScanGrid(x_um=x, y_um=y, counts=np.clip(counts, 0.0, None))
 
@@ -97,7 +96,7 @@ def purity_grid_s4():
     x = np.arange(0.0, 512.0, 4.0)
     y = np.arange(0.0, 512.0, 4.0)
     xg, yg = np.meshgrid(x, y)
-    bump = _gaussian2d((40000.0, 280.0, 220.0, 40.0, 25.0, 0.0), xg, yg)
+    bump = gaussian2d((40000.0, 280.0, 220.0, 40.0, 25.0, 0.0), xg, yg)
     sigma = math.sqrt(background)
     expected_clean = float(np.mean(bump <= 2.0 * sigma))
     counts = background + bump
@@ -107,8 +106,8 @@ def purity_grid_s4():
 
 
 def _lorentzian_profile(x: np.ndarray, center: float, fwhm: float, area: float):
-    """:func:`nvforge.scan._lorentzian` with its peak height set by its area."""
-    return _lorentzian((2.0 * area / (math.pi * fwhm), center, fwhm, 0.0), x)
+    """:func:`nvforge.dataio.lorentzian` with its peak height set by its area."""
+    return lorentzian((2.0 * area / (math.pi * fwhm), center, fwhm, 0.0), x)
 
 
 def spectrum_s123(sample: str) -> Spectrum:

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import NumericalFailure
-from .curves import DepthProfile, ScanGrid, Spectrum, median
+from .dataio import FWHM_PER_SIGMA, DepthProfile, ScanGrid, Spectrum, gaussian2d, lorentzian, median
 from .levmar import lm_least_squares
-
-FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 #: Known zero-phonon lines and bands for wavelength-mode spectra (nm).
 KNOWN_LINES_NM = {
@@ -103,13 +101,6 @@ def robust_background(counts: np.ndarray) -> float:
     return float(median(decile))
 
 
-def _gaussian2d(params, xg, yg):
-    amp, x0, y0, sx, sy, off = params
-    return amp * np.exp(
-        -((xg - x0) ** 2) / (2 * sx**2) - ((yg - y0) ** 2) / (2 * sy**2)
-    ) + off
-
-
 def label_regions(mask: np.ndarray) -> tuple[np.ndarray, int]:
     """Label the 4-connected regions of a 2-D boolean mask.
 
@@ -180,7 +171,7 @@ def detect_spots(grid: ScanGrid, threshold_sigma: float = 5.0) -> list[SpotFit]:
         theta0 = np.array([amp0, cx, cy, sx, sy, bg])
 
         res = lm_least_squares(
-            lambda theta: (_gaussian2d(theta, xg, yg) - window).ravel(),
+            lambda theta: (gaussian2d(theta, xg, yg) - window).ravel(),
             theta0,
             lower=[0.0, xg.min(), yg.min(), 1e-6, 1e-6, -np.inf],
             upper=[np.inf, xg.max(), yg.max(), np.inf, np.inf, np.inf],
@@ -285,12 +276,6 @@ def film_thickness(profile: DepthProfile) -> ThicknessResult:
     )
 
 
-def _lorentzian(params, x):
-    amp, center, fwhm, off = params
-    half = fwhm / 2.0
-    return amp / (1.0 + ((x - center) / half) ** 2) + off
-
-
 def _label_for(center: float, unit: str) -> str:
     lines = KNOWN_LINES_NM if unit == "nm" else KNOWN_LINES_CM1
     for line, label in lines.items():
@@ -326,7 +311,7 @@ def _fit_one_peak(x, y, idx, baseline, neighbor_centers):
 
     theta0 = np.array([height, float(x[idx]), fwhm_est, baseline])
     res = lm_least_squares(
-        lambda theta: _lorentzian(theta, xs) - ys,
+        lambda theta: lorentzian(theta, xs) - ys,
         theta0,
         lower=[0.0, xs.min(), 1e-12, -np.inf],
         upper=[np.inf, xs.max(), np.inf, np.inf],
@@ -368,7 +353,7 @@ def identify_peaks(spec: Spectrum) -> list[PeakFit]:
             cleaned = y.copy()
             for j, (_, other) in enumerate(fits):
                 if j != i and other is not None:
-                    cleaned -= _lorentzian((*other, 0.0), x)
+                    cleaned -= lorentzian((*other, 0.0), x)
             fitted = _fit_one_peak(x, cleaned, idx, baseline, centers) or previous
             if fitted is not None:
                 refined.append((idx, fitted))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import GYROMAGNETIC_RATIO_HZ_PER_T, ODMR_CONTRAST, ODMR_LINEWIDTH_FWHM_HZ
 from .constants import ZERO_FIELD_SPLITTING_HZ
-from .curves import OdmrSpectrum
+from .dataio import OdmrSpectrum, lorentzian
 
 # Dips whose centers lie within this fraction of the linewidth merge into a
 # single resolved line.
@@ -165,10 +165,9 @@ def odmr_spectrum(
     centers = _all_line_centers(params, fieldvec)
     depth_each = params.odmr_contrast / 8.0
     signal = np.ones_like(freqs)
-    half = params.linewidth_fwhm_hz / 2.0
     with np.errstate(over="ignore"):  # far from a narrow line the Lorentzian is 1/(1 + inf) = 0
         for _, _, f0 in centers:
-            signal -= depth_each / (1.0 + ((freqs - f0) / half) ** 2)
+            signal -= lorentzian((depth_each, f0, params.linewidth_fwhm_hz, 0.0), freqs)
 
     resolved = _merge_centers(centers, params.linewidth_fwhm_hz, depth_each)
     return OdmrSpectrum(

@@ -16,7 +16,7 @@ import pytest
 
 from nvforge import dataio, fitkit, fixtures, implant, magnetometry
 from nvforge.cli import main
-from nvforge.curves import DecayCurve
+from nvforge.dataio import DecayCurve
 from nvforge.engines import (
     HyperfineTriplet,
     decay_time_grid,

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import nvforge
 from nvforge import cli, dataio, engines, fitkit, fixtures, magnetometry, scan
 from nvforge.cli import COMMANDS, main
-from nvforge.curves import DecayCurve
+from nvforge.dataio import DecayCurve
 from nvforge.levmar import NumericalFailure
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -1328,19 +1328,19 @@ def test_start_up_loads_no_dataclasses_inspect_or_hashlib(tmp_path, argv):
 
 # The module sets of the numpy commands: each command kind of perfbench's cli-session, plus the
 # decay fixtures, the metadata fixture and the engine comparison.
-FIXTURE_MODULES = ("dataio", "fixtures", "levmar", "noise", "scan")
-NUMPY_RUNS = [  # argv, nvforge modules loaded besides cli, constants and curves, numpy.random loaded
-    (["decay", "--engine", "both", "--n-times", "8"], ["dataio", "engines", "noise", "presets", "sequences"], True),
-    (["decay", "--sequence", "hahn"], ["dataio", "engines", "noise", "presets", "sequences"], False),
-    (["fit", "--input", "fig7_cpmg04.csv"], ["dataio", "fitkit", "levmar"], False),
-    (["odmr"], ["dataio", "spincore"], False),
+FIXTURE_MODULES = ("fixtures", "noise")
+NUMPY_RUNS = [  # argv, nvforge modules loaded besides cli, constants and dataio, numpy.random loaded
+    (["decay", "--engine", "both", "--n-times", "8"], ["engines", "noise", "presets", "sequences"], True),
+    (["decay", "--sequence", "hahn"], ["engines", "noise", "presets", "sequences"], False),
+    (["fit", "--input", "fig7_cpmg04.csv"], ["fitkit", "levmar"], False),
+    (["odmr"], ["spincore"], False),
     (["fixtures", "--target", "fig5"], FIXTURE_MODULES, True),
     (["fixtures", "--target", "fig6"], FIXTURE_MODULES, True),
     (["fixtures", "--target", "s1s2s3"], FIXTURE_MODULES, False),
     (["fixtures", "--target", "raman"], FIXTURE_MODULES, False),
     (["fixtures", "--target", "fig7"], [*FIXTURE_MODULES, "engines", "presets", "sequences"], False),
-    (["fixtures", "--target", "table2"], ["fixtures", "implant", "levmar", "noise", "scan"], False),
-    *((["scan", "--mode", mode, "--input", name], ["dataio", "levmar", "scan"], False) for mode, name in (
+    (["fixtures", "--target", "table2"], [*FIXTURE_MODULES, "implant"], False),
+    *((["scan", "--mode", mode, "--input", name], ["levmar", "scan"], False) for mode, name in (
         ("spots", "fig5_spot_grid.csv"), ("purity", "fig5_spot_grid.csv"), ("depth", "fig6_depth_profile.csv"),
         ("spectrum", "spectrum_s1.csv"), ("ratio", "spectrum_s2.csv"))),
 ]
@@ -1365,7 +1365,7 @@ def test_numpy_commands_load_no_new_module(tmp_path, argv, loaded, draws):
     assert exit_code == 0
     assert "numpy" in modules
     assert [m for m in modules if m.startswith("nvforge.")] == sorted(
-        f"nvforge.{m}" for m in ("cli", "constants", "curves", *loaded))
+        f"nvforge.{m}" for m in ("cli", "constants", "dataio", *loaded))
     assert not [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
     assert ("numpy.random" in modules) == draws
 

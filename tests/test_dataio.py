@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nvforge import dataio, fixtures, implant, magnetometry
-from nvforge.curves import DecayCurve
+from nvforge.cli import main
+from nvforge.dataio import DecayCurve, DepthProfile, ScanGrid, Spectrum
 from nvforge.levmar import NumericalFailure
-from nvforge.scan import DepthProfile, PeakFit, ScanGrid, Spectrum, SpotFit
+from nvforge.scan import PeakFit, SpotFit
 from nvforge.spincore import MagneticFieldVector, SpinParams, odmr_spectrum
 
 
@@ -149,6 +150,40 @@ def test_scan_grid_long_format_with_a_repeated_pixel_rejected(tmp_path):
     path.write_text("x_um,y_um,counts\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n1,1,400\n")
     with pytest.raises(ValueError, match=r"repeats a pixel: 5 rows for 2 x 2 pixels"):
         dataio.read_scan_grid_csv(path)
+
+
+#: case -> (the scan mode that reads a CSV carrying the fault, or None where no
+#: CSV can carry it; that CSV, or the record made directly; the record's message).
+RECORD_REFUSALS = {
+    "dense_grid_x_not_increasing": ("spots", "y_um\\x_um,0.0,2.0,1.0\n0.0,5.0,5.0,5.0\n1.0,5.0,5.0,5.0\n",
+                                    "grid axes must be strictly increasing"),
+    "depth_shape": (None, lambda: DepthProfile(z_um=np.arange(3.0), counts=np.ones(2)),
+                    "z and counts must be 1-D arrays of equal length"),
+    "depth_not_increasing": ("depth", "z_um,counts\n0.0,5.0\n2.0,5.0\n1.0,5.0\n", "z must be strictly increasing"),
+    "spectrum_shape": (None, lambda: Spectrum(values=np.arange(3.0), counts=np.ones((3, 1))),
+                       "values and counts must be 1-D arrays of equal length"),
+    "spectrum_not_increasing": ("spectrum", "wavelength_nm,counts\n500.0,5.0\n500.0,5.0\n",
+                                "spectral axis must be strictly increasing"),
+    "spectrum_negative_counts": ("spectrum", "wavenumber_cm1,counts\n1300.0,5.0\n1301.0,-1.0\n",
+                                 "counts must be non-negative"),
+    "spectrum_unit": (None, lambda: Spectrum(values=np.arange(3.0), counts=np.ones(3), unit="eV"),
+                      "unit must be 'nm' or 'cm-1'"),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORD_REFUSALS))
+def test_record_refusals(tmp_path, capsys, case):
+    mode, source, message = RECORD_REFUSALS[case]
+    if mode is None:
+        with pytest.raises(ValueError) as refusal:
+            source()
+        assert str(refusal.value) == message
+        return
+    path = tmp_path / "input.csv"
+    path.write_text(source)
+    assert main(["scan", "--mode", mode, "--input", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_json_writer_sorted_and_newline_terminated(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvforge import engines, fixtures
-from nvforge.curves import DecayCurve
+from nvforge.dataio import DecayCurve
 from nvforge.engines import (
     GRID_DECAY_HI,
     GRID_DECAY_LO,

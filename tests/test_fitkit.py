@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nvforge.constants import DOUBLET_MULTIPLICITIES, TRIPLET_MULTIPLICITIES
-from nvforge.curves import DecayCurve
+from nvforge.dataio import DecayCurve
 from nvforge.engines import HyperfineTriplet, simulate_fid_beats
 from nvforge.fitkit import (
     FitConvergenceError,
@@ -107,7 +107,7 @@ def test_lm_returns_the_lowest_sse_it_evaluated():
     rng = np.random.default_rng(42)
     curve = _stretched_curve(2e-6, 0.8)
     t = curve.times_s
-    y = np.clip(curve.signal + 0.01 * rng.standard_normal(len(curve)), -1.04, 1.04)
+    y = np.clip(curve.signal + 0.01 * rng.standard_normal(curve.times_s.size), -1.04, 1.04)
     model = FitModel.stretched_exp()
     evaluated = []
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvforge import dataio
-from nvforge.curves import median
+from nvforge.dataio import median
 
 # Values that sort, compare or add in a special way: signed zeros, the
 # smallest subnormal, pairs whose sum overflows, infinities.

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from nvforge import dataio, fixtures, vdp
+from nvforge.dataio import DepthProfile, ScanGrid, Spectrum
 from nvforge.levmar import NumericalFailure
 from nvforge.scan import (
-    DepthProfile,
     DepthProfileError,
     MissingZplError,
-    ScanGrid,
-    Spectrum,
     charge_ratio,
     detect_spots,
     film_thickness,
@@ -215,6 +213,17 @@ def test_identify_peaks_requires_enough_samples():
     wl = np.linspace(500.0, 800.0, 30)
     with pytest.raises(ValueError):
         identify_peaks(Spectrum(values=wl, counts=np.full_like(wl, 100.0)))
+
+
+def test_identify_peaks_drops_a_cramped_candidate_and_labels_an_unknown_line():
+    # Two spikes 1 nm apart leave each a fit window of 3 samples, so pass 1 drops both;
+    # the line at 700 nm matches no catalog line.
+    wl = np.arange(650.0, 750.0, 0.5)
+    counts = 100.0 + dataio.lorentzian((10000.0, 700.0, 3.0, 0.0), wl)
+    counts[[20, 22]] += 5000.0  # 660 and 661 nm
+    peaks = identify_peaks(Spectrum(values=wl, counts=counts))
+    assert [p.label for p in peaks] == ["unknown"]
+    assert peaks[0].center == pytest.approx(700.0, abs=1e-6)
 
 
 def test_identify_peaks_centers_invariant_under_rescaling():
