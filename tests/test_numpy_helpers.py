@@ -1,7 +1,7 @@
 """The median and unique that stand in for ``np.median`` and ``np.unique``.
 
 Both numpy calls import ``numpy.ma`` on first use, so the commands use
-:func:`nvforge.curves.median` and :func:`nvforge.dataio.sorted_unique`
+:func:`nvforge.dataio.median` and :func:`nvforge.dataio.sorted_unique`
 instead.  Each must return numpy's bits on every input it can get.
 """
 
@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvforge import dataio
-from nvforge.dataio import median
 
 # Values that sort, compare or add in a special way: signed zeros, the
 # smallest subnormal, pairs whose sum overflows, infinities.
@@ -44,7 +43,7 @@ def _bits(value) -> list[int]:
 @example(values=np.arange(300.0)[::-1].copy())
 def test_median_is_np_median_bit_for_bit(values):
     with np.errstate(all="ignore"):
-        expected, got = np.median(values), median(values)
+        expected, got = np.median(values), dataio.median(values)
     assert type(got) is type(expected)
     assert _bits(got) == _bits(expected)
 
