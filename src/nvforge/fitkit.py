@@ -39,14 +39,6 @@ _PARAM_BOUNDS = {
 }
 
 
-def beat_sum(multiplicities, delta_hz: float, a_hf_hz: float, t: np.ndarray) -> np.ndarray:
-    """Hyperfine beats sum_m w_m cos(2 pi (delta + m*A) t), lines summed in order."""
-    out = np.zeros_like(t)
-    for m, w in multiplicities:
-        out += w * np.cos(2 * math.pi * (delta_hz + m * a_hf_hz) * t)
-    return out
-
-
 class FitError(NumericalFailure):
     """A fit failed; the CLI reports it as a numerical failure (exit 4)."""
 
@@ -91,45 +83,69 @@ class FitModel:
         return MODEL_PARAMS[self.kind]
 
     def predict(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        if self.kind == "exp_t2star":
-            a, tc, c = theta
-            return a * np.exp(-t / tc) + c
-        if self.kind in ("stretched_exp", "t1_stretched"):
-            a, tc, p, c = theta
-            return a * np.exp(-((t / tc) ** p)) + c
-        a, tc, delta, ahf, c = theta
-        return a * np.exp(-t / tc) * beat_sum(self.multiplicities, delta, ahf, t) + c
+        return self.evaluate(t, theta)[0]
 
-    def jacobian(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def evaluate(self, t: np.ndarray, theta: np.ndarray):
+        """The model at ``theta``, and a function that returns its Jacobian there.
+
+        The Jacobian reuses the model's exponentials and beat phases, so an
+        LM step pays for them once.
+        """
         if self.kind == "exp_t2star":
             a, tc, c = theta
             env = np.exp(-t / tc)
-            return np.column_stack([env, a * env * t / tc**2, np.ones_like(t)])
+            a_env = a * env
+
+            def jacobian():
+                jac = np.empty((t.size, 3))
+                jac[:, 0] = env
+                jac[:, 1] = a_env * t / tc**2
+                jac[:, 2] = 1.0
+                return jac
+
+            return a_env + c, jacobian
         if self.kind in ("stretched_exp", "t1_stretched"):
             a, tc, p, c = theta
             z = (t / tc) ** p
             env = np.exp(-z)
-            # d/dp uses z*log(t/tc); safe because fits require t > 0.
-            return np.column_stack(
-                [
-                    env,
-                    a * env * z * p / tc,
-                    -a * env * z * np.log(t / tc),
-                    np.ones_like(t),
-                ]
-            )
+            a_env = a * env
+
+            def jacobian():
+                jac = np.empty((t.size, 4))
+                jac[:, 0] = env
+                jac[:, 1] = a_env * z * p / tc
+                # d/dp uses z*log(t/tc); safe because fits require t > 0.
+                jac[:, 2] = -a_env * z * np.log(t / tc)
+                jac[:, 3] = 1.0
+                return jac
+
+            return a_env + c, jacobian
         a, tc, delta, ahf, c = theta
         env = np.exp(-t / tc)
-        beat = beat_sum(self.multiplicities, delta, ahf, t)
-        d_delta = np.zeros_like(t)
-        d_ahf = np.zeros_like(t)
-        for m, w in self.multiplicities:
-            s = np.sin(2 * math.pi * (delta + m * ahf) * t)
-            d_delta -= w * 2 * math.pi * t * s
-            d_ahf -= w * m * 2 * math.pi * t * s
-        return np.column_stack(
-            [env * beat, a * env * beat * t / tc**2, a * env * d_delta, a * env * d_ahf, np.ones_like(t)]
-        )
+        # Lines summed in order: beat = sum_m w_m cos(2 pi (delta + m*A) t).
+        phases = [2 * math.pi * (delta + m * ahf) * t for m, _ in self.multiplicities]
+        beat = np.zeros_like(t)
+        for (_, w), phase in zip(self.multiplicities, phases):
+            beat += w * np.cos(phase)
+        a_env = a * env
+        a_env_beat = a_env * beat
+
+        def jacobian():
+            d_delta = np.zeros_like(t)
+            d_ahf = np.zeros_like(t)
+            for (m, w), phase in zip(self.multiplicities, phases):
+                s = np.sin(phase)
+                d_delta -= w * 2 * math.pi * t * s
+                d_ahf -= w * m * 2 * math.pi * t * s
+            jac = np.empty((t.size, 5))
+            jac[:, 0] = env * beat
+            jac[:, 1] = a_env_beat * t / tc**2
+            jac[:, 2] = a_env * d_delta
+            jac[:, 3] = a_env * d_ahf
+            jac[:, 4] = 1.0
+            return jac
+
+        return a_env_beat + c, jacobian
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = zip(*(_PARAM_BOUNDS.get(name, (-np.inf, np.inf)) for name in self.param_names))
@@ -153,7 +169,7 @@ class FitModel:
             v = np.log(-np.log(s[mask]))
             slope, intercept = np.polyfit(u, v, 1)
             if np.isfinite(slope) and slope > 0:
-                p0 = float(np.clip(slope, *EXPONENT_BOUNDS))
+                p0 = min(max(float(slope), EXPONENT_BOUNDS[0]), EXPONENT_BOUNDS[1])
                 t_scale = float(np.exp(-intercept / slope))
         if self.kind == "exp_t2star":
             return np.array([a0, t_scale, c0])
@@ -247,10 +263,10 @@ def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None)
     for name in fix:
         if name not in names:
             raise ValueError(f"unknown fixed parameter {name!r}")
-    free_idx = [i for i, n in enumerate(names) if n not in fix]
-    if t.size < 3 * len(free_idx):
+    free_idx = np.array([i for i, n in enumerate(names) if n not in fix], dtype=np.intp)
+    if t.size < 3 * free_idx.size:
         raise ValueError(
-            f"need at least {3 * len(free_idx)} points to fit {len(free_idx)} parameters"
+            f"need at least {3 * free_idx.size} points to fit {free_idx.size} parameters"
         )
     if float(np.ptp(y)) < 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         raise RankDeficientDataError("signal is constant; nothing to fit")
@@ -266,11 +282,16 @@ def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None)
         full[free_idx] = theta_free
         return full
 
+    # lm_least_squares asks for the Jacobian only at the point of its latest
+    # residual, so the Jacobian comes from that residual's model terms.
+    latest = {}
+
     def residual(theta_free: np.ndarray) -> np.ndarray:
-        return model.predict(t, expand(theta_free)) - y
+        predicted, latest["jacobian"] = model.evaluate(t, expand(theta_free))
+        return predicted - y
 
     def jac(theta_free: np.ndarray) -> np.ndarray:
-        return model.jacobian(t, expand(theta_free))[:, free_idx]
+        return latest["jacobian"]()[:, free_idx]
 
     res = lm_least_squares(
         residual,
@@ -282,11 +303,11 @@ def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None)
 
     theta_opt = expand(res.x)
     cov = covariance_from_jacobian(res.jacobian, res.sse, t.size)
-    stderr_free = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    stderr_free = np.sqrt(np.maximum(cov.diagonal(), 0.0))
     params = {n: float(v) for n, v in zip(names, theta_opt)}
     stderr = {n: 0.0 for n in names}
-    for j, i in enumerate(free_idx):
-        stderr[names[i]] = float(stderr_free[j])
+    for i, e in zip(free_idx.tolist(), stderr_free.tolist()):
+        stderr[names[i]] = e
 
     result = FitResult(
         model=model.kind,

@@ -5,10 +5,15 @@ diagonal scaling and simple box projection; a step is accepted only if it
 lowers the objective.  Written in-house so fit contracts (iteration cap,
 convergence criteria, best-so-far on failure, stop reason) are under
 direct control.
+
+The whole solve runs under one ``np.errstate(all="ignore")``, so it never
+warns: a trial step whose residual overflows has a non-finite SSE and is
+rejected like any step that does not lower the objective.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,76 +68,77 @@ def lm_least_squares(
     iterations the best point found so far is returned with ``converged =
     False``.  A non-finite residual at the start or a non-finite Jacobian
     anywhere raises :class:`NumericalFailure`.
+
+    ``jacobian(x)`` is only ever called at the x of the latest ``residual``
+    call, so it may reuse that call's intermediate terms.  It is called at
+    most once per x: the returned Jacobian is the loop's own when the last
+    iteration did not move x.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     k = x.size
     lo = np.full(k, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     hi = np.full(k, np.inf) if upper is None else np.asarray(upper, dtype=float)
-    x = np.clip(x, lo, hi)
+    x = np.minimum(np.maximum(x, lo), hi)
 
     def jacobian_at(x, r):
-        with np.errstate(all="ignore"):
-            jac = jacobian(x) if jacobian is not None else numeric_jacobian(residual, x, r)
-        if not np.all(np.isfinite(jac)):
+        jac = jacobian(x) if jacobian is not None else numeric_jacobian(residual, x, r)
+        if not np.isfinite(jac).all():
             raise NumericalFailure("Jacobian is not finite")
         return jac
 
-    r = residual(x)
-    if not np.all(np.isfinite(r)):
-        raise NumericalFailure("residual is not finite at the starting point")
-    sse = float(r @ r)
-    lam = LAMBDA_INIT
-    message = "max_iter reached"
-    converged = False
-    n_iter = 0
+    with np.errstate(all="ignore"):
+        r = residual(x)
+        if not np.isfinite(r).all():
+            raise NumericalFailure("residual is not finite at the starting point")
+        sse = float(r @ r)
+        lam = LAMBDA_INIT
+        message = "max_iter reached"
+        converged = False
+        n_iter = 0
+        jac = None  # the Jacobian at x, once computed there
 
-    for n_iter in range(1, MAX_ITER + 1):
-        jac = jacobian_at(x, r)
-        grad = jac.T @ r
-        if float(np.max(np.abs(grad))) < GTOL:
-            converged = True
-            message = "gradient norm below gtol"
-            break
-        hess = jac.T @ jac
-        diag = np.clip(np.diag(hess), 1e-300, None)
-
-        accepted = False
-        while lam <= MAX_LAMBDA:
-            try:
-                step = np.linalg.solve(hess + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                lam *= LAMBDA_GROW
-                continue
-            x_trial = np.clip(x + step, lo, hi)
-            r_trial = residual(x_trial)
-            sse_trial = float(r_trial @ r_trial)
-            if np.isfinite(sse_trial) and sse_trial < sse:
-                moved = np.abs(x_trial - x)
-                rel_move = float(np.max(moved / (np.abs(x) + 1e-300)))
-                x, r, sse = x_trial, r_trial, sse_trial
-                lam = max(lam * LAMBDA_SHRINK, 1e-14)
-                accepted = True
-                if rel_move < XTOL:
-                    converged = True
-                    message = "relative step below xtol"
+        for n_iter in range(1, MAX_ITER + 1):
+            jac = jacobian_at(x, r)
+            grad = jac.T @ r
+            if float(np.abs(grad).max()) < GTOL:
+                converged = True
+                message = "gradient norm below gtol"
                 break
-            lam *= LAMBDA_GROW
-        if not accepted:
-            # No descent direction at any damping: stationary point.
-            converged = True
-            message = "no further decrease possible"
-            break
-        if converged:
-            break
+            hess = jac.T @ jac
+            diag = np.maximum(hess.diagonal(), 1e-300)
+            neg_grad = -grad
 
-    return LMResult(
-        x=x,
-        sse=sse,
-        converged=converged,
-        n_iter=n_iter,
-        jacobian=jacobian_at(x, r),
-        message=message,
-    )
+            accepted = False
+            while lam <= MAX_LAMBDA:
+                try:
+                    step = np.linalg.solve(hess + lam * np.diag(diag), neg_grad)
+                except np.linalg.LinAlgError:
+                    lam *= LAMBDA_GROW
+                    continue
+                x_trial = np.minimum(np.maximum(x + step, lo), hi)
+                r_trial = residual(x_trial)
+                sse_trial = float(r_trial @ r_trial)
+                if math.isfinite(sse_trial) and sse_trial < sse:
+                    rel_move = float((np.abs(x_trial - x) / (np.abs(x) + 1e-300)).max())
+                    x, r, sse, jac = x_trial, r_trial, sse_trial, None
+                    lam = max(lam * LAMBDA_SHRINK, 1e-14)
+                    accepted = True
+                    if rel_move < XTOL:
+                        converged = True
+                        message = "relative step below xtol"
+                    break
+                lam *= LAMBDA_GROW
+            if not accepted:
+                # No descent direction at any damping: stationary point.
+                converged = True
+                message = "no further decrease possible"
+                break
+            if converged:
+                break
+
+        if jac is None:
+            jac = jacobian_at(x, r)
+    return LMResult(x=x, sse=sse, converged=converged, n_iter=n_iter, jacobian=jac, message=message)
 
 
 def covariance_from_jacobian(jac: np.ndarray, sse: float, n_points: int) -> np.ndarray:

@@ -732,6 +732,26 @@ def test_fit_pin_offset_holds_c_at_zero(tmp_path):
     assert result["params"] == expected.params
 
 
+def test_fit_whose_trial_steps_overflow_is_quiet(tmp_path):
+    # Rejected LM trial steps overflow (t/T2)^p; the fit converges, and no
+    # RuntimeWarning reaches stderr.
+    t = np.geomspace(1e-7, 7e-4, 12)
+    curve = DecayCurve(t, 0.32 * np.exp(-((t / 4.9e-4) ** 3)) + 0.05)
+    curve_path = tmp_path / "curve.csv"
+    dataio.write_decay_csv(curve, curve_path)
+    out = tmp_path / "fit"
+    env = {**os.environ, "PYTHONPATH": str(Path(nvforge.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nvforge.cli", "fit", "--input", str(curve_path), "--pin-offset", "true",
+         "--output-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    expected = fitkit.fit(dataio.read_decay_csv(curve_path), fitkit.FitModel.stretched_exp(),
+                          fix={"c": 0.0})
+    assert _read_json(out / "fit_result.json") == expected.as_dict()
+
+
 def test_sense_preset_report(tmp_path):
     assert (
         main(["sense", "--t2-dd-s", "173e-6", "--output-dir", str(tmp_path)]) == 0

@@ -118,12 +118,43 @@ def test_lm_returns_the_lowest_sse_it_evaluated():
 
     lo, hi = model.bounds()
     res = lm_least_squares(
-        residual, model.initial_guess(t, y), jacobian=lambda theta: model.jacobian(t, theta),
+        residual, model.initial_guess(t, y), jacobian=lambda theta: model.evaluate(t, theta)[1](),
         lower=lo, upper=hi,
     )
     assert len(evaluated) > 1
     assert res.sse == min(evaluated)
     assert res.sse <= evaluated[0]
+
+
+@pytest.mark.parametrize("model", [FitModel.stretched_exp(), FitModel.exp_t2star(), FitModel.fid_beats()])
+def test_lm_asks_for_each_jacobian_once_at_the_latest_residual_point(model):
+    # fitkit builds each Jacobian from the latest residual's model terms.
+    rng = np.random.default_rng(7)
+    if model.kind == "fid_beats":
+        t = np.arange(1, 3000) * 2e-9
+        y = simulate_fid_beats(HyperfineTriplet(50e6, 2.16e6), 3.6e-6, t).signal
+    else:
+        t = _stretched_curve(2e-6, 1.7).times_s
+        y = np.exp(-((t / 2e-6) ** 1.7))
+    y = y + 0.01 * rng.standard_normal(t.size)
+    calls = []
+
+    def residual(theta):
+        calls.append(("residual", theta.tobytes()))
+        return model.predict(t, theta) - y
+
+    def jacobian(theta):
+        calls.append(("jacobian", theta.tobytes()))
+        return model.evaluate(t, theta)[1]()
+
+    lo, hi = model.bounds()
+    lm_least_squares(residual, model.initial_guess(t, y), jacobian=jacobian, lower=lo, upper=hi)
+    jacobian_points = [x for kind, x in calls if kind == "jacobian"]
+    assert len(jacobian_points) > 1
+    assert len(set(jacobian_points)) == len(jacobian_points)
+    for i, (kind, x) in enumerate(calls):
+        if kind == "jacobian":
+            assert calls[i - 1] == ("residual", x)
 
 
 def reference_lines(t, y, n_fft):

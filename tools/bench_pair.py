@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark two revisions of nvforge against each other; write BENCH_<PR>.json.
 
-    python3 tools/bench_pair.py PARENT CANDIDATE --pr 10 [--seeds 1 2 ... 10]
+    python3 tools/bench_pair.py PARENT CANDIDATE --pr 10 [--seeds 1 2 ... 10] [--workloads NAME ...]
 
 Each revision is exported with ``git archive`` into its own temporary
 directory, so each runs the benchmark harness it was committed with, at
-that harness's own run length.  For every workload in ``BENCHMARK.json``
-and every seed (default: 1 to 10), ``perfbench/run.py --trace 0`` runs once
+that harness's own run length.  For every workload named by
+``--workloads`` (default: every workload in ``BENCHMARK.json``) and every
+seed (default: 1 to 10), ``perfbench/run.py --trace 0`` runs once
 on each export, one pair at a time; the parent goes first in even pairs
 and second in odd ones, so a slow drift of the machine hits both sides
 alike.
@@ -101,10 +102,16 @@ def main(argv: list[str]) -> int:
     parser.add_argument("candidate")
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<PR>.json")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
+    parser.add_argument("--workloads", nargs="+", metavar="NAME",
+                        help="workloads to run (default: every workload in BENCHMARK.json)")
     args = parser.parse_args(argv)
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(args.workloads or ()) - set(workloads))
+    if unknown:
+        parser.error(f"unknown workload(s) {', '.join(unknown)}; choose from {', '.join(workloads)}")
+    workloads = args.workloads or workloads
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
