@@ -284,14 +284,15 @@ def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None)
 
     # lm_least_squares asks for the Jacobian only at the point of its latest
     # residual, so the Jacobian comes from that residual's model terms.
-    latest = {}
+    latest_jacobian = None
 
     def residual(theta_free: np.ndarray) -> np.ndarray:
-        predicted, latest["jacobian"] = model.evaluate(t, expand(theta_free))
+        nonlocal latest_jacobian
+        predicted, latest_jacobian = model.evaluate(t, expand(theta_free))
         return predicted - y
 
     def jac(theta_free: np.ndarray) -> np.ndarray:
-        return latest["jacobian"]()[:, free_idx]
+        return latest_jacobian()[:, free_idx]
 
     res = lm_least_squares(
         residual,
