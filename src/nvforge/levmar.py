@@ -53,6 +53,7 @@ def numeric_jacobian(residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray
     return jac
 
 
+@np.errstate(all="ignore")
 def lm_least_squares(
     residual: Callable[[np.ndarray], np.ndarray],
     x0,
@@ -86,58 +87,56 @@ def lm_least_squares(
             raise NumericalFailure("Jacobian is not finite")
         return jac
 
-    with np.errstate(all="ignore"):
-        r = residual(x)
-        if not np.isfinite(r).all():
-            raise NumericalFailure("residual is not finite at the starting point")
-        sse = float(r @ r)
-        lam = LAMBDA_INIT
-        message = "max_iter reached"
-        converged = False
-        n_iter = 0
-        jac = None  # the Jacobian at x, once computed there
+    r = residual(x)
+    if not np.isfinite(r).all():
+        raise NumericalFailure("residual is not finite at the starting point")
+    sse = float(r @ r)
+    lam = LAMBDA_INIT
+    message = "max_iter reached"
+    converged = False
+    n_iter = 0
 
-        for n_iter in range(1, MAX_ITER + 1):
-            jac = jacobian_at(x, r)
-            grad = jac.T @ r
-            if float(np.abs(grad).max()) < GTOL:
-                converged = True
-                message = "gradient norm below gtol"
-                break
-            hess = jac.T @ jac
-            diag = np.maximum(hess.diagonal(), 1e-300)
-            neg_grad = -grad
+    for n_iter in range(1, MAX_ITER + 1):
+        jac = jacobian_at(x, r)
+        grad = jac.T @ r
+        if float(np.abs(grad).max()) < GTOL:
+            converged = True
+            message = "gradient norm below gtol"
+            break
+        hess = jac.T @ jac
+        diag = np.maximum(hess.diagonal(), 1e-300)
+        neg_grad = -grad
 
-            accepted = False
-            while lam <= MAX_LAMBDA:
-                try:
-                    step = np.linalg.solve(hess + lam * np.diag(diag), neg_grad)
-                except np.linalg.LinAlgError:
-                    lam *= LAMBDA_GROW
-                    continue
-                x_trial = np.minimum(np.maximum(x + step, lo), hi)
-                r_trial = residual(x_trial)
-                sse_trial = float(r_trial @ r_trial)
-                if math.isfinite(sse_trial) and sse_trial < sse:
-                    rel_move = float((np.abs(x_trial - x) / (np.abs(x) + 1e-300)).max())
-                    x, r, sse, jac = x_trial, r_trial, sse_trial, None
-                    lam = max(lam * LAMBDA_SHRINK, 1e-14)
-                    accepted = True
-                    if rel_move < XTOL:
-                        converged = True
-                        message = "relative step below xtol"
-                    break
+        accepted = False
+        while lam <= MAX_LAMBDA:
+            try:
+                step = np.linalg.solve(hess + lam * np.diag(diag), neg_grad)
+            except np.linalg.LinAlgError:
                 lam *= LAMBDA_GROW
-            if not accepted:
-                # No descent direction at any damping: stationary point.
-                converged = True
-                message = "no further decrease possible"
+                continue
+            x_trial = np.minimum(np.maximum(x + step, lo), hi)
+            r_trial = residual(x_trial)
+            sse_trial = float(r_trial @ r_trial)
+            if math.isfinite(sse_trial) and sse_trial < sse:
+                rel_move = float((np.abs(x_trial - x) / (np.abs(x) + 1e-300)).max())
+                x, r, sse, jac = x_trial, r_trial, sse_trial, None
+                lam = max(lam * LAMBDA_SHRINK, 1e-14)
+                accepted = True
+                if rel_move < XTOL:
+                    converged = True
+                    message = "relative step below xtol"
                 break
-            if converged:
-                break
+            lam *= LAMBDA_GROW
+        if not accepted:
+            # No descent direction at any damping: stationary point.
+            converged = True
+            message = "no further decrease possible"
+            break
+        if converged:
+            break
 
-        if jac is None:
-            jac = jacobian_at(x, r)
+    if jac is None:  # the last iteration moved x
+        jac = jacobian_at(x, r)
     return LMResult(x=x, sse=sse, converged=converged, n_iter=n_iter, jacobian=jac, message=message)
 
 
