@@ -117,8 +117,8 @@ def test_fid_fits_match_the_reference_bit_for_bit():
 
 
 def test_scan_fits_match_the_reference_bit_for_bit():
-    # detect_spots and identify_peaks pass no Jacobian; film_thickness uses
-    # the forward-difference one as well, with an overflowing logistic.
+    # No scan fit passes a Jacobian, so each runs on the forward-difference
+    # one; film_thickness's logistic overflows far from its steps.
     calls = [lambda seed=seed: scan.detect_spots(fixtures.spot_grid_fig5(seed)) for seed in range(3)]
     calls.append(lambda: scan.detect_spots(fixtures.halo_grid_s1(0)))
     calls += [lambda seed=seed: scan.film_thickness(fixtures.depth_profile_fig6(seed)) for seed in range(3)]
