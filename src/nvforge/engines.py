@@ -169,6 +169,14 @@ def _chi(n, noise: NoiseModel, times_s) -> np.ndarray:
         return scale * (_series_below(h, CHI_SERIES_SWITCH, series, 3, closed) + tail)
 
 
+def _finite_chi(n, noise: NoiseModel, times_s) -> np.ndarray:
+    """:func:`_chi`, refusing any value that is not finite with :class:`NumericalFailure`."""
+    chi = _chi(n, noise, times_s)
+    if not np.isfinite(chi).all():
+        raise NumericalFailure("attenuation exponent is not finite")
+    return chi
+
+
 def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
     """Closed-form chi(t) for OU noise under the sequence's pi-pulse pattern.
 
@@ -182,10 +190,7 @@ def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
     if any chi overflows.
     """
     check_times(times_s)
-    chi = _chi(seq.n_pi, noise, times_s)
-    if not np.all(np.isfinite(chi)):
-        raise NumericalFailure("attenuation exponent is not finite")
-    return np.maximum(chi, 0.0)[()]
+    return np.maximum(_finite_chi(seq.n_pi, noise, times_s), 0.0)[()]
 
 
 def simulate_analytic(seq: PulseSequence, noise: NoiseModel, times_s) -> DecayCurve:
@@ -350,12 +355,11 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     return _decay_time_grids(seq.n_pi, noise, n_points)[0]
 
 
-def _grid_guess(target, lo, f_lo, hi, f_hi, hi2, f_hi2) -> float:
-    """Where the exponent f reaches ``target``: the power law through (hi, f_hi) and (lo, f_lo), or
-    (hi2, f_hi2) while f_lo is 0.  It sets the kernel calls of :func:`_decay_time_grids`, not its grids."""
-    t0, f0 = (lo, f_lo) if f_lo > 0 else (hi2, f_hi2)
+def _grid_guess(target, lo, f_lo, hi, f_hi) -> float:
+    """Where the exponent f reaches ``target``: the power law through (lo, f_lo) and (hi, f_hi).
+    It sets the kernel calls of :func:`_decay_time_grids`, not its grids."""
     try:
-        return hi * (target / f_hi) ** (math.log(hi / t0) / math.log(f_hi / f0))
+        return hi * (target / f_hi) ** (math.log(hi / lo) / math.log(f_hi / f_lo))
     except (ArithmeticError, ValueError):  # a ratio of 1, 0 or inf
         return hi
 
@@ -373,77 +377,73 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
     def total_exponent(chi, t):
         return np.maximum(chi, 0.0) + noise.longitudinal_exponent(t)
 
-    # Upper bracket: the first tau_c * 2^k whose exponent reaches
-    # GRID_DECAY_HI.  chi is evaluated on every candidate in one call; the
-    # scan stops at the first crossing or non-finite chi, whichever comes
-    # first, so a non-finite chi past the first crossing is never looked at.
-    # The first column that fails raises.
+    # One kernel call on the probe ladder tau_c * 2^m: the exact doublings m >= 0 and, below them,
+    # the GRID_BISECTION_STEPS midpoints of the bisection while lo is 0, halved as it halves them.
+    # Upper bracket: the first doubling whose exponent reaches GRID_DECAY_HI; the scan stops there
+    # or at a non-finite chi, so a non-finite chi past the first crossing is never looked at.  The
+    # first column that fails raises.
+    halvings = np.multiply.accumulate([noise.tau_c_s, *[0.5] * GRID_BISECTION_STEPS])
     with np.errstate(over="ignore"):
-        probes = np.ldexp(noise.tau_c_s, np.arange(GRID_MAX_DOUBLINGS))[:, None]
+        probes = np.concatenate([halvings[:0:-1], np.ldexp(noise.tau_c_s, np.arange(GRID_MAX_DOUBLINGS))])[:, None]
     chi = _chi(n, noise, probes)
     probe_total = total_exponent(chi, probes)
     stop = ~np.isfinite(chi) | (probe_total >= GRID_DECAY_HI)
+    stop[:GRID_BISECTION_STEPS] = False  # the halvings lie below tau_c
     k = np.argmax(stop, axis=0).tolist()
     for j, kj in enumerate(k):
         if not stop[kj, j]:
             raise ValueError("noise model produces no appreciable decay")
-        if not np.isfinite(chi[kj, j]):
+        if not np.isfinite(chi[:kj + 1, j]).all():
             raise NumericalFailure("attenuation exponent is not finite")
 
     # Bisection on both targets of every column: GRID_BISECTION_STEPS steps of
     # mid = 0.5 * (lo + hi) from (0, tau_c * 2^k), lo moving to mid where the
     # exponent there is below the target.  A target's state is [lo, f(lo), hi,
-    # f(hi), the hi before (the probe above at first), its f, steps left].  Steps
-    # are taken with the real verdicts along a path of known midpoints, up to
-    # and including the first verdict its guess got wrong.  The first path is the
-    # probe ladder tau_c * 2^(k-1), ..., tau_c, guessed never below; then each
-    # kernel call evaluates every target's path as _grid_guess predicts it, up
-    # to the steps left or until lo and hi are adjacent floats, after which
-    # every midpoint rounds to lo or hi, whose verdicts are known.  Each step
-    # taken is the bisection's own, so lo and hi come out bit for bit whatever
-    # the guess, provided the kernel gives each point the same value whatever
-    # else is in its call.  The points are >= 0 by construction.
+    # f(hi), steps left].  Steps are taken with the real verdicts along a path
+    # of known midpoints, up to and including the first verdict its guess got
+    # wrong.  The first path is the probe ladder below tau_c * 2^k, guessed
+    # never below; it leaves lo > 0 or no step left (or lo = 0 at hi = 5e-324).
+    # Then each kernel call evaluates every target's path as _grid_guess
+    # predicts it, up to the steps left or until lo and hi are adjacent floats,
+    # after which every midpoint rounds to lo or hi, whose verdicts are known.
+    # Each step taken is the bisection's own, so lo and hi come out bit for bit
+    # whatever the guess, provided the kernel gives each point the same value
+    # whatever else is in its call.  The points are >= 0 by construction.
     def take_steps(state, target, guess, path, totals):
-        for mid, total in zip(path[:state[6]], totals):
-            state[6] -= 1
+        for mid, total in zip(path[:state[4]], totals):
+            state[4] -= 1
             below = total < target
-            if below:
-                state[:2] = mid, total
-            else:
-                state[2:6] = mid, total, *state[2:4]
+            side = 0 if below else 2
+            state[side:side + 2] = mid, total
             if below != (mid < guess):
                 return
 
     targets = [GRID_DECAY_LO, GRID_DECAY_HI] * len(k)
     pair_n = np.repeat(n, 2) if np.ndim(n) else n
-    ladder = [*probes[:, 0].tolist(), math.inf]
+    ladder = probes[:, 0].tolist()
     states = []
     for target, kj, f in zip(targets, np.repeat(k, 2).tolist(), np.repeat(probe_total, 2, axis=1).T.tolist()):
-        f.append(math.inf)
-        states.append([0.0, 0.0, ladder[kj], f[kj], ladder[kj + 1], f[kj + 1], GRID_BISECTION_STEPS])
+        states.append([0.0, 0.0, ladder[kj], f[kj], GRID_BISECTION_STEPS])
         take_steps(states[-1], target, 0.0, ladder[:kj][::-1], f[:kj][::-1])
     while True:
-        guesses = [_grid_guess(target, *state[:6]) for target, state in zip(targets, states)]
+        guesses = [_grid_guess(target, *state[:4]) for target, state in zip(targets, states)]
         paths = [[] for _ in states]
-        for guess, path, (lo, _, hi, *_, left) in zip(guesses, paths, states):
+        for guess, path, (lo, _, hi, _, left) in zip(guesses, paths, states):
             while len(path) < left and math.nextafter(lo, hi) != hi:
                 path.append(0.5 * (lo + hi))
                 lo, hi = (path[-1], hi) if path[-1] < guess else (lo, path[-1])
         if not any(paths):
             break
         points = np.array(list(itertools.zip_longest(*paths, fillvalue=0.0)))
-        chi = _chi(pair_n, noise, points)
-        if not np.isfinite(chi).all():
-            raise NumericalFailure("attenuation exponent is not finite")
+        chi = _finite_chi(pair_n, noise, points)
         for step in zip(states, targets, guesses, paths, total_exponent(chi, points).T.tolist()):
             take_steps(*step)
     grids = []
-    ends = [0.5 * (lo + hi) for lo, _, hi, *_ in states]
-    for (lo, _, hi, *_), t_lo, t_hi in zip(states[0::2], ends[0::2], ends[1::2]):
+    for (lo, _, hi, *_), (lo_hi, _, hi_hi, *_) in zip(states[0::2], states[1::2]):
         if lo == 0.0:  # no time the bisection reached lies below the low target
             raise ValueError(f"decay starts below {hi:.3g} s, the smallest positive time "
                              "the grid bisection reaches; no log grid")
-        grids.append(np.geomspace(t_lo, t_hi, n_points))
+        grids.append(np.geomspace(0.5 * (lo + hi), 0.5 * (lo_hi + hi_hi), n_points))
     return grids
 
 

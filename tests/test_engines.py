@@ -952,7 +952,7 @@ def test_decay_time_grid_kernel_calls(monkeypatch, kind, n):
         assert len(calls) <= 8
 
 
-#: Guesses of the bisection's crossing, good and bad, for _grid_guess(target, lo, f_lo, hi, f_hi, hi2, f_hi2).
+#: Guesses of the bisection's crossing, good and bad, for _grid_guess(target, lo, f_lo, hi, f_hi).
 GUESSES = {
     "lo": lambda target, lo, f_lo, hi, *_: lo,
     "hi": lambda target, lo, f_lo, hi, *_: hi,
@@ -975,6 +975,50 @@ def test_decay_time_grid_bytes_do_not_depend_on_the_guess(monkeypatch, guess, b_
     ns = [seq.n_pi for seq in seqs[1:]]
     for n, grid in zip(ns, engines._decay_time_grids(np.array(ns), noise, 24)):
         assert np.array_equal(grid, decay_time_grid(build_sequence("cpmg", 1e-6, n=n), noise))
+
+
+@pytest.mark.parametrize("b_tau", [0.1, 10.0, 1e8, 1e10])
+@pytest.mark.parametrize("t1", [math.inf, 1e-4])
+def test_every_grid_guess_starts_from_a_positive_lower_end(monkeypatch, b_tau, t1):
+    # The probe ladder holds every time the bisection visits while its bracket
+    # starts at 0, so each guess is made in a bracket with lo > 0 and f(lo) > 0.
+    seen = []
+    guess = engines._grid_guess
+
+    def spied(target, lo, f_lo, *rest):
+        seen.append((lo, f_lo))
+        return guess(target, lo, f_lo, *rest)
+
+    monkeypatch.setattr(engines, "_grid_guess", spied)
+    noise = NoiseModel(b_tau / 1e-6, 1e-6, t1, 1.32)
+    seqs = [build_sequence(kind, 1e-6, n=n) for kind, n in GRID_SEQUENCES]
+    for seq in seqs:
+        decay_time_grid(seq, noise)
+    engines._decay_time_grids(np.array([seq.n_pi for seq in seqs[1:]]), noise, 24)
+    assert seen
+    assert [(lo, f_lo) for lo, f_lo in seen if not (lo > 0 and f_lo > 0)] == []
+
+
+def grid_or_refusal(build, seq, noise):
+    try:
+        return build(seq, noise)
+    except ValueError:
+        return "refused"
+
+
+@pytest.mark.parametrize("m", [5, 7, 13, 101])
+@pytest.mark.parametrize("t1_over_tau_c", [1.0, 3.0, 100.0, 1000.0])
+@pytest.mark.parametrize("q", [0.5, 2.0])
+def test_decay_time_grid_equals_binary_bisection_at_subnormal_tau_c(m, t1_over_tau_c, q):
+    # T1 only, tau_c = m * 5e-324: the low target's crossing lies below tau_c
+    # for T1/tau_c up to ~7 at q = 2 and ~2500 at q = 0.5, among the halvings
+    # of tau_c, which round on subnormals.  Some windows start below the
+    # smallest positive time; both grids must refuse those.
+    tau_c = m * 5e-324
+    noise = NoiseModel(0.0, tau_c, t1_over_tau_c * tau_c, q)
+    seq = build_sequence("hahn", 1e-6)
+    got, want = (grid_or_refusal(build, seq, noise) for build in (decay_time_grid, binary_bisection_grid))
+    assert type(got) is type(want) and np.array_equal(got, want)
 
 
 def random_baths(count, seed):

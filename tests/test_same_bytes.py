@@ -6,7 +6,8 @@ Each step of the tool's ``script()`` runs in process through the tool's
 its stderr (with the directory replaced by ``<ROOT>``) and the SHA-256 of each
 output file except ``manifest.json`` must equal its entry in
 ``same_bytes_digests.json``.  The table records the Python and numpy versions
-that made it, because libm and numpy can move bytes.  A declared byte change regenerates the table:
+and numpy's SIMD targets that made it (see ``byte_pins``), because libm, numpy
+and its dispatch can move bytes.  A declared byte change regenerates the table:
 
     PYTHONPATH=src python tests/test_same_bytes.py > tests/same_bytes_digests.json
 """
@@ -14,7 +15,6 @@ that made it, because libm and numpy can move bytes.  A declared byte change reg
 import hashlib
 import json
 import os
-import platform
 import re
 import shutil
 import signal
@@ -31,16 +31,14 @@ from nvforge import cli, dataio
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 import same_bytes  # noqa: E402
+import byte_pins  # noqa: E402
+from byte_pins import mismatch, versions  # noqa: E402
 
 DIGESTS = Path(__file__).with_name("same_bytes_digests.json")
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def run_steps(root: Path, steps) -> dict:
@@ -69,12 +67,8 @@ def differences(results: dict, expected: dict) -> list[str]:
 
 def _table() -> dict:
     table = json.loads(DIGESTS.read_text())
-    made, here = {k: table[k] for k in versions()}, versions()
-    assert made == here, (
-        f"the digests were made with python {made['python']} and numpy {made['numpy']}, "
-        f"this run has python {here['python']} and numpy {here['numpy']}; "
-        "check the bytes with tools/same_bytes.py, then regenerate the table"
-    )
+    why = mismatch(table)
+    assert not why, f"the digests were {why}; check the bytes with tools/same_bytes.py, then regenerate the table"
     return table["steps"]
 
 
@@ -82,6 +76,14 @@ def test_a_version_mismatch_names_both_versions(monkeypatch):
     made = json.loads(DIGESTS.read_text())["numpy"]
     monkeypatch.setattr(np, "__version__", "0.0.0")
     with pytest.raises(AssertionError, match=rf"numpy {re.escape(made)}, this run .* numpy 0\.0\.0;"):
+        _table()
+
+
+def test_a_dispatch_mismatch_names_both_simd_targets(monkeypatch):
+    made = json.loads(DIGESTS.read_text())["simd"]
+    monkeypatch.setattr(byte_pins, "simd_targets", lambda: {**made, "exp": "baseline"})
+    with pytest.raises(AssertionError, match=rf"made with float64 exp {made['exp']}, .*, "
+                                             r"this run has float64 exp baseline, "):
         _table()
 
 

@@ -4,20 +4,19 @@ No CLI command reaches ``t2_vs_n``, so the same-bytes digests do not cover
 it.  For each case of :data:`CASES`, ``t2_table.json`` holds every row of
 the sweep's stretched-exponential fits as ``[n, repr(t2_s), repr(p)]``,
 read from ``fitkit.extract_t2_table``, which ``t2_vs_n`` calls.  Like
-``same_bytes_digests.json`` it records the Python and numpy versions that
-made it.  A declared change regenerates it:
+``same_bytes_digests.json`` it records the Python and numpy versions and
+numpy's SIMD targets that made it (see ``byte_pins``).  A declared change regenerates it:
 
     PYTHONPATH=src python tests/test_t2_table.py > tests/t2_table.json
 """
 
 import json
-import platform
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
+from byte_pins import mismatch, versions
 from nvforge import engines, fitkit
 from nvforge.noise import NoiseModel
 from nvforge.presets import paper_like_noise, slow_bath_noise
@@ -34,10 +33,6 @@ CASES = {
     "bath-b": (lambda: NoiseModel(1.25e4, 4e-4, 0.5, 1.2), [1, 16, 2048, 5], 32),
     "bath-c": (lambda: NoiseModel(2.5e5, 2e-5, 4e-4, 1.5), [9, 64, 300, 1, 64], 40),
 }
-
-
-def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def t2_rows(noise: NoiseModel, n_list, n_points: int) -> list[list]:
@@ -58,11 +53,8 @@ def t2_rows(noise: NoiseModel, n_list, n_points: int) -> list[list]:
 @pytest.mark.parametrize("name", CASES)
 def test_t2_vs_n_gives_its_recorded_fits(name):
     table = json.loads(TABLE.read_text())
-    made, here = {k: table[k] for k in versions()}, versions()
-    assert made == here, (
-        f"the table was made with python {made['python']} and numpy {made['numpy']}, "
-        f"this run has python {here['python']} and numpy {here['numpy']}; regenerate it"
-    )
+    why = mismatch(table)
+    assert not why, f"the table was {why}; regenerate it"
     noise, n_list, n_points = CASES[name]
     assert t2_rows(noise(), n_list, n_points) == table["cases"][name]
 
