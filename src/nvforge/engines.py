@@ -67,7 +67,7 @@ MC_UFUNC_BUFSIZE = 16
 #: Decay window of :func:`decay_time_grid`, in -ln(signal).
 GRID_DECAY_LO = 0.02
 GRID_DECAY_HI = 3.0
-#: Doublings of tau_c searched for an upper bracket, and bisection steps.
+#: Doublings of tau_c searched for an upper bracket, and bisection steps (as many halvings are probed).
 GRID_MAX_DOUBLINGS = 200
 GRID_BISECTION_STEPS = 80
 
@@ -388,7 +388,7 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
     chi = _chi(n, noise, probes)
     probe_total = total_exponent(chi, probes)
     stop = ~np.isfinite(chi) | (probe_total >= GRID_DECAY_HI)
-    stop[:GRID_BISECTION_STEPS] = False  # the halvings lie below tau_c
+    stop[:GRID_BISECTION_STEPS] = False  # the bisection starts from (0, tau_c * 2^k), k >= 0
     k = np.argmax(stop, axis=0).tolist()
     for j, kj in enumerate(k):
         if not stop[kj, j]:

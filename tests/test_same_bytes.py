@@ -30,9 +30,8 @@ from nvforge import cli, dataio
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
-import same_bytes  # noqa: E402
 import byte_pins  # noqa: E402
-from byte_pins import mismatch, versions  # noqa: E402
+import same_bytes  # noqa: E402
 
 DIGESTS = Path(__file__).with_name("same_bytes_digests.json")
 
@@ -67,7 +66,7 @@ def differences(results: dict, expected: dict) -> list[str]:
 
 def _table() -> dict:
     table = json.loads(DIGESTS.read_text())
-    why = mismatch(table)
+    why = byte_pins.mismatch(table)
     assert not why, f"the digests were {why}; check the bytes with tools/same_bytes.py, then regenerate the table"
     return table["steps"]
 
@@ -140,4 +139,4 @@ if __name__ == "__main__":
         os.chdir(tmp)
         steps = run_steps(Path(tmp), same_bytes.script())
         os.chdir(REPO)
-    print(json.dumps({**versions(), "steps": steps}, indent=1))
+    print(json.dumps({**byte_pins.versions(), "steps": steps}, indent=1))
