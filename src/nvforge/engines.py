@@ -37,6 +37,7 @@ distribution, and a point's value does not depend on the other points.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -70,6 +71,10 @@ GRID_DECAY_HI = 3.0
 #: Doublings of tau_c searched for an upper bracket, and bisection steps (as many halvings are probed).
 GRID_MAX_DOUBLINGS = 200
 GRID_BISECTION_STEPS = 80
+#: Points of the grid's dense call in each open bracket, and the most floats a bracket may hold
+#: when the final call evaluates them all; the first guess interpolates through GRID_GUESS_POINTS.
+GRID_DENSE_POINTS, GRID_GUESS_POINTS = 64, 8
+_GRID_DENSE_FRACTIONS = np.arange(1, GRID_DENSE_POINTS + 1) / (GRID_DENSE_POINTS + 1)
 
 
 #: chi in units of b^2 tau_c^2, with h = t/(2 n tau_c) the half-cell at either
@@ -364,6 +369,24 @@ def _grid_guess(target, lo, f_lo, hi, f_hi) -> float:
         return hi
 
 
+def _interpolated_guess(target, lo, f_lo, hi, f_hi, times, totals) -> float:
+    """Where f reaches ``target``, from f = ``totals`` at ``times`` inside (lo, hi): log t as a polynomial
+    in log(f/target) through the GRID_GUESS_POINTS points nearest the crossing, by Neville's scheme."""
+    fs = [f_lo, *totals, f_hi]
+    first = min(max(bisect.bisect_left(fs, target) - GRID_GUESS_POINTS // 2, 0), len(fs) - GRID_GUESS_POINTS)
+    ts, fs = [lo, *times, hi][first:first + GRID_GUESS_POINTS], fs[first:first + GRID_GUESS_POINTS]
+    t_ref = ts[GRID_GUESS_POINTS // 2]
+    try:
+        xs = [math.log(f / target) for f in fs]
+        p = [math.log(t / t_ref) for t in ts]
+        for k in range(1, len(p)):
+            for i in range(len(p) - k):
+                p[i] = (xs[i + k] * p[i] - xs[i] * p[i + 1]) / (xs[i + k] - xs[i])
+        return t_ref * math.exp(p[0])
+    except (ArithmeticError, ValueError):  # f = 0, or two points with the same f
+        return _grid_guess(target, lo, f_lo, hi, f_hi)
+
+
 def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
     """The grid of :func:`decay_time_grid` for each pulse count of ``n``, sharing every kernel call.
 
@@ -396,48 +419,73 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
         if not np.isfinite(chi[:kj + 1, j]).all():
             raise NumericalFailure("attenuation exponent is not finite")
 
-    # Bisection on both targets of every column: GRID_BISECTION_STEPS steps of
-    # mid = 0.5 * (lo + hi) from (0, tau_c * 2^k), lo moving to mid where the
-    # exponent there is below the target.  A target's state is [lo, f(lo), hi,
-    # f(hi), steps left].  Steps are taken with the real verdicts along a path
-    # of known midpoints, up to and including the first verdict its guess got
-    # wrong.  The first path is the probe ladder below tau_c * 2^k, guessed
-    # never below; it leaves lo > 0 or no step left (or lo = 0 at hi = 5e-324).
-    # Then each kernel call evaluates every target's path as _grid_guess
-    # predicts it, up to the steps left or until lo and hi are adjacent floats,
-    # after which every midpoint rounds to lo or hi, whose verdicts are known.
-    # Each step taken is the bisection's own, so lo and hi come out bit for bit
-    # whatever the guess, provided the kernel gives each point the same value
-    # whatever else is in its call.  The points are >= 0 by construction.
-    def take_steps(state, target, guess, path, totals):
-        for mid, total in zip(path[:state[4]], totals):
-            state[4] -= 1
-            below = total < target
-            side = 0 if below else 2
-            state[side:side + 2] = mid, total
-            if below != (mid < guess):
-                return
-
+    # Bisection on both targets of every column: GRID_BISECTION_STEPS steps of mid = 0.5 * (lo + hi)
+    # from (0, tau_c * 2^k), lo moving to mid where the exponent there is below the target.  A
+    # target's state is [lo, f(lo), hi, f(hi), steps left], open while a step is left and lo and hi
+    # are not adjacent floats.  Its first steps walk down the probe ladder to the first halving below
+    # the target.  The dense call evaluates GRID_DENSE_POINTS points evenly spaced in log t inside
+    # each open bracket (lo > 0) for _interpolated_guess; a final call, the path the bisection takes
+    # if the guess is right until the bracket holds at most GRID_DENSE_POINTS floats, then each float
+    # in it.  The bisection steps while its midpoint has been evaluated; a target still open takes
+    # another final call, guessed by _grid_guess.  So lo and hi are bit for bit the bisection's
+    # whatever the guess, as the kernel gives each point the same value whatever else is in its call.
+    # Each point lies in a bracket whose ends were evaluated as finite: no new NumericalFailure.
     targets = [GRID_DECAY_LO, GRID_DECAY_HI] * len(k)
     pair_n = np.repeat(n, 2) if np.ndim(n) else n
-    ladder = probes[:, 0].tolist()
+    ladder, columns = probes[:, 0].tolist(), probe_total.T.tolist()
     states = []
-    for target, kj, f in zip(targets, np.repeat(k, 2).tolist(), np.repeat(probe_total, 2, axis=1).T.tolist()):
-        states.append([0.0, 0.0, ladder[kj], f[kj], GRID_BISECTION_STEPS])
-        take_steps(states[-1], target, 0.0, ladder[:kj][::-1], f[:kj][::-1])
-    while True:
-        guesses = [_grid_guess(target, *state[:4]) for target, state in zip(targets, states)]
-        paths = [[] for _ in states]
-        for guess, path, (lo, _, hi, _, left) in zip(guesses, paths, states):
-            while len(path) < left and math.nextafter(lo, hi) != hi:
-                path.append(0.5 * (lo + hi))
-                lo, hi = (path[-1], hi) if path[-1] < guess else (lo, path[-1])
-        if not any(paths):
-            break
-        points = np.array(list(itertools.zip_longest(*paths, fillvalue=0.0)))
-        chi = _finite_chi(pair_n, noise, points)
-        for step in zip(states, targets, guesses, paths, total_exponent(chi, points).T.tolist()):
-            take_steps(*step)
+    for j, target in enumerate(targets):
+        kj, f = k[j // 2], columns[j // 2]
+        first, i = kj - GRID_BISECTION_STEPS, kj - 1
+        while i >= first and f[i] >= target:
+            i -= 1
+        lo, f_lo = (ladder[i], f[i]) if i >= first else (0.0, 0.0)
+        states.append([lo, f_lo, ladder[i + 1], f[i + 1], max(i - first, 0)])
+
+    def evaluate(live, points):
+        cols = pair_n[live] if np.ndim(pair_n) else pair_n
+        return total_exponent(_finite_chi(cols, noise, points), points).T.tolist()
+
+    def is_open(lo, f_lo, hi, f_hi, left):
+        return left > 0 and math.nextafter(lo, hi) != hi
+
+    memos = [{} for _ in states]
+    live = [j for j, state in enumerate(states) if is_open(*state)]
+    if live:
+        ends = np.array([states[j][0:3:2] for j in live]).T
+        lo, hi = np.log(ends)
+        dense = np.exp(lo + np.multiply.outer(_GRID_DENSE_FRACTIONS, hi - lo))
+        dense = np.minimum(np.maximum(dense, ends[0]), ends[1])
+        guesses = [_interpolated_guess(targets[j], *states[j][:4], ts, fs)
+                   for j, ts, fs in zip(live, dense.T.tolist(), evaluate(live, dense))]
+    while live:
+        paths, ends = [], []
+        for j, guess in zip(live, guesses):
+            lo, _, hi, _, left = states[j]
+            path, width = [], GRID_DENSE_POINTS * math.ulp(lo)  # lo only grows, and ulp(lo) with it
+            while len(path) < left and hi - lo > width:
+                path.append(mid := 0.5 * (lo + hi))
+                lo, hi = (mid, hi) if mid < guess else (lo, mid)
+            paths.append(path)
+            ends.append((lo, hi))
+        floats = np.empty((GRID_DENSE_POINTS + 1, len(live)))
+        floats[0], floats[1:] = np.array(ends).T
+        for path, (_, hi), last in zip(paths, ends, np.nextafter.accumulate(floats, axis=0)[1:].T.tolist()):
+            path += last[:bisect.bisect_left(last, hi)]  # the floats strictly inside (lo, hi)
+        totals = evaluate(live, np.array(list(itertools.zip_longest(*paths, fillvalue=0.0))))
+        for j, path, fs in zip(live, paths, totals):
+            memo, target, (lo, f_lo, hi, f_hi, left) = memos[j], targets[j], states[j]
+            memo.update(zip(path, fs))
+            # A midpoint is strictly inside (lo, hi) unless they are adjacent or it overflows.
+            while left and lo < (mid := 0.5 * (lo + hi)) < hi and (f := memo.get(mid)) is not None:
+                left -= 1
+                if f < target:
+                    lo, f_lo = mid, f
+                else:
+                    hi, f_hi = mid, f
+            states[j] = [lo, f_lo, hi, f_hi, left]
+        live = [j for j in live if is_open(*states[j])]
+        guesses = [_grid_guess(targets[j], *states[j][:4]) for j in live]
     grids = []
     for (lo, _, hi, *_), (lo_hi, _, hi_hi, *_) in zip(states[0::2], states[1::2]):
         if lo == 0.0:  # no time the bisection reached lies below the low target

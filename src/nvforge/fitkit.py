@@ -18,7 +18,7 @@ of the signal, and oscillation frequencies from the curve periodogram.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,18 +196,19 @@ class FitModel:
 def spectral_lines(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     """Significant oscillation lines of a (possibly log-sampled) curve.
 
-    Resamples onto a uniform grid, zero pads to at least 4x its length,
-    rounded up to a power of two (a fast FFT length), and returns the
-    local maxima of |FFT| that reach 30% of the strongest one, as
-    (frequency, magnitude) pairs sorted by frequency.  Always contains at
-    least the global peak.
+    Resamples any but uniform samples onto max(4096, 4N) uniform points,
+    zero pads to at least 4x the length, rounded up to a power of two (a
+    fast FFT length), and returns the local maxima of |FFT| that reach 30%
+    of the strongest one, as (frequency, magnitude) pairs sorted by
+    frequency.  Always contains at least the global peak.
     """
-    n_uniform = max(4096, 4 * t.size)
-    tu = np.linspace(t[0], t[-1], n_uniform)
-    yu = np.interp(tu, t, y)
-    n_fft = 1 << (4 * n_uniform - 1).bit_length()
-    spec = np.abs(np.fft.rfft(yu, n=n_fft))
-    freqs = np.fft.rfftfreq(n_fft, d=tu[1] - tu[0])
+    step = (t[-1] - t[0]) / (t.size - 1)
+    if np.ptp(np.diff(t)) > 1e-6 * step:  # not uniform to a millionth of a step
+        tu = np.linspace(t[0], t[-1], max(4096, 4 * t.size))
+        y, step = np.interp(tu, t, y), tu[1] - tu[0]
+    n_fft = 1 << (4 * y.size - 1).bit_length()
+    spec = np.abs(np.fft.rfft(y, n=n_fft))
+    freqs = np.fft.rfftfreq(n_fft, d=step)
     spec[0] = 0.0
     k_peak = int(np.argmax(spec))
     keep = np.zeros(spec.size, dtype=bool)
@@ -229,8 +230,9 @@ class FitResult:
     n_iter: int
 
     def as_dict(self) -> dict:
-        """The fields, as :mod:`nvforge.dataio` writes them to ``fit_result.json``."""
-        return asdict(self)
+        """The fields, as :mod:`nvforge.dataio` writes them to ``fit_result.json``: ``dataclasses.asdict``."""
+        return {"model": self.model, "params": dict(self.params), "stderr": dict(self.stderr),
+                "residual_rms": self.residual_rms, "converged": self.converged, "n_iter": self.n_iter}
 
 
 def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None) -> FitResult:

@@ -828,7 +828,7 @@ def test_t2_vs_n_rejects_a_non_integral_n():
 
 
 def test_t2_vs_n_kernel_calls(monkeypatch):
-    # One grid pass for the whole sweep, then one call per analytic curve.
+    # One grid pass for the whole sweep (three or four calls), then one call per analytic curve.
     calls = []
     kernel = engines._chi
 
@@ -839,15 +839,15 @@ def test_t2_vs_n_kernel_calls(monkeypatch):
     monkeypatch.setattr(engines, "_chi", counted)
     n_list = [1, 4, 8, 16, 32, 64]
     t2_vs_n(paper_like_noise(), n_list)
-    assert len(calls) <= 8 + len(n_list)
+    assert len(calls) <= 4 + len(n_list)
 
 
 
 @pytest.mark.parametrize("family, n_curves", [(fixtures.decay_family_fig7, 5), (fixtures.xy_curves_fig9, 2)],
                          ids=["fig7", "fig9"])
 def test_fixture_family_kernel_calls(monkeypatch, family, n_curves):
-    # One call calibrates the preset, one grid pass serves the whole family,
-    # then one call per curve.
+    # One call calibrates the preset, one grid pass (three or four calls)
+    # serves the whole family, then one call per curve.
     calls = []
     kernel = engines._chi
 
@@ -857,7 +857,7 @@ def test_fixture_family_kernel_calls(monkeypatch, family, n_curves):
 
     monkeypatch.setattr(engines, "_chi", counted)
     assert len(family()) == n_curves
-    assert len(calls) <= 1 + 8 + n_curves
+    assert len(calls) <= 1 + 4 + n_curves
 
 
 def test_fixture_families_equal_one_grid_and_curve_per_sequence():
@@ -949,15 +949,36 @@ def test_decay_time_grid_kernel_calls(monkeypatch, kind, n):
     for noise in (NoiseModel(1e6, 1e-6), paper_like_noise(), *(NoiseModel(b, 1e-6) for b in (1e14, 5e14, 1e16))):
         calls.clear()
         decay_time_grid(build_sequence(kind, 1e-6, n=n), noise)
-        assert len(calls) <= 8
+        assert len(calls) <= 4
 
 
-#: Guesses of the bisection's crossing, good and bad, for _grid_guess(target, lo, f_lo, hi, f_hi).
+def test_decay_time_grid_mean_kernel_calls(monkeypatch):
+    # The probe, the dense call and the final call; a wrong first guess costs a fourth.
+    calls = []
+    kernel = engines._chi
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(engines, "_chi", counted)
+    grids = 0
+    for kind, n in GRID_SEQUENCES:
+        for b_tau in (0.1, 1.0, 10.0):
+            for t1 in (math.inf, 1e-4):
+                decay_time_grid(build_sequence(kind, 1e-6, n=n), NoiseModel(b_tau / 1e-6, 1e-6, t1, 1.32))
+                grids += 1
+    assert len(calls) / grids <= 3.2
+
+
+#: Guesses of the bisection's crossing, good and bad, for _grid_guess(target, lo, f_lo, hi, f_hi)
+#: and _interpolated_guess(target, lo, f_lo, hi, f_hi, times, totals).
 GUESSES = {
     "lo": lambda target, lo, f_lo, hi, *_: lo,
     "hi": lambda target, lo, f_lo, hi, *_: hi,
     "zero": lambda *_: 0.0,
     "huge": lambda *_: 1e300,
+    "nan": lambda *_: math.nan,
 }
 
 
@@ -969,6 +990,7 @@ def test_decay_time_grid_bytes_do_not_depend_on_the_guess(monkeypatch, guess, b_
     tau_c = 1e-6
     noise = NoiseModel(b_tau / tau_c, tau_c, t1, 1.32)
     monkeypatch.setattr(engines, "_grid_guess", GUESSES[guess])
+    monkeypatch.setattr(engines, "_interpolated_guess", GUESSES[guess])
     seqs = [build_sequence(kind, 1e-6, n=n) for kind, n in GRID_SEQUENCES]
     for seq in seqs:
         assert np.array_equal(decay_time_grid(seq, noise), binary_bisection_grid(seq, noise))
@@ -981,15 +1003,18 @@ def test_decay_time_grid_bytes_do_not_depend_on_the_guess(monkeypatch, guess, b_
 @pytest.mark.parametrize("t1", [math.inf, 1e-4])
 def test_every_grid_guess_starts_from_a_positive_lower_end(monkeypatch, b_tau, t1):
     # The probe ladder holds every time the bisection visits while its bracket
-    # starts at 0, so each guess is made in a bracket with lo > 0 and f(lo) > 0.
+    # starts at 0, and no guess is made for a closed bracket, so each guess of
+    # either kind is made in a bracket with lo > 0 and f(lo) > 0.
     seen = []
-    guess = engines._grid_guess
 
-    def spied(target, lo, f_lo, *rest):
-        seen.append((lo, f_lo))
-        return guess(target, lo, f_lo, *rest)
+    def spy(guess):
+        def spied(target, lo, f_lo, *rest):
+            seen.append((lo, f_lo))
+            return guess(target, lo, f_lo, *rest)
+        return spied
 
-    monkeypatch.setattr(engines, "_grid_guess", spied)
+    for name in ("_grid_guess", "_interpolated_guess"):
+        monkeypatch.setattr(engines, name, spy(getattr(engines, name)))
     noise = NoiseModel(b_tau / 1e-6, 1e-6, t1, 1.32)
     seqs = [build_sequence(kind, 1e-6, n=n) for kind, n in GRID_SEQUENCES]
     for seq in seqs:

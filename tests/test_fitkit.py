@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -157,11 +158,14 @@ def test_lm_asks_for_each_jacobian_once_at_the_latest_residual_point(model):
             assert calls[i - 1] == ("residual", x)
 
 
-def reference_lines(t, y, n_fft):
+def reference_lines(t, y, n_fft, resample):
     """spectral_lines' selection, one spectrum bin at a time, on n_fft points."""
-    tu = np.linspace(t[0], t[-1], max(4096, 4 * t.size))
-    spec = np.abs(np.fft.rfft(np.interp(tu, t, y), n=n_fft))
-    freqs = np.fft.rfftfreq(n_fft, d=tu[1] - tu[0]).tolist()
+    step = (t[-1] - t[0]) / (t.size - 1)
+    if resample:
+        tu = np.linspace(t[0], t[-1], max(4096, 4 * t.size))
+        y, step = np.interp(tu, t, y), tu[1] - tu[0]
+    spec = np.abs(np.fft.rfft(y, n=n_fft))
+    freqs = np.fft.rfftfreq(n_fft, d=step).tolist()
     spec[0] = 0.0
     spec = spec.tolist()
     peak = spec.index(max(spec))
@@ -173,19 +177,7 @@ def reference_lines(t, y, n_fft):
     return lines, (freqs[peak], spec[peak])
 
 
-@pytest.mark.parametrize(
-    "signal",
-    [
-        lambda t: simulate_fid_beats(HyperfineTriplet.doublet(2e6, 1e6), 2e-6, t).signal,
-        lambda t: np.cos(2 * math.pi * 3e6 * t) + 0.4 * np.cos(2 * math.pi * 7e6 * t),
-    ],
-    ids=["doublet_fid", "two_tone"],
-)
-def test_spectral_lines_match_a_bin_by_bin_selection(monkeypatch, signal):
-    # 2499 samples resample onto 9996 points, zero padded to the power of
-    # two at or above 4x that: 65536.
-    t = np.arange(1, 2500) * 2e-9
-    y = signal(t)
+def check_lines(monkeypatch, t, y, n_fft, resample):
     lengths = []
     rfft = np.fft.rfft
 
@@ -195,13 +187,57 @@ def test_spectral_lines_match_a_bin_by_bin_selection(monkeypatch, signal):
 
     monkeypatch.setattr(np.fft, "rfft", recorded)
     lines = spectral_lines(t, y - np.mean(y))
-    assert lengths == [65536]
-    expected, peak = reference_lines(t, y - np.mean(y), 65536)
+    assert lengths == [n_fft]
+    expected, peak = reference_lines(t, y - np.mean(y), n_fft, resample)
     assert lines == expected
     assert peak in lines
     freqs = [f for f, _ in lines]
     assert freqs == sorted(freqs) and len(lines) >= 2
     assert all(type(f) is float and type(m) is float for f, m in lines)
+
+
+SIGNALS = pytest.mark.parametrize(
+    "signal",
+    [
+        lambda t: simulate_fid_beats(HyperfineTriplet.doublet(2e6, 1e6), 2e-6, t).signal,
+        lambda t: np.cos(2 * math.pi * 3e6 * t) + 0.4 * np.cos(2 * math.pi * 7e6 * t),
+    ],
+    ids=["doublet_fid", "two_tone"],
+)
+
+
+@SIGNALS
+def test_spectral_lines_match_a_bin_by_bin_selection(monkeypatch, signal):
+    # 2499 uniform samples are transformed as they are, zero padded to the
+    # power of two at or above 4x their number: 16384.
+    t = np.arange(1, 2500) * 2e-9
+    check_lines(monkeypatch, t, signal(t), 16384, resample=False)
+
+
+@SIGNALS
+def test_spectral_lines_resample_a_log_sampled_curve(monkeypatch, signal):
+    # 2499 log-spaced samples resample onto 9996 uniform points, zero padded
+    # to the power of two at or above 4x that: 65536.
+    t = np.geomspace(5e-7, 5e-6, 2499)
+    check_lines(monkeypatch, t, signal(t), 65536, resample=True)
+
+
+@pytest.mark.parametrize(
+    "model, curve",
+    [
+        (FitModel.stretched_exp(), _stretched_curve(6.4e-6, 0.96)),
+        (FitModel.t1_stretched(), _stretched_curve(3.14e-3, 1.32)),
+        (FitModel.exp_t2star(), _stretched_curve(2e-6, 1.0)),
+        (FitModel.fid_beats(), simulate_fid_beats(HyperfineTriplet(50e6, 2.16e6), 3.6e-6, np.arange(1, 7200) * 2e-9)),
+    ],
+    ids=["stretched_exp", "t1_stretched", "exp_t2star", "fid_beats"],
+)
+def test_fit_result_as_dict_is_dataclasses_asdict(model, curve):
+    result = fit(curve, model)
+    fields = result.as_dict()
+    assert fields == dataclasses.asdict(result)
+    assert list(fields) == list(dataclasses.asdict(result))
+    assert fields["params"] is not result.params and fields["stderr"] is not result.stderr
 
 
 def test_fix_offset_is_respected():
@@ -258,9 +294,11 @@ def test_envelope_pure_cosine_recovers_detuning():
 
 
 def test_envelope_requires_five_periods():
-    t = np.linspace(1e-9, 60e-9, 200)  # three periods at 50 MHz
+    # 2.95 periods at 50 MHz; the periodogram's peak bin, 1/(1024 samples)
+    # apart, reads 2.92.
+    t = np.linspace(1e-9, 60e-9, 200)
     curve = simulate_fid_beats(HyperfineTriplet(50e6, 0.0), 3.6e-6, t)
-    with pytest.raises(ValueError, match=r"^curve spans 3\.00 oscillation periods; need >= 5$"):
+    with pytest.raises(ValueError, match=r"^curve spans 2\.92 oscillation periods; need >= 5$"):
         fit(curve, FitModel.fid_beats())
 
 
