@@ -196,11 +196,11 @@ class FitModel:
 def spectral_lines(t: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     """Significant oscillation lines of a (possibly log-sampled) curve.
 
-    Resamples any but uniform samples onto max(4096, 4N) uniform points,
-    zero pads to at least 4x the length, rounded up to a power of two (a
-    fast FFT length), and returns the local maxima of |FFT| that reach 30%
-    of the strongest one, as (frequency, magnitude) pairs sorted by
-    frequency.  Always contains at least the global peak.
+    Resamples N samples that are not uniform onto max(4096, 4N) uniform
+    points, zero pads to at least 4x the length, rounded up to a power of
+    two (a fast FFT length), and returns the local maxima of |FFT| that
+    reach 30% of the strongest one, as (frequency, magnitude) pairs sorted
+    by frequency.  Always contains at least the global peak.
     """
     step = (t[-1] - t[0]) / (t.size - 1)
     if np.ptp(np.diff(t)) > 1e-6 * step:  # not uniform to a millionth of a step
@@ -230,7 +230,7 @@ class FitResult:
     n_iter: int
 
     def as_dict(self) -> dict:
-        """The fields, as :mod:`nvforge.dataio` writes them to ``fit_result.json``: ``dataclasses.asdict``."""
+        """The fields as ``dataclasses.asdict`` gives them, for ``fit_result.json``."""
         return {"model": self.model, "params": dict(self.params), "stderr": dict(self.stderr),
                 "residual_rms": self.residual_rms, "converged": self.converged, "n_iter": self.n_iter}
 

@@ -827,8 +827,9 @@ def test_t2_vs_n_rejects_a_non_integral_n():
         t2_vs_n(NoiseModel(1e6, 1e-6), [4, 2.7])
 
 
-def test_t2_vs_n_kernel_calls(monkeypatch):
-    # One grid pass for the whole sweep (three or four calls), then one call per analytic curve.
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """One entry per call of the chi kernel while the test runs."""
     calls = []
     kernel = engines._chi
 
@@ -837,27 +838,24 @@ def test_t2_vs_n_kernel_calls(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(engines, "_chi", counted)
+    return calls
+
+
+def test_t2_vs_n_kernel_calls(kernel_calls):
+    # One grid pass for the whole sweep (three or four calls), then one call per analytic curve.
     n_list = [1, 4, 8, 16, 32, 64]
     t2_vs_n(paper_like_noise(), n_list)
-    assert len(calls) <= 4 + len(n_list)
+    assert len(kernel_calls) <= 4 + len(n_list)
 
 
 
 @pytest.mark.parametrize("family, n_curves", [(fixtures.decay_family_fig7, 5), (fixtures.xy_curves_fig9, 2)],
                          ids=["fig7", "fig9"])
-def test_fixture_family_kernel_calls(monkeypatch, family, n_curves):
+def test_fixture_family_kernel_calls(kernel_calls, family, n_curves):
     # One call calibrates the preset, one grid pass (three or four calls)
     # serves the whole family, then one call per curve.
-    calls = []
-    kernel = engines._chi
-
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
-
-    monkeypatch.setattr(engines, "_chi", counted)
     assert len(family()) == n_curves
-    assert len(calls) <= 1 + 4 + n_curves
+    assert len(kernel_calls) <= 1 + 4 + n_curves
 
 
 def test_fixture_families_equal_one_grid_and_curve_per_sequence():
@@ -935,40 +933,24 @@ def test_decay_time_grid_equals_binary_bisection_property(kind, n, b_tau, tau_c,
 
 
 @pytest.mark.parametrize("kind,n", [("ramsey", None), ("hahn", None), ("xy8", None), ("cpmg", 256)])
-def test_decay_time_grid_kernel_calls(monkeypatch, kind, n):
-    calls = []
-    kernel = engines._chi
-
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
-
-    monkeypatch.setattr(engines, "_chi", counted)
+def test_decay_time_grid_kernel_calls(kernel_calls, kind, n):
     # b * tau_c = 1, the paper-like bath, then 1e8, 5e8 and 1e10, where the
     # window starts below a femtosecond.
     for noise in (NoiseModel(1e6, 1e-6), paper_like_noise(), *(NoiseModel(b, 1e-6) for b in (1e14, 5e14, 1e16))):
-        calls.clear()
+        kernel_calls.clear()
         decay_time_grid(build_sequence(kind, 1e-6, n=n), noise)
-        assert len(calls) <= 4
+        assert len(kernel_calls) <= 4
 
 
-def test_decay_time_grid_mean_kernel_calls(monkeypatch):
+def test_decay_time_grid_mean_kernel_calls(kernel_calls):
     # The probe, the dense call and the final call; a wrong first guess costs a fourth.
-    calls = []
-    kernel = engines._chi
-
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
-
-    monkeypatch.setattr(engines, "_chi", counted)
     grids = 0
     for kind, n in GRID_SEQUENCES:
         for b_tau in (0.1, 1.0, 10.0):
             for t1 in (math.inf, 1e-4):
                 decay_time_grid(build_sequence(kind, 1e-6, n=n), NoiseModel(b_tau / 1e-6, 1e-6, t1, 1.32))
                 grids += 1
-    assert len(calls) / grids <= 3.2
+    assert len(kernel_calls) / grids <= 3.2
 
 
 #: Guesses of the bisection's crossing, good and bad, for _grid_guess(target, lo, f_lo, hi, f_hi)
