@@ -360,22 +360,14 @@ def decay_time_grid(seq: PulseSequence, noise: NoiseModel, n_points: int = 24) -
     return _decay_time_grids(seq.n_pi, noise, n_points)[0]
 
 
-def _grid_guess(target, lo, f_lo, hi, f_hi) -> float:
-    """Where the exponent f reaches ``target``: the power law through (lo, f_lo) and (hi, f_hi).
-    It sets the kernel calls of :func:`_decay_time_grids`, not its grids."""
-    try:
-        return hi * (target / f_hi) ** (math.log(hi / lo) / math.log(f_hi / f_lo))
-    except (ArithmeticError, ValueError):  # a ratio of 1, 0 or inf
-        return hi
-
-
-def _interpolated_guess(target, lo, f_lo, hi, f_hi, times, totals) -> float:
-    """Where f reaches ``target``, from f = ``totals`` at ``times`` inside (lo, hi): log t as a polynomial
-    in log(f/target) through the GRID_GUESS_POINTS points nearest the crossing, by Neville's scheme."""
-    fs = [f_lo, *totals, f_hi]
-    first = min(max(bisect.bisect_left(fs, target) - GRID_GUESS_POINTS // 2, 0), len(fs) - GRID_GUESS_POINTS)
-    ts, fs = [lo, *times, hi][first:first + GRID_GUESS_POINTS], fs[first:first + GRID_GUESS_POINTS]
-    t_ref = ts[GRID_GUESS_POINTS // 2]
+def _grid_guess(target, ts, fs) -> float:
+    """Where the exponent f reaches ``target``, from f = ``fs`` at the increasing times ``ts``: log t as a
+    polynomial in log(f/target) through the GRID_GUESS_POINTS points nearest the crossing, by Neville's
+    scheme; through two points, the power law.  It sets the kernel calls of :func:`_decay_time_grids`,
+    not its grids."""
+    first = max(min(bisect.bisect_left(fs, target) - GRID_GUESS_POINTS // 2, len(fs) - GRID_GUESS_POINTS), 0)
+    ts, fs = ts[first:first + GRID_GUESS_POINTS], fs[first:first + GRID_GUESS_POINTS]
+    t_ref = ts[len(ts) // 2]
     try:
         xs = [math.log(f / target) for f in fs]
         p = [math.log(t / t_ref) for t in ts]
@@ -384,7 +376,7 @@ def _interpolated_guess(target, lo, f_lo, hi, f_hi, times, totals) -> float:
                 p[i] = (xs[i + k] * p[i] - xs[i] * p[i + 1]) / (xs[i + k] - xs[i])
         return t_ref * math.exp(p[0])
     except (ArithmeticError, ValueError):  # f = 0, or two points with the same f
-        return _grid_guess(target, lo, f_lo, hi, f_hi)
+        return ts[-1]
 
 
 def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
@@ -421,51 +413,62 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
 
     # Bisection on both targets of every column: GRID_BISECTION_STEPS steps of mid = 0.5 * (lo + hi)
     # from (0, tau_c * 2^k), lo moving to mid where the exponent there is below the target.  A
-    # target's state is [lo, f(lo), hi, f(hi), steps left], open while a step is left and lo and hi
-    # are not adjacent floats.  Its first steps walk down the probe ladder to the first halving below
-    # the target.  The dense call evaluates GRID_DENSE_POINTS points evenly spaced in log t inside
-    # each open bracket (lo > 0) for _interpolated_guess; a final call, the path the bisection takes
-    # if the guess is right until the bracket holds at most GRID_DENSE_POINTS floats, then each float
-    # in it.  The bisection steps while its midpoint has been evaluated; a target still open takes
-    # another final call, guessed by _grid_guess.  So lo and hi are bit for bit the bisection's
-    # whatever the guess, as the kernel gives each point the same value whatever else is in its call.
-    # Each point lies in a bracket whose ends were evaluated as finite: no new NumericalFailure.
+    # target's state is [lo, hi, steps left]; step() takes each step whose midpoint is in the
+    # column's memo of evaluated exponents.  The memo starts with the probe ladder, whose rungs are
+    # the midpoints while lo is 0, so the first steps walk down the ladder.  A target stays open
+    # while a step is left and its midpoint lies strictly inside (lo, hi) but not in the memo.  The
+    # dense call evaluates GRID_DENSE_POINTS points evenly spaced in log t inside each open bracket
+    # (lo > 0) for the first guess; a final call, the path the bisection takes if the guess is right
+    # until the bracket holds at most GRID_DENSE_POINTS floats, then each float in it.  A target
+    # still open takes another final call, guessed from its bracket ends.  So lo and hi are bit for
+    # bit the bisection's whatever the guess, as the kernel gives each point the same value whatever
+    # else is in its call.  A midpoint that overflows would ask for chi(inf) and is refused; every
+    # other point lies in a bracket whose ends were evaluated as finite.
     targets = [GRID_DECAY_LO, GRID_DECAY_HI] * len(k)
     pair_n = np.repeat(n, 2) if np.ndim(n) else n
-    ladder, columns = probes[:, 0].tolist(), probe_total.T.tolist()
-    states = []
-    for j, target in enumerate(targets):
-        kj, f = k[j // 2], columns[j // 2]
-        first, i = kj - GRID_BISECTION_STEPS, kj - 1
-        while i >= first and f[i] >= target:
-            i -= 1
-        lo, f_lo = (ladder[i], f[i]) if i >= first else (0.0, 0.0)
-        states.append([lo, f_lo, ladder[i + 1], f[i + 1], max(i - first, 0)])
+    ladder = probes[:max(k) + 1, 0].tolist()  # no midpoint lies above a bracket
+    memos = [dict(zip(ladder, f)) for f in probe_total[:len(ladder)].T.tolist()]
+    states = [[0.0, ladder[k[j // 2]], GRID_BISECTION_STEPS] for j in range(len(targets))]
+
+    def step(j):
+        """Take target j's steps whose midpoints are in its memo; whether it is still open."""
+        (lo, hi, left), memo, target = states[j], memos[j // 2], targets[j]
+        while left and lo < (mid := 0.5 * (lo + hi)) < hi and (f := memo.get(mid)) is not None:
+            left -= 1
+            if f < target:
+                lo = mid
+            else:
+                hi = mid
+        states[j] = [lo, hi, left]
+        if left and mid == math.inf:
+            raise NumericalFailure("attenuation exponent is not finite")
+        return left > 0 and lo < mid < hi
 
     def evaluate(live, points):
         cols = pair_n[live] if np.ndim(pair_n) else pair_n
         return total_exponent(_finite_chi(cols, noise, points), points).T.tolist()
 
-    def is_open(lo, f_lo, hi, f_hi, left):
-        return left > 0 and math.nextafter(lo, hi) != hi
+    def guess(j, lo, hi, ts=(), fs=()):
+        memo = memos[j // 2]
+        return _grid_guess(targets[j], [lo, *ts, hi], [memo[lo], *fs, memo[hi]])
 
-    memos = [{} for _ in states]
-    live = [j for j, state in enumerate(states) if is_open(*state)]
+    live, guesses = [j for j in range(len(targets)) if step(j)], {}
     if live:
-        ends = np.array([states[j][0:3:2] for j in live]).T
+        ends = np.array([states[j][:2] for j in live]).T
         lo, hi = np.log(ends)
         dense = np.exp(lo + np.multiply.outer(_GRID_DENSE_FRACTIONS, hi - lo))
         dense = np.minimum(np.maximum(dense, ends[0]), ends[1])
-        guesses = [_interpolated_guess(targets[j], *states[j][:4], ts, fs)
-                   for j, ts, fs in zip(live, dense.T.tolist(), evaluate(live, dense))]
-    while live:
+        guesses = {j: guess(j, *bracket, ts, fs)
+                   for j, *bracket, ts, fs in zip(live, *ends.tolist(), dense.T.tolist(), evaluate(live, dense))}
+    while live := [j for j in live if step(j)]:
         paths, ends = [], []
-        for j, guess in zip(live, guesses):
-            lo, _, hi, _, left = states[j]
+        for j in live:
+            lo, hi, left = states[j]
+            toward = guesses.pop(j) if j in guesses else guess(j, lo, hi)
             path, width = [], GRID_DENSE_POINTS * math.ulp(lo)  # lo only grows, and ulp(lo) with it
             while len(path) < left and hi - lo > width:
                 path.append(mid := 0.5 * (lo + hi))
-                lo, hi = (mid, hi) if mid < guess else (lo, mid)
+                lo, hi = (mid, hi) if mid < toward else (lo, mid)
             paths.append(path)
             ends.append((lo, hi))
         floats = np.empty((GRID_DENSE_POINTS + 1, len(live)))
@@ -474,20 +477,9 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
             path += last[:bisect.bisect_left(last, hi)]  # the floats strictly inside (lo, hi)
         totals = evaluate(live, np.array(list(itertools.zip_longest(*paths, fillvalue=0.0))))
         for j, path, fs in zip(live, paths, totals):
-            memo, target, (lo, f_lo, hi, f_hi, left) = memos[j], targets[j], states[j]
-            memo.update(zip(path, fs))
-            # A midpoint is strictly inside (lo, hi) unless they are adjacent or it overflows.
-            while left and lo < (mid := 0.5 * (lo + hi)) < hi and (f := memo.get(mid)) is not None:
-                left -= 1
-                if f < target:
-                    lo, f_lo = mid, f
-                else:
-                    hi, f_hi = mid, f
-            states[j] = [lo, f_lo, hi, f_hi, left]
-        live = [j for j in live if is_open(*states[j])]
-        guesses = [_grid_guess(targets[j], *states[j][:4]) for j in live]
+            memos[j // 2].update(zip(path, fs))
     grids = []
-    for (lo, _, hi, *_), (lo_hi, _, hi_hi, *_) in zip(states[0::2], states[1::2]):
+    for (lo, hi, _), (lo_hi, hi_hi, _) in zip(states[0::2], states[1::2]):
         if lo == 0.0:  # no time the bisection reached lies below the low target
             raise ValueError(f"decay starts below {hi:.3g} s, the smallest positive time "
                              "the grid bisection reaches; no log grid")

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -595,6 +596,25 @@ def test_decay_grid_t1_overflow_exits_0(tmp_path, capsys):
     curve = dataio.read_decay_csv(tmp_path / "decay_analytic.csv")
     assert curve.signal[0] == pytest.approx(math.exp(-0.02), rel=1e-9)
     assert curve.signal[-1] == pytest.approx(math.exp(-3.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("b_rad_s", ["0", "1e-308"])
+def test_decay_grid_midpoint_overflow_exits_4(tmp_path, capsys, b_rad_s):
+    # tau_c = 1.5e308 and T1 = 4e307: the high target's bracket is
+    # (7.5e307, 1.5e308), whose midpoint overflows to inf, where the exponent
+    # is not finite.  Without coupling chi(inf) is 0, so only the midpoint
+    # itself can be refused; the alarm fails a bisection that never ends.
+    argv = ["decay", "--noise-preset", "none", "--b-rad-s", b_rad_s, "--tau-c-s", "1.5e308", "--t1-s", "4e307"]
+    handler = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the grid bisection did not end"))
+    signal.alarm(10)
+    try:
+        code = main([*argv, "--output-dir", str(tmp_path)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert code == 4
+    assert capsys.readouterr().err == "numerical failure: attenuation exponent is not finite\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 OVERFLOW = ["decay", "--noise-preset", "none", "--b-rad-s", "1e200", "--tau-c-s", "1e-6",

@@ -953,11 +953,10 @@ def test_decay_time_grid_mean_kernel_calls(kernel_calls):
     assert len(kernel_calls) / grids <= 3.2
 
 
-#: Guesses of the bisection's crossing, good and bad, for _grid_guess(target, lo, f_lo, hi, f_hi)
-#: and _interpolated_guess(target, lo, f_lo, hi, f_hi, times, totals).
+#: Guesses of the bisection's crossing, good and bad, for _grid_guess(target, ts, fs).
 GUESSES = {
-    "lo": lambda target, lo, f_lo, hi, *_: lo,
-    "hi": lambda target, lo, f_lo, hi, *_: hi,
+    "lo": lambda target, ts, fs: ts[0],
+    "hi": lambda target, ts, fs: ts[-1],
     "zero": lambda *_: 0.0,
     "huge": lambda *_: 1e300,
     "nan": lambda *_: math.nan,
@@ -972,7 +971,6 @@ def test_decay_time_grid_bytes_do_not_depend_on_the_guess(monkeypatch, guess, b_
     tau_c = 1e-6
     noise = NoiseModel(b_tau / tau_c, tau_c, t1, 1.32)
     monkeypatch.setattr(engines, "_grid_guess", GUESSES[guess])
-    monkeypatch.setattr(engines, "_interpolated_guess", GUESSES[guess])
     seqs = [build_sequence(kind, 1e-6, n=n) for kind, n in GRID_SEQUENCES]
     for seq in seqs:
         assert np.array_equal(decay_time_grid(seq, noise), binary_bisection_grid(seq, noise))
@@ -985,18 +983,17 @@ def test_decay_time_grid_bytes_do_not_depend_on_the_guess(monkeypatch, guess, b_
 @pytest.mark.parametrize("t1", [math.inf, 1e-4])
 def test_every_grid_guess_starts_from_a_positive_lower_end(monkeypatch, b_tau, t1):
     # The probe ladder holds every time the bisection visits while its bracket
-    # starts at 0, and no guess is made for a closed bracket, so each guess of
-    # either kind is made in a bracket with lo > 0 and f(lo) > 0.
+    # starts at 0, and no guess is made for a closed bracket, so each guess,
+    # from the dense call or from the bracket ends, is made in a bracket with
+    # lo > 0 and f(lo) > 0.
     seen = []
+    grid_guess = engines._grid_guess
 
-    def spy(guess):
-        def spied(target, lo, f_lo, *rest):
-            seen.append((lo, f_lo))
-            return guess(target, lo, f_lo, *rest)
-        return spied
+    def spied(target, ts, fs):
+        seen.append((ts[0], fs[0]))
+        return grid_guess(target, ts, fs)
 
-    for name in ("_grid_guess", "_interpolated_guess"):
-        monkeypatch.setattr(engines, name, spy(getattr(engines, name)))
+    monkeypatch.setattr(engines, "_grid_guess", spied)
     noise = NoiseModel(b_tau / 1e-6, 1e-6, t1, 1.32)
     seqs = [build_sequence(kind, 1e-6, n=n) for kind, n in GRID_SEQUENCES]
     for seq in seqs:
@@ -1004,6 +1001,27 @@ def test_every_grid_guess_starts_from_a_positive_lower_end(monkeypatch, b_tau, t
     engines._decay_time_grids(np.array([seq.n_pi for seq in seqs[1:]]), noise, 24)
     assert seen
     assert [(lo, f_lo) for lo, f_lo in seen if not (lo > 0 and f_lo > 0)] == []
+
+
+@pytest.mark.parametrize("p", [0.5, 1.32, 3.0])
+@pytest.mark.parametrize("target", [GRID_DECAY_LO, GRID_DECAY_HI])
+def test_grid_guess_is_exact_on_a_power_law(p, target):
+    # On f = C t^p, log t is linear in log f: the power law through the two
+    # bracket ends and the polynomial through eight points are both that line.
+    c = 2.5e15
+    crossing = (target / c) ** (1 / p)
+    for ts in ([0.5 * crossing, 2.0 * crossing], np.geomspace(0.3 * crossing, 3.0 * crossing, 8).tolist(),
+               np.geomspace(0.3 * crossing, 3.0 * crossing, 66).tolist()):
+        fs = [c * t**p for t in ts]
+        assert engines._grid_guess(target, ts, fs) == pytest.approx(crossing, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("fs", [[0.0, 1.0], [0.5, 0.5], [0.0, *np.geomspace(0.01, 1.0, 7).tolist()],
+                                [0.01, 0.01, *np.geomspace(0.015, 1.0, 6).tolist()]],
+                         ids=["zero", "equal", "zero8", "equal8"])
+def test_grid_guess_without_a_crossing_returns_the_last_time(fs):
+    ts = np.geomspace(1e-6, 1e-5, len(fs)).tolist()
+    assert engines._grid_guess(GRID_DECAY_LO, ts, fs) == ts[-1]
 
 
 def grid_or_refusal(build, seq, noise):
