@@ -1019,7 +1019,7 @@ def test_grid_guess_is_exact_on_a_power_law(p, target):
 @pytest.mark.parametrize("fs", [[0.0, 1.0], [0.5, 0.5], [0.0, *np.geomspace(0.01, 1.0, 7).tolist()],
                                 [0.01, 0.01, *np.geomspace(0.015, 1.0, 6).tolist()]],
                          ids=["zero", "equal", "zero8", "equal8"])
-def test_grid_guess_without_a_crossing_returns_the_last_time(fs):
+def test_grid_guess_returns_the_last_time_for_a_zero_or_repeated_exponent(fs):
     ts = np.geomspace(1e-6, 1e-5, len(fs)).tolist()
     assert engines._grid_guess(GRID_DECAY_LO, ts, fs) == ts[-1]
 
