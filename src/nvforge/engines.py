@@ -461,7 +461,7 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
         guesses = {j: guess(j, *bracket, ts, fs)
                    for j, *bracket, ts, fs in zip(live, *ends.tolist(), dense.T.tolist(), evaluate(live, dense))}
     while live := [j for j in live if step(j)]:
-        paths, ends = [], []
+        paths = []
         for j in live:
             lo, hi, left = states[j]
             toward = guesses.pop(j) if j in guesses else guess(j, lo, hi)
@@ -469,12 +469,10 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
             while len(path) < left and hi - lo > width:
                 path.append(mid := 0.5 * (lo + hi))
                 lo, hi = (mid, hi) if mid < toward else (lo, mid)
+            if len(path) < left:  # stopped on the width: each of the <= GRID_DENSE_POINTS floats inside
+                while (lo := math.nextafter(lo, hi)) < hi:
+                    path.append(lo)
             paths.append(path)
-            ends.append((lo, hi))
-        floats = np.empty((GRID_DENSE_POINTS + 1, len(live)))
-        floats[0], floats[1:] = np.array(ends).T
-        for path, (_, hi), last in zip(paths, ends, np.nextafter.accumulate(floats, axis=0)[1:].T.tolist()):
-            path += last[:bisect.bisect_left(last, hi)]  # the floats strictly inside (lo, hi)
         totals = evaluate(live, np.array(list(itertools.zip_longest(*paths, fillvalue=0.0))))
         for j, path, fs in zip(live, paths, totals):
             memos[j // 2].update(zip(path, fs))

@@ -284,25 +284,11 @@ def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None)
         full[free_idx] = theta_free
         return full
 
-    # lm_least_squares asks for the Jacobian only at the point of its latest
-    # residual, so the Jacobian comes from that residual's model terms.
-    latest_jacobian = None
+    def evaluate(theta_free: np.ndarray):
+        predicted, jacobian = model.evaluate(t, expand(theta_free))
+        return predicted - y, lambda: jacobian()[:, free_idx]
 
-    def residual(theta_free: np.ndarray) -> np.ndarray:
-        nonlocal latest_jacobian
-        predicted, latest_jacobian = model.evaluate(t, expand(theta_free))
-        return predicted - y
-
-    def jac(theta_free: np.ndarray) -> np.ndarray:
-        return latest_jacobian()[:, free_idx]
-
-    res = lm_least_squares(
-        residual,
-        theta_full[free_idx],
-        jacobian=jac,
-        lower=lo_full[free_idx],
-        upper=hi_full[free_idx],
-    )
+    res = lm_least_squares(evaluate, theta_full[free_idx], lower=lo_full[free_idx], upper=hi_full[free_idx])
 
     theta_opt = expand(res.x)
     cov = covariance_from_jacobian(res.jacobian, res.sse, t.size)

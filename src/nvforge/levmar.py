@@ -53,15 +53,21 @@ def numeric_jacobian(residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray
     return jac
 
 
+def forward_differences(residual: Callable[[np.ndarray], np.ndarray]):
+    """An ``evaluate`` for :func:`lm_least_squares` from a residual alone, with its :func:`numeric_jacobian`."""
+    def evaluate(x):
+        r = residual(x)
+        return r, lambda: numeric_jacobian(residual, x, r)
+    return evaluate
+
+
 @np.errstate(all="ignore")
-def lm_least_squares(
-    residual: Callable[[np.ndarray], np.ndarray],
-    x0,
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
-    lower=None,
-    upper=None,
-) -> LMResult:
-    """Minimize sum(residual(x)**2) subject to elementwise box bounds.
+def lm_least_squares(evaluate, x0, lower=None, upper=None) -> LMResult:
+    """Minimize sum(r**2) subject to elementwise box bounds.
+
+    ``evaluate(x)`` returns the residual vector r at x and a function of no
+    arguments that returns the Jacobian of r there.  The Jacobian is asked
+    for once per accepted point, the start included.
 
     Convergence is declared when an accepted step changes every parameter
     by less than :data:`XTOL` in relative terms, or when the infinity norm
@@ -69,11 +75,6 @@ def lm_least_squares(
     iterations the best point found so far is returned with ``converged =
     False``.  A non-finite residual at the start or a non-finite Jacobian
     anywhere raises :class:`NumericalFailure`.
-
-    ``jacobian(x)`` is only ever called at the x of the latest ``residual``
-    call, so it may reuse that call's intermediate terms.  It is called at
-    most once per x: the returned Jacobian is the loop's own when the last
-    iteration did not move x.
     """
     x = np.asarray(x0, dtype=float)
     k = x.size
@@ -81,13 +82,13 @@ def lm_least_squares(
     hi = np.full(k, np.inf) if upper is None else np.asarray(upper, dtype=float)
     x = np.minimum(np.maximum(x, lo), hi)
 
-    def jacobian_at(x, r):
-        jac = jacobian(x) if jacobian is not None else numeric_jacobian(residual, x, r)
+    def jacobian_at(jacobian):
+        jac = jacobian()
         if not np.isfinite(jac).all():
             raise NumericalFailure("Jacobian is not finite")
         return jac
 
-    r = residual(x)
+    r, jacobian = evaluate(x)
     if not np.isfinite(r).all():
         raise NumericalFailure("residual is not finite at the starting point")
     sse = float(r @ r)
@@ -97,7 +98,7 @@ def lm_least_squares(
     n_iter = 0
 
     for n_iter in range(1, MAX_ITER + 1):
-        jac = jacobian_at(x, r)
+        jac = jacobian_at(jacobian)
         grad = jac.T @ r
         if float(np.abs(grad).max()) < GTOL:
             converged = True
@@ -115,11 +116,11 @@ def lm_least_squares(
                 lam *= LAMBDA_GROW
                 continue
             x_trial = np.minimum(np.maximum(x + step, lo), hi)
-            r_trial = residual(x_trial)
+            r_trial, jacobian_trial = evaluate(x_trial)
             sse_trial = float(r_trial @ r_trial)
             if math.isfinite(sse_trial) and sse_trial < sse:
                 rel_move = float((np.abs(x_trial - x) / (np.abs(x) + 1e-300)).max())
-                x, r, sse, jac = x_trial, r_trial, sse_trial, None
+                x, r, sse, jacobian, jac = x_trial, r_trial, sse_trial, jacobian_trial, None
                 lam = max(lam * LAMBDA_SHRINK, 1e-14)
                 accepted = True
                 if rel_move < XTOL:
@@ -136,7 +137,7 @@ def lm_least_squares(
             break
 
     if jac is None:  # the last iteration moved x
-        jac = jacobian_at(x, r)
+        jac = jacobian_at(jacobian)
     return LMResult(x=x, sse=sse, converged=converged, n_iter=n_iter, jacobian=jac, message=message)
 
 

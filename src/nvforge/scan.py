@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import NumericalFailure
 from .dataio import FWHM_PER_SIGMA, DepthProfile, ScanGrid, Spectrum, gaussian2d, lorentzian, median
-from .levmar import lm_least_squares
+from .levmar import forward_differences, lm_least_squares
 
 #: Known zero-phonon lines and bands for wavelength-mode spectra (nm).
 KNOWN_LINES_NM = {
@@ -171,7 +171,7 @@ def detect_spots(grid: ScanGrid, threshold_sigma: float = 5.0) -> list[SpotFit]:
         theta0 = np.array([amp0, cx, cy, sx, sy, bg])
 
         res = lm_least_squares(
-            lambda theta: (gaussian2d(theta, xg, yg) - window).ravel(),
+            forward_differences(lambda theta: (gaussian2d(theta, xg, yg) - window).ravel()),
             theta0,
             lower=[0.0, xg.min(), yg.min(), 1e-6, 1e-6, -np.inf],
             upper=[np.inf, xg.max(), yg.max(), np.inf, np.inf, np.inf],
@@ -266,7 +266,7 @@ def film_thickness(profile: DepthProfile) -> ThicknessResult:
         )
         return model - counts
 
-    res = lm_least_squares(residual, theta0)
+    res = lm_least_squares(forward_differences(residual), theta0)
     _, _, c1, _, _, c2, _ = res.x
     surface, interface = (float(c1), float(c2)) if c1 <= c2 else (float(c2), float(c1))
     return ThicknessResult(
@@ -311,7 +311,7 @@ def _fit_one_peak(x, y, idx, baseline, neighbor_centers):
 
     theta0 = np.array([height, float(x[idx]), fwhm_est, baseline])
     res = lm_least_squares(
-        lambda theta: lorentzian(theta, xs) - ys,
+        forward_differences(lambda theta: lorentzian(theta, xs) - ys),
         theta0,
         lower=[0.0, xs.min(), 1e-12, -np.inf],
         upper=[np.inf, xs.max(), np.inf, np.inf],

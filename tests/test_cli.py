@@ -571,6 +571,42 @@ def test_decay_explicit_log_grid(tmp_path):
     assert np.array_equal(curve.times_s, np.geomspace(1e-7, 1e-5, 12))
 
 
+RECORD_REFUSALS = [  # argv, exit code, stderr: a record's own check, reached from a command
+    (["decay", "--noise-preset", "none", "--b-rad-s", "-1", "--tau-c-s", "1e-6"], 2,
+     "error: b_rad_s must be >= 0\n"),
+    (["decay", "--noise-preset", "none", "--b-rad-s", "1e6", "--tau-c-s", "1e-6", "--t1-s", "1e-3", "--t1-q", "0"], 2,
+     "error: t1_exponent_q must be positive\n"),
+    (["scan", "--mode", "ratio", "--kappa", "0", "--input", "spectrum.csv"], 2,
+     "error: charge ratio must be positive\n"),
+    (["scan", "--mode", "depth", "--input", "depth.csv"], 4,
+     "numerical failure: profile too short to locate two steps\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", RECORD_REFUSALS, ids=[" ".join(r[0][:3]) for r in RECORD_REFUSALS])
+def test_record_checks_refuse_through_the_cli(tmp_path, capsys, monkeypatch, argv, code, err):
+    dataio.write(tmp_path / "spectrum.csv", fixtures.spectrum_s123("s1"))
+    dataio.write(tmp_path / "depth.csv", dataio.DepthProfile(np.arange(10.0), np.repeat([0.0, 100.0], 5)))
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--output-dir", "out"]) == code
+    assert capsys.readouterr().err == err
+    assert not any((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("model, time_key", [("stretched_exp", "t2_s"), ("exp_t2star", "t2_star_s")])
+def test_fit_of_a_rising_curve_has_a_negative_amplitude(tmp_path, model, time_key):
+    # Under 40 points the start's baseline is the last point, here the largest, so the start
+    # takes the span for the amplitude and the smallest point for the baseline instead.
+    t = np.geomspace(1e-7, 1e-4, 30)
+    dataio.write_decay_csv(DecayCurve(t, 1.0 - np.exp(-t / 1e-5)), tmp_path / "rise.csv")
+    argv = ["fit", "--input", str(tmp_path / "rise.csv"), "--model", model, "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    params = _read_json(tmp_path / "out" / "fit_result.json")["params"]
+    assert params["a"] == pytest.approx(-1.0, rel=1e-12)
+    assert params["c"] == pytest.approx(1.0, rel=1e-12)
+    assert params[time_key] == pytest.approx(1e-5, rel=1e-12)
+
+
 def test_decay_coupling_overflow_exits_4(tmp_path, capsys):
     # (b * tau_c)^2 overflows a float: a numerical failure, not a crash.
     argv = ["decay", "--sequence", "hahn", "--noise-preset", "none", "--b-rad-s", "1e200", "--tau-c-s", "1e-6"]

@@ -29,7 +29,7 @@ from nvforge.noise import (
     conditional_integral_variance,
     ou_cell_coefficients,
 )
-from nvforge.presets import paper_like_noise, slow_bath_noise
+from nvforge.presets import noise_preset, paper_like_noise, slow_bath_noise
 from nvforge.sequences import build_sequence
 
 
@@ -263,6 +263,11 @@ def test_longitudinal_exponent_owns_the_t1_law():
     times = np.geomspace(1e-7, 1.0, 50)
     factor = noise.longitudinal_factor(times)
     assert factor.tobytes() == np.exp(-noise.longitudinal_exponent(times)).tobytes()
+
+
+def test_noise_preset_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match=r"unknown noise preset 'x'; available: \['paper-like', 'slow-bath'\]"):
+        noise_preset("x")
 
 
 def test_mc_rejects_nan_time():

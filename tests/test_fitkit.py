@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nvforge.constants import DOUBLET_MULTIPLICITIES, TRIPLET_MULTIPLICITIES
+from nvforge.constants import DOUBLET_MULTIPLICITIES, TRIPLET_MULTIPLICITIES, NumericalFailure
 from nvforge.dataio import DecayCurve
 from nvforge.engines import HyperfineTriplet, simulate_fid_beats
 from nvforge.fitkit import (
@@ -17,7 +17,7 @@ from nvforge.fitkit import (
     fit_envelope,
     spectral_lines,
 )
-from nvforge.levmar import lm_least_squares
+from nvforge.levmar import LAMBDA_GROW, LAMBDA_INIT, forward_differences, lm_least_squares
 
 
 def _stretched_curve(t2, p, a=1.0, c=0.0, n=50, span=(0.05, 4.0)):
@@ -112,24 +112,24 @@ def test_lm_returns_the_lowest_sse_it_evaluated():
     model = FitModel.stretched_exp()
     evaluated = []
 
-    def residual(theta):
-        r = model.predict(t, theta) - y
+    def evaluate(theta):
+        predicted, jacobian = model.evaluate(t, theta)
+        r = predicted - y
         evaluated.append(float(r @ r))
-        return r
+        return r, jacobian
 
     lo, hi = model.bounds()
-    res = lm_least_squares(
-        residual, model.initial_guess(t, y), jacobian=lambda theta: model.evaluate(t, theta)[1](),
-        lower=lo, upper=hi,
-    )
+    res = lm_least_squares(evaluate, model.initial_guess(t, y), lower=lo, upper=hi)
     assert len(evaluated) > 1
     assert res.sse == min(evaluated)
     assert res.sse <= evaluated[0]
 
 
 @pytest.mark.parametrize("model", [FitModel.stretched_exp(), FitModel.exp_t2star(), FitModel.fid_beats()])
-def test_lm_asks_for_each_jacobian_once_at_the_latest_residual_point(model):
-    # fitkit builds each Jacobian from the latest residual's model terms.
+def test_lm_asks_for_the_jacobian_of_each_accepted_point_once(model):
+    # A point is accepted when its SSE is below every earlier one, so the
+    # Jacobians asked for are those of the start and of each such point, in
+    # order, and none of a rejected trial.
     rng = np.random.default_rng(7)
     if model.kind == "fid_beats":
         t = np.arange(1, 3000) * 2e-9
@@ -138,24 +138,23 @@ def test_lm_asks_for_each_jacobian_once_at_the_latest_residual_point(model):
         t = _stretched_curve(2e-6, 1.7).times_s
         y = np.exp(-((t / 2e-6) ** 1.7))
     y = y + 0.01 * rng.standard_normal(t.size)
-    calls = []
+    evaluated, asked = [], []
 
-    def residual(theta):
-        calls.append(("residual", theta.tobytes()))
-        return model.predict(t, theta) - y
-
-    def jacobian(theta):
-        calls.append(("jacobian", theta.tobytes()))
-        return model.evaluate(t, theta)[1]()
+    def evaluate(theta):
+        predicted, jacobian = model.evaluate(t, theta)
+        r = predicted - y
+        evaluated.append((theta.tobytes(), float(r @ r)))
+        return r, lambda: asked.append(theta.tobytes()) or jacobian()
 
     lo, hi = model.bounds()
-    lm_least_squares(residual, model.initial_guess(t, y), jacobian=jacobian, lower=lo, upper=hi)
-    jacobian_points = [x for kind, x in calls if kind == "jacobian"]
-    assert len(jacobian_points) > 1
-    assert len(set(jacobian_points)) == len(jacobian_points)
-    for i, (kind, x) in enumerate(calls):
-        if kind == "jacobian":
-            assert calls[i - 1] == ("residual", x)
+    lm_least_squares(evaluate, model.initial_guess(t, y), lower=lo, upper=hi)
+    best, accepted = math.inf, []
+    for x, sse in evaluated:
+        if not accepted or sse < best:
+            best = sse
+            accepted.append(x)
+    assert len(accepted) > 1 and len(evaluated) > len(accepted)
+    assert asked == accepted
 
 
 def reference_lines(t, y, n_fft, resample):
@@ -256,9 +255,39 @@ def test_preconditions():
     shifted = DecayCurve(np.linspace(0.0, 1e-5, 40), np.exp(-np.linspace(0, 1e-5, 40) / 3e-6))
     with pytest.raises(ValueError):
         fit(shifted, FitModel.exp_t2star())  # t = 0 not allowed
+    with pytest.raises(ValueError, match="unknown fixed parameter 'x'"):
+        fit(_stretched_curve(6.4e-6, 0.96), FitModel.stretched_exp(), fix={"x": 0})
     flat = DecayCurve(np.geomspace(1e-7, 1e-5, 40), np.full(40, 0.5))
     with pytest.raises(RankDeficientDataError):
         fit(flat, FitModel.exp_t2star())
+
+
+def test_lm_refuses_a_start_whose_residual_is_not_finite():
+    with pytest.raises(NumericalFailure, match="residual is not finite at the starting point"):
+        lm_least_squares(forward_differences(lambda x: np.array([x[0], math.nan])), [1.0])
+
+
+def test_lm_grows_the_damping_when_a_step_cannot_be_solved(monkeypatch):
+    curve = _stretched_curve(6.4e-6, 0.96)
+    expected = fit(curve, FitModel.stretched_exp())
+    solve, systems = np.linalg.solve, []
+
+    def fails_once(a, b):
+        systems.append(a)
+        if len(systems) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fails_once)
+    result = fit(curve, FitModel.stretched_exp())
+    # Both systems are J^T J + lam * diag(J^T J): lam = LAMBDA_INIT, then LAMBDA_GROW times it.
+    first, second = systems[:2]
+    off_diagonal = ~np.eye(len(first), dtype=bool)
+    assert np.array_equal(first[off_diagonal], second[off_diagonal])
+    hess_diagonal = first.diagonal() / (1 + LAMBDA_INIT)
+    np.testing.assert_allclose(second.diagonal(), hess_diagonal * (1 + LAMBDA_GROW * LAMBDA_INIT), rtol=1e-14)
+    assert result.converged
+    assert result.params == pytest.approx(expected.params, rel=1e-9)
 
 
 def test_stretching_exponent_bounds_enforced():

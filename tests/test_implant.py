@@ -130,6 +130,13 @@ def test_nv_density_products():
     assert zero_ppm == 0.0
 
 
+def test_yield_and_density_refuse_an_energy_or_dose_out_of_range():
+    with pytest.raises(ValueError, match="energy_ev must be positive"):
+        yield_model(0.0)
+    with pytest.raises(ValueError, match="dose_cm2 must be non-negative"):
+        nv_density(-1.0, 5e3)
+
+
 def test_nv_density_saturation_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

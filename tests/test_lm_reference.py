@@ -51,11 +51,16 @@ def _run(module, solver, calls, evaluate=None):
     return lm_log, outcomes
 
 
+def _reference(evaluate, x0, lower=None, upper=None):
+    """The reference solver on the current solver's ``evaluate`` protocol."""
+    return lm_reference.lm_least_squares(lambda x: evaluate(x)[0], x0, lambda x: evaluate(x)[1](), lower, upper)
+
+
 def _assert_same_bits(module, calls):
     """Fit outcomes, and the RuntimeWarnings the reference raised on them."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        expected = _run(module, lm_reference.lm_least_squares, calls, lm_reference.evaluate)
+        expected = _run(module, _reference, calls, lm_reference.evaluate)
     got = _run(module, levmar.lm_least_squares, calls)
     assert got[1] == expected[1]
     assert got[0] == expected[0]
@@ -117,8 +122,8 @@ def test_fid_fits_match_the_reference_bit_for_bit():
 
 
 def test_scan_fits_match_the_reference_bit_for_bit():
-    # No scan fit passes a Jacobian, so each runs on the forward-difference
-    # one; film_thickness's logistic overflows far from its steps.
+    # Each scan fit runs on levmar.forward_differences' Jacobian;
+    # film_thickness's logistic overflows far from its steps.
     calls = [lambda seed=seed: scan.detect_spots(fixtures.spot_grid_fig5(seed)) for seed in range(3)]
     calls.append(lambda: scan.detect_spots(fixtures.halo_grid_s1(0)))
     calls += [lambda seed=seed: scan.film_thickness(fixtures.depth_profile_fig6(seed)) for seed in range(3)]

@@ -191,6 +191,11 @@ def test_film_thickness_reversed_profile_gets_orientation_hint():
         film_thickness(DepthProfile(z_um=profile.z_um, counts=reversed_counts))
 
 
+def test_spectrum_fixture_refuses_an_unknown_sample():
+    with pytest.raises(ValueError, match="unknown sample 's9'; expected one of s1, s2, s3"):
+        fixtures.spectrum_s123("s9")
+
+
 def test_identify_peaks_labels_both_zpls():
     spec = fixtures.spectrum_s123("s1")
     peaks = identify_peaks(spec)

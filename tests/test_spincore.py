@@ -45,6 +45,11 @@ def test_spin_params_reject_a_linewidth_whose_half_width_rounds_to_0():
     assert SpinParams(linewidth_fwhm_hz=1e-323).linewidth_fwhm_hz / 2.0 > 0
 
 
+def test_field_refuses_a_component_that_is_not_finite():
+    with pytest.raises(ValueError, match="field components must be finite"):
+        MagneticFieldVector(math.nan, 0.0, 0.0)
+
+
 def test_project_zero_field_is_zero():
     zero = MagneticFieldVector(0.0, 0.0, 0.0)
     for axis in CANONICAL_AXES:
