@@ -198,13 +198,19 @@ def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
     return np.maximum(_finite_chi(seq.n_pi, noise, times_s), 0.0)[()]
 
 
+def _analytic_signal(n, noise: NoiseModel, times: np.ndarray) -> np.ndarray:
+    """exp(-chi(t)) * exp(-(t/T1)^q) for ``n`` as :func:`_chi` takes it, with the checks of
+    :func:`attenuation_exponent`: the decay law of :func:`simulate_analytic` and :func:`_analytic_curves`."""
+    check_times(times)
+    chi = np.maximum(_finite_chi(n, noise, times), 0.0)
+    return np.exp(-chi) * noise.longitudinal_factor(times)
+
+
 def simulate_analytic(seq: PulseSequence, noise: NoiseModel, times_s) -> DecayCurve:
     """Deterministic coherence curve exp(-chi(t)) * exp(-(t/T1)^q)."""
     times = np.asarray(times_s, dtype=float)
-    chi = attenuation_exponent(seq, noise, times)
-    signal = np.exp(-chi) * noise.longitudinal_factor(times)
     meta = {"sequence": seq.name, "engine": "analytic", "noise": noise.as_dict()}
-    return DecayCurve(times_s=times, signal=signal, meta=meta)
+    return DecayCurve(times_s=times, signal=_analytic_signal(seq.n_pi, noise, times), meta=meta)
 
 
 def _mc_chunk_sums(rng: np.random.Generator, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,13 +385,14 @@ def _grid_guess(target, ts, fs) -> float:
         return ts[-1]
 
 
-def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
+def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> np.ndarray:
     """The grid of :func:`decay_time_grid` for each pulse count of ``n``, sharing every kernel call.
 
     ``n`` is a pulse count, or a 1-D array of counts >= 1 as :func:`_chi`
     takes them: Ramsey comes only as the scalar 0.  Each count is a column
     of the probe and has two columns, one per target, in the bisection.  A
-    column's grid is bit for bit the one it gets on its own.  Raises
+    column's grid, a row of the result, is bit for bit the one it gets on
+    its own.  Raises
     ``ValueError`` when the low target's bracket still starts at 0 after the
     bisection: the decay starts below every time it reached.
     """
@@ -426,9 +433,18 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
     # other point lies in a bracket whose ends were evaluated as finite.
     targets = [GRID_DECAY_LO, GRID_DECAY_HI] * len(k)
     pair_n = np.repeat(n, 2) if np.ndim(n) else n
-    ladder = probes[:max(k) + 1, 0].tolist()  # no midpoint lies above a bracket
-    memos = [dict(zip(ladder, f)) for f in probe_total[:len(ladder)].T.tolist()]
-    states = [[0.0, ladder[k[j // 2]], GRID_BISECTION_STEPS] for j in range(len(targets))]
+    # A column's two walks down the ladder read its rungs from below its bracket's top down to the first
+    # one whose exponent is below GRID_DECAY_LO, where the low target's walk stops (the high target's
+    # stops at or above it), or to the bottom.  No later midpoint lies outside that range, so the memo
+    # starts with those rungs alone.
+    rows = np.arange(len(probes))[:, None]
+    last_low = np.maximum.accumulate(np.where(probe_total < GRID_DECAY_LO, rows, 0), axis=0)
+    memos, tops = [], []
+    for j, (first, kj) in enumerate(zip(last_low[np.subtract(k, 1), np.arange(len(k))].tolist(), k)):
+        rungs = probes[first:kj + 1, 0].tolist()
+        memos.append(dict(zip(rungs, probe_total[first:kj + 1, j].tolist())))
+        tops.append(rungs[-1])
+    states = [[0.0, tops[j // 2], GRID_BISECTION_STEPS] for j in range(len(targets))]
 
     def step(j):
         """Take target j's steps whose midpoints are in its memo; whether it is still open."""
@@ -476,22 +492,44 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> list[np.ndarray]:
         totals = evaluate(live, np.array(list(itertools.zip_longest(*paths, fillvalue=0.0))))
         for j, path, fs in zip(live, paths, totals):
             memos[j // 2].update(zip(path, fs))
-    grids = []
-    for (lo, hi, _), (lo_hi, hi_hi, _) in zip(states[0::2], states[1::2]):
+    for lo, hi, _ in states[0::2]:
         if lo == 0.0:  # no time the bisection reached lies below the low target
             raise ValueError(f"decay starts below {hi:.3g} s, the smallest positive time "
                              "the grid bisection reaches; no log grid")
-        grids.append(np.geomspace(0.5 * (lo + hi), 0.5 * (lo_hi + hi_hi), n_points))
-    return grids
+    ends = np.array([0.5 * (lo + hi) for lo, hi, _ in states]).reshape(-1, 2).T
+    return _geomspace(*ends, n_points)
+
+
+def _geomspace(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """Row j is ``np.geomspace(start[j], stop[j], num)`` bit for bit, for positive finite ends.
+
+    numpy's steps on every row at once: the inner points are 10 to the power
+    i * step + log10(start), step = (log10(stop) - log10(start)) / (num - 1),
+    and the two ends are start and stop themselves.  ``np.linspace`` takes
+    (i / (num - 1)) * delta instead where the step is 0, which for such ends
+    happens only where delta is 0, so both give 0.
+    """
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    log_start = np.log10(start)[:, None]
+    result = np.power(10.0, np.arange(num) * ((np.log10(stop)[:, None] - log_start) / max(num - 1, 1)) + log_start)
+    result[:, -1:] = stop[:, None]
+    result[:, :1] = start[:, None]  # last, so that one point is the start
+    return result
 
 
 def _analytic_curves(seqs, noise: NoiseModel, n_points: int) -> list[DecayCurve]:
     """Each sequence's analytic curve on its :func:`decay_time_grid`; every sequence has n >= 1.
 
-    The grids come from one :func:`_decay_time_grids` pass, bit for bit the per-sequence ones.
+    The grids come from one :func:`_decay_time_grids` pass and the signals from one kernel call on
+    all of them, a column per sequence, bit for bit the per-sequence curves.
     """
-    grids = _decay_time_grids(np.array([seq.n_pi for seq in seqs]), noise, n_points)
-    return [simulate_analytic(seq, noise, times) for seq, times in zip(seqs, grids)]
+    n = np.array([seq.n_pi for seq in seqs])
+    grids = _decay_time_grids(n, noise, n_points)
+    signals = _analytic_signal(n, noise, grids.T).T.copy()  # a contiguous row per curve, as its grid
+    return [DecayCurve(times_s=times, signal=signal,
+                       meta={"sequence": seq.name, "engine": "analytic", "noise": noise.as_dict()})
+            for seq, times, signal in zip(seqs, grids, signals)]
 
 
 def t2_vs_n(noise: NoiseModel, n_list, n_points: int = 40) -> list[tuple[int, float]]:

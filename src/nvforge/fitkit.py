@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import MODEL_PARAMS, TRIPLET_MULTIPLICITIES, NumericalFailure, check_multiplicities
 from .dataio import DecayCurve, median
-from .levmar import covariance_from_jacobian, lm_least_squares
+from .levmar import covariance_from_jacobian, lm_least_squares, lm_least_squares_batch
 
 EXPONENT_BOUNDS = (0.3, 3.0)
 
@@ -86,10 +86,13 @@ class FitModel:
         return self.evaluate(t, theta)[0]
 
     def evaluate(self, t: np.ndarray, theta: np.ndarray):
-        """The model at ``theta``, and a function that returns its Jacobian there.
+        """The model at ``theta``, and a function that returns its Jacobian there, (N, parameters).
 
         The Jacobian reuses the model's exponentials and beat phases, so an
-        LM step pays for them once.
+        LM step pays for them once.  For the stretched models ``t`` may also
+        be a stack (B, N) of curves, each parameter of ``theta`` a (B, 1)
+        column and the Jacobian (B, N, parameters): each curve gets the bits
+        of its own call.
         """
         if self.kind == "exp_t2star":
             a, tc, c = theta
@@ -106,17 +109,21 @@ class FitModel:
             return a_env + c, jacobian
         if self.kind in ("stretched_exp", "t1_stretched"):
             a, tc, p, c = theta
-            z = (t / tc) ** p
+            if t.ndim > 1:  # each row to its own scalar power: numpy takes x ** 2, x ** 0.5 and x ** -1
+                # as x * x, sqrt(x) and 1 / x for a scalar power, not for a column of powers
+                z = np.array([row ** p_row for row, p_row in zip(t / tc, p[:, 0])])
+            else:
+                z = (t / tc) ** p
             env = np.exp(-z)
             a_env = a * env
 
             def jacobian():
-                jac = np.empty((t.size, 4))
-                jac[:, 0] = env
-                jac[:, 1] = a_env * z * p / tc
+                jac = np.empty(t.shape + (4,))
+                jac[..., 0] = env
+                jac[..., 1] = a_env * z * p / tc
                 # d/dp uses z*log(t/tc); safe because fits require t > 0.
-                jac[:, 2] = -a_env * z * np.log(t / tc)
-                jac[:, 3] = 1.0
+                jac[..., 2] = -a_env * z * np.log(t / tc)
+                jac[..., 3] = 1.0
                 return jac
 
             return a_env + c, jacobian
@@ -235,6 +242,57 @@ class FitResult:
                 "residual_rms": self.residual_rms, "converged": self.converged, "n_iter": self.n_iter}
 
 
+def _start(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None):
+    """The checks of :func:`fit` and its start: (indices of the free parameters, every parameter's start)."""
+    t = curve.times_s
+    y = curve.signal
+    if np.any(t <= 0):
+        raise ValueError("fit requires strictly positive times")
+    names = model.param_names
+    fix = dict(fix or {})
+    for name in fix:
+        if name not in names:
+            raise ValueError(f"unknown fixed parameter {name!r}")
+    free_idx = np.array([i for i, n in enumerate(names) if n not in fix], dtype=np.intp)
+    if t.size < 3 * free_idx.size:
+        raise ValueError(
+            f"need at least {3 * free_idx.size} points to fit {free_idx.size} parameters"
+        )
+    if float(np.ptp(y)) < 1e-12 * max(1.0, float(np.max(np.abs(y)))):
+        raise RankDeficientDataError("signal is constant; nothing to fit")
+
+    theta_full = model.initial_guess(t, y)
+    for name, value in fix.items():
+        theta_full[names.index(name)] = value
+    return free_idx, theta_full
+
+
+def _result(model: FitModel, free_idx: np.ndarray, theta_full: np.ndarray, res, n_points: int) -> FitResult:
+    """The :class:`FitResult` of an LM result from the start ``theta_full``; raises
+    :class:`FitConvergenceError` if it did not converge."""
+    names = model.param_names
+    theta_opt = theta_full.copy()
+    theta_opt[free_idx] = res.x
+    cov = covariance_from_jacobian(res.jacobian, res.sse, n_points)
+    stderr_free = np.sqrt(np.maximum(cov.diagonal(), 0.0))
+    params = {n: float(v) for n, v in zip(names, theta_opt)}
+    stderr = {n: 0.0 for n in names}
+    for i, e in zip(free_idx.tolist(), stderr_free.tolist()):
+        stderr[names[i]] = e
+
+    result = FitResult(
+        model=model.kind,
+        params=params,
+        stderr=stderr,
+        residual_rms=float(np.sqrt(res.sse / n_points)),
+        converged=res.converged,
+        n_iter=res.n_iter,
+    )
+    if not res.converged:
+        raise FitConvergenceError(f"fit did not converge: {res.message}", result)
+    return result
+
+
 def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None) -> FitResult:
     """Fit a decay model to a curve by damped least squares.
 
@@ -256,59 +314,18 @@ def fit(curve: DecayCurve, model: FitModel, fix: dict[str, float] | None = None)
     FitConvergenceError
         If the iteration cap is reached; carries the best-so-far result.
     """
-    t = curve.times_s
-    y = curve.signal
-    if np.any(t <= 0):
-        raise ValueError("fit requires strictly positive times")
-    names = model.param_names
-    fix = dict(fix or {})
-    for name in fix:
-        if name not in names:
-            raise ValueError(f"unknown fixed parameter {name!r}")
-    free_idx = np.array([i for i, n in enumerate(names) if n not in fix], dtype=np.intp)
-    if t.size < 3 * free_idx.size:
-        raise ValueError(
-            f"need at least {3 * free_idx.size} points to fit {free_idx.size} parameters"
-        )
-    if float(np.ptp(y)) < 1e-12 * max(1.0, float(np.max(np.abs(y)))):
-        raise RankDeficientDataError("signal is constant; nothing to fit")
-
-    theta_full = model.initial_guess(t, y)
-    for name, value in fix.items():
-        theta_full[names.index(name)] = value
-
-    lo_full, hi_full = model.bounds()
-
-    def expand(theta_free: np.ndarray) -> np.ndarray:
-        full = theta_full.copy()
-        full[free_idx] = theta_free
-        return full
+    free_idx, theta_full = _start(curve, model, fix)
+    t, y = curve.times_s, curve.signal
+    lo, hi = model.bounds()
 
     def evaluate(theta_free: np.ndarray):
-        predicted, jacobian = model.evaluate(t, expand(theta_free))
+        theta = theta_full.copy()
+        theta[free_idx] = theta_free
+        predicted, jacobian = model.evaluate(t, theta)
         return predicted - y, lambda: jacobian()[:, free_idx]
 
-    res = lm_least_squares(evaluate, theta_full[free_idx], lower=lo_full[free_idx], upper=hi_full[free_idx])
-
-    theta_opt = expand(res.x)
-    cov = covariance_from_jacobian(res.jacobian, res.sse, t.size)
-    stderr_free = np.sqrt(np.maximum(cov.diagonal(), 0.0))
-    params = {n: float(v) for n, v in zip(names, theta_opt)}
-    stderr = {n: 0.0 for n in names}
-    for i, e in zip(free_idx.tolist(), stderr_free.tolist()):
-        stderr[names[i]] = e
-
-    result = FitResult(
-        model=model.kind,
-        params=params,
-        stderr=stderr,
-        residual_rms=float(np.sqrt(res.sse / t.size)),
-        converged=res.converged,
-        n_iter=res.n_iter,
-    )
-    if not res.converged:
-        raise FitConvergenceError(f"fit did not converge: {res.message}", result)
-    return result
+    res = lm_least_squares(evaluate, theta_full[free_idx], lower=lo[free_idx], upper=hi[free_idx])
+    return _result(model, free_idx, theta_full, res, t.size)
 
 
 def fit_envelope(curve: DecayCurve, multiplicities=TRIPLET_MULTIPLICITIES) -> FitResult:
@@ -325,19 +342,60 @@ class T2TableRow:
     stderr_p: float
 
 
-def extract_t2_table(labeled_curves) -> list[T2TableRow]:
-    """Fit a stretched exponential to each (n, curve) pair.
-
-    The first failed fit, in input order, raises :class:`FitError` with its
-    n attached, chained from the fit's own error.
-    """
-    rows = []
-    model = FitModel.stretched_exp()
-    for n, curve in labeled_curves:
+def _table_fits(curves) -> list:
+    """``fit(curve, FitModel.stretched_exp(), fix={"c": 0.0})`` of each curve, bit for bit: its
+    :class:`FitResult` or the exception that fit raises.  The curves of one size are fitted
+    together, by :func:`~nvforge.levmar.lm_least_squares_batch`."""
+    model, fix = FitModel.stretched_exp(), {"c": 0.0}
+    lo, hi = model.bounds()
+    outcomes, sizes = [None] * len(curves), {}
+    for i, curve in enumerate(curves):
         try:
-            r = fit(curve, model, fix={"c": 0.0})
-        except FitError as exc:
-            raise FitError(f"T2 fit failed for n={int(n)}: {exc}") from exc
-        rows.append(T2TableRow(n=int(n), t2_s=r.params["t2_s"], p=r.params["p"],
-                               stderr_t2_s=r.stderr["t2_s"], stderr_p=r.stderr["p"]))
+            free_idx, theta_full = _start(curve, model, fix)  # the same free_idx for every curve
+        except Exception as exc:  # the curve's outcome, as fit raises it
+            outcomes[i] = exc
+        else:
+            sizes.setdefault(curve.times_s.size, []).append((i, theta_full))
+    for batch in sizes.values():
+        ids = [i for i, _ in batch]
+        starts = np.array([theta_full for _, theta_full in batch])
+        t = np.array([curves[i].times_s for i in ids])
+        y = np.array([curves[i].signal for i in ids])
+
+        def evaluate(rows, x, t=t, y=y, starts=starts):
+            theta = starts[rows]
+            theta[:, free_idx] = x
+            predicted, jacobian = model.evaluate(t[rows], theta.T[:, :, None])
+            # take copies the free rows of each J^T into one C-contiguous (rows, k, N) array.
+            return predicted - y[rows], lambda: np.take(jacobian().swapaxes(1, 2), free_idx, axis=1)
+
+        shape = (len(ids), free_idx.size)
+        results = lm_least_squares_batch(evaluate, starts[:, free_idx], np.broadcast_to(lo[free_idx], shape),
+                                         np.broadcast_to(hi[free_idx], shape))
+        for i, theta_full, res in zip(ids, starts, results):
+            outcomes[i] = res
+            if not isinstance(res, Exception):
+                try:
+                    outcomes[i] = _result(model, free_idx, theta_full, res, t.shape[1])
+                except Exception as exc:  # the curve's outcome, as fit raises it
+                    outcomes[i] = exc
+    return outcomes
+
+
+def extract_t2_table(labeled_curves) -> list[T2TableRow]:
+    """Fit a stretched exponential to each (n, curve) pair, all together (see :func:`_table_fits`).
+
+    The first failed fit, in input order, raises: a :class:`FitError` with
+    its n attached, chained from the fit's own error, or any other error as
+    the fit raised it.
+    """
+    labeled = list(labeled_curves)
+    rows = []
+    for (n, _), outcome in zip(labeled, _table_fits([curve for _, curve in labeled])):
+        if isinstance(outcome, FitError):
+            raise FitError(f"T2 fit failed for n={int(n)}: {outcome}") from outcome
+        if isinstance(outcome, Exception):
+            raise outcome
+        rows.append(T2TableRow(n=int(n), t2_s=outcome.params["t2_s"], p=outcome.params["p"],
+                               stderr_t2_s=outcome.stderr["t2_s"], stderr_p=outcome.stderr["p"]))
     return rows

@@ -421,6 +421,20 @@ def test_decay_partial_time_grid_exits_2(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_decay_one_time_point_is_the_low_end_of_the_grid(tmp_path):
+    assert main(["decay", "--n-times", "1", "--output-dir", str(tmp_path / "one")]) == 0
+    assert main(["decay", "--output-dir", str(tmp_path / "all")]) == 0
+    one, full = ((tmp_path / name / "decay_analytic.csv").read_text().splitlines() for name in ("one", "all"))
+    assert len(one) == 2 and len(full) == 25
+    assert one == full[:2]
+
+
+def test_decay_negative_time_points_exits_2(tmp_path, capsys):
+    assert main(["decay", "--n-times", "-1", "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: Number of samples, -1, must be non-negative.\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("option", ["--b-rad-s", "--tau-c-s"])
 def test_decay_bath_option_with_preset_exits_2(tmp_path, capsys, option):
     # The preset sets the bath; an explicit coupling or correlation time

@@ -813,10 +813,10 @@ def test_t2_vs_n_paper_like_extension():
 def test_t2_vs_n_raises_on_the_first_failed_n(monkeypatch):
     from nvforge import fitkit
 
-    def failing_fit(curve, model, fix=None):
-        raise fitkit.FitError("no fit")
+    def failing_fits(curves):
+        return [fitkit.FitError("no fit") for _ in curves]
 
-    monkeypatch.setattr(fitkit, "fit", failing_fit)
+    monkeypatch.setattr(fitkit, "_table_fits", failing_fits)
     with pytest.raises(fitkit.FitError, match=r"^T2 fit failed for n=4: no fit$"):
         t2_vs_n(NoiseModel(1e6, 1e-6), [4, 2])
 
@@ -847,10 +847,9 @@ def kernel_calls(monkeypatch):
 
 
 def test_t2_vs_n_kernel_calls(kernel_calls):
-    # One grid pass for the whole sweep (three or four calls), then one call per analytic curve.
-    n_list = [1, 4, 8, 16, 32, 64]
-    t2_vs_n(paper_like_noise(), n_list)
-    assert len(kernel_calls) <= 4 + len(n_list)
+    # One grid pass for the whole sweep (three or four calls), then one call for all its analytic curves.
+    t2_vs_n(paper_like_noise(), [1, 4, 8, 16, 32, 64])
+    assert len(kernel_calls) <= 4 + 1
 
 
 
@@ -858,9 +857,9 @@ def test_t2_vs_n_kernel_calls(kernel_calls):
                          ids=["fig7", "fig9"])
 def test_fixture_family_kernel_calls(kernel_calls, family, n_curves):
     # One call calibrates the preset, one grid pass (three or four calls)
-    # serves the whole family, then one call per curve.
+    # serves the whole family, then one call evaluates all its curves.
     assert len(family()) == n_curves
-    assert len(kernel_calls) <= 1 + 4 + n_curves
+    assert len(kernel_calls) <= 1 + 4 + 1
 
 
 def test_fixture_families_equal_one_grid_and_curve_per_sequence():
@@ -1075,6 +1074,28 @@ def test_chi_columns_of_n_equal_single_n_calls():
         for t, value in zip(times.tolist(), column.tolist()):
             point = engines._chi(n, noise, t)
             assert np.ndim(point) == 0 and point == value
+    # A (points, columns) block whose columns differ, as one analytic call on a family takes it,
+    # in either memory order.
+    block = times[:, None] * np.geomspace(0.25, 4.0, ns.size)
+    for layout in (block, np.asfortranarray(block)):
+        got = engines._chi(ns, noise, layout)
+        for column, t, n in zip(got.T, block.T, ns.tolist()):
+            assert np.array_equal(column, engines._chi(n, noise, t.copy()))
+
+
+def test_geomspace_rows_equal_numpy_geomspace():
+    rng = np.random.default_rng(40)
+    start = 10 ** rng.uniform(-290, 290, 12) * rng.uniform(1.0, 2.0, 12)
+    stop = start * 10 ** rng.uniform(-3.0, 5.0, 12)
+    stop[::3] = np.nextafter(start[::3], math.inf)  # one ulp apart
+    stop[1] = start[1]
+    # np.linspace takes its step-zero branch where the log10 ends are equal.
+    assert any(a != b and np.log10(a) == np.log10(b) for a, b in zip(start, stop))
+    for num in range(61):
+        got = engines._geomspace(start, stop, num)
+        assert got.shape == (start.size, num)
+        for row, a, b in zip(got, start, stop):
+            assert row.tobytes() == np.geomspace(a, b, num).tobytes()
 
 
 def test_chi_series_coefficients_equal_the_per_n_sums(monkeypatch):

@@ -12,6 +12,7 @@ from nvforge.fitkit import (
     FitError,
     FitModel,
     RankDeficientDataError,
+    _table_fits,
     extract_t2_table,
     fit,
     fit_envelope,
@@ -374,6 +375,103 @@ def test_extract_t2_table_raises_on_the_first_failed_row():
     with pytest.raises(FitError, match=r"^T2 fit failed for n=2: signal is constant") as info:
         extract_t2_table([(1, good), (2, flat), (3, flat)])
     assert isinstance(info.value.__cause__, RankDeficientDataError)
+
+
+def _outcome(call):
+    """A fit's outcome, as the LM reference tests compare them: the result's repr, or the exception's
+    type, message and best result."""
+    try:
+        return ("ok", repr(call()))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), repr(getattr(exc, "best_result", None)))
+
+
+def _given(value):
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _table_corpus():
+    """T2 table curves of five sizes: noisy stretched decays, a fit capped at MAX_ITER, one whose
+    Jacobian stops being finite, one with a NaN, a constant signal and one with too few points for
+    three parameters."""
+    rng = np.random.default_rng(40)
+    curves = []
+    for i in range(30):
+        t2 = 10 ** rng.uniform(-7, -3)
+        t = np.geomspace(0.05 * t2, 4 * t2, (12, 24, 40)[i % 3])
+        y = np.exp(-((t / t2) ** rng.uniform(0.5, 2.5))) + 10 ** rng.uniform(-4, -1.5) * rng.standard_normal(t.size)
+        curves.append(DecayCurve(t, np.clip(y, -1.04, 1.04)))
+    t = np.geomspace(3e-4, 3.6e-2, 20)
+    decay = 0.27 * np.exp(-((t / 5e-3) ** 2.2))
+    curves[4:4] = [DecayCurve(t, decay - 0.1), DecayCurve(t, np.full(t.size, 0.5))]
+    curves[11:11] = [DecayCurve(t, decay - 0.09 + 0.01 * np.random.default_rng(5).standard_normal(t.size))]
+    curves[20:20] = [DecayCurve(t[:8], decay[:8]), DecayCurve(t, np.where(t < 1e-2, decay, np.nan))]
+    return curves
+
+
+def test_table_fits_equal_per_curve_fits_bit_for_bit():
+    curves = _table_corpus()
+    model = FitModel.stretched_exp()
+    want = [_outcome(lambda curve=curve: fit(curve, model, fix={"c": 0.0})) for curve in curves]
+    got = [_outcome(lambda value=value: _given(value)) for value in _table_fits(curves)]
+    assert got == want
+    kinds = [o[0] for o in want]
+    assert kinds.count("ok") >= 25
+    assert {"FitConvergenceError", "NumericalFailure", "RankDeficientDataError", "ValueError"} <= set(kinds)
+    assert any("max_iter reached" in o[1] for o in want if o[0] == "FitConvergenceError")
+    # extract_t2_table raises the first failure in input order, with its n if it is a FitError.
+    for start in (0, 20):
+        order = curves[start:] + curves[:start]
+        outcomes = want[start:] + want[:start]
+        first = next(i for i, o in enumerate(outcomes) if o[0] != "ok")
+        with pytest.raises(Exception) as info:
+            extract_t2_table(list(zip(range(1, len(order) + 1), order)))
+        if info.type is FitError:
+            assert str(info.value) == f"T2 fit failed for n={first + 1}: {outcomes[first][1]}"
+            assert type(info.value.__cause__).__name__ == outcomes[first][0]
+        else:
+            assert (info.type.__name__, str(info.value)) == outcomes[first][:2]
+
+
+def test_a_singular_system_of_a_batch_grows_only_its_own_damping(monkeypatch):
+    rng = np.random.default_rng(41)
+    curves = [DecayCurve(c.times_s, c.signal + 0.01 * rng.standard_normal(c.times_s.size))
+              for c in (_stretched_curve(t2, p, n=30) for t2, p in ((2e-6, 0.8), (5e-6, 1.4), (1e-5, 2.2)))]
+    model = FitModel.stretched_exp()
+    solve, seen = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: seen.append(a.copy()) or solve(a, b))
+    fit(curves[1], model, fix={"c": 0.0})
+    singular = seen[0]  # the first damped system of the middle curve
+    stacks = []
+
+    def fails_on_it(a, b):
+        hits = [np.array_equal(system, singular) for system in np.reshape(a, (-1, *singular.shape))]
+        stacks.append(hits)
+        if any(hits):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fails_on_it)
+    want = [_outcome(lambda curve=curve: fit(curve, model, fix={"c": 0.0})) for curve in curves]
+    stacks.clear()
+    got = [_outcome(lambda value=value: _given(value)) for value in _table_fits(curves)]
+    assert got == want and all(o[0] == "ok" for o in got)
+    # The stack failed on its middle system; each system was then solved on its own.
+    assert stacks[:4] == [[False, True, False], [False], [True], [False]]
+
+
+def test_stretched_model_rows_of_a_stack_equal_their_own_calls():
+    # numpy takes x ** 2, x ** 0.5 and x ** -1 as x * x, sqrt(x) and 1 / x for a scalar power only.
+    thetas = np.array([[1.0, 2e-6, p, 0.1] for p in (0.5, 1.0, 2.0, 1.37, -1.0)])
+    ts = np.geomspace(1e-7, 1e-4, 30) * np.linspace(1.0, 2.0, len(thetas))[:, None]
+    for model in (FitModel.stretched_exp(), FitModel.t1_stretched()):
+        values, jacobian = model.evaluate(ts, thetas.T[:, :, None])
+        for t, theta, value, jac in zip(ts, thetas, values, jacobian()):
+            want, want_jacobian = model.evaluate(t, theta)
+            assert value.tobytes() == want.tobytes()
+            assert jac.tobytes() == want_jacobian().tobytes()
 
 
 @pytest.mark.parametrize(
