@@ -191,7 +191,8 @@ def _cmd_decay(opts: dict, seed: int, out_dir: Path) -> list[Path]:
     elif not min(opts["t_min_s"], opts["t_max_s"]) > 0:
         raise ConfigError("a log grid needs t-min-s and t-max-s > 0")
     else:
-        times = np.geomspace(opts["t_min_s"], opts["t_max_s"], n_times)
+        with np.errstate(over="ignore"):  # inner points may overflow; geomspace sets both ends exactly
+            times = np.geomspace(opts["t_min_s"], opts["t_max_s"], n_times)
 
     curves = {}
     if engine in ("analytic", "both"):

@@ -7,8 +7,8 @@ equally spaced pi pulses (:class:`nvforge.sequences.PulseSequence`):
   exponent chi(t) = 1/2 * double-integral of s(t1) s(t2) b^2
   exp(-|t1-t2|/tau_c) with :func:`attenuation_exponent`, the CPMG filter
   function in closed form (Cywinski et al., PRB 77, 174509 (2008)): O(1)
-  per time point for any n, exact to a few ulps.  It returns
-  exp(-chi) exp(-(t/T1)^q).
+  per time point for any n, exact to a few ulps, and >= 0 by construction.
+  It returns exp(-chi) exp(-(t/T1)^q) from ``NoiseModel.decay_signal``.
 
 - :func:`simulate_mc` never evaluates chi.  It averages cos(phase) over
   stochastic trajectories, where each trajectory accumulates phase =
@@ -25,6 +25,7 @@ equally spaced pi pulses (:class:`nvforge.sequences.PulseSequence`):
   sweep over the cells turns their coefficients into one weight per draw
   and time point, and each trajectory's phase is the weighted sum of its
   draws.  The weights are never squared and summed: that sum is 2 chi.
+  The T1 channel comes from the same ``decay_signal``, with chi = 0.
 
 Monte-Carlo runs are bit-reproducible for a fixed seed regardless of
 evaluation order: trajectories are partitioned into fixed-size blocks and
@@ -175,7 +176,8 @@ def _chi(n, noise: NoiseModel, times_s) -> np.ndarray:
 
 
 def _finite_chi(n, noise: NoiseModel, times_s) -> np.ndarray:
-    """:func:`_chi`, refusing any value that is not finite with :class:`NumericalFailure`."""
+    """:func:`_chi` after :func:`check_times`; a chi that is not finite raises :class:`NumericalFailure`."""
+    check_times(times_s)
     chi = _chi(n, noise, times_s)
     if not np.isfinite(chi).all():
         raise NumericalFailure("attenuation exponent is not finite")
@@ -194,23 +196,15 @@ def attenuation_exponent(seq: PulseSequence, noise: NoiseModel, times_s):
     Raises ``ValueError`` for a negative time and :class:`NumericalFailure`
     if any chi overflows.
     """
-    check_times(times_s)
-    return np.maximum(_finite_chi(seq.n_pi, noise, times_s), 0.0)[()]
-
-
-def _analytic_signal(n, noise: NoiseModel, times: np.ndarray) -> np.ndarray:
-    """exp(-chi(t)) * exp(-(t/T1)^q) for ``n`` as :func:`_chi` takes it, with the checks of
-    :func:`attenuation_exponent`: the decay law of :func:`simulate_analytic` and :func:`_analytic_curves`."""
-    check_times(times)
-    chi = np.maximum(_finite_chi(n, noise, times), 0.0)
-    return np.exp(-chi) * noise.longitudinal_factor(times)
+    return _finite_chi(seq.n_pi, noise, times_s)[()]
 
 
 def simulate_analytic(seq: PulseSequence, noise: NoiseModel, times_s) -> DecayCurve:
     """Deterministic coherence curve exp(-chi(t)) * exp(-(t/T1)^q)."""
     times = np.asarray(times_s, dtype=float)
     meta = {"sequence": seq.name, "engine": "analytic", "noise": noise.as_dict()}
-    return DecayCurve(times_s=times, signal=_analytic_signal(seq.n_pi, noise, times), meta=meta)
+    signal = noise.decay_signal(attenuation_exponent(seq, noise, times), times)
+    return DecayCurve(times_s=times, signal=signal, meta=meta)
 
 
 def _mc_chunk_sums(rng: np.random.Generator, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +293,7 @@ def simulate_mc(
     # point is summed the same way whatever the size of ``times``.
     mean, mean_sq = functools.reduce(np.add, sums) / n_traj
     var = np.clip(mean_sq - mean**2, 0.0, None)
-    t1_factor = noise.longitudinal_factor(times)
+    t1_factor = noise.decay_signal(0.0, times)
     signal = mean * t1_factor
     stderr = np.sqrt(var / n_traj) * t1_factor
     meta = {
@@ -396,9 +390,6 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> np.ndarray:
     ``ValueError`` when the low target's bracket still starts at 0 after the
     bisection: the decay starts below every time it reached.
     """
-    def total_exponent(chi, t):
-        return np.maximum(chi, 0.0) + noise.longitudinal_exponent(t)
-
     # One kernel call on the probe ladder tau_c * 2^m: the exact doublings m >= 0 and, below them,
     # the GRID_BISECTION_STEPS midpoints of the bisection while lo is 0, halved as it halves them.
     # Upper bracket: the first doubling whose exponent reaches GRID_DECAY_HI; the scan stops there
@@ -408,7 +399,7 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         probes = np.concatenate([halvings[:0:-1], np.ldexp(noise.tau_c_s, np.arange(GRID_MAX_DOUBLINGS))])[:, None]
     chi = _chi(n, noise, probes)
-    probe_total = total_exponent(chi, probes)
+    probe_total = noise.decay_exponent(chi, probes)
     stop = ~np.isfinite(chi) | (probe_total >= GRID_DECAY_HI)
     stop[:GRID_BISECTION_STEPS] = False  # the bisection starts from (0, tau_c * 2^k), k >= 0
     k = np.argmax(stop, axis=0).tolist()
@@ -462,7 +453,7 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> np.ndarray:
 
     def evaluate(live, points):
         cols = pair_n[live] if np.ndim(pair_n) else pair_n
-        return total_exponent(_finite_chi(cols, noise, points), points).T.tolist()
+        return noise.decay_exponent(_finite_chi(cols, noise, points), points).T.tolist()
 
     def guess(j, lo, hi, ts=(), fs=()):
         memo = memos[j // 2]
@@ -526,7 +517,7 @@ def _analytic_curves(seqs, noise: NoiseModel, n_points: int) -> list[DecayCurve]
     """
     n = np.array([seq.n_pi for seq in seqs])
     grids = _decay_time_grids(n, noise, n_points)
-    signals = _analytic_signal(n, noise, grids.T).T.copy()  # a contiguous row per curve, as its grid
+    signals = noise.decay_signal(_finite_chi(n, noise, grids.T), grids.T).T.copy()  # contiguous rows, as the grids
     return [DecayCurve(times_s=times, signal=signal,
                        meta={"sequence": seq.name, "engine": "analytic", "noise": noise.as_dict()})
             for seq, times, signal in zip(seqs, grids, signals)]

@@ -4,8 +4,10 @@ The transverse environment is modeled as a stationary Gaussian
 Ornstein-Uhlenbeck (OU) frequency-noise process with standard deviation
 ``b_rad_s`` (rad/s) and exponential autocorrelation time ``tau_c_s``.
 Longitudinal relaxation multiplies every coherence signal by
-exp(-(t/T1)^q); ``t1_s = inf`` disables the channel.  Draws of the noise,
-in the Monte-Carlo engine and the fixtures, come from :func:`seeded_rng`.
+exp(-(t/T1)^q); ``t1_s = inf`` disables the channel.  The whole decay law
+exp(-chi) exp(-(t/T1)^q), for a dephasing exponent chi, has one owner:
+:meth:`NoiseModel.decay_signal`, with its exponent :meth:`NoiseModel.decay_exponent`.
+Draws of the noise, in the Monte-Carlo engine and the fixtures, come from :func:`seeded_rng`.
 """
 
 from __future__ import annotations
@@ -51,9 +53,13 @@ class NoiseModel:
         with np.errstate(over="ignore"):
             return (t / self.t1_s) ** self.t1_exponent_q
 
-    def longitudinal_factor(self, times_s) -> np.ndarray:
-        """exp(-(t/T1)^q) evaluated elementwise; 1 everywhere for T1 = inf."""
-        return np.exp(-self.longitudinal_exponent(times_s))
+    def decay_exponent(self, chi, times_s) -> np.ndarray:
+        """chi + (t/T1)^q: the total decay exponent, -ln of :meth:`decay_signal`, for a dephasing exponent chi."""
+        return chi + self.longitudinal_exponent(times_s)
+
+    def decay_signal(self, chi, times_s) -> np.ndarray:
+        """exp(-chi) * exp(-(t/T1)^q): the coherence left after dephasing chi and the T1 channel."""
+        return np.exp(-chi) * np.exp(-self.longitudinal_exponent(times_s))
 
     def as_dict(self) -> dict:
         return {

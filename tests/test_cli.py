@@ -1556,6 +1556,8 @@ def contract_dir(tmp_path_factory):
 @given(argv=contract_argv())
 @example(argv=["odmr", "--f-min-hz=0", "--zfs-d-hz=1e308"])  # eight centres whose sum overflows
 @example(argv=["odmr", "--gamma-hz-per-t=1.7e308", "--bz-t=1"])  # a grid span that overflows
+@example(argv=["decay", "--t-min-s=1.7976931348623157e308", "--t-max-s=2.5"])  # log-grid points that overflow
+@example(argv=["decay", "--t-min-s=1e-6", "--t-max-s=1.7976931348623157e308"])  # the same, up to the largest float
 def test_every_command_keeps_the_exit_code_contract(contract_dir, argv):
     # Exit 0, 2, 3 or 4; no traceback or RuntimeWarning; nothing non-finite written.
     out_dir = Path(tempfile.mkdtemp(dir=contract_dir))

@@ -254,15 +254,19 @@ def test_analytic_noiseless_reduces_to_t1_channel():
 def test_longitudinal_exponent_owns_the_t1_law():
     times = np.array([0.0, 1e-6, 1e-3])
     assert np.array_equal(NoiseModel(1e6, 1e-6).longitudinal_exponent(times), np.zeros(3))
-    assert np.array_equal(NoiseModel(1e6, 1e-6).longitudinal_factor(times), np.ones(3))
+    assert np.array_equal(NoiseModel(1e6, 1e-6).decay_signal(0.0, times), np.ones(3))
     # (1e-3 / 1e-300)^2 overflows: inf, with no RuntimeWarning under the suite's filter.
     tiny_t1 = NoiseModel(1e6, 1e-6, t1_s=1e-300, t1_exponent_q=2.0)
     assert tiny_t1.longitudinal_exponent(times).tolist() == [0.0, math.inf, math.inf]
-    assert tiny_t1.longitudinal_factor(times).tolist() == [1.0, 0.0, 0.0]
+    assert tiny_t1.decay_signal(0.0, times).tolist() == [1.0, 0.0, 0.0]
     noise = NoiseModel(1e6, 1e-6, t1_s=3.14e-3, t1_exponent_q=1.32)
     times = np.geomspace(1e-7, 1.0, 50)
-    factor = noise.longitudinal_factor(times)
-    assert factor.tobytes() == np.exp(-noise.longitudinal_exponent(times)).tobytes()
+    t1_exponent = noise.longitudinal_exponent(times)
+    assert noise.decay_signal(0.0, times).tobytes() == np.exp(-t1_exponent).tobytes()
+    # The same-bytes pins rely on these two forms of the whole law.
+    chi = np.random.default_rng(41).exponential(2.0, times.size)
+    assert noise.decay_signal(chi, times).tobytes() == (np.exp(-chi) * np.exp(-t1_exponent)).tobytes()
+    assert noise.decay_exponent(chi, times).tobytes() == (chi + t1_exponent).tobytes()
 
 
 def test_noise_preset_refuses_an_unknown_name():
@@ -278,6 +282,24 @@ def test_mc_rejects_nan_time():
 def test_mc_rejects_no_time_points():
     with pytest.raises(ValueError, match="at least one time point"):
         simulate_mc(build_sequence("cpmg", 1e-6, n=7), NoiseModel(1e5, 1e-6), [], 10, 1)
+
+
+def test_chi_is_never_negative_nor_negative_zero():
+    # The kernel's chi is >= 0 by construction, so no caller clips it: every
+    # value is +0.0, positive or non-finite (which callers refuse), far past
+    # the closed-form property's range, on both sides of each series switch.
+    counts = (0, 1, 2, 3, 2047, 2048, 4096)
+    edges = [switch_time(n, 1.0) for n in counts]
+    up = [math.nextafter(t, math.inf) for t in edges]
+    near = [*(math.nextafter(t, 0.0) for t in edges), *edges, *up, *(math.nextafter(t, math.inf) for t in up)]
+    times = np.concatenate([np.geomspace(5e-324, 1e300, 4001), near])
+    columns = np.array(counts[1:])
+    for b in [0.0, *np.geomspace(1e-150, 1e150, 13)]:
+        noise = NoiseModel(b, 1.0)  # b * tau_c = b, and t is t/tau_c
+        chis = [engines._chi(n, noise, times) for n in counts]
+        chis.append(engines._chi(columns, noise, times[:, None]))
+        for chi in chis:
+            assert not (np.signbit(chi) & ~np.isnan(chi)).any(), b
 
 
 def test_analytic_signal_bounds_and_chi_properties():
