@@ -31,6 +31,9 @@ Monte-Carlo runs are bit-reproducible for a fixed seed regardless of
 evaluation order: trajectories are partitioned into fixed-size blocks and
 each block draws from its own counter-based Philox stream keyed by
 (seed, block index).  Block partial sums are combined in index order.
+One helper thread draws the normals a group of rows ahead of the chunk
+arithmetic (:class:`_NormalsAhead`); a Philox fill is sequential, so the
+draws, and the bytes, are those of each block's own generator.
 Every time point has the same number of cells, so each draw drives all
 time points at once: the points are correlated, each stays exact in
 distribution, and a point's value does not depend on the other points.
@@ -65,6 +68,9 @@ MC_STREAM = 2
 #: trajectories.  Elementwise ufuncs and unbuffered sums give the same bytes
 #: under any buffer.
 MC_UFUNC_BUFSIZE = 16
+#: Most rows of one chunk's draws that the helper thread of :class:`_NormalsAhead`
+#: fills in one call; a chunk's rows are split evenly into as few groups as this allows.
+MC_GROUP_ROWS = 64
 
 #: Decay window of :func:`decay_time_grid`, in -ln(signal).
 GRID_DECAY_LO = 0.02
@@ -207,13 +213,85 @@ def simulate_analytic(seq: PulseSequence, noise: NoiseModel, times_s) -> DecayCu
     return DecayCurve(times_s=times, signal=signal, meta=meta)
 
 
+class _NormalsAhead:
+    """Each block's Philox normals, drawn one group ahead on a helper thread and served row by row.
+
+    ``blocks`` lists (block index, chunk widths) in the order the caller
+    walks them, and each chunk takes ``rows`` rows of its width.  The helper
+    fills each chunk's rows from ``seeded_rng(seed, block)`` in groups of at
+    most MC_GROUP_ROWS rows, into two buffers that it and the caller hand
+    back and forth; :meth:`standard_normal` copies the next row out.  A
+    Philox fill is sequential, so one (g, n) fill is g successive n-wide
+    fills, and each row is bit for bit what the block's own generator gives
+    at that point of its stream.  Only the draws run on the helper.  On
+    exit, also after an error on either side, the helper is stopped and
+    joined; an error of the helper is raised in the caller.
+    """
+
+    def __init__(self, seed: int, blocks, rows: int):
+        import threading  # already loaded with numpy
+        groups = -(-rows // MC_GROUP_ROWS)
+        self._sizes = [rows // groups + (i < rows % groups) for i in range(groups)]
+        width = max(max(widths) for _, widths in blocks)
+        self._buffers = [np.empty(self._sizes[0] * width) for _ in range(2)]
+        # The caller starts out holding buffer 1, with no rows left in it.
+        self._free = [threading.Semaphore(1), threading.Semaphore(0)]
+        self._ready = [threading.Semaphore(0), threading.Semaphore(0)]
+        self._groups, self._group, self._row, self._slot = [None, None], (), 0, 1
+        self._stop, self._error = False, None
+        self._thread = threading.Thread(target=self._fill, args=(seed, blocks), daemon=True)
+
+    def _fill(self, seed: int, blocks) -> None:
+        k = 0  # groups handed over; group k goes to buffer k % 2
+        try:
+            for ib, widths in blocks:
+                rng = seeded_rng(seed, ib)
+                for width in widths:
+                    for size in self._sizes:
+                        slot = k % 2
+                        self._free[slot].acquire()
+                        if self._stop:
+                            return
+                        group = self._buffers[slot][: size * width].reshape(size, width)
+                        self._groups[slot] = rng.standard_normal(out=group)
+                        self._ready[slot].release()
+                        k += 1
+        except BaseException as exc:
+            self._error = exc
+            self._ready[k % 2].release()
+
+    def standard_normal(self, out: np.ndarray) -> np.ndarray:
+        """The next row of the stream, copied into ``out``."""
+        if self._row == len(self._group):
+            self._free[self._slot].release()
+            self._slot ^= 1
+            self._ready[self._slot].acquire()
+            if self._error is not None:
+                raise self._error
+            self._group, self._row = self._groups[self._slot], 0
+        out[...] = self._group[self._row]
+        self._row += 1
+        return out
+
+    def __enter__(self) -> "_NormalsAhead":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        for free in self._free:
+            free.release()
+        self._thread.join()
+
+
 def _mc_chunk_sums(rng: np.random.Generator, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum and sum-of-squares of cos(phase) at every time point over chunk_n trajectories.
 
     The phase is the sum over the chunk's draws of ``weights[d]``, a column
     of shape (n_times, 1), times row d of one ``standard_normal((rows,
-    chunk_n))`` call, drawn one row at a time into one buffer, so the
-    working set stays at (n_times, chunk_n) for any number of cells.  Each
+    chunk_n))`` call, taken from ``rng`` one row at a time into one buffer,
+    so the working arrays stay at (n_times, chunk_n) for any number of
+    cells.  ``rng`` is a Generator or a :class:`_NormalsAhead`.  Each
     draw drives all time points at once by broadcasting, so a time point's
     sums depend only on its own column.
     """
@@ -240,7 +318,10 @@ def simulate_mc(
     point's value does not depend on the other points in ``times``.  All
     points share their normal draws, so their errors are correlated.
     Per-point standard errors of the Monte-Carlo mean are stored in
-    ``meta["mc_stderr"]``.
+    ``meta["mc_stderr"]``.  The draws come from a helper thread, one group
+    of at most MC_GROUP_ROWS rows ahead, held in two buffers of at most
+    MC_GROUP_ROWS x MC_CHUNK_SIZE floats; the helper is joined before the
+    call returns or raises.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -278,14 +359,16 @@ def simulate_mc(
     # trajectories, which bounds the working arrays at (n_times, MC_CHUNK_SIZE).
     n_blocks = (n_traj + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     sums = np.zeros((n_blocks, 2, times.size))  # sum and sum of squares of cos(phase)
+    blocks = []
+    for ib in range(n_blocks) if _block_order is None else _block_order:
+        block_n = min(MC_BLOCK_SIZE, n_traj - ib * MC_BLOCK_SIZE)
+        blocks.append((ib, [min(MC_CHUNK_SIZE, block_n - start) for start in range(0, block_n, MC_CHUNK_SIZE)]))
     old_bufsize = np.setbufsize(MC_UFUNC_BUFSIZE)
     try:
-        for ib in range(n_blocks) if _block_order is None else _block_order:
-            rng = seeded_rng(seed, ib)
-            block_n = min(MC_BLOCK_SIZE, n_traj - ib * MC_BLOCK_SIZE)
-            for start in range(0, block_n, MC_CHUNK_SIZE):
-                chunk_n = min(MC_CHUNK_SIZE, block_n - start)
-                sums[ib] += _mc_chunk_sums(rng, chunk_n, weights)
+        with _NormalsAhead(seed, blocks, weights.shape[0]) as draws:
+            for ib, widths in blocks:
+                for chunk_n in widths:
+                    sums[ib] += _mc_chunk_sums(draws, chunk_n, weights)
     finally:
         np.setbufsize(old_bufsize)
 

@@ -1,4 +1,6 @@
 import math
+import signal
+import threading
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -709,11 +711,114 @@ def test_mc_chunks_run_under_the_small_ufunc_buffer_and_restore_the_callers(monk
         assert seen == [engines.MC_UFUNC_BUFSIZE] * 2
         assert np.getbufsize() == 4096
         monkeypatch.setattr(engines, "_mc_chunk_sums", broken)
+        threads = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk failed"):
             simulate_mc(seq, noise, [1e-6, 2e-6], 3000, seed=1)
         assert np.getbufsize() == 4096
+        assert threading.active_count() == threads
     finally:
         np.setbufsize(old)
+
+
+def test_one_normal_fill_is_its_rows_filled_one_after_another():
+    # The draw-ahead helper fills a group of rows in one call; the bytes rest
+    # on a Philox fill being sequential.
+    for width in (engines.MC_CHUNK_SIZE, 452):
+        group = seeded_rng(5, 3).standard_normal((37, width))
+        rng = seeded_rng(5, 3)
+        rows = np.empty_like(group)
+        for row in rows:
+            rng.standard_normal(out=row)
+        assert np.array_equal(group, rows)
+
+
+@pytest.mark.parametrize("kind, n", [("hahn", 1), ("cpmg", 40)])
+@pytest.mark.parametrize("order", [None, [2, 0, 1]])
+def test_mc_chunks_get_each_blocks_stream_row_for_row(monkeypatch, kind, n, order):
+    # Three blocks, the last ending on a partial chunk.  CPMG(40) takes 83
+    # rows per chunk, more than one group of MC_GROUP_ROWS.  Every row that
+    # reaches _mc_chunk_sums is what seeded_rng(seed, ib).standard_normal(out=z)
+    # gives at that point of block ib's stream.
+    n_traj = 2 * engines.MC_BLOCK_SIZE + engines.MC_CHUNK_SIZE + 452
+    seq = build_sequence(kind, 1e-6, n=n)
+    expected = []
+    for ib in order or range(3):
+        block_n = min(engines.MC_BLOCK_SIZE, n_traj - ib * engines.MC_BLOCK_SIZE)
+        ref = seeded_rng(11, ib)
+        expected += [(ref, min(engines.MC_CHUNK_SIZE, block_n - start))
+                     for start in range(0, block_n, engines.MC_CHUNK_SIZE)]
+    chunks = iter(expected)
+    chunk_sums = engines._mc_chunk_sums
+    rows = []
+
+    def spy(draws, chunk_n, weights):
+        ref, width = next(chunks)
+        assert chunk_n == width
+
+        class Checked:
+            def standard_normal(self, out):
+                row = draws.standard_normal(out=out)
+                assert np.array_equal(row, ref.standard_normal(out=np.empty(width)))
+                rows.append(width)
+                return row
+
+        return chunk_sums(Checked(), chunk_n, weights)
+
+    monkeypatch.setattr(engines, "_mc_chunk_sums", spy)
+    simulate_mc(seq, NoiseModel(1e6, 1e-6), [1e-6, 3e-6], n_traj, seed=11, _block_order=order)
+    assert next(chunks, None) is None
+    assert sum(rows) == n_traj * (2 * seq.n_pi + 3)
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_mc_raises_a_failure_of_its_draws_and_leaves_no_thread(monkeypatch, bad):
+    # Block 0 fails while the caller already waits for its first group;
+    # block 1 fails after the helper has drawn all of block 0.
+    real = engines.seeded_rng
+
+    def failing(seed, stream):
+        if stream == bad:
+            raise RuntimeError(f"no stream {bad}")
+        return real(seed, stream)
+
+    monkeypatch.setattr(engines, "seeded_rng", failing)
+    seq = build_sequence("cpmg", 1e-6, n=40)
+    threads = threading.active_count()
+    handler = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("simulate_mc did not return"))
+    old = np.setbufsize(4096)
+    signal.alarm(10)
+    try:
+        with pytest.raises(RuntimeError, match=f"no stream {bad}"):
+            simulate_mc(seq, NoiseModel(1e6, 1e-6), [1e-6, 2e-6], 2 * engines.MC_BLOCK_SIZE, seed=1)
+        assert np.getbufsize() == 4096
+        assert threading.active_count() == threads
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+        np.setbufsize(old)
+
+
+def test_mc_calls_from_two_threads_at_once_give_the_serial_bits():
+    seqs = [build_sequence("xy8", 1e-6), build_sequence("cpmg", 1e-6, n=40)]
+    noise = NoiseModel(1e6, 1e-6)
+    times = np.geomspace(1e-7, 2e-5, 5)
+    serial = [simulate_mc(seq, noise, times, 20000, seed=3).signal for seq in seqs]
+    threads = threading.active_count()
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def run(i):
+        start.wait()
+        results[i] = simulate_mc(seqs[i], noise, times, 20000, seed=3).signal
+
+    callers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(60)
+    assert threading.active_count() == threads
+    for got, want in zip(results, serial):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_mc_motional_narrowing_agrees_with_analytic():
