@@ -1,5 +1,7 @@
+import contextlib
 import math
 import signal
+import sys
 import threading
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -770,6 +772,17 @@ def test_mc_chunks_get_each_blocks_stream_row_for_row(monkeypatch, kind, n, orde
     assert sum(rows) == n_traj * (2 * seq.n_pi + 3)
 
 
+@contextlib.contextmanager
+def time_limit(seconds, what):
+    handler = signal.signal(signal.SIGALRM, lambda *_: pytest.fail(f"{what} did not return"))
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
 @pytest.mark.parametrize("bad", [0, 1])
 def test_mc_raises_a_failure_of_its_draws_and_leaves_no_thread(monkeypatch, bad):
     # Block 0 fails while the caller already waits for its first group;
@@ -784,21 +797,38 @@ def test_mc_raises_a_failure_of_its_draws_and_leaves_no_thread(monkeypatch, bad)
     monkeypatch.setattr(engines, "seeded_rng", failing)
     seq = build_sequence("cpmg", 1e-6, n=40)
     threads = threading.active_count()
-    handler = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("simulate_mc did not return"))
     old = np.setbufsize(4096)
-    signal.alarm(10)
     try:
-        with pytest.raises(RuntimeError, match=f"no stream {bad}"):
+        with time_limit(10, "simulate_mc"), pytest.raises(RuntimeError, match=f"no stream {bad}"):
             simulate_mc(seq, NoiseModel(1e6, 1e-6), [1e-6, 2e-6], 2 * engines.MC_BLOCK_SIZE, seed=1)
         assert np.getbufsize() == 4096
         assert threading.active_count() == threads
     finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, handler)
         np.setbufsize(old)
 
 
+def test_mc_stops_its_helper_when_a_chunk_fails(monkeypatch):
+    # The caller fails on its third chunk with most of the stream still to
+    # draw: the helper must stop, not wait for a caller that has gone.
+    chunk_sums = engines._mc_chunk_sums
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("chunk 3 failed")
+        return chunk_sums(*args)
+
+    monkeypatch.setattr(engines, "_mc_chunk_sums", failing)
+    threads = threading.active_count()
+    with time_limit(10, "simulate_mc"), pytest.raises(RuntimeError, match="chunk 3 failed"):
+        simulate_mc(build_sequence("hahn", 1e-6), NoiseModel(1e6, 1e-6), [1e-6], 2 * engines.MC_BLOCK_SIZE, seed=1)
+    assert threading.active_count() == threads
+
+
 def test_mc_calls_from_two_threads_at_once_give_the_serial_bits():
+    # Two callers and their two helpers are more threads than a 2-core
+    # machine runs at once; the short switch interval interleaves them finely.
     seqs = [build_sequence("xy8", 1e-6), build_sequence("cpmg", 1e-6, n=40)]
     noise = NoiseModel(1e6, 1e-6)
     times = np.geomspace(1e-7, 2e-5, 5)
@@ -812,10 +842,16 @@ def test_mc_calls_from_two_threads_at_once_give_the_serial_bits():
         results[i] = simulate_mc(seqs[i], noise, times, 20000, seed=3).signal
 
     callers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
-    for caller in callers:
-        caller.start()
-    for caller in callers:
-        caller.join(60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
     assert threading.active_count() == threads
     for got, want in zip(results, serial):
         assert got.tobytes() == want.tobytes()
