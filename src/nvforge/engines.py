@@ -31,8 +31,9 @@ Monte-Carlo runs are bit-reproducible for a fixed seed regardless of
 evaluation order: trajectories are partitioned into fixed-size blocks and
 each block draws from its own counter-based Philox stream keyed by
 (seed, block index).  Block partial sums are combined in index order.
-One helper thread draws the normals a group of rows ahead of the chunk
-arithmetic (:class:`_NormalsAhead`); a Philox fill is sequential, so the
+One helper thread draws the normals a group of rows ahead, into two
+buffers that circulate through two queues, and each chunk reads its rows
+in place (:class:`_NormalsAhead`); a Philox fill is sequential, so the
 draws, and the bytes, are those of each block's own generator.
 Every time point has the same number of cells, so each draw drives all
 time points at once: the points are correlated, each stays exact in
@@ -214,92 +215,76 @@ def simulate_analytic(seq: PulseSequence, noise: NoiseModel, times_s) -> DecayCu
 
 
 class _NormalsAhead:
-    """Each block's Philox normals, drawn one group ahead on a helper thread and served row by row.
+    """Each block's Philox normals, drawn one group ahead on a helper thread and read in place.
 
     ``blocks`` lists (block index, chunk widths) in the order the caller
-    walks them, and each chunk takes ``rows`` rows of its width.  The helper
-    fills each chunk's rows from ``seeded_rng(seed, block)`` in groups of at
-    most MC_GROUP_ROWS rows, into two buffers that it and the caller hand
-    back and forth; :meth:`standard_normal` copies the next row out.  A
-    Philox fill is sequential, so one (g, n) fill is g successive n-wide
-    fills, and each row is bit for bit what the block's own generator gives
-    at that point of its stream.  Only the draws run on the helper.  On
-    exit, also after an error on either side, the helper is stopped and
-    joined; an error of the helper is raised in the caller.
+    walks them, and each chunk takes ``rows`` rows of its width.  Two
+    buffers circulate through two queues: the helper takes an empty one,
+    fills a group of at most MC_GROUP_ROWS rows from ``seeded_rng(seed,
+    block)`` and puts (buffer, group) on the filled one; :meth:`chunk`
+    yields the rows and puts the buffer back.  A Philox fill is sequential
+    (one (g, n) fill is g successive n-wide fills), so each row is what the
+    block's own generator gives at that point of its stream.  The helper
+    stops on taking None, which exit puts, also after an error on either
+    side; its own error goes over as (None, error) for :meth:`chunk` to raise.
     """
 
     def __init__(self, seed: int, blocks, rows: int):
+        import queue
         import threading  # already loaded with numpy
         groups = -(-rows // MC_GROUP_ROWS)
         self._sizes = [rows // groups + (i < rows % groups) for i in range(groups)]
         width = max(max(widths) for _, widths in blocks)
-        self._buffers = [np.empty(self._sizes[0] * width) for _ in range(2)]
-        # The caller starts out holding buffer 1, with no rows left in it.
-        self._free = [threading.Semaphore(1), threading.Semaphore(0)]
-        self._ready = [threading.Semaphore(0), threading.Semaphore(0)]
-        self._groups, self._group, self._row, self._slot = [None, None], (), 0, 1
-        self._stop, self._error = False, None
+        self._empty, self._filled = queue.SimpleQueue(), queue.SimpleQueue()
+        for _ in range(2):
+            self._empty.put(np.empty(self._sizes[0] * width))
         self._thread = threading.Thread(target=self._fill, args=(seed, blocks), daemon=True)
 
     def _fill(self, seed: int, blocks) -> None:
-        k = 0  # groups handed over; group k goes to buffer k % 2
         try:
             for ib, widths in blocks:
                 rng = seeded_rng(seed, ib)
                 for width in widths:
                     for size in self._sizes:
-                        slot = k % 2
-                        self._free[slot].acquire()
-                        if self._stop:
+                        buffer = self._empty.get()
+                        if buffer is None:
                             return
-                        group = self._buffers[slot][: size * width].reshape(size, width)
-                        self._groups[slot] = rng.standard_normal(out=group)
-                        self._ready[slot].release()
-                        k += 1
+                        self._filled.put((buffer, rng.standard_normal(out=buffer[: size * width].reshape(size, width))))
         except BaseException as exc:
-            self._error = exc
-            self._ready[k % 2].release()
+            self._filled.put((None, exc))
 
-    def standard_normal(self, out: np.ndarray) -> np.ndarray:
-        """The next row of the stream, copied into ``out``."""
-        if self._row == len(self._group):
-            self._free[self._slot].release()
-            self._slot ^= 1
-            self._ready[self._slot].acquire()
-            if self._error is not None:
-                raise self._error
-            self._group, self._row = self._groups[self._slot], 0
-        out[...] = self._group[self._row]
-        self._row += 1
-        return out
+    def chunk(self):
+        """The next chunk's rows, read in place; each group's buffer goes back once its rows are used."""
+        for _ in self._sizes:
+            buffer, group = self._filled.get()
+            if buffer is None:
+                raise group
+            yield from group
+            self._empty.put(buffer)
 
     def __enter__(self) -> "_NormalsAhead":
         self._thread.start()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        for free in self._free:
-            free.release()
+        self._empty.put(None)
         self._thread.join()
 
 
-def _mc_chunk_sums(rng: np.random.Generator, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mc_chunk_sums(rows, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum and sum-of-squares of cos(phase) at every time point over chunk_n trajectories.
 
     The phase is the sum over the chunk's draws of ``weights[d]``, a column
-    of shape (n_times, 1), times row d of one ``standard_normal((rows,
-    chunk_n))`` call, taken from ``rng`` one row at a time into one buffer,
-    so the working arrays stay at (n_times, chunk_n) for any number of
-    cells.  ``rng`` is a Generator or a :class:`_NormalsAhead`.  Each
-    draw drives all time points at once by broadcasting, so a time point's
-    sums depend only on its own column.
+    of shape (n_times, 1), times row d of the chunk_n-wide ``rows``, read in
+    place, so the working arrays stay at (n_times, chunk_n) for any number
+    of cells.  One row too few or too many raises ``ValueError``.  Each draw
+    drives all time points at once by broadcasting, so a time point's sums
+    depend only on its own column.
     """
     phase = np.zeros((weights.shape[1], chunk_n))
     term = np.empty_like(phase)
-    z = np.empty(chunk_n)
-    for w in weights:
-        phase += np.multiply(w, rng.standard_normal(out=z), out=term)
+    for w, z in zip(weights, rows, strict=True):
+        phase += np.multiply(w, z, out=term)
     cos = np.cos(phase, out=phase)
     return cos.sum(axis=1), np.square(cos, out=term).sum(axis=1)
 
@@ -319,9 +304,9 @@ def simulate_mc(
     points share their normal draws, so their errors are correlated.
     Per-point standard errors of the Monte-Carlo mean are stored in
     ``meta["mc_stderr"]``.  The draws come from a helper thread, one group
-    of at most MC_GROUP_ROWS rows ahead, held in two buffers of at most
-    MC_GROUP_ROWS x MC_CHUNK_SIZE floats; the helper is joined before the
-    call returns or raises.
+    of at most MC_GROUP_ROWS rows ahead, in two buffers of at most
+    MC_GROUP_ROWS x MC_CHUNK_SIZE floats that each chunk reads in place;
+    the helper is joined before the call returns or raises.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -368,7 +353,7 @@ def simulate_mc(
         with _NormalsAhead(seed, blocks, weights.shape[0]) as draws:
             for ib, widths in blocks:
                 for chunk_n in widths:
-                    sums[ib] += _mc_chunk_sums(draws, chunk_n, weights)
+                    sums[ib] += _mc_chunk_sums(draws.chunk(), chunk_n, weights)
     finally:
         np.setbufsize(old_bufsize)
 

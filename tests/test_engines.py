@@ -739,7 +739,7 @@ def test_one_normal_fill_is_its_rows_filled_one_after_another():
 def test_mc_chunks_get_each_blocks_stream_row_for_row(monkeypatch, kind, n, order):
     # Three blocks, the last ending on a partial chunk.  CPMG(40) takes 83
     # rows per chunk, more than one group of MC_GROUP_ROWS.  Every row that
-    # reaches _mc_chunk_sums is what seeded_rng(seed, ib).standard_normal(out=z)
+    # _mc_chunk_sums reads is what seeded_rng(seed, ib).standard_normal(out=z)
     # gives at that point of block ib's stream.
     n_traj = 2 * engines.MC_BLOCK_SIZE + engines.MC_CHUNK_SIZE + 452
     seq = build_sequence(kind, 1e-6, n=n)
@@ -757,19 +757,29 @@ def test_mc_chunks_get_each_blocks_stream_row_for_row(monkeypatch, kind, n, orde
         ref, width = next(chunks)
         assert chunk_n == width
 
-        class Checked:
-            def standard_normal(self, out):
-                row = draws.standard_normal(out=out)
+        def checked():
+            for row in draws:
                 assert np.array_equal(row, ref.standard_normal(out=np.empty(width)))
                 rows.append(width)
-                return row
+                yield row
 
-        return chunk_sums(Checked(), chunk_n, weights)
+        return chunk_sums(checked(), chunk_n, weights)
 
     monkeypatch.setattr(engines, "_mc_chunk_sums", spy)
     simulate_mc(seq, NoiseModel(1e6, 1e-6), [1e-6, 3e-6], n_traj, seed=11, _block_order=order)
     assert next(chunks, None) is None
     assert sum(rows) == n_traj * (2 * seq.n_pi + 3)
+
+
+def test_mc_chunk_sums_take_exactly_one_row_per_weight():
+    # A short group must not drop draws silently, nor a long one leave them unread.
+    weights = np.ones((5, 3, 1))
+    rows = list(seeded_rng(2, 0).standard_normal((6, 8)))
+    total, total_sq = engines._mc_chunk_sums(iter(rows[:5]), 8, weights)
+    assert np.allclose(total, np.cos(sum(rows[:5])).sum()) and total_sq.shape == (3,)
+    for n in (4, 6):
+        with pytest.raises(ValueError):
+            engines._mc_chunk_sums(iter(rows[:n]), 8, weights)
 
 
 @contextlib.contextmanager
