@@ -31,10 +31,9 @@ Monte-Carlo runs are bit-reproducible for a fixed seed regardless of
 evaluation order: trajectories are partitioned into fixed-size blocks and
 each block draws from its own counter-based Philox stream keyed by
 (seed, block index).  Block partial sums are combined in index order.
-One helper thread draws the normals a group of rows ahead, into two
-buffers that circulate through two queues, and each chunk reads its rows
-in place (:class:`_NormalsAhead`); a Philox fill is sequential, so the
-draws, and the bytes, are those of each block's own generator.
+One helper thread draws the normals a group of rows ahead, in two buffers
+that the chunks read in place (:class:`_NormalsAhead`); as a Philox fill is
+sequential, the draws and the bytes are those of each block's own generator.
 Every time point has the same number of cells, so each draw drives all
 time points at once: the points are correlated, each stays exact in
 distribution, and a point's value does not depend on the other points.
@@ -277,9 +276,10 @@ def _mc_chunk_sums(rows, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray,
     The phase is the sum over the chunk's draws of ``weights[d]``, a column
     of shape (n_times, 1), times row d of the chunk_n-wide ``rows``, read in
     place, so the working arrays stay at (n_times, chunk_n) for any number
-    of cells.  One row too few or too many raises ``ValueError``.  Each draw
-    drives all time points at once by broadcasting, so a time point's sums
-    depend only on its own column.
+    of cells.  One row too few or too many raises ``ValueError``; checking
+    for one too many runs :meth:`_NormalsAhead.chunk` to its end, which
+    puts the chunk's last buffer back.  Each draw drives all time points at
+    once by broadcasting, so a time point's sums depend only on its own column.
     """
     phase = np.zeros((weights.shape[1], chunk_n))
     term = np.empty_like(phase)
