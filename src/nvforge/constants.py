@@ -78,6 +78,13 @@ def check_multiplicities(multiplicities) -> tuple[tuple[float, float], ...]:
     return tuple(multiplicities)
 
 
+def check_positive(**values) -> None:
+    """Raise ``ValueError("<name> must be positive")`` for the first value, in keyword order, not > 0 (NaN too)."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+
+
 class NumericalFailure(RuntimeError):
     """A numerical procedure failed to converge or produced non-finite values."""
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DOUBLET_MULTIPLICITIES, TRIPLET_MULTIPLICITIES, NumericalFailure, check_multiplicities
+from .constants import DOUBLET_MULTIPLICITIES, TRIPLET_MULTIPLICITIES, NumericalFailure, check_multiplicities, check_positive
 from .dataio import DecayCurve
 from .noise import NoiseModel, ou_cell_coefficients, seeded_rng
 from .sequences import PulseSequence, build_sequence, check_times
@@ -404,8 +404,7 @@ def simulate_fid_beats(triplet: HyperfineTriplet, t2_star_s: float, times_s) -> 
     signal(t) = exp(-t/T2*) * sum_m w_m cos(2 pi (delta + m*A) t)
     """
     from . import fitkit
-    if not t2_star_s > 0:
-        raise ValueError("t2_star_s must be positive")
+    check_positive(t2_star_s=t2_star_s)
     times = np.asarray(times_s, dtype=float)
     theta = [1.0, t2_star_s, triplet.detuning_hz, triplet.a_parallel_hz, 0.0]
     signal = fitkit.FitModel.fid_beats(triplet.multiplicities).predict(times, theta)
@@ -479,31 +478,22 @@ def _decay_time_grids(n, noise: NoiseModel, n_points: int) -> np.ndarray:
 
     # Bisection on both targets of every column: GRID_BISECTION_STEPS steps of mid = 0.5 * (lo + hi)
     # from (0, tau_c * 2^k), lo moving to mid where the exponent there is below the target.  A
-    # target's state is [lo, hi, steps left]; step() takes each step whose midpoint is in the
-    # column's memo of evaluated exponents.  The memo starts with the probe ladder, whose rungs are
-    # the midpoints while lo is 0, so the first steps walk down the ladder.  A target stays open
-    # while a step is left and its midpoint lies strictly inside (lo, hi) but not in the memo.  The
-    # dense call evaluates GRID_DENSE_POINTS points evenly spaced in log t inside each open bracket
-    # (lo > 0) for the first guess; a final call, the path the bisection takes if the guess is right
-    # until the bracket holds at most GRID_DENSE_POINTS floats, then each float in it.  A target
+    # target's state is [lo, hi, steps left]; step() takes each step whose midpoint is in the column's
+    # memo of evaluated exponents.  The memo starts with the probe ladder up to the bracket's top,
+    # whose rungs are the midpoints while lo is 0, so the first steps walk down the ladder.  A target
+    # stays open while a step is left and its midpoint lies strictly inside (lo, hi) but not in the
+    # memo.  The dense call evaluates GRID_DENSE_POINTS points evenly spaced in log t inside each open
+    # bracket (lo > 0) for the first guess; a final call, the path the bisection takes if the guess is
+    # right until the bracket holds at most GRID_DENSE_POINTS floats, then each float in it.  A target
     # still open takes another final call, guessed from its bracket ends.  So lo and hi are bit for
     # bit the bisection's whatever the guess, as the kernel gives each point the same value whatever
     # else is in its call.  A midpoint that overflows would ask for chi(inf) and is refused; every
     # other point lies in a bracket whose ends were evaluated as finite.
     targets = [GRID_DECAY_LO, GRID_DECAY_HI] * len(k)
     pair_n = np.repeat(n, 2) if np.ndim(n) else n
-    # A column's two walks down the ladder read its rungs from below its bracket's top down to the first
-    # one whose exponent is below GRID_DECAY_LO, where the low target's walk stops (the high target's
-    # stops at or above it), or to the bottom.  No later midpoint lies outside that range, so the memo
-    # starts with those rungs alone.
-    rows = np.arange(len(probes))[:, None]
-    last_low = np.maximum.accumulate(np.where(probe_total < GRID_DECAY_LO, rows, 0), axis=0)
-    memos, tops = [], []
-    for j, (first, kj) in enumerate(zip(last_low[np.subtract(k, 1), np.arange(len(k))].tolist(), k)):
-        rungs = probes[first:kj + 1, 0].tolist()
-        memos.append(dict(zip(rungs, probe_total[first:kj + 1, j].tolist())))
-        tops.append(rungs[-1])
-    states = [[0.0, tops[j // 2], GRID_BISECTION_STEPS] for j in range(len(targets))]
+    rungs = probes[:, 0].tolist()
+    memos = [dict(zip(rungs[:kj + 1], probe_total[:kj + 1, j].tolist())) for j, kj in enumerate(k)]
+    states = [[0.0, rungs[k[j // 2]], GRID_BISECTION_STEPS] for j in range(len(targets))]
 
     def step(j):
         """Take target j's steps whose midpoints are in its memo; whether it is still open."""

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import ATOMS_PER_CHARGE, CARBON_NUMBER_DENSITY_M3, CH4_PURITY, ELEMENTARY_CHARGE_C, H2_PURITY
-from .constants import INCORPORATION_RATE, ION_SPECIES, NumericalFailure
+from .constants import INCORPORATION_RATE, ION_SPECIES, NumericalFailure, check_positive
 
 GUN_ENERGY_RANGE_EV = (400.0, 5000.0)
 CHOPPER_PULSE_RANGE_S = (15e-6, 1.5e-3)
@@ -59,10 +59,7 @@ class BeamConfig:
         lo, hi = GUN_ENERGY_RANGE_EV
         if not lo <= self.energy_ev <= hi:
             raise ValueError(f"energy_ev must lie in the gun range [{lo}, {hi}] eV")
-        if not self.current_a > 0:
-            raise ValueError("current_a must be positive")
-        if not self.spot_diameter_m > 0:
-            raise ValueError("spot_diameter_m must be positive")
+        check_positive(current_a=self.current_a, spot_diameter_m=self.spot_diameter_m)
         if self.chopper_pulse_s is not None:
             plo, phi = CHOPPER_PULSE_RANGE_S
             if not plo <= self.chopper_pulse_s <= phi:
@@ -116,7 +113,7 @@ def dose_to_time(beam: BeamConfig, target_dose_cm2: float) -> tuple[float, int |
     NumericalFailure
         If the spot area or the atom flux is 0 in floating point.
     """
-    if target_dose_cm2 < 0:
+    if not target_dose_cm2 >= 0:
         raise ValueError("target_dose_cm2 must be non-negative")
     try:
         duration = target_dose_cm2 / beam.atom_flux_cm2_s
@@ -153,8 +150,7 @@ def yield_model(energy_ev: float) -> float:
     Log-log linear between the two anchors, clamped outside them; monotone
     non-decreasing and continuous everywhere.
     """
-    if not energy_ev > 0:
-        raise ValueError("energy_ev must be positive")
+    check_positive(energy_ev=energy_ev)
     (e_lo, y_lo), (e_hi, y_hi) = YIELD_ANCHOR_LOW, YIELD_ANCHOR_HIGH
     if energy_ev <= e_lo:
         return y_lo
@@ -171,7 +167,7 @@ def nv_density(dose_cm2: float, energy_ev: float):
     slab concentration exceeds ``SATURATION_PPM``, where dose-dependent
     yield loss (not modeled) sets in.
     """
-    if dose_cm2 < 0:
+    if not dose_cm2 >= 0:
         raise ValueError("dose_cm2 must be non-negative")
     areal = dose_cm2 * yield_model(energy_ev)
     _, straggle_nm = range_straggle(energy_ev)
@@ -210,9 +206,8 @@ class GrowthBudget:
     incorporation_rate: float = INCORPORATION_RATE
 
     def __post_init__(self) -> None:
-        if not self.total_flow_sccm > 0:
-            raise ValueError("total_flow_sccm must be positive")
-        if self.leak_rate_sccm < 0:
+        check_positive(total_flow_sccm=self.total_flow_sccm)
+        if not self.leak_rate_sccm >= 0:
             raise ValueError("leak_rate_sccm must be >= 0")
         for name in ("h2_purity", "ch4_purity"):
             if not 0 < getattr(self, name) <= 1:

@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 from .constants import CARBON_NUMBER_DENSITY_M3, GYROMAGNETIC_RATIO_HZ_PER_T, PAPER_IDEAL_T2_STAR_S
-from .constants import NumericalFailure
+from .constants import NumericalFailure, check_positive
 
 # Pinned "paper-ideal" preset: 22 ppm ensemble, T2* = 3.6 us (in constants,
 # where the CLI reads it), 1 um^3 detection volume, 5% contrast, R solved so
@@ -39,9 +39,9 @@ class EnsembleSpot:
     contrast: float
 
     def __post_init__(self) -> None:
-        for name in ("concentration_aleph_ppm", "detection_volume_m3", "photon_rate_per_center_cps"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        check_positive(concentration_aleph_ppm=self.concentration_aleph_ppm,
+                       detection_volume_m3=self.detection_volume_m3,
+                       photon_rate_per_center_cps=self.photon_rate_per_center_cps)
         if not 0.0 < self.contrast <= 1.0:
             raise ValueError("contrast must lie in (0, 1]")
         if self.n_centers < 1:
@@ -67,8 +67,7 @@ class SensitivityReport:
 
 def eta_dc(spot: EnsembleSpot, t2_star_s: float) -> float:
     """DC sensitivity 1/(gamma C sqrt(R N T2*)), scaling as 1/sqrt(N); NumericalFailure if 0 or inf."""
-    if not t2_star_s > 0:
-        raise ValueError("t2_star_s must be positive")
+    check_positive(t2_star_s=t2_star_s)
     shots = spot.photon_rate_per_center_cps * spot.n_centers * t2_star_s
     scale = GYROMAGNETIC_RATIO_HZ_PER_T * spot.contrast * math.sqrt(shots)
     if not 1e-308 < scale < math.inf:  # then 1 / scale is finite and > 0

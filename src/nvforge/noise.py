@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import T1_EXPONENT_Q
+from .constants import T1_EXPONENT_Q, check_positive
 
 
 def seeded_rng(seed: int, stream: int) -> np.random.Generator:
@@ -36,14 +36,9 @@ class NoiseModel:
     t1_exponent_q: float = T1_EXPONENT_Q
 
     def __post_init__(self) -> None:
-        if self.b_rad_s < 0:
+        if not self.b_rad_s >= 0:
             raise ValueError("b_rad_s must be >= 0")
-        if not self.tau_c_s > 0:
-            raise ValueError("tau_c_s must be positive")
-        if not self.t1_s > 0:
-            raise ValueError("t1_s must be positive")
-        if not self.t1_exponent_q > 0:
-            raise ValueError("t1_exponent_q must be positive")
+        check_positive(tau_c_s=self.tau_c_s, t1_s=self.t1_s, t1_exponent_q=self.t1_exponent_q)
 
     def longitudinal_exponent(self, times_s) -> np.ndarray:
         """(t/T1)^q evaluated elementwise; 0 for T1 = inf, inf without a warning on overflow."""

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import SEQUENCE_KINDS
+from .constants import SEQUENCE_KINDS, check_positive
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ def build_sequence(kind: str, tau_s: float, n: int | None = None) -> PulseSequen
     ValueError
         For non-positive tau, unknown kind, or missing/invalid n.
     """
-    if not tau_s > 0:
-        raise ValueError("tau_s must be positive")
+    check_positive(tau_s=tau_s)
     kind = kind.lower()
     if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown sequence kind: {kind!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GYROMAGNETIC_RATIO_HZ_PER_T, ODMR_CONTRAST, ODMR_LINEWIDTH_FWHM_HZ
-from .constants import ZERO_FIELD_SPLITTING_HZ
+from .constants import ZERO_FIELD_SPLITTING_HZ, check_positive
 from .dataio import OdmrSpectrum, lorentzian
 
 # Dips whose centers lie within this fraction of the linewidth merge into a
@@ -48,12 +48,8 @@ class SpinParams:
     odmr_contrast: float = ODMR_CONTRAST
 
     def __post_init__(self) -> None:
-        if not self.zfs_d_hz > 0:
-            raise ValueError("zfs_d_hz must be positive")
-        if not self.gyromag_hz_per_t > 0:
-            raise ValueError("gyromag_hz_per_t must be positive")
-        if not self.linewidth_fwhm_hz > 0:
-            raise ValueError("linewidth_fwhm_hz must be positive")
+        check_positive(zfs_d_hz=self.zfs_d_hz, gyromag_hz_per_t=self.gyromag_hz_per_t,
+                       linewidth_fwhm_hz=self.linewidth_fwhm_hz)
         if not self.linewidth_fwhm_hz / 2.0 > 0:
             raise ValueError("linewidth_fwhm_hz is too small: its half width rounds to 0")
         if not 0.0 < self.odmr_contrast <= 1.0:
