@@ -31,9 +31,10 @@ Monte-Carlo runs are bit-reproducible for a fixed seed regardless of
 evaluation order: trajectories are partitioned into fixed-size blocks and
 each block draws from its own counter-based Philox stream keyed by
 (seed, block index).  Block partial sums are combined in index order.
-One helper thread draws the normals a group of rows ahead, in two buffers
-that the chunks read in place (:class:`_NormalsAhead`); as a Philox fill is
-sequential, the draws and the bytes are those of each block's own generator.
+Two workers each draw and sum whole chunks of up to MC_GROUP_ROWS rows
+(:func:`_mc_two_workers`); longer chunks are drawn a group ahead by a helper
+(:class:`_NormalsAhead`).  Both read each block's stream in order into 2 MiB
+at most, and as a Philox fill is sequential, the bytes are the block's own.
 Every time point has the same number of cells, so each draw drives all
 time points at once: the points are correlated, each stays exact in
 distribution, and a point's value does not depend on the other points.
@@ -45,6 +46,7 @@ import bisect
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +70,8 @@ MC_STREAM = 2
 #: trajectories.  Elementwise ufuncs and unbuffered sums give the same bytes
 #: under any buffer.
 MC_UFUNC_BUFSIZE = 16
-#: Most rows of one chunk's draws that the helper thread of :class:`_NormalsAhead`
-#: fills in one call; a chunk's rows are split evenly into as few groups as this allows.
+#: Most rows filled in one call: a chunk of at most this many goes whole to :func:`_mc_two_workers`;
+#: a longer one is split evenly into as few groups as this allows (:class:`_NormalsAhead`).
 MC_GROUP_ROWS = 64
 
 #: Decay window of :func:`decay_time_grid`, in -ln(signal).
@@ -216,8 +218,8 @@ def simulate_analytic(seq: PulseSequence, noise: NoiseModel, times_s) -> DecayCu
 class _NormalsAhead:
     """Each block's Philox normals, drawn one group ahead on a helper thread and read in place.
 
-    ``blocks`` lists (block index, chunk widths) in the order the caller
-    walks them, and each chunk takes ``rows`` rows of its width.  Two
+    ``walk`` lists (block index, width) for every chunk in the caller's
+    order, and each chunk takes ``rows`` rows of its width.  Two
     buffers circulate through two queues: the helper takes an empty one,
     fills a group of at most MC_GROUP_ROWS rows from ``seeded_rng(seed,
     block)`` and puts (buffer, group) on the filled one; :meth:`chunk`
@@ -228,22 +230,21 @@ class _NormalsAhead:
     side; its own error goes over as (None, error) for :meth:`chunk` to raise.
     """
 
-    def __init__(self, seed: int, blocks, rows: int):
+    def __init__(self, seed: int, walk, rows: int):
         import queue
-        import threading  # already loaded with numpy
         groups = -(-rows // MC_GROUP_ROWS)
         self._sizes = [rows // groups + (i < rows % groups) for i in range(groups)]
-        width = max(max(widths) for _, widths in blocks)
+        width = max(w for _, w in walk)
         self._empty, self._filled = queue.SimpleQueue(), queue.SimpleQueue()
         for _ in range(2):
             self._empty.put(np.empty(self._sizes[0] * width))
-        self._thread = threading.Thread(target=self._fill, args=(seed, blocks), daemon=True)
+        self._thread = threading.Thread(target=self._fill, args=(seed, walk), daemon=True)
 
-    def _fill(self, seed: int, blocks) -> None:
+    def _fill(self, seed: int, walk) -> None:
         try:
-            for ib, widths in blocks:
+            for ib, chunks in itertools.groupby(walk, key=lambda chunk: chunk[0]):
                 rng = seeded_rng(seed, ib)
-                for width in widths:
+                for _, width in chunks:
                     for size in self._sizes:
                         buffer = self._empty.get()
                         if buffer is None:
@@ -270,6 +271,43 @@ class _NormalsAhead:
         self._thread.join()
 
 
+def _mc_two_workers(seed: int, walk, weights: np.ndarray) -> list:
+    """The sums of each chunk of ``walk``, (block, width) pairs, from the caller and one helper thread.
+
+    Under one lock a worker takes the next chunk and draws its rows from
+    ``seeded_rng(seed, block)`` into its own buffer, so each stream is read
+    in walk order; it sums them unlocked.  After a failure neither takes
+    another chunk; the helper is joined, and the first error is raised.
+    """
+    n_rows, width = weights.shape[0], max(w for _, w in walk)
+    todo, lock, rngs, errors, sums = iter(range(len(walk))), threading.Lock(), {}, [], [None] * len(walk)
+
+    def work() -> None:
+        try:
+            np.setbufsize(MC_UFUNC_BUFSIZE)  # the ufunc buffer is per thread
+            buffer = np.empty(n_rows * width)
+            while True:
+                with lock:
+                    k = next(todo, None)
+                    if k is None or errors:
+                        return
+                    ib, chunk_n = walk[k]
+                    if ib not in rngs:
+                        rngs[ib] = seeded_rng(seed, ib)
+                    rows = rngs[ib].standard_normal(out=buffer[: n_rows * chunk_n].reshape(n_rows, chunk_n))
+                sums[k] = _mc_chunk_sums(rows, chunk_n, weights)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helper = threading.Thread(target=work, daemon=True)
+    helper.start()
+    work()  # never raises: each worker keeps its error
+    helper.join()
+    if errors:
+        raise errors[0]
+    return sums
+
+
 def _mc_chunk_sums(rows, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum and sum-of-squares of cos(phase) at every time point over chunk_n trajectories.
 
@@ -278,7 +316,8 @@ def _mc_chunk_sums(rows, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray,
     place, so the working arrays stay at (n_times, chunk_n) for any number
     of cells.  One row too few or too many raises ``ValueError``; checking
     for one too many runs :meth:`_NormalsAhead.chunk` to its end, which
-    puts the chunk's last buffer back.  Each draw drives all time points at
+    puts the chunk's last buffer back; a chunk of :func:`_mc_two_workers`
+    is an array in its worker's buffer.  Each draw drives all time points at
     once by broadcasting, so a time point's sums depend only on its own column.
     """
     phase = np.zeros((weights.shape[1], chunk_n))
@@ -303,10 +342,12 @@ def simulate_mc(
     point's value does not depend on the other points in ``times``.  All
     points share their normal draws, so their errors are correlated.
     Per-point standard errors of the Monte-Carlo mean are stored in
-    ``meta["mc_stderr"]``.  The draws come from a helper thread, one group
-    of at most MC_GROUP_ROWS rows ahead, in two buffers of at most
-    MC_GROUP_ROWS x MC_CHUNK_SIZE floats that each chunk reads in place;
-    the helper is joined before the call returns or raises.
+    ``meta["mc_stderr"]``.  Up to CPMG(30), two workers (the caller and a
+    helper thread) each draw and sum whole chunks, added in walk order;
+    longer chunks are drawn by a helper one group of at most MC_GROUP_ROWS
+    rows ahead.  The draws take two buffers of at most MC_GROUP_ROWS x
+    MC_CHUNK_SIZE floats, and the helper is joined before the call returns
+    or raises.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -344,15 +385,18 @@ def simulate_mc(
     # trajectories, which bounds the working arrays at (n_times, MC_CHUNK_SIZE).
     n_blocks = (n_traj + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE
     sums = np.zeros((n_blocks, 2, times.size))  # sum and sum of squares of cos(phase)
-    blocks = []
+    walk = []  # (block, width) of every chunk
     for ib in range(n_blocks) if _block_order is None else _block_order:
         block_n = min(MC_BLOCK_SIZE, n_traj - ib * MC_BLOCK_SIZE)
-        blocks.append((ib, [min(MC_CHUNK_SIZE, block_n - start) for start in range(0, block_n, MC_CHUNK_SIZE)]))
+        walk += [(ib, min(MC_CHUNK_SIZE, block_n - start)) for start in range(0, block_n, MC_CHUNK_SIZE)]
     old_bufsize = np.setbufsize(MC_UFUNC_BUFSIZE)
     try:
-        with _NormalsAhead(seed, blocks, weights.shape[0]) as draws:
-            for ib, widths in blocks:
-                for chunk_n in widths:
+        if weights.shape[0] <= MC_GROUP_ROWS:
+            for (ib, _), chunk in zip(walk, _mc_two_workers(seed, walk, weights)):
+                sums[ib] += chunk
+        else:
+            with _NormalsAhead(seed, walk, weights.shape[0]) as draws:
+                for ib, chunk_n in walk:
                     sums[ib] += _mc_chunk_sums(draws.chunk(), chunk_n, weights)
     finally:
         np.setbufsize(old_bufsize)

@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import itertools
 import math
 import signal
 import sys
@@ -593,7 +595,8 @@ def assert_matches_state_recursion(seq, noise, times, n_traj, seed):
 
 @pytest.mark.parametrize("b_tau", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize(
-    "kind, n", [("ramsey", 0), ("hahn", 1), ("xy8", 8), ("cpmg", 7), ("cpmg", 64), ("cpmg", 100)]
+    "kind, n",
+    [("ramsey", 0), ("hahn", 1), ("xy8", 8), ("cpmg", 7), ("cpmg", 30), ("cpmg", 31), ("cpmg", 64), ("cpmg", 100)],
 )
 def test_mc_weights_match_the_state_recursion(kind, n, b_tau):
     # The per-draw weights reorder the phase sum of the state recursion on
@@ -613,10 +616,12 @@ def test_mc_weights_match_the_state_recursion_over_two_blocks():
     assert_matches_state_recursion(seq, noise, times, n_traj, seed=3)
 
 
-def test_mc_draws_stay_in_a_bounded_working_set():
+@pytest.mark.parametrize("n", [30, 512])
+def test_mc_draws_stay_in_a_bounded_working_set(n):
     # CPMG(512) takes 1 + 2 * 513 rows of draws per chunk; taken in one call
-    # they would hold 1027 * 2048 * 8 B = 16.8 MB.
-    seq = build_sequence("cpmg", 1e-6, n=512)
+    # they would hold 1027 * 2048 * 8 B = 16.8 MB.  CPMG(30)'s 63 rows go to
+    # two workers, each with a buffer of 63 * 2048 * 8 B = 1.03 MB.
+    seq = build_sequence("cpmg", 1e-6, n=n)
     times = np.geomspace(1e-7, 1e-5, 4)
     tracemalloc.start()
     try:
@@ -737,38 +742,36 @@ def test_one_normal_fill_is_its_rows_filled_one_after_another():
 @pytest.mark.parametrize("kind, n", [("hahn", 1), ("cpmg", 40)])
 @pytest.mark.parametrize("order", [None, [2, 0, 1]])
 def test_mc_chunks_get_each_blocks_stream_row_for_row(monkeypatch, kind, n, order):
-    # Three blocks, the last ending on a partial chunk.  CPMG(40) takes 83
-    # rows per chunk, more than one group of MC_GROUP_ROWS.  Every row that
-    # _mc_chunk_sums reads is what seeded_rng(seed, ib).standard_normal(out=z)
-    # gives at that point of block ib's stream.
+    # Three blocks, the last ending on a partial chunk.  Hahn's 5 rows per
+    # chunk go to two workers, which may sum the chunks out of walk order;
+    # CPMG(40) takes 83 rows per chunk, more than one group of MC_GROUP_ROWS.
+    # Each chunk of the walk reaches exactly one _mc_chunk_sums call, with
+    # the rows seeded_rng(seed, ib).standard_normal(out=z) gives at that
+    # point of block ib's stream.
     n_traj = 2 * engines.MC_BLOCK_SIZE + engines.MC_CHUNK_SIZE + 452
     seq = build_sequence(kind, 1e-6, n=n)
-    expected = []
-    for ib in order or range(3):
-        block_n = min(engines.MC_BLOCK_SIZE, n_traj - ib * engines.MC_BLOCK_SIZE)
-        ref = seeded_rng(11, ib)
-        expected += [(ref, min(engines.MC_CHUNK_SIZE, block_n - start))
-                     for start in range(0, block_n, engines.MC_CHUNK_SIZE)]
-    chunks = iter(expected)
+    n_rows = 2 * seq.n_pi + 3
     chunk_sums = engines._mc_chunk_sums
-    rows = []
+    calls = []
 
     def spy(draws, chunk_n, weights):
-        ref, width = next(chunks)
-        assert chunk_n == width
-
-        def checked():
-            for row in draws:
-                assert np.array_equal(row, ref.standard_normal(out=np.empty(width)))
-                rows.append(width)
-                yield row
-
-        return chunk_sums(checked(), chunk_n, weights)
+        got = np.array([row.copy() for row in draws])  # each row copied before its buffer goes back
+        calls.append((chunk_n, got.shape[0], hashlib.sha256(got.tobytes()).digest()))
+        return chunk_sums(got, chunk_n, weights)
 
     monkeypatch.setattr(engines, "_mc_chunk_sums", spy)
     simulate_mc(seq, NoiseModel(1e6, 1e-6), [1e-6, 3e-6], n_traj, seed=11, _block_order=order)
-    assert next(chunks, None) is None
-    assert sum(rows) == n_traj * (2 * seq.n_pi + 3)
+    expected = 0
+    for ib in order or range(3):
+        block_n = min(engines.MC_BLOCK_SIZE, n_traj - ib * engines.MC_BLOCK_SIZE)
+        ref = seeded_rng(11, ib)
+        for start in range(0, block_n, engines.MC_CHUNK_SIZE):
+            width = min(engines.MC_CHUNK_SIZE, block_n - start)
+            want = np.array([ref.standard_normal(out=np.empty(width)) for _ in range(n_rows)])
+            assert calls.count((width, n_rows, hashlib.sha256(want.tobytes()).digest())) == 1
+            expected += 1
+    assert len(calls) == expected
+    assert sum(width * rows for width, rows, _ in calls) == n_traj * n_rows
 
 
 def test_mc_chunk_sums_take_exactly_one_row_per_weight():
@@ -793,10 +796,11 @@ def time_limit(seconds, what):
         signal.signal(signal.SIGALRM, handler)
 
 
+@pytest.mark.parametrize("kind, n", [("hahn", 1), ("cpmg", 40)])
 @pytest.mark.parametrize("bad", [0, 1])
-def test_mc_raises_a_failure_of_its_draws_and_leaves_no_thread(monkeypatch, bad):
-    # Block 0 fails while the caller already waits for its first group;
-    # block 1 fails after the helper has drawn all of block 0.
+def test_mc_raises_a_failure_of_its_draws_and_leaves_no_thread(monkeypatch, bad, kind, n):
+    # Block 0 fails on the first draw; block 1 fails after block 0 is drawn.
+    # Hahn's chunks go to two workers, CPMG(40)'s to the draw-ahead helper.
     real = engines.seeded_rng
 
     def failing(seed, stream):
@@ -805,7 +809,7 @@ def test_mc_raises_a_failure_of_its_draws_and_leaves_no_thread(monkeypatch, bad)
         return real(seed, stream)
 
     monkeypatch.setattr(engines, "seeded_rng", failing)
-    seq = build_sequence("cpmg", 1e-6, n=40)
+    seq = build_sequence(kind, 1e-6, n=n)
     threads = threading.active_count()
     old = np.setbufsize(4096)
     try:
@@ -817,22 +821,23 @@ def test_mc_raises_a_failure_of_its_draws_and_leaves_no_thread(monkeypatch, bad)
         np.setbufsize(old)
 
 
-def test_mc_stops_its_helper_when_a_chunk_fails(monkeypatch):
-    # The caller fails on its third chunk with most of the stream still to
-    # draw: the helper must stop, not wait for a caller that has gone.
+@pytest.mark.parametrize("kind, n", [("hahn", 1), ("cpmg", 40)])
+def test_mc_stops_its_helper_when_a_chunk_fails(monkeypatch, kind, n):
+    # The third chunk summed fails with most of the stream still to draw:
+    # the helper must stop, not wait for a caller that has gone.  Under two
+    # workers either thread may sum it, so the calls are counted atomically.
     chunk_sums = engines._mc_chunk_sums
-    calls = []
+    calls = itertools.count(1)
 
     def failing(*args):
-        calls.append(None)
-        if len(calls) == 3:
+        if next(calls) == 3:
             raise RuntimeError("chunk 3 failed")
         return chunk_sums(*args)
 
     monkeypatch.setattr(engines, "_mc_chunk_sums", failing)
     threads = threading.active_count()
     with time_limit(10, "simulate_mc"), pytest.raises(RuntimeError, match="chunk 3 failed"):
-        simulate_mc(build_sequence("hahn", 1e-6), NoiseModel(1e6, 1e-6), [1e-6], 2 * engines.MC_BLOCK_SIZE, seed=1)
+        simulate_mc(build_sequence(kind, 1e-6, n=n), NoiseModel(1e6, 1e-6), [1e-6], 2 * engines.MC_BLOCK_SIZE, seed=1)
     assert threading.active_count() == threads
 
 

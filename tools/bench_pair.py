@@ -15,9 +15,10 @@ alike.
 ``BENCH_<PR>.json`` (in the current directory) holds each side's commit and
 run length; per workload and side, every run's end-to-end metrics with
 their median and quartiles, ``correct`` (every run correct) and the
-``failed`` op counts; per metric, the candidate/parent ratio of medians and
-the number of pairs in which the candidate was better; and the env block
-perfbench printed.
+``failed`` op counts; per metric, the candidate/parent ratio of medians,
+the number of pairs in which the candidate was better and the three
+verdicts of :func:`compare` (``gain_resolved``, ``within_bound``,
+``unresolved``); and the env block perfbench printed.
 """
 
 from __future__ import annotations
@@ -77,21 +78,39 @@ def side_report(runs: list[dict], units: dict) -> dict:
     }
 
 
-def compare(parent: list[dict], candidate: list[dict], better: dict) -> dict:
+def compare(parent: list[dict], candidate: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric of ``BENCHMARK.json`` (name, better, bound), the candidate against the parent.
+
+    Only pairs in which both runs succeeded count.  The verdicts:
+
+    - ``gain_resolved``: the candidate is better in at least 9 of 10 pairs,
+      and its median beats the parent's by more than the parent's quartile spread;
+    - ``within_bound``: the candidate's median is worse than the parent's by
+      no more than ``bound``, a fraction of the parent's median;
+    - ``unresolved``: the parent's quartile spread is wider than that bound,
+      so a move within the bound cannot be told from the parent's own spread.
+    """
     pairs = [(p, c) for p, c in zip(parent, candidate) if "error" not in p and "error" not in c]
     out = {}
-    for name, direction in better.items():
-        sign = 1.0 if direction == "higher" else -1.0
+    if not pairs:
+        return out
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
+        sign = 1.0 if metric["better"] == "higher" else -1.0
         before = [p["metrics"][name]["value"] for p, _ in pairs]
         after = [c["metrics"][name]["value"] for _, c in pairs]
-        if not pairs:
-            continue
-        base = statistics.median(before)
+        base = summary(before)
+        gain = sign * (statistics.median(after) - base["median"])
+        spread = base["q3"] - base["q1"]
+        better = sum(sign * (a - b) > 0 for a, b in zip(after, before))
         out[name] = {
-            "better": direction,
-            "ratio": statistics.median(after) / base if base else None,
-            "pairs_better": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
+            "better": metric["better"],
+            "ratio": statistics.median(after) / base["median"] if base["median"] else None,
+            "pairs_better": better,
             "pairs": len(pairs),
+            "gain_resolved": 10 * better >= 9 * len(pairs) and gain > spread,
+            "within_bound": gain >= -bound * abs(base["median"]),
+            "unresolved": spread > bound * abs(base["median"]),
         }
     return out
 
@@ -113,7 +132,6 @@ def main(argv: list[str]) -> int:
         parser.error(f"unknown workload(s) {', '.join(unknown)}; choose from {', '.join(workloads)}")
     workloads = args.workloads or workloads
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     report = {"seeds": args.seeds, "env": None, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -136,7 +154,7 @@ def main(argv: list[str]) -> int:
                           f"{run.get('error', '')}".rstrip(), flush=True)
             report["workloads"][workload] = {
                 side: side_report(side_runs, units) for side, side_runs in runs.items()
-            } | {"compare": compare(runs["parent"], runs["candidate"], better)}
+            } | {"compare": compare(runs["parent"], runs["candidate"], spec["end_to_end"])}
 
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(report, indent=2) + "\n")
