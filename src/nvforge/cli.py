@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import os
 import sys
@@ -560,7 +561,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Process entry of ``python -m nvforge.cli`` and ``nvforge``: :func:`main` without the cyclic collector.
+
+    The process ends when ``main`` returns, and no command makes cyclic garbage that grows with
+    its work; what is left is frozen out of teardown's collections. ``atexit`` handlers still run.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nvforge
-from nvforge import cli, dataio, engines, fitkit, fixtures, magnetometry, scan
+from nvforge import cli, constants, dataio, engines, fitkit, fixtures, magnetometry, scan
 from nvforge.cli import COMMANDS, main
 from nvforge.dataio import DecayCurve
 from nvforge.levmar import NumericalFailure
@@ -1458,6 +1459,106 @@ def test_numpy_commands_load_no_new_module(tmp_path, argv, loaded, draws):
         f"nvforge.{m}" for m in ("cli", "constants", "dataio", *loaded))
     assert not [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
     assert ("numpy.random" in modules) == draws
+
+
+#: One step per exit code of the contract: argv and the code it exits with.
+ENTRY_STEPS = [
+    (["decay", "--engine", "both"], 0),
+    (["decay", "--n-times", "0"], 2),
+    (["decay", "--sequence", "hahn", "--engine", "both", "--n-traj", "40", "--n-times", "8", "--seed", "3"], 3),
+    (["scan", "--mode", "vdp", "--r-a-ohm", "1e308", "--r-b-ohm", "1e308"], 4),
+]
+# `python -m nvforge.cli` with an atexit hook registered first, which records the
+# collector's state as interpreter teardown finds it.
+ENTRY_WITH_ATEXIT_HOOK = (
+    "import atexit, gc, runpy\n"
+    "def hook():\n"
+    "    with open('atexit.txt', 'w') as fh:\n"
+    "        fh.write(f'{gc.isenabled()} {gc.get_freeze_count() > 0}')\n"
+    "atexit.register(hook)\n"
+    "runpy.run_module('nvforge.cli', run_name='__main__')\n"
+)
+
+
+def _outputs_without_wall_time(directory):
+    """Output file name -> bytes; the manifest as a dict without its ``wall_time_s``."""
+    files = _output_bytes(directory, exclude=()) if directory.exists() else {}
+    if "manifest.json" in files:
+        files["manifest.json"] = json.loads(files["manifest.json"])
+        del files["manifest.json"]["wall_time_s"]
+    return files
+
+
+@pytest.mark.parametrize("argv, exit_code", ENTRY_STEPS, ids=[f"exit{code}" for _, code in ENTRY_STEPS])
+def test_process_entry_gives_mains_bytes(tmp_path, monkeypatch, argv, exit_code):
+    # Each side runs in its own directory with the same relative --output-dir.
+    argv = [*argv, "--output-dir", "out"]
+    monkeypatch.delenv("NVFORGE_SEED", raising=False)
+    env = {**os.environ, "PYTHONPATH": str(Path(nvforge.__file__).parents[1])}
+    results = {}
+    for side, entry in (("module", ["-m", "nvforge.cli"]), ("atexit", ["-c", ENTRY_WITH_ATEXIT_HOOK])):
+        (tmp_path / side).mkdir()
+        proc = subprocess.run([sys.executable, *entry, *argv], cwd=tmp_path / side, env=env,
+                              capture_output=True, text=True, timeout=120)
+        results[side] = (proc.returncode, proc.stdout, proc.stderr, _outputs_without_wall_time(tmp_path / side / "out"))
+
+    (tmp_path / "main").mkdir()
+    monkeypatch.chdir(tmp_path / "main")
+    collector = (gc.isenabled(), gc.get_freeze_count())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (gc.isenabled(), gc.get_freeze_count()) == collector  # main() leaves the collector alone
+    expected = (code, out.getvalue(), err.getvalue(), _outputs_without_wall_time(tmp_path / "main" / "out"))
+    assert code == exit_code
+    assert results["module"] == expected
+    assert results["atexit"] == expected
+    # The hook still ran, after run() had turned the collector off and frozen what was left.
+    assert (tmp_path / "atexit" / "atexit.txt").read_text() == "False True"
+
+
+def _unreachable_after(argv):
+    """Exit code and the count of unreachable objects one in-process run leaves, collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        return code, gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_the_garbage_a_command_leaves_does_not_grow_with_its_work(tmp_path):
+    # run() turns the collector off for a whole command.  The only cycles a
+    # command leaves are json's indenting encoder, a fixed number per JSON file
+    # written; MC trajectories (both MC paths) and LM iterations add none.
+    gc.collect()
+    gc.disable()
+    try:
+        constants.write_json(tmp_path / "probe.json", {"a": [1.0, 2.0], "b": {"c": "d"}})
+        per_json_file = gc.collect()
+    finally:
+        gc.enable()
+    assert main(["decay", "--sequence", "hahn", "--output-dir", str(tmp_path / "hahn")]) == 0
+    curve = str(tmp_path / "hahn" / "decay_analytic.csv")
+    hahn = ["decay", "--engine", "both"]
+    cpmg40 = [*hahn, "--sequence", "cpmg", "--n-pulses", "40"]
+    pairs = [
+        ([*hahn, "--n-traj", "2000"], [*hahn, "--n-traj", "40000"]),
+        ([*cpmg40, "--n-traj", "2000"], [*cpmg40, "--n-traj", "40000"]),
+        (["fit", "--input", curve], ["fit", "--input", curve, "--model", "exp_t2star"]),  # converged; 500 iterations
+    ]
+    for i, pair in enumerate(pairs):
+        left = []
+        for j, argv in enumerate(pair):
+            out = tmp_path / f"run{i}{j}"
+            main([*argv, "--output-dir", str(tmp_path / "warm")])  # first-call imports are not the command's
+            code, unreachable = _unreachable_after([*argv, "--output-dir", str(out)])
+            n_json = len(list(out.glob("*.json"))) if out.exists() else 0
+            left.append((code, unreachable - per_json_file * n_json))
+        assert [code for code, _ in left] == ([0, 4] if pair[0][0] == "fit" else [0, 0]), pair
+        assert left[0][1] == left[1][1], pair
 
 
 # SHA-256 of stdout for each --help and --version at 80 columns (Python 3.11's
