@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(ROOT))
 
-from cli_walls import COMMANDS, INPUTS, format_table, summarise  # noqa: E402
+from cli_walls import COMMANDS, INPUTS, CommandFailed, format_table, run_command, summarise  # noqa: E402
 from perfbench.workloads import _cli_groups  # noqa: E402
 
 PARENT = [0.200, 0.210, 0.190, 0.205, 0.195, 0.220, 0.180, 0.200, 0.215]  # quartiles 0.195-0.210
@@ -69,3 +69,11 @@ def test_one_command_per_cli_session_op():
     assert Counter(map(_kind, COMMANDS.values())) == Counter(_kind(op["argv"]) for op in ops)
     inputs = {arg.split("/")[1] for argv in COMMANDS.values() for arg in argv if arg.startswith("in/")}
     assert inputs == set(INPUTS)
+
+
+def test_a_command_that_does_not_exit_0_stops_the_run(tmp_path):
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    wall = run_command(tmp_path, COMMANDS["scan vdp"], tmp_path / "out")
+    assert wall > 0 and (tmp_path / "out" / "scan_vdp.json").exists()
+    with pytest.raises(CommandFailed, match="exit 2 from decay --n-times 0: error: a decay curve needs"):
+        run_command(tmp_path, ["decay", "--n-times", "0"], tmp_path / "out")

@@ -74,11 +74,11 @@ def run_command(root: Path, argv: list[str], out_dir: Path) -> float:
     env["PYTHONPATH"] = str(root / "src")
     with open(root / "stderr.txt", "w+") as stderr:
         started = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "nvforge.cli", *argv, "--output-dir", str(out_dir)],
-                                cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=stderr)
-        _, status, _ = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - started
-        proc.returncode = os.waitstatus_to_exitcode(status)
+        with subprocess.Popen([sys.executable, "-m", "nvforge.cli", *argv, "--output-dir", str(out_dir)],
+                              cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=stderr) as proc:
+            _, status, _ = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - started
+            proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode != 0:
             stderr.seek(0)
             raise CommandFailed(f"{root.name}: exit {proc.returncode} from {' '.join(argv)}: "
