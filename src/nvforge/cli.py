@@ -555,8 +555,11 @@ def main(argv=None) -> int:
     _write_manifest(
         out_dir, args.command, opts, seed, inputs, outputs, time.monotonic() - started
     )
-    for path in outputs:
-        print(path)
+    try:
+        for path in outputs:
+            print(path, flush=True)
+    except BrokenPipeError:  # a closed stdout is not an error; the final flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

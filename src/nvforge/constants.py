@@ -91,7 +91,7 @@ class NumericalFailure(RuntimeError):
 
 def atomic_write_text(path: Path, text: str) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")  # per process: no writer takes another's temp
     tmp.write_text(text)
     os.replace(tmp, path)
 

@@ -31,10 +31,10 @@ Monte-Carlo runs are bit-reproducible for a fixed seed regardless of
 evaluation order: trajectories are partitioned into fixed-size blocks and
 each block draws from its own counter-based Philox stream keyed by
 (seed, block index).  Block partial sums are combined in index order.
-Two workers each draw and sum whole chunks of up to MC_GROUP_ROWS rows
-(:func:`_mc_two_workers`); longer chunks are drawn a group ahead by a helper
-(:class:`_NormalsAhead`).  Both read each block's stream in order into 2 MiB
-at most, and as a Philox fill is sequential, the bytes are the block's own.
+Chunks of up to MC_GROUP_ROWS rows are summed by :func:`_mc_two_workers`,
+longer ones by :func:`_mc_drawn_ahead`.  Both read the streams of
+:func:`_chunk_streams` in walk order into 2 MiB at most, and as a Philox
+fill is sequential, the bytes are the block's own.
 Every time point has the same number of cells, so each draw drives all
 time points at once: the points are correlated, each stays exact in
 distribution, and a point's value does not depend on the other points.
@@ -71,7 +71,7 @@ MC_STREAM = 2
 #: under any buffer.
 MC_UFUNC_BUFSIZE = 16
 #: Most rows filled in one call: a chunk of at most this many goes whole to :func:`_mc_two_workers`;
-#: a longer one is split evenly into as few groups as this allows (:class:`_NormalsAhead`).
+#: a longer one is split evenly into as few groups as this allows (:func:`_mc_drawn_ahead`).
 MC_GROUP_ROWS = 64
 
 #: Decay window of :func:`decay_time_grid`, in -ln(signal).
@@ -215,72 +215,28 @@ def simulate_analytic(seq: PulseSequence, noise: NoiseModel, times_s) -> DecayCu
     return DecayCurve(times_s=times, signal=signal, meta=meta)
 
 
-class _NormalsAhead:
-    """Each block's Philox normals, drawn one group ahead on a helper thread and read in place.
+def _chunk_streams(seed: int, walk):
+    """(generator, width) of each chunk of ``walk``, (block, width) pairs, in walk order.
 
-    ``walk`` lists (block index, width) for every chunk in the caller's
-    order, and each chunk takes ``rows`` rows of its width.  Two
-    buffers circulate through two queues: the helper takes an empty one,
-    fills a group of at most MC_GROUP_ROWS rows from ``seeded_rng(seed,
-    block)`` and puts (buffer, group) on the filled one; :meth:`chunk`
-    yields the rows and puts the buffer back.  A Philox fill is sequential
-    (one (g, n) fill is g successive n-wide fills), so each row is what the
-    block's own generator gives at that point of its stream.  The helper
-    stops on taking None, which exit puts, also after an error on either
-    side; its own error goes over as (None, error) for :meth:`chunk` to raise.
+    ``seeded_rng(seed, block)`` is made at a block's first chunk; its later chunks read on.
     """
-
-    def __init__(self, seed: int, walk, rows: int):
-        import queue
-        groups = -(-rows // MC_GROUP_ROWS)
-        self._sizes = [rows // groups + (i < rows % groups) for i in range(groups)]
-        width = max(w for _, w in walk)
-        self._empty, self._filled = queue.SimpleQueue(), queue.SimpleQueue()
-        for _ in range(2):
-            self._empty.put(np.empty(self._sizes[0] * width))
-        self._thread = threading.Thread(target=self._fill, args=(seed, walk), daemon=True)
-
-    def _fill(self, seed: int, walk) -> None:
-        try:
-            for ib, chunks in itertools.groupby(walk, key=lambda chunk: chunk[0]):
-                rng = seeded_rng(seed, ib)
-                for _, width in chunks:
-                    for size in self._sizes:
-                        buffer = self._empty.get()
-                        if buffer is None:
-                            return
-                        self._filled.put((buffer, rng.standard_normal(out=buffer[: size * width].reshape(size, width))))
-        except BaseException as exc:
-            self._filled.put((None, exc))
-
-    def chunk(self):
-        """The next chunk's rows, read in place; each group's buffer goes back once its rows are used."""
-        for _ in self._sizes:
-            buffer, group = self._filled.get()
-            if buffer is None:
-                raise group
-            yield from group
-            self._empty.put(buffer)
-
-    def __enter__(self) -> "_NormalsAhead":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._empty.put(None)
-        self._thread.join()
+    block = None
+    for ib, width in walk:
+        if ib != block:
+            block, rng = ib, seeded_rng(seed, ib)
+        yield rng, width
 
 
 def _mc_two_workers(seed: int, walk, weights: np.ndarray) -> list:
-    """The sums of each chunk of ``walk``, (block, width) pairs, from the caller and one helper thread.
+    """The sums of each chunk of ``walk``, in walk order, from the caller and one helper thread.
 
-    Under one lock a worker takes the next chunk and draws its rows from
-    ``seeded_rng(seed, block)`` into its own buffer, so each stream is read
-    in walk order; it sums them unlocked.  After a failure neither takes
-    another chunk; the helper is joined, and the first error is raised.
+    Under one lock a worker takes the next chunk of :func:`_chunk_streams`
+    and draws its rows into its own buffer, so each stream is read in walk
+    order; it sums them unlocked.  After a failure neither takes another
+    chunk; the helper is joined, and the first error is raised.
     """
     n_rows, width = weights.shape[0], max(w for _, w in walk)
-    todo, lock, rngs, errors, sums = iter(range(len(walk))), threading.Lock(), {}, [], [None] * len(walk)
+    chunks, lock, errors, sums = enumerate(_chunk_streams(seed, walk)), threading.Lock(), [], [None] * len(walk)
 
     def work() -> None:
         try:
@@ -288,13 +244,10 @@ def _mc_two_workers(seed: int, walk, weights: np.ndarray) -> list:
             buffer = np.empty(n_rows * width)
             while True:
                 with lock:
-                    k = next(todo, None)
-                    if k is None or errors:
+                    if errors or (chunk := next(chunks, None)) is None:
                         return
-                    ib, chunk_n = walk[k]
-                    if ib not in rngs:
-                        rngs[ib] = seeded_rng(seed, ib)
-                    rows = rngs[ib].standard_normal(out=buffer[: n_rows * chunk_n].reshape(n_rows, chunk_n))
+                    k, (rng, chunk_n) = chunk
+                    rows = rng.standard_normal(out=buffer[: n_rows * chunk_n].reshape(n_rows, chunk_n))
                 sums[k] = _mc_chunk_sums(rows, chunk_n, weights)
         except BaseException as exc:
             errors.append(exc)
@@ -308,6 +261,54 @@ def _mc_two_workers(seed: int, walk, weights: np.ndarray) -> list:
     return sums
 
 
+def _mc_drawn_ahead(seed: int, walk, weights: np.ndarray) -> list:
+    """The sums of each chunk of ``walk``, in walk order, with a helper thread drawing one group ahead.
+
+    A chunk's rows split evenly into as few groups as MC_GROUP_ROWS allows.
+    Two buffers circulate through two queues: the helper takes an empty one,
+    fills a group from :func:`_chunk_streams` and puts (buffer, group) on the
+    filled one; the caller reads the rows in place and puts the buffer back.
+    A Philox fill is sequential (one (g, n) fill is g successive n-wide fills),
+    so each row is what the block's own generator gives there.  The helper
+    stops on taking None, which the caller puts before joining it, also after
+    an error; the helper's own error goes over as (None, error) to be raised.
+    """
+    import queue
+    n_rows = weights.shape[0]
+    groups = -(-n_rows // MC_GROUP_ROWS)
+    sizes = [n_rows // groups + (i < n_rows % groups) for i in range(groups)]
+    empty, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2):
+        empty.put(np.empty(sizes[0] * max(w for _, w in walk)))
+
+    def fill() -> None:
+        try:
+            for rng, width in _chunk_streams(seed, walk):
+                for size in sizes:
+                    buffer = empty.get()
+                    if buffer is None:
+                        return
+                    filled.put((buffer, rng.standard_normal(out=buffer[: size * width].reshape(size, width))))
+        except BaseException as exc:
+            filled.put((None, exc))
+
+    def rows():  # the next chunk's rows; each group's buffer goes back once they are used
+        for _ in sizes:
+            buffer, group = filled.get()
+            if buffer is None:
+                raise group
+            yield from group
+            empty.put(buffer)
+
+    helper = threading.Thread(target=fill, daemon=True)
+    helper.start()
+    try:
+        return [_mc_chunk_sums(rows(), chunk_n, weights) for _, chunk_n in walk]
+    finally:
+        empty.put(None)
+        helper.join()
+
+
 def _mc_chunk_sums(rows, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum and sum-of-squares of cos(phase) at every time point over chunk_n trajectories.
 
@@ -315,10 +316,10 @@ def _mc_chunk_sums(rows, chunk_n: int, weights: np.ndarray) -> tuple[np.ndarray,
     of shape (n_times, 1), times row d of the chunk_n-wide ``rows``, read in
     place, so the working arrays stay at (n_times, chunk_n) for any number
     of cells.  One row too few or too many raises ``ValueError``; checking
-    for one too many runs :meth:`_NormalsAhead.chunk` to its end, which
-    puts the chunk's last buffer back; a chunk of :func:`_mc_two_workers`
-    is an array in its worker's buffer.  Each draw drives all time points at
-    once by broadcasting, so a time point's sums depend only on its own column.
+    for one too many runs :func:`_mc_drawn_ahead`'s row generator to its
+    end, which puts the chunk's last buffer back; :func:`_mc_two_workers`
+    gives an array in its worker's buffer.  Each draw drives all time points
+    at once by broadcasting, so a time point's sums depend only on its own column.
     """
     phase = np.zeros((weights.shape[1], chunk_n))
     term = np.empty_like(phase)
@@ -342,12 +343,12 @@ def simulate_mc(
     point's value does not depend on the other points in ``times``.  All
     points share their normal draws, so their errors are correlated.
     Per-point standard errors of the Monte-Carlo mean are stored in
-    ``meta["mc_stderr"]``.  Up to CPMG(30), two workers (the caller and a
-    helper thread) each draw and sum whole chunks, added in walk order;
-    longer chunks are drawn by a helper one group of at most MC_GROUP_ROWS
-    rows ahead.  The draws take two buffers of at most MC_GROUP_ROWS x
-    MC_CHUNK_SIZE floats, and the helper is joined before the call returns
-    or raises.
+    ``meta["mc_stderr"]``.  The chunk sums come in walk order from two
+    workers up to CPMG(30) (:func:`_mc_two_workers`), and above it from a
+    helper drawing one group ahead (:func:`_mc_drawn_ahead`); one loop adds
+    them into their blocks' sums.  The draws take two buffers of at most
+    MC_GROUP_ROWS x MC_CHUNK_SIZE floats, and the helper is joined before
+    the call returns or raises.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -389,15 +390,11 @@ def simulate_mc(
     for ib in range(n_blocks) if _block_order is None else _block_order:
         block_n = min(MC_BLOCK_SIZE, n_traj - ib * MC_BLOCK_SIZE)
         walk += [(ib, min(MC_CHUNK_SIZE, block_n - start)) for start in range(0, block_n, MC_CHUNK_SIZE)]
+    draw = _mc_two_workers if weights.shape[0] <= MC_GROUP_ROWS else _mc_drawn_ahead
     old_bufsize = np.setbufsize(MC_UFUNC_BUFSIZE)
     try:
-        if weights.shape[0] <= MC_GROUP_ROWS:
-            for (ib, _), chunk in zip(walk, _mc_two_workers(seed, walk, weights)):
-                sums[ib] += chunk
-        else:
-            with _NormalsAhead(seed, walk, weights.shape[0]) as draws:
-                for ib, chunk_n in walk:
-                    sums[ib] += _mc_chunk_sums(draws.chunk(), chunk_n, weights)
+        for (ib, _), chunk in zip(walk, draw(seed, walk, weights)):
+            sums[ib] += chunk
     finally:
         np.setbufsize(old_bufsize)
 

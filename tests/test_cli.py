@@ -823,6 +823,28 @@ def test_fit_whose_trial_steps_overflow_is_quiet(tmp_path):
     assert _read_json(out / "fit_result.json") == expected.as_dict()
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_is_not_an_error(tmp_path, unbuffered):
+    # The output paths are printed last, into a pipe whose reader has gone:
+    # the command has done its work, so it exits 0 with nothing on stderr.
+    env = {**os.environ, "PYTHONPATH": str(Path(nvforge.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nvforge.cli", "sense", "--t2-dd-s", "1e-4", "--output-dir", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert _read_json(tmp_path / "manifest.json")["outputs"] == ["sensitivity.json"]
+    assert _read_json(tmp_path / "sensitivity.json")["assumptions"]["t2_dd_s"] == 1e-4
+
+
 def test_sense_preset_report(tmp_path):
     assert (
         main(["sense", "--t2-dd-s", "173e-6", "--output-dir", str(tmp_path)]) == 0

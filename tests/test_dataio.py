@@ -256,6 +256,17 @@ def test_write_returns_exactly_the_files_it_creates(tmp_path, kind):
         assert path.read_bytes() == (direct / path.name).read_bytes()
 
 
+def test_a_write_leaves_another_writers_temp_alone(tmp_path):
+    # Another process writing the same path has its own temp file there; this
+    # write publishes its own full text through a temp of its own.
+    path, foreign = tmp_path / "out.json", tmp_path / "out.json.tmp"
+    foreign.write_text("another writer's part\n")
+    dataio.write_json(path, {"a": [1.5]})
+    assert path.read_text() == '{\n  "a": [\n    1.5\n  ]\n}\n'
+    assert foreign.read_text() == "another writer's part\n"
+    assert sorted(tmp_path.iterdir()) == [path, foreign]
+
+
 def test_t2_table_csv(tmp_path):
     from nvforge.fitkit import T2TableRow
 
